@@ -126,30 +126,28 @@ void RequestVms(const std::shared_ptr<PlanContext>& ctx, uint32_t count,
   }
 }
 
-/// Restores partition `i` onto its deployed instance, starts it, and stores
-/// the partition checkpoint as the new partition's initial backup at the
-/// holder (Algorithm 2 line 8). Returns the store's status: under kDisk a
-/// failed durable append leaves the new partition with no recoverable
-/// backup, and the plan must abort (compensations retire the partial
-/// deployment) rather than commit an unprotected operator.
-[[nodiscard]] Status RestoreOnePartition(PlanContext& ctx, uint32_t i,
-                                         InstanceId new_id) {
+/// Restores `part` — a partition as it reached its deployed instance — and
+/// starts the instance, then stores the partition as the new instance's
+/// initial backup at the holder (Algorithm 2 line 8). Returns the store's
+/// status: under kDisk a failed durable append leaves the new partition
+/// with no recoverable backup, and the plan must abort (compensations
+/// retire the partial deployment) rather than commit an unprotected
+/// operator.
+[[nodiscard]] Status RestoreOnePartition(PlanContext& ctx, InstanceId new_id,
+                                         core::StateCheckpoint part) {
   runtime::OperatorInstance* inst = ctx.cluster->GetInstance(new_id);
   SEEP_CHECK(inst != nullptr);
-  const core::StateCheckpoint& part = (*ctx.parts)[i];
   inst->Restore(part, ctx.inherit_origin);
   inst->Start();
   if (ctx.holder != kInvalidInstance) {
-    core::StateCheckpoint initial = part;
-    initial.instance = new_id;
-    initial.origin = inst->origin();
-    const uint64_t initial_seq = initial.seq;
+    part.instance = new_id;
+    part.origin = inst->origin();
+    const uint64_t initial_seq = part.seq;
     // Store before the audit hook: with a durable tier the log append
     // happens inside Store, and durable-log-covers-trim requires the record
     // to be on disk by the time the stored event fires.
     SEEP_RETURN_IF_ERROR(
-        ctx.cluster->backups()->Store(new_id, ctx.holder,
-                                      std::move(initial)));
+        ctx.cluster->backups()->Store(new_id, ctx.holder, std::move(part)));
     if (auto* audit = ctx.cluster->audit()) {
       const runtime::OperatorInstance* h = ctx.cluster->GetInstance(ctx.holder);
       audit->OnCheckpointStored(new_id, inst->vm(), ctx.holder,
@@ -161,15 +159,17 @@ void RequestVms(const std::shared_ptr<PlanContext>& ctx, uint32_t count,
 }
 
 /// Ships partition `i` from the holder to its new VM (after the holder spent
-/// `partition_delay` splitting it), then restores there. Without a backup
-/// (empty synthetic state) the restore is immediate after a control delay.
+/// `partition_delay` splitting it), then restores the checkpoint that
+/// arrived there. Without a backup (empty synthetic state) the restore is
+/// immediate after a control delay.
 void ShipOnePartition(const std::shared_ptr<PlanContext>& ctx, uint32_t i,
                       const std::shared_ptr<uint32_t>& remaining,
                       const StageDone& done) {
   const InstanceId new_id = ctx->new_ids[i];
-  auto restore_one = [ctx, i, new_id, remaining, done]() {
+  auto restore_one = [ctx, new_id, remaining,
+                      done](core::StateCheckpoint part) {
     if (!ctx->active) return;  // aborted while the state was in flight
-    const Status restored = RestoreOnePartition(*ctx, i, new_id);
+    const Status restored = RestoreOnePartition(*ctx, new_id, std::move(part));
     if (!restored.ok()) {
       // Aborting marks the context inactive, so sibling restores still
       // in flight become no-ops and done() fires exactly once (the
@@ -179,26 +179,32 @@ void ShipOnePartition(const std::shared_ptr<PlanContext>& ctx, uint32_t i,
     }
     if (--(*remaining) == 0) done(Status::OK());
   };
+  auto restore_local = [ctx, i, restore_one]() {
+    restore_one((*ctx->parts)[i]);
+  };
   if (ctx->have_backup && ctx->from_disk) {
     // The partition was read back from the durable log: nothing ships from
     // a holder (the new VM reads cluster storage directly); it still pays
     // the partition/deserialize delay.
     ctx->cluster->simulation()->Schedule(ctx->partition_delay,
-                                         std::move(restore_one));
+                                         std::move(restore_local));
   } else if (ctx->have_backup) {
     const runtime::OperatorInstance* h = ctx->cluster->GetInstance(ctx->holder);
     const runtime::OperatorInstance* inst = ctx->cluster->GetInstance(new_id);
-    const uint64_t bytes = (*ctx->parts)[i].ByteSize();
     ctx->cluster->simulation()->Schedule(
         ctx->partition_delay,
-        [ctx, h_vm = h->vm(), i_vm = inst->vm(), bytes,
-         restore_one = std::move(restore_one)]() mutable {
-          ctx->cluster->transport()->ShipState(h_vm, i_vm, bytes,
-                                               std::move(restore_one));
+        [ctx, i, new_id, h_vm = h->vm(), i_vm = inst->vm(), restore_one]() {
+          runtime::CheckpointParcel parcel{(*ctx->parts)[i], new_id,
+                                           /*background=*/false};
+          ctx->cluster->transport()->ShipCheckpoint(
+              h_vm, i_vm, std::move(parcel),
+              [restore_one](runtime::ArrivedCheckpoint arrived) {
+                restore_one(std::move(arrived.ckpt));
+              });
         });
   } else {
     ctx->cluster->simulation()->Schedule(ctx->control_delay,
-                                         std::move(restore_one));
+                                         std::move(restore_local));
   }
 }
 

@@ -77,13 +77,9 @@ void EventLoop::RemoveFd(int fd) {
   fd_callbacks_.erase(fd);
 }
 
-TimerId EventLoop::AddTimer(std::chrono::milliseconds delay, Task task) {
-  const TimerId id = ++next_timer_id_;
-  timers_.push(Timer{Clock::now() + delay, id, std::move(task)});
-  return id;
+void EventLoop::AddTimer(std::chrono::milliseconds delay, Task task) {
+  timers_.push(Timer{Clock::now() + delay, ++next_timer_id_, std::move(task)});
 }
-
-void EventLoop::CancelTimer(TimerId id) { cancelled_timers_.insert(id); }
 
 int EventLoop::NextTimeoutMillis() const {
   if (timers_.empty()) return 100;  // idle heartbeat; wakeups cut it short
@@ -98,9 +94,7 @@ void EventLoop::FireDueTimers() {
   const Clock::time_point now = Clock::now();
   while (!timers_.empty() && timers_.top().deadline <= now) {
     Task task = std::move(timers_.top().task);
-    const TimerId id = timers_.top().id;
     timers_.pop();
-    if (cancelled_timers_.erase(id) > 0) continue;
     task();
   }
 }

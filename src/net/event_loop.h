@@ -8,7 +8,6 @@
 #include <queue>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/sync.h"
@@ -16,8 +15,8 @@
 
 namespace seep::net {
 
-/// Handle for a scheduled timer, usable with EventLoop::CancelTimer.
-/// Value 0 is never issued.
+/// Insertion sequence of a scheduled timer: the tie-break between timers
+/// with the same deadline. Value 0 is never issued.
 using TimerId = uint64_t;
 
 /// An epoll-based reactor, run by exactly one thread (the worker thread that
@@ -69,12 +68,9 @@ class EventLoop {
   void Post(Task task) SEEP_EXCLUDES(tasks_mu_);
 
   /// Schedules `task` on the loop thread after `delay` (reconnect backoff
-  /// and the like). Loop thread only; cancel with CancelTimer.
-  TimerId AddTimer(std::chrono::milliseconds delay, Task task)
+  /// and the like). Loop thread only.
+  void AddTimer(std::chrono::milliseconds delay, Task task)
       SEEP_RUN_ON(sync::LoopThread);
-
-  /// Cancels a pending timer; cancelling a fired/unknown id is a no-op.
-  void CancelTimer(TimerId id) SEEP_RUN_ON(sync::LoopThread);
 
   /// Whether the caller is the thread currently inside Run (callbacks may
   /// assert this). Safe from any thread.
@@ -114,8 +110,6 @@ class EventLoop {
 
   TimerId next_timer_id_ SEEP_GUARDED_BY(sync::LoopThread) = 0;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_
-      SEEP_GUARDED_BY(sync::LoopThread);
-  std::unordered_set<TimerId> cancelled_timers_
       SEEP_GUARDED_BY(sync::LoopThread);
 };
 

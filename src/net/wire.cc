@@ -25,11 +25,16 @@ Result<Message> DecodeMessage(const std::vector<uint8_t>& payload) {
   serde::Decoder dec(payload);
   Message msg;
   SEEP_ASSIGN_OR_RETURN(const uint8_t type, dec.ReadU8());
-  if (type < static_cast<uint8_t>(MessageType::kHello) ||
-      type > static_cast<uint8_t>(MessageType::kCheckpointChunk)) {
-    return Status::Corruption("unknown wire message type");
-  }
   msg.type = static_cast<MessageType>(type);
+  switch (msg.type) {
+    case MessageType::kHello:
+    case MessageType::kBatch:
+    case MessageType::kControl:
+    case MessageType::kCheckpointChunk:
+      break;
+    default:
+      return Status::Corruption("unknown wire message type");
+  }
   SEEP_ASSIGN_OR_RETURN(msg.from_vm, dec.ReadFixed32());
   SEEP_ASSIGN_OR_RETURN(msg.to_vm, dec.ReadFixed32());
   SEEP_ASSIGN_OR_RETURN(msg.ship_id, dec.ReadVarint64());

@@ -14,17 +14,17 @@ namespace seep::net {
 /// opaque to net/: the transport layer above encodes tuple batches and
 /// checkpoints with the core codecs, net/ only moves envelopes.
 enum class MessageType : uint8_t {
-  kHello = 1,       // first frame on every outbound link: identifies from_vm
-  kBatch = 2,       // a tuple batch (data path)
-  kCheckpoint = 3,  // a checkpoint backup (background path, carries trim ack)
-  kStateShip = 4,   // bulk state shipping (scale out / recovery)
-  kControl = 5,     // free-form control messages
-  kCheckpointChunk = 6,  // one chunk of a serialized checkpoint frame
+  kHello = 1,  // first frame on every outbound link: identifies from_vm
+  kBatch = 2,  // a tuple batch (data path)
+  // 3 and 4 are retired and decode as corruption.
+  kControl = 5,          // free-form control messages
+  kCheckpointChunk = 6,  // one chunk of a serialized checkpoint parcel
 };
 
 /// One message between two VM workers: a typed envelope plus an opaque body.
-/// `ship_id` is a sender-side completion token for kStateShip (the sender
-/// keeps the delivery callback; the id travels with the bytes).
+/// `ship_id` names the checkpoint parcel a kCheckpointChunk belongs to (the
+/// sender keeps the parcel's arrival callback; the id travels with the
+/// bytes).
 struct Message {
   MessageType type = MessageType::kControl;
   VmId from_vm = kInvalidVm;

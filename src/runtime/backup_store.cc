@@ -3,51 +3,9 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "serde/block_codec.h"
-#include "serde/decoder.h"
-#include "serde/encoder.h"
-#include "serde/frame.h"
 #include "verify/invariant_auditor.h"
 
 namespace seep::runtime {
-namespace {
-
-/// Serialize + compress + frame, exactly as CkptSerializer::BuildFrame does
-/// for the async pipeline — the synchronous durable paths (sim-mode stores,
-/// post-delta refreshes) must put byte-compatible frames in the log.
-BackupStore::EncodedFrame EncodeCheckpointFrame(
-    const core::StateCheckpoint& ckpt, bool compress) {
-  serde::Encoder enc;
-  ckpt.Encode(&enc);
-  std::vector<uint8_t> payload = std::move(enc).TakeBuffer();
-  BackupStore::EncodedFrame out;
-  out.raw_bytes = payload.size();
-  if (compress) {
-    std::vector<uint8_t> packed = serde::BlockCompress(payload);
-    if (packed.size() < payload.size()) {
-      payload = std::move(packed);
-      out.compressed = true;
-    }
-  }
-  out.frame = serde::FramePayload(payload);
-  return out;
-}
-
-/// Unframe (crc32c) + decompress + decode, exactly as the chunk receive
-/// path does for frames off the wire.
-[[nodiscard]] Result<core::StateCheckpoint> DecodeCheckpointFrame(
-    const std::vector<uint8_t>& frame, uint64_t raw_bytes, bool compressed) {
-  SEEP_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                        serde::UnframePayload(frame));
-  if (compressed) {
-    SEEP_ASSIGN_OR_RETURN(raw, serde::BlockDecompress(raw, raw_bytes));
-  }
-  serde::Decoder dec(raw);
-  return core::StateCheckpoint::Decode(&dec);
-}
-
-}  // namespace
-
 void BackupStore::AttachDurable(store::CheckpointLog* log,
                                 BackupDurability mode, bool compress,
                                 verify::InvariantAuditor* audit) {
@@ -63,11 +21,11 @@ void BackupStore::AttachDurable(store::CheckpointLog* log,
 
 [[nodiscard]] Status BackupStore::AppendDurable(
     InstanceId owner, InstanceId holder,
-    const core::StateCheckpoint& checkpoint, const EncodedFrame* frame) {
+    const core::StateCheckpoint& checkpoint, const EncodedCkptFrame* frame) {
   if (mode_ == BackupDurability::kMemory || log_ == nullptr) {
     return Status::OK();
   }
-  EncodedFrame fresh;
+  EncodedCkptFrame fresh;
   if (frame == nullptr) {
     fresh = EncodeCheckpointFrame(checkpoint, compress_);
     frame = &fresh;
@@ -101,24 +59,14 @@ void BackupStore::AttachDurable(store::CheckpointLog* log,
 }
 
 [[nodiscard]] Status BackupStore::Store(InstanceId owner, InstanceId holder,
-                                        core::StateCheckpoint checkpoint) {
+                                        core::StateCheckpoint checkpoint,
+                                        const EncodedCkptFrame* frame) {
   // The durable append happens before the in-memory replace: by the time
   // the caller fires trim acks off this store, the record is in the log.
-  const Status durable = AppendDurable(owner, holder, checkpoint, nullptr);
+  const Status durable = AppendDurable(owner, holder, checkpoint, frame);
   if (mode_ == BackupDurability::kDisk) return durable;  // no memory tier
   entries_[owner] = Entry{holder, std::move(checkpoint), false};
   return Status::OK();  // the memory tier holds it; degradation is logged
-}
-
-[[nodiscard]] Status BackupStore::StoreWithFrame(InstanceId owner,
-                                                 InstanceId holder,
-                                                 core::StateCheckpoint
-                                                     checkpoint,
-                                                 EncodedFrame frame) {
-  const Status durable = AppendDurable(owner, holder, checkpoint, &frame);
-  if (mode_ == BackupDurability::kDisk) return durable;
-  entries_[owner] = Entry{holder, std::move(checkpoint), false};
-  return Status::OK();
 }
 
 [[nodiscard]]

@@ -9,6 +9,7 @@
 #include "common/ids.h"
 #include "common/result.h"
 #include "core/state.h"
+#include "runtime/ckpt_pipeline.h"
 #include "store/checkpoint_log.h"
 
 namespace seep::verify {
@@ -49,19 +50,10 @@ class BackupStore {
     bool from_disk = false;
   };
 
-  /// A checkpoint already serialized into its wire frame
-  /// ([length | crc32c | payload]), as produced by the checkpoint pipeline.
-  /// The chunk reassembler hands this over so the durable append reuses the
-  /// received bytes instead of re-encoding the decoded checkpoint.
-  struct EncodedFrame {
-    std::vector<uint8_t> frame;
-    uint64_t raw_bytes = 0;  // encoded size before compression
-    bool compressed = false;
-  };
-
   /// Wires the durable tier. `log` must outlive the store; `audit` may be
   /// null. `compress` controls encoding on the paths that must serialize
-  /// fresh (sync checkpoints, post-delta refreshes).
+  /// fresh (checkpoints the sim handed over in memory, post-delta
+  /// refreshes, new partitions' initial backups).
   void AttachDurable(store::CheckpointLog* log, BackupDurability mode,
                      bool compress, verify::InvariantAuditor* audit);
 
@@ -83,14 +75,11 @@ class BackupStore {
   /// exists for exactly this path). Under kMemory/kTiered the in-memory
   /// copy always succeeds, so a durable-append failure only degrades
   /// durability (logged + counted by the caller), never the ack.
+  /// `frame`, when given, is the checkpoint's frame as it arrived: the
+  /// durable append writes those bytes instead of re-encoding.
   [[nodiscard]] Status Store(InstanceId owner, InstanceId holder,
-                             core::StateCheckpoint checkpoint);
-
-  /// Store, reusing an already-serialized frame for the durable append
-  /// (the chunked-shipping receive path: no second encode, no second copy).
-  [[nodiscard]] Status StoreWithFrame(InstanceId owner, InstanceId holder,
-                                      core::StateCheckpoint checkpoint,
-                                      EncodedFrame frame);
+                             core::StateCheckpoint checkpoint,
+                             const EncodedCkptFrame* frame = nullptr);
 
   /// retrieve-backup(backup(o), o). Returns a copy; restore/partition paths
   /// need one anyway. Hot paths that only inspect or mutate the stored
@@ -143,7 +132,7 @@ class BackupStore {
  private:
   [[nodiscard]] Status AppendDurable(InstanceId owner, InstanceId holder,
                                      const core::StateCheckpoint& checkpoint,
-                                     const EncodedFrame* frame);
+                                     const EncodedCkptFrame* frame);
   [[nodiscard]] Result<Entry> RetrieveDurable(InstanceId owner) const;
 
   std::map<InstanceId, Entry> entries_;

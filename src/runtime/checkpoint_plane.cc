@@ -6,6 +6,7 @@
 
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
+#include "runtime/transport.h"
 
 namespace seep::runtime {
 
@@ -62,14 +63,13 @@ CheckpointCapture CheckpointPlane::CaptureFull() {
     op->ClearStateDelta();
   }
   // The buffers themselves are not copied here: the capture records their
-  // extents (positions + precomputed counts/bytes), and the tuples are
-  // materialized or encoded by a later pipeline stage.
+  // extents (positions + tuple counts), and the tuples are materialized by
+  // a later pipeline stage.
   for (const auto& [op_id, tuples] : inst_->buffer_state().buffers()) {
     BufferExtent extent;
     extent.from_exclusive = INT64_MIN;
     extent.back = tuples.empty() ? INT64_MIN : tuples.back().timestamp;
     extent.tuples = tuples.size();
-    extent.bytes = tuples.ByteSize();
     cap.extents[op_id] = extent;
     shipped_buffer_back_[op_id] =
         tuples.empty() ? inst_->out_clock() : tuples.back().timestamp;
@@ -99,7 +99,7 @@ CheckpointCapture CheckpointPlane::CaptureDelta() {
   // Buffer delta: the unshipped suffix past the last shipped timestamp,
   // plus the current buffer fronts so the holder can mirror our trims.
   // Buffers are timestamp-sorted, so the suffix starts at a binary search;
-  // only its sizes are summed here — the tuples are not copied.
+  // only its length is recorded here — the tuples are not copied.
   for (const auto& [op_id, tuples] : inst_->buffer_state().buffers()) {
     const int64_t shipped = [&] {
       auto it = shipped_buffer_back_.find(op_id);
@@ -111,9 +111,8 @@ CheckpointCapture CheckpointPlane::CaptureDelta() {
     extent.from_exclusive = shipped;
     if (!tuples.empty() && tuples.back().timestamp > shipped) {
       extent.back = tuples.back().timestamp;
-      auto it = tuples.UpperBound(shipped);
-      extent.tuples = static_cast<size_t>(tuples.end() - it);
-      for (; it != tuples.end(); ++it) extent.bytes += it->SerializedSize();
+      extent.tuples =
+          static_cast<size_t>(tuples.end() - tuples.UpperBound(shipped));
     }
     cap.extents[op_id] = extent;
     shipped_buffer_back_[op_id] =
@@ -173,7 +172,7 @@ bool CheckpointPlane::CanCheckpointIncrementally() const {
   const BackupStore::Entry* entry = cluster_->backups()->Find(inst_->id());
   if (entry == nullptr) return false;
   if (entry->checkpoint.seq != ckpt_seq_) return false;
-  return entry->holder == cluster_->transport()->BackupHolderFor(inst_);
+  return entry->holder == ChooseBackupHolder(cluster_, inst_);
 }
 
 core::StateCheckpoint CheckpointPlane::MakeDeltaCheckpoint() {

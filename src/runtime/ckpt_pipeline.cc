@@ -8,22 +8,6 @@
 
 namespace seep::runtime {
 
-namespace {
-
-// Buffer entries the capture encodes: a full capture keeps every live
-// buffer (including empty ones, which restore recreates); a delta keeps
-// only extents that actually carry tuples, matching MakeDeltaCheckpoint.
-size_t CapturedBufferEntries(const CheckpointCapture& cap) {
-  if (!cap.ckpt.is_delta) return cap.extents.size();
-  size_t n = 0;
-  for (const auto& [op_id, extent] : cap.extents) {
-    if (extent.tuples > 0) ++n;
-  }
-  return n;
-}
-
-}  // namespace
-
 void MaterializeCaptureBuffer(const core::BufferState& live,
                               CheckpointCapture* cap) {
   if (cap->materialized) return;
@@ -45,62 +29,36 @@ void MaterializeCaptureBuffer(const core::BufferState& live,
   }
 }
 
-size_t CapturedEncodedSize(const CheckpointCapture& cap) {
-  SEEP_DCHECK(!cap.materialized);
-  // EncodedSize() of the unmaterialized checkpoint counts an empty buffer
-  // section; swap it for the captured one computed from the extents.
-  size_t total = cap.ckpt.EncodedSize() - cap.ckpt.buffer.EncodedSize();
-  total += serde::Encoder::VarintSize(CapturedBufferEntries(cap));
-  for (const auto& [op_id, extent] : cap.extents) {
-    if (cap.ckpt.is_delta && extent.tuples == 0) continue;
-    total += 4 + serde::Encoder::VarintSize(extent.tuples) + extent.bytes;
-  }
-  return total;
-}
-
-void EncodeCapturedCheckpoint(const core::BufferState& live,
-                              const CheckpointCapture& cap,
-                              serde::Encoder* enc) {
-  SEEP_CHECK(!cap.materialized);
-  const core::StateCheckpoint& c = cap.ckpt;
-  enc->Reserve(CapturedEncodedSize(cap));
-  // Field order mirrors StateCheckpoint::Encode exactly; keep in sync.
-  enc->AppendFixed32(c.op);
-  enc->AppendFixed32(c.instance);
-  enc->AppendFixed64(c.origin);
-  enc->AppendFixed64(c.key_range.lo);
-  enc->AppendFixed64(c.key_range.hi);
-  enc->AppendVarintSigned64(c.out_clock);
-  enc->AppendVarint64(c.seq);
-  enc->AppendVarintSigned64(c.taken_at);
-  c.positions.Encode(enc);
-  c.processing.Encode(enc);
-  // The buffer section streams straight from the live buffers.
-  enc->AppendVarint64(CapturedBufferEntries(cap));
-  for (const auto& [op_id, extent] : cap.extents) {
-    if (c.is_delta && extent.tuples == 0) continue;
-    enc->AppendFixed32(op_id);
-    enc->AppendVarint64(extent.tuples);
-    const core::TupleBuffer* buf = live.Get(op_id);
-    SEEP_CHECK(buf != nullptr);
-    if (c.is_delta) {
-      for (auto it = buf->UpperBound(extent.from_exclusive);
-           it != buf->end() && it->timestamp <= extent.back; ++it) {
-        it->Encode(enc);
-      }
-    } else {
-      for (const core::Tuple& t : *buf) t.Encode(enc);
+EncodedCkptFrame EncodeCheckpointFrame(const core::StateCheckpoint& ckpt,
+                                       bool compress) {
+  serde::Encoder enc;
+  ckpt.Encode(&enc);  // Encode reserves EncodedSize() exactly
+  std::vector<uint8_t> payload = std::move(enc).TakeBuffer();
+  EncodedCkptFrame out;
+  out.raw_bytes = payload.size();
+  if (compress) {
+    std::vector<uint8_t> packed = serde::BlockCompress(payload);
+    if (packed.size() < payload.size()) {
+      payload = std::move(packed);
+      out.compressed = true;
     }
   }
-  enc->AppendU8(c.is_delta ? 1 : 0);
-  enc->AppendVarint64(c.base_seq);
-  enc->AppendVarint64(c.deleted_keys.size());
-  for (KeyHash k : c.deleted_keys) enc->AppendFixed64(k);
-  enc->AppendVarint64(c.buffer_front.size());
-  for (const auto& [op_id, front] : c.buffer_front) {
-    enc->AppendFixed32(op_id);
-    enc->AppendVarintSigned64(front);
+  out.frame = serde::FramePayload(payload);
+  return out;
+}
+
+[[nodiscard]] Result<core::StateCheckpoint> DecodeCheckpointFrame(
+    const std::vector<uint8_t>& frame, uint64_t raw_bytes, bool compressed) {
+  SEEP_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
+                        serde::UnframePayload(frame));
+  if (compressed) {
+    SEEP_ASSIGN_OR_RETURN(raw, serde::BlockDecompress(raw, raw_bytes));
   }
+  if (raw.size() != raw_bytes) {
+    return Status::Corruption("checkpoint frame size disagrees with header");
+  }
+  serde::Decoder dec(raw);
+  return core::StateCheckpoint::Decode(&dec);
 }
 
 // --------------------------------------------------------------- serializer
@@ -135,24 +93,13 @@ CkptSerializer::~CkptSerializer() {
 }
 
 SerializedCkptFrame CkptSerializer::BuildFrame(const Job& job, bool compress) {
-  serde::Encoder enc;
-  job.snapshot.Encode(&enc);  // Encode reserves EncodedSize() exactly
-  std::vector<uint8_t> payload = std::move(enc).TakeBuffer();
-
   SerializedCkptFrame out;
+  static_cast<EncodedCkptFrame&>(out) =
+      EncodeCheckpointFrame(job.snapshot, compress);
   out.owner = job.owner;
   out.owner_op = job.owner_op;
   out.seq = job.seq;
   out.captured_at = job.captured_at;
-  out.raw_bytes = payload.size();
-  if (compress) {
-    std::vector<uint8_t> packed = serde::BlockCompress(payload);
-    if (packed.size() < payload.size()) {
-      payload = std::move(packed);
-      out.compressed = true;
-    }
-  }
-  out.frame = serde::FramePayload(payload);
   return out;
 }
 
@@ -271,6 +218,9 @@ void EncodeChunkHeader(const CkptChunkHeader& h, serde::Encoder* enc) {
   SEEP_ASSIGN_OR_RETURN(h.raw_bytes, dec->ReadVarint64());
   uint8_t compressed;
   SEEP_ASSIGN_OR_RETURN(compressed, dec->ReadU8());
+  if (compressed > 1) {
+    return Status::Corruption("checkpoint chunk compression flag invalid");
+  }
   h.compressed = compressed != 0;
   return h;
 }
@@ -324,6 +274,10 @@ void CkptChunkReassembler::ForgetThrough(InstanceId owner, uint64_t seq) {
       ++it;
     }
   }
+}
+
+void CkptChunkReassembler::Forget(const CkptChunkHeader& h) {
+  pending_.erase(Key{h.owner, h.seq, h.holder});
 }
 
 void CkptChunkReassembler::ForgetOwner(InstanceId owner) {

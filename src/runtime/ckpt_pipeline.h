@@ -33,17 +33,15 @@ namespace seep::runtime {
 /// The slice of one downstream replay buffer a capture covers, recorded as
 /// positions instead of copied tuples: the live buffer is timestamp-sorted,
 /// so (from_exclusive, back] names the captured suffix exactly, and the
-/// bytes are materialized (or encoded straight from the live buffer) later.
+/// tuples are materialized later.
 struct BufferExtent {
   /// Materialize tuples with timestamp strictly above this (INT64_MIN on a
   /// full capture: the whole live region).
   int64_t from_exclusive = INT64_MIN;
   /// ...and at most this. INT64_MIN means the extent is empty.
   int64_t back = INT64_MIN;
-  /// Tuple count and exact wire bytes of the extent, computed at capture so
-  /// the serialization stage can reserve the frame in one allocation.
+  /// Tuples in the extent (a delta skips empty extents).
   size_t tuples = 0;
-  size_t bytes = 0;
 };
 
 /// Stage-1 output: the checkpoint with everything *except* the buffer bytes
@@ -65,48 +63,43 @@ struct CheckpointCapture {
 void MaterializeCaptureBuffer(const core::BufferState& live,
                               CheckpointCapture* cap);
 
-/// Exact wire size of EncodeCapturedCheckpoint's output (equivalently, of
-/// materialize-then-Encode), without materializing. Valid only before
-/// MaterializeCaptureBuffer.
-size_t CapturedEncodedSize(const CheckpointCapture& cap);
-
-/// Encodes the capture as StateCheckpoint::Encode would after
-/// materialization, but streams the buffer section straight out of the live
-/// buffers — one pass from tuples to wire bytes with an exact up-front
-/// Reserve, no intermediate BufferState copy. Must run at capture time,
-/// before any trim can move the live buffers.
-void EncodeCapturedCheckpoint(const core::BufferState& live,
-                              const CheckpointCapture& cap,
-                              serde::Encoder* enc);
-
-/// A prepared synchronous backup, built at capture time and shipped when the
-/// checkpoint job's service time elapses. Backends fill exactly one side:
-/// the sim stores the struct; the TCP backend pre-encodes the payload.
-struct CheckpointShipment {
-  std::unique_ptr<core::StateCheckpoint> ckpt;  // sim backend
-  std::vector<uint8_t> payload;                 // TCP backend (encoded ckpt)
-  uint64_t logical_bytes = 0;  // ByteSize() of the checkpoint at capture
-};
-
 /// What a kCheckpoint scheduler job carries between PrepareJob (capture) and
-/// FinishJob (hand-off to the backup path).
+/// FinishJob (hand-off to the backup path). A synchronous checkpoint's
+/// capture is materialized at capture time, before any trim can move the
+/// live buffers; an asynchronous one is materialized when it is handed to
+/// the serializer.
 struct CheckpointWork {
   bool async = false;
-  CheckpointCapture capture;    // async: materialized + serialized later
-  CheckpointShipment shipment;  // sync: prepared at capture time
+  CheckpointCapture capture;
 };
 
-/// Stage-2 output: one serialized checkpoint frame ready to ship —
-/// [length | crc32c | payload] where the payload is the encoded checkpoint,
-/// block-compressed when that made it smaller.
-struct SerializedCkptFrame {
+/// A checkpoint serialized into its frame: [length | crc32c | payload]
+/// where the payload is the encoded checkpoint, block-compressed when that
+/// made it smaller. The one checkpoint encoding on the wire, between
+/// pipeline stages and in the durable log.
+struct EncodedCkptFrame {
+  std::vector<uint8_t> frame;
+  uint64_t raw_bytes = 0;  // encoded payload size before compression
+  bool compressed = false;
+};
+
+/// Encode, compress when smaller (and `compress` is set), frame with
+/// crc32c. The only checkpoint frame encoder.
+EncodedCkptFrame EncodeCheckpointFrame(const core::StateCheckpoint& ckpt,
+                                       bool compress);
+
+/// Unframe (crc32c), decompress, decode: the inverse of
+/// EncodeCheckpointFrame and the only checkpoint frame decoder.
+[[nodiscard]] Result<core::StateCheckpoint> DecodeCheckpointFrame(
+    const std::vector<uint8_t>& frame, uint64_t raw_bytes, bool compressed);
+
+/// Stage-2 output: one serialized checkpoint frame ready to ship, with the
+/// identity of the checkpoint it carries.
+struct SerializedCkptFrame : EncodedCkptFrame {
   InstanceId owner = kInvalidInstance;
   OperatorId owner_op = 0;
   uint64_t seq = 0;
   SimTime captured_at = 0;
-  uint64_t raw_bytes = 0;  // encoded payload size before compression
-  bool compressed = false;
-  std::vector<uint8_t> frame;
 };
 
 /// Background serialization workers (stage 2). In sim mode the work is a
@@ -147,9 +140,9 @@ class CkptSerializer {
     return outstanding_;
   }
 
-  /// The pure serialize+compress+frame step, shared by both modes (and unit
-  /// tests): encode with an exact reserve, compress when smaller, frame with
-  /// crc32c.
+  /// The pure serialize+compress+frame step, shared by both modes, the TCP
+  /// transport's materialized parcels and unit tests: EncodeCheckpointFrame
+  /// plus the job's identity.
   static SerializedCkptFrame BuildFrame(const Job& job, bool compress);
 
  private:
@@ -198,6 +191,8 @@ struct CkptChunkHeader {
   uint64_t frame_bytes = 0;  // total size of the reassembled frame
   uint64_t raw_bytes = 0;    // payload size before compression
   bool compressed = false;
+
+  bool operator==(const CkptChunkHeader&) const = default;
 };
 
 void EncodeChunkHeader(const CkptChunkHeader& h, serde::Encoder* enc);
@@ -216,6 +211,10 @@ class CkptChunkReassembler {
   /// Drops partial streams of `owner` at or below `seq` (a stored
   /// checkpoint supersedes everything it outranks).
   void ForgetThrough(InstanceId owner, uint64_t seq);
+
+  /// Drops the partial stream `h` names, if any (its parcel was abandoned:
+  /// an endpoint died, or a chunk failed validation).
+  void Forget(const CkptChunkHeader& h);
 
   /// Drops every partial stream of `owner`, at any seq — the backup-delete
   /// path (Cluster::DeleteBackup), where a late-finishing stream must not

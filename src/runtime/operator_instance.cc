@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/sync.h"
 #include "runtime/cluster.h"
+#include "runtime/transport.h"
 
 namespace seep::runtime {
 
@@ -141,14 +142,13 @@ void OperatorInstance::PrepareJob(JobScheduler::Job* job) {
         // serialization CPU is charged on the background stage instead.
         job->cost_us = kib * config.capture_cost_us_per_kb;
       } else {
-        // Synchronous path: the backup is fully prepared at capture time
+        // Synchronous path: the backup is materialized at capture time
         // (before any trim moves the live buffers) and serialisation CPU is
         // charged for the processing state only — buffer tuples are
         // retained in wire format and need no re-encoding (their bytes
         // still cost network transfer). This is what makes frequent
         // checkpoints of large state expensive (paper Figs. 14/15).
-        work->shipment =
-            cluster_->transport()->PrepareBackup(this, &work->capture);
+        MaterializeCaptureBuffer(buffer_, &work->capture);
         job->cost_us = kib * config.serialize_cost_us_per_kb;
       }
       job->ckpt_work = std::move(work);
@@ -194,7 +194,8 @@ void OperatorInstance::FinishJob(JobScheduler::Job* job) {
       if (work->async) {
         checkpoints_.ShipAsync(std::move(work->capture));
       } else {
-        cluster_->transport()->ShipBackup(this, std::move(work->shipment));
+        ShipToBackupHolder(cluster_, this,
+                           CheckpointParcel{std::move(work->capture.ckpt)});
       }
       break;
     }

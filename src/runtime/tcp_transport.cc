@@ -6,6 +6,8 @@
 #include <deque>
 #include <unordered_map>
 #include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/sync.h"
@@ -35,11 +37,15 @@ struct TcpTransport::Impl {
   std::unordered_map<VmId, uint64_t> in_flight SEEP_GUARDED_BY(mu);
   uint64_t total_in_flight SEEP_GUARDED_BY(mu) = 0;
 
-  // Pending ShipState completions, keyed by ship_id. Driver thread only —
-  // never touched by the worker-thread callbacks.
+  // Checkpoint parcels in flight, keyed by the ship_id every chunk carries:
+  // the endpoints, the chunk stream as sent and the sender's arrival
+  // callback. Driver thread only — never touched by the worker-thread
+  // callbacks.
   struct ShipEntry {
+    VmId from = kInvalidVm;
     VmId to = kInvalidVm;
-    std::function<void()> on_delivery;
+    TcpChunkStream stream;
+    ArrivalFn on_arrival;
   };
   std::unordered_map<uint64_t, ShipEntry> ships
       SEEP_GUARDED_BY(sync::DriverThread);
@@ -55,14 +61,14 @@ struct TcpTransport::Impl {
     total_in_flight -= dec;
   }
 
-  /// Queues `msg` on `from`'s worker with in-flight accounting, translating
-  /// net-layer status into the transport's pressure signal.
-  SendPressure Ship(VmId from, VmId to, const net::Message& msg)
+  /// Queues `msg` on `from`'s worker with in-flight accounting. A detached
+  /// destination reports kClosed.
+  net::SendStatus Post(VmId from, VmId to, const net::Message& msg)
       SEEP_EXCLUDES(mu) {
     {
       sync::MutexLock lock(&mu);
       auto it = in_flight.find(to);
-      if (it == in_flight.end()) return SendPressure::kNone;  // dead VM
+      if (it == in_flight.end()) return net::SendStatus::kClosed;
       ++it->second;
       ++total_in_flight;
     }
@@ -72,10 +78,38 @@ struct TcpTransport::Impl {
       DecInFlightLocked(to, 1);
       cv.NotifyOne();
     }
-    return st == net::SendStatus::kPressured ? SendPressure::kPressured
-                                             : SendPressure::kNone;
+    return st;
   }
 };
+
+bool ReceiveChunkMessage(Cluster* cluster, TcpChunkStream* stream,
+                         const std::vector<uint8_t>& body,
+                         const ArrivalFn& on_arrival) {
+  SEEP_ASSERT_RUN_ON(sync::DriverThread);
+  const CkptChunkHeader& want = stream->header;
+  CkptChunkHeader next = want;
+  next.index = stream->next_index;
+  const size_t begin = static_cast<size_t>(next.index) * stream->chunk_bytes;
+  const size_t len =
+      std::min<size_t>(stream->chunk_bytes, want.frame_bytes - begin);
+  serde::Decoder dec(body);
+  auto header = DecodeChunkHeader(&dec);
+  const size_t n = body.size() - dec.position();
+  if (!header.ok() || header.value() != next || n != len) {
+    // The body passed the net layer's crc32c, so this is encode/decode
+    // divergence, not line noise: drop the parcel loudly.
+    ++cluster->metrics()->ckpt_decode_failures;
+    SEEP_LOG(kWarn, cluster->Now())
+        << "dropping checkpoint parcel of instance " << want.owner
+        << " seq " << want.seq << ": chunk " << next.index
+        << " is not the one its stream expects";
+    cluster->ckpt_reassembler()->Forget(want);
+    return true;
+  }
+  ReceiveCheckpointChunk(cluster, header.value(), body.data() + dec.position(),
+                         n, on_arrival);
+  return ++stream->next_index == want.count;
+}
 
 TcpTransport::TcpTransport(Cluster* cluster, TcpTransportConfig config)
     : cluster_(cluster), config_(config) {
@@ -101,6 +135,11 @@ uint64_t TcpTransport::messages_delivered() const {
 
 uint64_t TcpTransport::frames_dropped() const {
   return impl_->cluster.TotalStats().frames_dropped;
+}
+
+size_t TcpTransport::parcels_in_flight() const {
+  SEEP_ASSERT_RUN_ON(sync::DriverThread);
+  return impl_->ships.size();
 }
 
 void TcpTransport::AttachVm(VmId vm) {
@@ -145,10 +184,17 @@ void TcpTransport::DetachVm(VmId vm) {
     impl_->in_flight.erase(vm);
     impl_->cv.NotifyOne();
   }
-  // Pending state shipments to the dead VM will never complete (sim
-  // parity: sim::Network drops deliveries to detached endpoints).
+  // Parcels to the dead VM never arrive (sim parity: sim::Network drops
+  // deliveries to detached endpoints), and parcels from it lost their
+  // unsent chunks with its worker. Either way the partial chunk stream at
+  // the receiver goes too.
   for (auto it = impl_->ships.begin(); it != impl_->ships.end();) {
-    it = it->second.to == vm ? impl_->ships.erase(it) : std::next(it);
+    if (it->second.from == vm || it->second.to == vm) {
+      cluster_->ckpt_reassembler()->Forget(it->second.stream.header);
+      it = impl_->ships.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -166,167 +212,64 @@ SendPressure TcpTransport::SendBatch(OperatorInstance* from, InstanceId to,
   enc.AppendVarint64(to);  // destination instance, then the batch itself
   batch.Encode(&enc);
   msg.body = std::move(enc).TakeBuffer();
-  return impl_->Ship(from->vm(), dest->vm(), msg);
+  return impl_->Post(from->vm(), dest->vm(), msg) ==
+                 net::SendStatus::kPressured
+             ? SendPressure::kPressured
+             : SendPressure::kNone;
 }
 
-InstanceId TcpTransport::BackupHolderFor(
-    const OperatorInstance* owner) const {
-  return ChooseBackupHolder(cluster_, owner);
-}
-
-void TcpTransport::BackupCheckpoint(OperatorInstance* owner,
-                                    core::StateCheckpoint ckpt) {
-  const InstanceId holder_id = BackupHolderFor(owner);
-  if (holder_id == kInvalidInstance) return;  // no live upstream
-  OperatorInstance* holder = cluster_->membership()->GetInstance(holder_id);
-  SEEP_CHECK(holder != nullptr);
-
-  net::Message msg;
-  msg.type = net::MessageType::kCheckpoint;
-  msg.from_vm = owner->vm();
-  msg.to_vm = holder->vm();
-  serde::Encoder enc;
-  enc.AppendVarint64(owner->id());
-  enc.AppendVarint64(owner->op());
-  enc.AppendVarint64(holder_id);
-  enc.AppendVarint64(ckpt.ByteSize());
-  ckpt.Encode(&enc);
-  msg.body = std::move(enc).TakeBuffer();
-  // Pacing: the pump's bounded wait drains in-flight counts, so the
-  // backup path needs no pressure feedback.
-  // seep-ok: unchecked-status -- paced by in-flight accounting
-  (void)impl_->Ship(owner->vm(), holder->vm(), msg);
-}
-
-CheckpointShipment TcpTransport::PrepareBackup(OperatorInstance* owner,
-                                               CheckpointCapture* capture) {
-  CheckpointShipment ship;
-  // ByteSize() of the unmaterialized capture counts an empty buffer; the
-  // extents carry the exact buffer bytes, so the sum equals the
-  // materialized checkpoint's ByteSize.
-  ship.logical_bytes = capture->ckpt.ByteSize();
-  for (const auto& entry : capture->extents) {
-    ship.logical_bytes += entry.second.bytes;
+void TcpTransport::ShipCheckpoint(VmId from, VmId to,
+                                  CheckpointParcel parcel,
+                                  ArrivalFn on_arrival) {
+  SEEP_ASSERT_RUN_ON(sync::DriverThread);
+  SerializedCkptFrame frame;
+  if (auto* ckpt = std::get_if<core::StateCheckpoint>(&parcel.body)) {
+    CkptSerializer::Job job;
+    job.owner = ckpt->instance;
+    job.owner_op = ckpt->op;
+    job.seq = ckpt->seq;
+    job.captured_at = ckpt->taken_at;
+    job.snapshot = std::move(*ckpt);
+    frame = CkptSerializer::BuildFrame(job,
+                                       cluster_->config().compress_checkpoints);
+  } else {
+    frame = std::move(std::get<SerializedCkptFrame>(parcel.body));
   }
-  serde::Encoder enc;
-  EncodeCapturedCheckpoint(owner->buffer_state(), *capture, &enc);
-  ship.payload = std::move(enc).TakeBuffer();
-  return ship;
-}
-
-void TcpTransport::ShipBackup(OperatorInstance* owner,
-                              CheckpointShipment ship) {
-  const InstanceId holder_id = BackupHolderFor(owner);
-  if (holder_id == kInvalidInstance) return;  // no live upstream
-  OperatorInstance* holder = cluster_->membership()->GetInstance(holder_id);
-  SEEP_CHECK(holder != nullptr);
-
-  net::Message msg;
-  msg.type = net::MessageType::kCheckpoint;
-  msg.from_vm = owner->vm();
-  msg.to_vm = holder->vm();
-  serde::Encoder enc;
-  enc.AppendVarint64(owner->id());
-  enc.AppendVarint64(owner->op());
-  enc.AppendVarint64(holder_id);
-  enc.AppendVarint64(ship.logical_bytes);
-  enc.Reserve(ship.payload.size());
-  enc.AppendRaw(ship.payload.data(), ship.payload.size());
-  msg.body = std::move(enc).TakeBuffer();
-  // Pacing: the pump's bounded wait drains in-flight counts, so the
-  // backup path needs no pressure feedback.
-  // seep-ok: unchecked-status -- paced by in-flight accounting
-  (void)impl_->Ship(owner->vm(), holder->vm(), msg);
-}
-
-void TcpTransport::ShipCheckpointFrame(OperatorInstance* owner,
-                                       SerializedCkptFrame frame) {
-  const InstanceId holder_id = BackupHolderFor(owner);
-  if (holder_id == kInvalidInstance) return;  // no live upstream
-  OperatorInstance* holder = cluster_->membership()->GetInstance(holder_id);
-  SEEP_CHECK(holder != nullptr);
-
-  const size_t chunk_bytes =
+  TcpChunkStream stream;
+  stream.chunk_bytes =
       std::max<size_t>(1, cluster_->config().checkpoint_chunk_bytes);
+  stream.header = ChunkStreamHeader(frame, parcel.receiver, stream.chunk_bytes);
+  CkptChunkHeader header = stream.header;
+  const uint64_t id = ++impl_->next_ship_id;
+  impl_->ships.emplace(
+      id, Impl::ShipEntry{from, to, stream, std::move(on_arrival)});
+
+  // One kCheckpointChunk message per chunk, all carrying the parcel's
+  // ship_id. The per-link TCP stream is FIFO, so chunks arrive in index
+  // order at the receiver's pump, but data batches posted between them
+  // interleave freely.
   const size_t total = frame.frame.size();
-  const uint32_t count =
-      static_cast<uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
-
-  CkptChunkHeader header;
-  header.owner = frame.owner;
-  header.owner_op = frame.owner_op;
-  header.holder = holder_id;
-  header.seq = frame.seq;
-  header.count = count;
-  header.frame_bytes = total;
-  header.raw_bytes = frame.raw_bytes;
-  header.compressed = frame.compressed;
-
-  // One kCheckpointChunk message per chunk. The per-link TCP stream is
-  // FIFO, so chunks arrive in index order at the holder's pump, but data
-  // batches posted between them interleave freely.
-  for (uint32_t i = 0; i < count; ++i) {
+  net::Message msg;
+  msg.type = net::MessageType::kCheckpointChunk;
+  msg.from_vm = from;
+  msg.to_vm = to;
+  msg.ship_id = id;
+  for (uint32_t i = 0; i < header.count; ++i) {
     header.index = i;
-    const size_t begin = static_cast<size_t>(i) * chunk_bytes;
-    const size_t len = std::min(chunk_bytes, total - begin);
-    net::Message msg;
-    msg.type = net::MessageType::kCheckpointChunk;
-    msg.from_vm = owner->vm();
-    msg.to_vm = holder->vm();
+    const size_t begin = static_cast<size_t>(i) * stream.chunk_bytes;
+    const size_t len = std::min(stream.chunk_bytes, total - begin);
     serde::Encoder enc;
     EncodeChunkHeader(header, &enc);
     enc.Reserve(len);
     enc.AppendRaw(frame.frame.data() + begin, len);
     msg.body = std::move(enc).TakeBuffer();
-    // Pacing: the pump's bounded wait drains in-flight counts, so the
-    // backup path needs no pressure feedback.
-    // seep-ok: unchecked-status -- paced by in-flight accounting
-    (void)impl_->Ship(owner->vm(), holder->vm(), msg);
-  }
-}
-
-void TcpTransport::ShipState(VmId from, VmId to, uint64_t size_bytes,
-                             std::function<void()> on_delivery) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
-  const uint64_t id = ++impl_->next_ship_id;
-  net::Message msg;
-  msg.type = net::MessageType::kStateShip;
-  msg.from_vm = from;
-  msg.to_vm = to;
-  msg.ship_id = id;
-  serde::Encoder enc;
-  enc.AppendVarint64(size_bytes);
-  // Real bytes on the wire so bulk shipping exercises the stream path, but
-  // capped: the logical size alone decides the protocol's behaviour.
-  const size_t filler =
-      static_cast<size_t>(std::min(size_bytes, config_.ship_payload_cap));
-  enc.Reserve(filler);
-  for (size_t i = 0; i < filler; ++i) enc.AppendU8(0xA5);
-  msg.body = std::move(enc).TakeBuffer();
-
-  impl_->ships[id] = Impl::ShipEntry{to, std::move(on_delivery)};
-  bool dead = false;
-  {
-    sync::MutexLock lock(&impl_->mu);
-    auto it = impl_->in_flight.find(to);
-    if (it == impl_->in_flight.end()) {
-      dead = true;  // dead destination: delivery never happens
-    } else {
-      ++it->second;
-      ++impl_->total_in_flight;
+    const net::SendStatus st = impl_->Post(from, to, msg);
+    if (st == net::SendStatus::kOverflow || st == net::SendStatus::kClosed) {
+      // A lost chunk loses the parcel; chunks already posted find no entry
+      // at the pump and are dropped there.
+      impl_->ships.erase(id);
+      return;
     }
-  }
-  if (dead) {
-    impl_->ships.erase(id);
-    return;
-  }
-  const net::SendStatus st = impl_->cluster.Post(from, to, msg);
-  if (st == net::SendStatus::kOverflow || st == net::SendStatus::kClosed) {
-    {
-      sync::MutexLock lock(&impl_->mu);
-      impl_->DecInFlightLocked(to, 1);
-    }
-    impl_->ships.erase(id);
   }
 }
 
@@ -380,48 +323,16 @@ void TcpTransport::Pump() {
         if (target != nullptr) target->OnBatch(std::move(batch).value());
         break;
       }
-      case net::MessageType::kCheckpoint: {
-        serde::Decoder dec(msg.body);
-        auto owner_id = dec.ReadVarint64();
-        auto owner_op = dec.ReadVarint64();
-        auto holder_id = dec.ReadVarint64();
-        auto bytes = dec.ReadVarint64();
-        if (!owner_id.ok() || !owner_op.ok() || !holder_id.ok() ||
-            !bytes.ok()) {
-          NoteWireDecodeFailure("checkpoint envelope",
-                                Status::InvalidArgument("short varints"));
-          break;
-        }
-        auto ckpt = core::StateCheckpoint::Decode(&dec);
-        if (!ckpt.ok()) {
-          NoteWireDecodeFailure("checkpoint body", ckpt.status());
-          break;
-        }
-        DeliverCheckpointToHolder(
-            cluster_, static_cast<InstanceId>(owner_id.value()),
-            static_cast<OperatorId>(owner_op.value()),
-            static_cast<InstanceId>(holder_id.value()), bytes.value(),
-            std::move(ckpt).value());
-        break;
-      }
       case net::MessageType::kCheckpointChunk: {
-        serde::Decoder dec(msg.body);
-        auto header = DecodeChunkHeader(&dec);
-        if (!header.ok()) {
-          NoteWireDecodeFailure("chunk header", header.status());
-          break;
+        // The entry leaves the table while its chunk is processed: the
+        // arrival callback may ship again, inserting into the table.
+        auto ship = impl_->ships.extract(msg.ship_id);
+        if (ship.empty()) break;  // parcel already dropped
+        Impl::ShipEntry& entry = ship.mapped();
+        if (!ReceiveChunkMessage(cluster_, &entry.stream, msg.body,
+                                 entry.on_arrival)) {
+          impl_->ships.insert(std::move(ship));  // more chunks to come
         }
-        const uint8_t* data = msg.body.data() + dec.position();
-        const size_t n = msg.body.size() - dec.position();
-        DeliverCheckpointChunk(cluster_, header.value(), data, n);
-        break;
-      }
-      case net::MessageType::kStateShip: {
-        auto it = impl_->ships.find(msg.ship_id);
-        if (it == impl_->ships.end()) break;  // cancelled by DetachVm
-        std::function<void()> cb = std::move(it->second.on_delivery);
-        impl_->ships.erase(it);
-        if (cb) cb();
         break;
       }
       case net::MessageType::kHello:

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/time.h"
 #include "runtime/transport.h"
@@ -26,14 +27,32 @@ struct TcpTransportConfig {
   size_t queue_max_bytes = 64u << 20;
   /// Ceiling a receiver enforces on a frame's declared payload length.
   uint64_t max_frame_bytes = 64ull << 20;
-  /// Bulk state shipping sends min(logical size, this cap) of real filler
-  /// bytes; the logical size still travels in the message.
-  uint64_t ship_payload_cap = 1u << 20;
   /// Longest wall-clock wait per pump for in-flight messages to land before
   /// sim time advances past them (bounds sim-time skew without letting a
   /// stalled link wedge the simulation).
   int64_t pump_wait_micros = 200;
 };
+
+/// A checkpoint parcel's chunk stream as its sender cut it: the stream
+/// header (index aside), the chunk size, and the chunk the receiver expects
+/// next.
+struct TcpChunkStream {
+  CkptChunkHeader header;
+  size_t chunk_bytes = 1;
+  uint32_t next_index = 0;
+};
+
+/// The TCP pump's decode path for one kCheckpointChunk body — [chunk
+/// header | chunk bytes] — of the parcel sent as `stream`. A chunk that is
+/// not the one the stream expects next (header fields, index or length)
+/// drops the parcel; otherwise the chunk goes to ReceiveCheckpointChunk,
+/// which runs `on_arrival` once the whole frame decodes. Each dropped
+/// parcel counts one ckpt_decode_failures. Returns true once the parcel is
+/// finished: delivered, or dropped.
+[[nodiscard]] bool ReceiveChunkMessage(Cluster* cluster,
+                                       TcpChunkStream* stream,
+                                       const std::vector<uint8_t>& body,
+                                       const ArrivalFn& on_arrival);
 
 /// Transport over real loopback TCP: per-VM worker threads (net::Worker)
 /// ship length-prefixed crc32c frames between epoll event loops, while the
@@ -41,9 +60,12 @@ struct TcpTransportConfig {
 /// Worker threads never touch runtime state — inbound messages land in a
 /// thread-safe inbox that a recurring sim "pump" event drains and dispatches
 /// through exactly the same handlers SimTransport uses (OnBatch,
-/// DeliverCheckpointToHolder). Per-link FIFO order is preserved because
-/// each VM pair shares one TCP connection; only arrival *times* differ from
-/// the sim backend, and the protocol's correctness is timing-independent.
+/// ReceiveCheckpointChunk). Every checkpoint parcel crosses the socket as
+/// its serialized frame, cut into kCheckpointChunk messages; the receiver
+/// restores from the bytes that arrived. Per-link FIFO order is preserved
+/// because each VM pair shares one TCP connection; only arrival *times*
+/// differ from the sim backend, and the protocol's correctness is
+/// timing-independent.
 class TcpTransport : public Transport {
  public:
   TcpTransport(Cluster* cluster, TcpTransportConfig config);
@@ -53,20 +75,13 @@ class TcpTransport : public Transport {
   void DetachVm(VmId vm) override;
   SendPressure SendBatch(OperatorInstance* from, InstanceId to,
                          core::TupleBatch batch) override;
-  void BackupCheckpoint(OperatorInstance* owner,
-                        core::StateCheckpoint ckpt) override;
-  InstanceId BackupHolderFor(const OperatorInstance* owner) const override;
-  /// Encodes the checkpoint wire payload straight from the live buffers at
-  /// capture time — the synchronous path's buffer tuples go from the live
-  /// buffer to wire bytes in one pass, never through an intermediate
-  /// BufferState copy.
-  CheckpointShipment PrepareBackup(OperatorInstance* owner,
-                                   CheckpointCapture* capture) override;
-  void ShipBackup(OperatorInstance* owner, CheckpointShipment ship) override;
-  void ShipCheckpointFrame(OperatorInstance* owner,
-                           SerializedCkptFrame frame) override;
-  void ShipState(VmId from, VmId to, uint64_t size_bytes,
-                 std::function<void()> on_delivery) override;
+  /// Serializes a materialized parcel with CkptSerializer::BuildFrame, then
+  /// posts the frame in chunks of ClusterConfig::checkpoint_chunk_bytes.
+  void ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
+                      ArrivalFn on_arrival) override;
+
+  /// Checkpoint parcels sent but neither delivered nor dropped yet.
+  size_t parcels_in_flight() const;
 
   /// Times any worker observed a peer link die (failure tests assert the
   /// upstream actually saw the disconnection).

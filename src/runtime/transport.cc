@@ -9,9 +9,6 @@
 #include "core/state_ops.h"
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
-#include "serde/block_codec.h"
-#include "serde/decoder.h"
-#include "serde/frame.h"
 
 namespace seep::runtime {
 
@@ -25,13 +22,21 @@ InstanceId ChooseBackupHolder(const Cluster* cluster,
              : upstream.front();
 }
 
+namespace {
+
+/// Algorithm 1 lines 3-7 on the holder's side, run when a backup arrives:
+/// validity/suspension guards, store (or delta-apply onto the held base)
+/// with the stale-sequence guard, audit hook, metrics, and the trim
+/// acknowledgements to the owner's upstream instances. The arrived frame,
+/// if any, is what a durable tier appends.
 void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
                                OperatorId owner_op, InstanceId holder_id,
-                               uint64_t bytes, core::StateCheckpoint ckpt,
-                               BackupStore::EncodedFrame* prebuilt) {
+                               ArrivedCheckpoint arrived) {
   SEEP_ASSERT_RUN_ON(sync::DriverThread);
   Membership* members = cluster->membership();
   MetricsRegistry* metrics = cluster->metrics();
+  core::StateCheckpoint& ckpt = arrived.ckpt;
+  const uint64_t bytes = ckpt.ByteSize();
   const SimTime taken_at = ckpt.taken_at;
   OperatorInstance* h = members->GetInstance(holder_id);
   if (h == nullptr || !h->alive() || h->stopped()) return;
@@ -80,15 +85,9 @@ void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
       return;
     }
     stored_seq = ckpt.seq;
-    Status stored;
-    if (prebuilt != nullptr) {
-      stored = cluster->backups()->StoreWithFrame(owner_id, holder_id,
-                                                  std::move(ckpt),
-                                                  std::move(*prebuilt));
-    } else {
-      stored = cluster->backups()->Store(owner_id, holder_id,
-                                         std::move(ckpt));
-    }
+    const Status stored = cluster->backups()->Store(
+        owner_id, holder_id, std::move(ckpt),
+        arrived.frame.has_value() ? &*arrived.frame : nullptr);
     if (!stored.ok()) {
       // Nothing holds this checkpoint (kDisk append failed). Firing the
       // trim acks below would let upstream buffers drop tuples the
@@ -99,6 +98,9 @@ void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
       return;
     }
   }
+  // A stored checkpoint supersedes every partial chunk stream of the owner
+  // it outranks.
+  cluster->ckpt_reassembler()->ForgetThrough(owner_id, stored_seq);
   if (auto* audit = cluster->audit()) {
     audit->OnCheckpointStored(owner_id, o->vm(), holder_id, h->vm(),
                               stored_seq);
@@ -119,18 +121,25 @@ void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
   }
 }
 
-CheckpointShipment Transport::PrepareBackup(OperatorInstance* owner,
-                                            CheckpointCapture* capture) {
-  MaterializeCaptureBuffer(owner->buffer_state(), capture);
-  CheckpointShipment ship;
-  ship.logical_bytes = capture->ckpt.ByteSize();
-  ship.ckpt =
-      std::make_unique<core::StateCheckpoint>(std::move(capture->ckpt));
-  return ship;
-}
+}  // namespace
 
-void Transport::ShipBackup(OperatorInstance* owner, CheckpointShipment ship) {
-  BackupCheckpoint(owner, std::move(*ship.ckpt));
+void ShipToBackupHolder(Cluster* cluster, OperatorInstance* owner,
+                        CheckpointParcel parcel) {
+  // Algorithm 1 line 2: spread backup load over upstream instances by hash
+  // (unless disabled for the ablation baseline).
+  const InstanceId holder_id = ChooseBackupHolder(cluster, owner);
+  if (holder_id == kInvalidInstance) return;  // no live upstream
+  const OperatorInstance* holder = cluster->GetInstance(holder_id);
+  SEEP_CHECK(holder != nullptr);
+  parcel.receiver = holder_id;
+  parcel.background = true;
+  cluster->transport()->ShipCheckpoint(
+      owner->vm(), holder->vm(), std::move(parcel),
+      [cluster, owner_id = owner->id(), owner_op = owner->op(),
+       holder_id](ArrivedCheckpoint arrived) {
+        DeliverCheckpointToHolder(cluster, owner_id, owner_op, holder_id,
+                                  std::move(arrived));
+      });
 }
 
 void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame) {
@@ -151,14 +160,30 @@ void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame) {
   }
   metrics->ckpt_raw_bytes += frame.raw_bytes;
   metrics->ckpt_wire_bytes += frame.frame.size();
-  cluster->transport()->ShipCheckpointFrame(owner, std::move(frame));
+  ShipToBackupHolder(cluster, owner, CheckpointParcel{std::move(frame)});
 }
 
-void DeliverCheckpointChunk(Cluster* cluster, const CkptChunkHeader& header,
-                            const uint8_t* data, size_t n) {
+CkptChunkHeader ChunkStreamHeader(const SerializedCkptFrame& frame,
+                                  InstanceId receiver, size_t chunk_bytes) {
+  const size_t total = frame.frame.size();
+  CkptChunkHeader header;
+  header.owner = frame.owner;
+  header.owner_op = frame.owner_op;
+  header.holder = receiver;
+  header.seq = frame.seq;
+  header.count = static_cast<uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
+  header.frame_bytes = total;
+  header.raw_bytes = frame.raw_bytes;
+  header.compressed = frame.compressed;
+  return header;
+}
+
+void ReceiveCheckpointChunk(Cluster* cluster, const CkptChunkHeader& header,
+                            const uint8_t* data, size_t n,
+                            const ArrivalFn& on_arrival) {
   SEEP_ASSERT_RUN_ON(sync::DriverThread);
   MetricsRegistry* metrics = cluster->metrics();
-  ++metrics->async_ckpt_chunks;
+  ++metrics->ckpt_chunks;
   if (auto* audit = cluster->audit()) {
     audit->OnCheckpointChunk(header.owner, header.holder, header.seq,
                              header.index, header.count, n,
@@ -167,41 +192,21 @@ void DeliverCheckpointChunk(Cluster* cluster, const CkptChunkHeader& header,
   auto frame = cluster->ckpt_reassembler()->OnChunk(header, data, n);
   if (!frame.has_value()) return;
 
-  // The frame is whole: unframe (crc32c), decompress, decode, deliver. A
-  // failure at any step drops the checkpoint — the owner's next one
-  // supersedes it, exactly like a frame lost to a link failure.
-  auto payload = serde::UnframePayload(*frame);
-  if (!payload.ok()) {
+  // The frame is whole: unframe (crc32c), decompress, decode. A failure at
+  // any step, or a checkpoint other than the one the header names, drops
+  // the parcel.
+  auto ckpt =
+      DecodeCheckpointFrame(*frame, header.raw_bytes, header.compressed);
+  if (!ckpt.ok() || ckpt.value().instance != header.owner ||
+      ckpt.value().op != header.owner_op || ckpt.value().seq != header.seq) {
     ++metrics->ckpt_decode_failures;
     return;
   }
-  std::vector<uint8_t> raw = std::move(payload).value();
-  if (header.compressed) {
-    auto unpacked = serde::BlockDecompress(raw, header.raw_bytes);
-    if (!unpacked.ok()) {
-      ++metrics->ckpt_decode_failures;
-      return;
-    }
-    raw = std::move(unpacked).value();
-  }
-  serde::Decoder dec(raw);
-  auto ckpt = core::StateCheckpoint::Decode(&dec);
-  if (!ckpt.ok()) {
-    ++metrics->ckpt_decode_failures;
-    return;
-  }
-  // A completed frame supersedes any partial stream it outranks.
-  cluster->ckpt_reassembler()->ForgetThrough(header.owner, header.seq);
-  const uint64_t bytes = ckpt.value().ByteSize();
-  // Hand the intact wire frame along so a durable tier appends the received
-  // bytes verbatim instead of re-encoding the decoded checkpoint.
-  BackupStore::EncodedFrame prebuilt;
-  prebuilt.frame = std::move(*frame);
-  prebuilt.raw_bytes = header.raw_bytes;
-  prebuilt.compressed = header.compressed;
-  DeliverCheckpointToHolder(cluster, header.owner, header.owner_op,
-                            header.holder, bytes, std::move(ckpt).value(),
-                            &prebuilt);
+  ArrivedCheckpoint arrived;
+  arrived.ckpt = std::move(ckpt).value();
+  arrived.frame = EncodedCkptFrame{std::move(*frame), header.raw_bytes,
+                                   header.compressed};
+  on_arrival(std::move(arrived));
 }
 
 void SimTransport::AttachVm(VmId vm) { cluster_->network()->Attach(vm); }
@@ -224,36 +229,6 @@ SendPressure SimTransport::SendBatch(OperatorInstance* from, InstanceId to,
   return SendPressure::kNone;
 }
 
-InstanceId SimTransport::BackupHolderFor(
-    const OperatorInstance* owner) const {
-  return ChooseBackupHolder(cluster_, owner);
-}
-
-void SimTransport::BackupCheckpoint(OperatorInstance* owner,
-                                    core::StateCheckpoint ckpt) {
-  // Algorithm 1 line 2: spread backup load over upstream instances by hash
-  // (unless disabled for the ablation baseline).
-  const InstanceId holder_id = BackupHolderFor(owner);
-  if (holder_id == kInvalidInstance) return;  // no live upstream
-  OperatorInstance* holder = cluster_->membership()->GetInstance(holder_id);
-  SEEP_CHECK(holder != nullptr);
-
-  const uint64_t bytes = ckpt.ByteSize();
-  const InstanceId owner_id = owner->id();
-  const OperatorId owner_op = owner->op();
-  auto shared = std::make_shared<core::StateCheckpoint>(std::move(ckpt));
-
-  cluster_->network()->Send(
-      owner->vm(), holder->vm(), bytes,
-      // Checkpoint shipping is throttled background traffic: it must not
-      // delay the data path (the paper checkpoints asynchronously).
-      [this, owner_id, owner_op, holder_id, bytes, shared]() {
-        DeliverCheckpointToHolder(cluster_, owner_id, owner_op, holder_id,
-                                  bytes, std::move(*shared));
-      },
-      /*background=*/true);
-}
-
 namespace {
 
 /// One in-flight chunked frame ship on the sim backend. Background
@@ -266,65 +241,62 @@ namespace {
 struct SimChunkStream {
   Cluster* cluster = nullptr;
   CkptChunkHeader header;  // index filled in per chunk
-  std::shared_ptr<SerializedCkptFrame> frame;
-  VmId owner_vm = kInvalidVm;
-  VmId holder_vm = kInvalidVm;
+  SerializedCkptFrame frame;
+  ArrivalFn on_arrival;
+  VmId from = kInvalidVm;
+  VmId to = kInvalidVm;
   size_t chunk_bytes = 0;
+  bool background = true;
 };
 
 void SendChunk(const std::shared_ptr<SimChunkStream>& stream, uint32_t index) {
   CkptChunkHeader header = stream->header;
   header.index = index;
-  const size_t total = stream->frame->frame.size();
+  const size_t total = stream->frame.frame.size();
   const size_t begin = static_cast<size_t>(index) * stream->chunk_bytes;
   const size_t len = std::min(stream->chunk_bytes, total - begin);
   stream->cluster->network()->Send(
-      stream->owner_vm, stream->holder_vm, len,
+      stream->from, stream->to, len,
       [stream, header, begin, len]() {
-        DeliverCheckpointChunk(stream->cluster, header,
-                               stream->frame->frame.data() + begin, len);
+        ReceiveCheckpointChunk(stream->cluster, header,
+                               stream->frame.frame.data() + begin, len,
+                               stream->on_arrival);
         if (header.index + 1 < header.count) {
           SendChunk(stream, header.index + 1);
         }
       },
-      /*background=*/true);
+      stream->background);
 }
 
 }  // namespace
 
-void SimTransport::ShipCheckpointFrame(OperatorInstance* owner,
-                                       SerializedCkptFrame frame) {
-  const InstanceId holder_id = BackupHolderFor(owner);
-  if (holder_id == kInvalidInstance) return;  // no live upstream
-  OperatorInstance* holder = cluster_->membership()->GetInstance(holder_id);
-  SEEP_CHECK(holder != nullptr);
-
-  const size_t chunk_bytes =
-      std::max<size_t>(1, cluster_->config().checkpoint_chunk_bytes);
-  auto shared = std::make_shared<SerializedCkptFrame>(std::move(frame));
-  const size_t total = shared->frame.size();
-
-  auto stream = std::make_shared<SimChunkStream>();
-  stream->cluster = cluster_;
-  stream->header.owner = shared->owner;
-  stream->header.owner_op = shared->owner_op;
-  stream->header.holder = holder_id;
-  stream->header.seq = shared->seq;
-  stream->header.count =
-      static_cast<uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
-  stream->header.frame_bytes = total;
-  stream->header.raw_bytes = shared->raw_bytes;
-  stream->header.compressed = shared->compressed;
-  stream->frame = std::move(shared);
-  stream->owner_vm = owner->vm();
-  stream->holder_vm = holder->vm();
-  stream->chunk_bytes = chunk_bytes;
-  SendChunk(stream, 0);
-}
-
-void SimTransport::ShipState(VmId from, VmId to, uint64_t size_bytes,
-                             std::function<void()> on_delivery) {
-  cluster_->network()->Send(from, to, size_bytes, std::move(on_delivery));
+void SimTransport::ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
+                                  ArrivalFn on_arrival) {
+  if (auto* frame = std::get_if<SerializedCkptFrame>(&parcel.body)) {
+    auto stream = std::make_shared<SimChunkStream>();
+    stream->cluster = cluster_;
+    stream->chunk_bytes =
+        std::max<size_t>(1, cluster_->config().checkpoint_chunk_bytes);
+    stream->header =
+        ChunkStreamHeader(*frame, parcel.receiver, stream->chunk_bytes);
+    stream->frame = std::move(*frame);
+    stream->on_arrival = std::move(on_arrival);
+    stream->from = from;
+    stream->to = to;
+    stream->background = parcel.background;
+    SendChunk(stream, 0);
+    return;
+  }
+  // A materialized checkpoint is handed over in memory at its modeled size.
+  auto shared = std::make_shared<core::StateCheckpoint>(
+      std::move(std::get<core::StateCheckpoint>(parcel.body)));
+  const uint64_t bytes = shared->ByteSize();
+  cluster_->network()->Send(
+      from, to, bytes,
+      [shared, on_arrival = std::move(on_arrival)]() {
+        on_arrival(ArrivedCheckpoint{std::move(*shared), std::nullopt});
+      },
+      parcel.background);
 }
 
 }  // namespace seep::runtime

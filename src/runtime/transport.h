@@ -2,11 +2,12 @@
 #define SEEP_RUNTIME_TRANSPORT_H_
 
 #include <functional>
+#include <optional>
+#include <variant>
 
 #include "common/ids.h"
 #include "core/state.h"
 #include "core/tuple.h"
-#include "runtime/backup_store.h"
 #include "runtime/ckpt_pipeline.h"
 
 namespace seep::runtime {
@@ -25,12 +26,39 @@ enum class [[nodiscard]] SendPressure : uint8_t {
   kPressured = 1,
 };
 
-/// All inter-instance message shipping: tuple batches on the data path,
-/// checkpoint backups (with their trim acknowledgements) on the background
-/// path, and bulk state shipping during scale out / recovery. Everything an
-/// instance or coordinator sends to another VM goes through this interface —
-/// a threaded or socket-based backend is a drop-in replacement for the
-/// simulated one.
+/// One checkpoint on its way between two VMs — the single unit of state
+/// shipping. Backups (Algorithm 1) and the partitions that scale out and
+/// recovery move from the holder to new VMs (Algorithm 3) all travel as
+/// parcels.
+struct CheckpointParcel {
+  /// A materialized checkpoint (synchronous backups, partitions), or a
+  /// frame the asynchronous pipeline already serialized.
+  std::variant<core::StateCheckpoint, SerializedCkptFrame> body;
+  /// The instance the checkpoint is for at the destination: the backup
+  /// holder, or the partition being deployed. With the checkpoint's owner
+  /// and seq it names the parcel's chunk stream.
+  InstanceId receiver = kInvalidInstance;
+  /// Throttled background traffic that must not delay the data path
+  /// (backups), or foreground traffic a reconfiguration waits on.
+  bool background = true;
+};
+
+/// A parcel's checkpoint as it reached its destination. `frame` holds the
+/// bytes it crossed in when it crossed serialized (every TCP parcel, async
+/// frames on the sim): a durable-tier append reuses them verbatim.
+struct ArrivedCheckpoint {
+  core::StateCheckpoint ckpt;
+  std::optional<EncodedCkptFrame> frame;
+};
+
+/// Runs on the driver thread when a parcel arrives whole and intact.
+using ArrivalFn = std::function<void(ArrivedCheckpoint)>;
+
+/// All inter-instance message shipping: tuple batches on the data path and
+/// checkpoint parcels — backups and the state that scale out and recovery
+/// move. Everything an instance or coordinator sends to another VM goes
+/// through this interface; the simulated and the TCP backend are drop-in
+/// replacements for each other.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -48,86 +76,56 @@ class Transport {
   virtual SendPressure SendBatch(OperatorInstance* from, InstanceId to,
                                  core::TupleBatch batch) = 0;
 
-  /// Algorithm 1 backup-state: selects the holder by hashing over upstream
-  /// instances, ships the checkpoint, stores it (applying it onto the held
-  /// copy when it is a delta), and sends trim acknowledgements to the
-  /// owner's upstream instances.
-  virtual void BackupCheckpoint(OperatorInstance* owner,
-                                core::StateCheckpoint ckpt) = 0;
-
-  /// The holder Algorithm 1 would choose for `owner` right now, or
-  /// kInvalidInstance if there is no live upstream. Owners use this to
-  /// decide whether an incremental checkpoint can target the same holder
-  /// as the stored base.
-  virtual InstanceId BackupHolderFor(const OperatorInstance* owner) const = 0;
-
-  /// Synchronous-checkpoint capture hook: turns a stage-1 capture into the
-  /// shipment ShipBackup sends once the checkpoint job's service time has
-  /// elapsed. Runs at capture time, before any trim can move the live
-  /// buffers. The default materializes the capture into a checkpoint
-  /// struct; the TCP backend overrides it to encode the wire payload
-  /// straight from the live buffers, skipping the intermediate buffer copy.
-  virtual CheckpointShipment PrepareBackup(OperatorInstance* owner,
-                                           CheckpointCapture* capture);
-
-  /// Ships a shipment built by PrepareBackup (holder choice happens here,
-  /// at ship time, exactly as BackupCheckpoint does). The default unwraps
-  /// the materialized checkpoint and delegates to BackupCheckpoint.
-  virtual void ShipBackup(OperatorInstance* owner, CheckpointShipment ship);
-
-  /// Stage 3 of the asynchronous pipeline: ships one serialized checkpoint
-  /// frame to the holder Algorithm 1 selects now, split into chunks of at
-  /// most the configured chunk size so multi-MB checkpoints interleave with
-  /// data batches instead of occupying a link in one burst.
-  virtual void ShipCheckpointFrame(OperatorInstance* owner,
-                                   SerializedCkptFrame frame) = 0;
-
-  /// Bulk state shipping (partitioned checkpoints during scale out /
-  /// recovery): `size_bytes` from VM `from` to VM `to`, then `on_delivery`.
-  virtual void ShipState(VmId from, VmId to, uint64_t size_bytes,
-                         std::function<void()> on_delivery) = 0;
+  /// Ships `parcel` from VM `from` to VM `to` and runs `on_arrival` there
+  /// with the checkpoint as it arrived. A parcel whose destination detaches
+  /// first never arrives (over TCP, neither does one whose source detaches
+  /// before it is delivered), and one that fails to decode is dropped and
+  /// counted; the protocol treats both as a lost message.
+  virtual void ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
+                              ArrivalFn on_arrival) = 0;
 };
 
 /// Algorithm 1 line 2: the holder for `owner`'s checkpoints — spread over
 /// the live upstream instances by hash (or the first one, for the ablation
-/// baseline); kInvalidInstance when no upstream is live. Shared by every
-/// Transport backend so they cannot drift on holder choice.
+/// baseline); kInvalidInstance when no upstream is live.
 InstanceId ChooseBackupHolder(const Cluster* cluster,
                               const OperatorInstance* owner);
 
-/// Algorithm 1 lines 3-7 on the holder's side, run when a shipped checkpoint
-/// arrives: validity/suspension guards, store (or delta-apply onto the held
-/// base) with the stale-sequence guard, audit hook, metrics, and the trim
-/// acknowledgements to the owner's upstream instances. Shared by every
-/// Transport backend — the wire differs, the protocol must not. `prebuilt`
-/// (optional, consumed) is the checkpoint's already-serialized wire frame:
-/// the chunked receive path passes it so a durable-tier append reuses the
-/// received bytes instead of re-encoding.
-void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
-                               OperatorId owner_op, InstanceId holder_id,
-                               uint64_t bytes, core::StateCheckpoint ckpt,
-                               BackupStore::EncodedFrame* prebuilt = nullptr);
+/// Algorithm 1 backup-state for either pipeline: ships `parcel` (a
+/// checkpoint of `owner`) to the holder ChooseBackupHolder picks now, where
+/// it is stored on arrival and acknowledged to the owner's upstream
+/// instances (Algorithm 1 lines 3-7). Dropped when no upstream is live.
+void ShipToBackupHolder(Cluster* cluster, OperatorInstance* owner,
+                        CheckpointParcel parcel);
 
 /// The serializer's completion hook (driver thread): re-checks that the
 /// owner is still alive, running and unsuspended — an async checkpoint
 /// caught by Suspend()/failure between capture and serialization aborts
-/// here — then records compression metrics and hands the frame to the
-/// transport's chunked shipping. Shared by both backends.
+/// here — then records compression metrics and ships the frame to the
+/// backup holder.
 void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame);
 
-/// Holder-side arrival of one checkpoint chunk (driver thread): audits the
-/// chunk stream, reassembles, and on completion unframes (crc32c),
-/// decompresses, decodes and delivers through DeliverCheckpointToHolder.
-/// Any decode failure drops the frame — the owner's next checkpoint
-/// supersedes it, exactly like a frame lost to a link failure. Shared by
-/// both backends so the wire differs but the protocol cannot.
-void DeliverCheckpointChunk(Cluster* cluster, const CkptChunkHeader& header,
-                            const uint8_t* data, size_t n);
+/// The chunk stream header of a serialized parcel bound for `receiver`, cut
+/// into chunks of at most `chunk_bytes` (index 0; the sender fills in each
+/// chunk's index).
+CkptChunkHeader ChunkStreamHeader(const SerializedCkptFrame& frame,
+                                  InstanceId receiver, size_t chunk_bytes);
+
+/// Arrival of one checkpoint chunk (driver thread), shared by both
+/// backends: audits the chunk stream and reassembles it; when the frame is
+/// whole, decodes it (DecodeCheckpointFrame) and, if it is the checkpoint
+/// the header names, runs `on_arrival`. A failed decode drops the parcel
+/// and counts a decode failure — the protocol treats it like a message
+/// lost to a link failure.
+void ReceiveCheckpointChunk(Cluster* cluster, const CkptChunkHeader& header,
+                            const uint8_t* data, size_t n,
+                            const ArrivalFn& on_arrival);
 
 /// Transport over the deterministic `sim::Network`: batches pay the data
-/// path's bandwidth/latency; checkpoint shipping is throttled background
-/// traffic that must not delay the data path (the paper checkpoints
-/// asynchronously).
+/// path's bandwidth/latency. Checkpoint parcels are handed over in memory
+/// at their modeled byte count — backups as throttled background traffic
+/// that must not delay the data path (the paper checkpoints
+/// asynchronously) — and serialized frames trickle out chunk by chunk.
 class SimTransport : public Transport {
  public:
   explicit SimTransport(Cluster* cluster) : cluster_(cluster) {}
@@ -136,13 +134,8 @@ class SimTransport : public Transport {
   void DetachVm(VmId vm) override;
   SendPressure SendBatch(OperatorInstance* from, InstanceId to,
                          core::TupleBatch batch) override;
-  void BackupCheckpoint(OperatorInstance* owner,
-                        core::StateCheckpoint ckpt) override;
-  InstanceId BackupHolderFor(const OperatorInstance* owner) const override;
-  void ShipCheckpointFrame(OperatorInstance* owner,
-                           SerializedCkptFrame frame) override;
-  void ShipState(VmId from, VmId to, uint64_t size_bytes,
-                 std::function<void()> on_delivery) override;
+  void ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
+                      ArrivalFn on_arrival) override;
 
  private:
   Cluster* cluster_;

@@ -3,30 +3,20 @@
 namespace seep::sim {
 
 bool Simulation::FireNext() {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    auto cancelled_it = cancelled_.find(top.id);
-    if (cancelled_it != cancelled_.end()) {
-      cancelled_.erase(cancelled_it);
-      queue_.pop();
-      continue;
-    }
-    SEEP_CHECK_GE(top.time, now_);
-    now_ = top.time;
-    std::function<void()> fn = std::move(top.fn);
-    queue_.pop();
-    ++executed_;
-    fn();
-    return true;
-  }
-  return false;
+  if (queue_.empty()) return false;
+  const Event& top = queue_.top();
+  SEEP_CHECK_GE(top.time, now_);
+  now_ = top.time;
+  std::function<void()> fn = std::move(top.fn);
+  queue_.pop();
+  ++executed_;
+  fn();
+  return true;
 }
 
 void Simulation::RunUntil(SimTime until) {
   SEEP_CHECK_GE(until, now_);
-  while (!queue_.empty() && queue_.top().time <= until) {
-    if (!FireNext()) break;
-  }
+  while (!queue_.empty() && queue_.top().time <= until) FireNext();
   now_ = until;
 }
 

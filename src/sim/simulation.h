@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/macros.h"
@@ -13,8 +12,8 @@
 
 namespace seep::sim {
 
-/// Handle for a scheduled event, usable with Simulation::Cancel. Value 0 is
-/// never issued.
+/// Insertion sequence of a scheduled event: the tie-break between events at
+/// the same time. Value 0 is never issued.
 using EventId = uint64_t;
 
 /// Deterministic discrete-event executor. Events fire in (time, insertion
@@ -34,22 +33,16 @@ class Simulation {
   SimTime Now() const { return now_; }
 
   /// Schedules `fn` to run at Now() + delay (delay >= 0).
-  EventId Schedule(SimTime delay, std::function<void()> fn) {
+  void Schedule(SimTime delay, std::function<void()> fn) {
     SEEP_CHECK_GE(delay, 0);
-    return ScheduleAt(now_ + delay, std::move(fn));
+    ScheduleAt(now_ + delay, std::move(fn));
   }
 
   /// Schedules `fn` at an absolute time >= Now().
-  EventId ScheduleAt(SimTime at, std::function<void()> fn) {
+  void ScheduleAt(SimTime at, std::function<void()> fn) {
     SEEP_CHECK_GE(at, now_);
-    const EventId id = ++next_id_;
-    queue_.push(Event{at, id, std::move(fn)});
-    return id;
+    queue_.push(Event{at, ++next_id_, std::move(fn)});
   }
-
-  /// Cancels a pending event. Cancelling an already-fired or unknown id is a
-  /// no-op (the id space is never reused, so this is safe).
-  void Cancel(EventId id) { cancelled_.insert(id); }
 
   /// Runs events until the queue is empty or `until` is reached (whichever is
   /// first); Now() advances to `until` even if the queue drains early.
@@ -78,7 +71,6 @@ class Simulation {
   EventId next_id_ = 0;
   uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
-  std::unordered_set<EventId> cancelled_;
 };
 
 }  // namespace seep::sim

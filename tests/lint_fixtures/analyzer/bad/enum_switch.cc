@@ -3,7 +3,7 @@
 // silently swallows.
 namespace seep {
 
-enum class MessageType { kHello = 1, kBatch, kCheckpoint };
+enum class MessageType { kHello = 1, kBatch, kControl };
 
 int NonExhaustive(MessageType t) {
   switch (t) {
@@ -21,7 +21,7 @@ int SilentDefault(MessageType t) {
       return 1;
     case MessageType::kBatch:
       return 2;
-    case MessageType::kCheckpoint:
+    case MessageType::kControl:
       return 3;
     default:
       break;  // swallows unknown wire values without a trace

@@ -157,6 +157,24 @@ TEST(Crc32cTest, DetectsSingleBitFlip) {
   EXPECT_NE(good, Crc32c(data.data(), data.size()));
 }
 
+TEST(Crc32cTest, DispatchedMatchesPortableAtEveryLengthAndAlignment) {
+  // Crc32c takes the SSE4.2 path where the CPU has it; the table loop is
+  // the reference. Cover the byte-wise head and tail around the 8-byte
+  // main loop: every length 0..1024 at every offset within a word.
+  Rng rng(7);
+  std::vector<uint8_t> data(1024 + 8);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Next());
+  for (uint32_t init : {0u, 0xDEADBEEFu}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t n = 0; n <= 1024; ++n) {
+        const uint8_t* p = data.data() + offset;
+        ASSERT_EQ(Crc32c(p, n, init), Crc32cPortable(p, n, init))
+            << "offset " << offset << " length " << n << " init " << init;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------------------- Frame
 
 TEST(FrameTest, Roundtrip) {

@@ -1,5 +1,5 @@
-// Unit tests for the discrete-event core: event ordering, cancellation,
-// run-until semantics, and the network model (latency, bandwidth FIFO
+// Unit tests for the discrete-event core: event ordering, run-until
+// semantics, and the network model (latency, bandwidth FIFO
 // serialisation, drops at detached endpoints).
 
 #include <gtest/gtest.h>
@@ -53,24 +53,6 @@ TEST(SimulationTest, NestedScheduling) {
   });
   sim.RunAll();
   EXPECT_EQ(times, (std::vector<SimTime>{10, 20}));
-}
-
-TEST(SimulationTest, CancelPreventsExecution) {
-  Simulation sim;
-  int fired = 0;
-  const EventId id = sim.Schedule(100, [&] { ++fired; });
-  sim.Schedule(50, [&] { ++fired; });
-  sim.Cancel(id);
-  sim.RunAll();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(SimulationTest, CancelUnknownIsNoop) {
-  Simulation sim;
-  sim.Cancel(9999);
-  sim.Schedule(1, [] {});
-  sim.RunAll();
-  EXPECT_EQ(sim.executed_events(), 1u);
 }
 
 TEST(SimulationTest, ZeroDelayFiresAtCurrentTime) {

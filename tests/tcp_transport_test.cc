@@ -4,23 +4,113 @@
 // sim backend's failure-free run is the reference: stable-window results
 // must match exactly, recovery must complete over TCP, the upstream must
 // observe the dead peer as a TCP disconnection, and the invariant auditor
-// at level 2 must stay silent.
+// at level 2 must stay silent. State crosses the sockets for real: every
+// instance a scale out or recovery restores got exactly the partition its
+// backup holder cut, no parcel or partial chunk stream outlives a run, and
+// the pump's chunk decode path rejects every corruption of a chunk body.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
+#include "core/state_ops.h"
 #include "net/local_cluster.h"
 #include "runtime/operator_instance.h"
 #include "runtime/tcp_transport.h"
+#include "serde/encoder.h"
 #include "sps/sps.h"
 #include "verify/invariant_auditor.h"
 #include "workloads/wordcount/wordcount.h"
 
 namespace seep {
 namespace {
+
+std::vector<uint8_t> Encoded(const core::StateCheckpoint& ckpt) {
+  serde::Encoder enc;
+  ckpt.Encode(&enc);
+  return std::move(enc).TakeBuffer();
+}
+
+/// Checks that the instances one reconfiguration restores got exactly the
+/// partitions the backup holder cut. Armed at the moment the plan starts,
+/// it cuts the target's backup the way the plan does, then polls each new
+/// instance's initial backup — the partition as it arrived over TCP, the
+/// checkpoint Restore consumed — and compares encodings.
+class RestoredStateCheck {
+ public:
+  void Arm(runtime::Cluster* cluster, InstanceId target, uint32_t pi) {
+    cluster_ = cluster;
+    target_ = target;
+    auto base = cluster->backups()->Retrieve(target);
+    ASSERT_TRUE(base.ok());
+    const core::StateCheckpoint& b = base.value().checkpoint;
+    auto parts =
+        core::PartitionCheckpointByRanges(b, core::BalancedSplitRanges(b, pi));
+    ASSERT_TRUE(parts.ok());
+    parts_ = std::move(parts).value();
+    verified_.assign(parts_.size(), false);
+    Poll();
+  }
+
+  size_t verified() const {
+    return static_cast<size_t>(
+        std::count(verified_.begin(), verified_.end(), true));
+  }
+
+ private:
+  void Poll() {
+    for (size_t i = 0; i < parts_.size(); ++i) {
+      const core::StateCheckpoint& cut = parts_[i];
+      for (InstanceId id : cluster_->LiveInstancesOf(cut.op)) {
+        const runtime::OperatorInstance* inst = cluster_->GetInstance(id);
+        const runtime::BackupStore::Entry* entry =
+            cluster_->backups()->Find(id);
+        if (verified_[i] || id == target_ ||
+            inst->key_range() != cut.key_range || entry == nullptr ||
+            entry->checkpoint.seq != cut.seq) {
+          continue;
+        }
+        // The initial backup is the arrived partition under the new
+        // instance's id and origin.
+        core::StateCheckpoint arrived = entry->checkpoint;
+        arrived.instance = cut.instance;
+        arrived.origin = cut.origin;
+        EXPECT_EQ(Encoded(arrived), Encoded(cut)) << "partition " << i;
+        verified_[i] = true;
+      }
+    }
+    if (verified() < parts_.size()) {
+      cluster_->simulation()->Schedule(MillisToSim(50), [this] { Poll(); });
+    }
+  }
+
+  runtime::Cluster* cluster_ = nullptr;
+  InstanceId target_ = kInvalidInstance;
+  std::vector<core::StateCheckpoint> parts_;
+  std::vector<bool> verified_;
+};
+
+/// Runs the simulation on in 1 ms steps (at most 2 s) until no checkpoint
+/// parcel is in flight, then asserts that the TCP transport's parcel table
+/// and the chunk reassembler are both empty: nothing leaks, whatever died
+/// mid-stream.
+void ExpectNoParcelsLeft(sps::Sps& sps) {
+  auto* tcp = dynamic_cast<runtime::TcpTransport*>(sps.cluster().transport());
+  ASSERT_NE(tcp, nullptr);
+  runtime::CkptChunkReassembler* reassembler =
+      sps.cluster().ckpt_reassembler();
+  for (int i = 0; i < 2000; ++i) {
+    if (tcp->parcels_in_flight() == 0 && reassembler->pending_streams() == 0)
+      break;
+    sps.RunFor(0.001);
+  }
+  EXPECT_EQ(tcp->parcels_in_flight(), 0u);
+  EXPECT_EQ(reassembler->pending_streams(), 0u);
+}
 
 using workloads::wordcount::BuildWordCountQuery;
 using workloads::wordcount::WordCountConfig;
@@ -82,6 +172,7 @@ RunOutcome RunQuery(const WordCountConfig& wc, const sps::SpsConfig& config,
           dynamic_cast<runtime::TcpTransport*>(sps.cluster().transport())) {
     outcome.disconnects_observed = tcp->disconnects_observed();
     outcome.tcp_messages_delivered = tcp->messages_delivered();
+    ExpectNoParcelsLeft(sps);
   }
   return outcome;
 }
@@ -124,15 +215,29 @@ TEST(TcpTransportIntegration, FailureRecoversExactlyOnceOverTcp) {
 
   RunOutcome baseline =
       RunQuery(wc, BaseConfig(runtime::TransportKind::kSim), 150);
-  RunOutcome with_failure = RunQuery(wc, config, 150, [](sps::Sps& sps) {
-    // Kill the stateful counter mid-window, well after checkpoints exist.
-    // Over TCP this hard-kills the VM's worker: sockets close mid-stream.
-    sps.InjectFailure(/*counter op id=*/2, /*at_seconds=*/47);
-  });
+  RestoredStateCheck restored;
+  RunOutcome with_failure =
+      RunQuery(wc, config, 150, [&restored](sps::Sps& sps) {
+        // Kill the stateful counter mid-window, well after checkpoints
+        // exist. Over TCP this hard-kills the VM's worker: sockets close
+        // mid-stream.
+        sps.InjectFailure(/*counter op id=*/2, /*at_seconds=*/47);
+        runtime::Cluster* cluster = &sps.cluster();
+        cluster->simulation()->ScheduleAt(
+            SecondsToSim(47), [cluster, &restored] {
+              for (InstanceId id : cluster->InstancesOf(/*op=*/2)) {
+                if (!cluster->GetInstance(id)->alive()) {
+                  restored.Arm(cluster, id, /*pi=*/1);
+                }
+              }
+            });
+      });
 
-  // Recovery ran to completion over TCP, replay did real work, and the
-  // upstream worker observed the dead peer as a TCP disconnection.
+  // Recovery ran to completion over TCP, restored exactly the checkpoint
+  // the holder shipped, replay did real work, and the upstream worker
+  // observed the dead peer as a TCP disconnection.
   EXPECT_EQ(with_failure.recoveries_completed, 1u);
+  EXPECT_EQ(restored.verified(), 1u);
   EXPECT_GT(with_failure.duplicates, 0u);
   EXPECT_GE(with_failure.disconnects_observed, 1u);
 
@@ -362,20 +467,171 @@ TEST(TcpTransportIntegration, HolderDeathMidShipCompensatesOverTcp) {
 
   for (const auto& v : audit_entries) ADD_FAILURE() << "audit: " << v;
   EXPECT_EQ(sps.cluster().audit()->violations(), 0u);
+  ExpectNoParcelsLeft(sps);
 }
 
 TEST(TcpTransportIntegration, ScaleOutPreservesResultsOverTcp) {
   const WordCountConfig wc = BaseWorkload();
+  sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
+  config.cluster.audit_level = verify::kAuditExpensive;
   RunOutcome baseline =
       RunQuery(wc, BaseConfig(runtime::TransportKind::kSim), 150);
-  RunOutcome scaled = RunQuery(
-      wc, BaseConfig(runtime::TransportKind::kTcp), 150,
-      [](sps::Sps& sps) { sps.RequestScaleOut(/*op=*/2, /*at_seconds=*/47); });
+  RestoredStateCheck restored;
+  RunOutcome scaled = RunQuery(wc, config, 150, [&restored](sps::Sps& sps) {
+    runtime::Cluster* cluster = &sps.cluster();
+    cluster->simulation()->ScheduleAt(
+        SecondsToSim(47), [&sps, cluster, &restored] {
+          const InstanceId target = cluster->LiveInstancesOf(/*op=*/2).back();
+          restored.Arm(cluster, target, /*pi=*/2);
+          sps.scale_out_coordinator().ScaleOutInstance(target, 2,
+                                                       /*recovery=*/false);
+        });
+  });
 
+  // Both new partitions restored exactly the partitions the holder cut, and
+  // results match the unscaled sim reference.
+  EXPECT_EQ(restored.verified(), 2u);
   const auto expected = StableWindows(baseline.counts, 3);
   const auto actual = StableWindows(scaled.counts, 3);
   EXPECT_FALSE(expected.empty());
   EXPECT_EQ(expected, actual);
+  for (const auto& v : scaled.violations) {
+    ADD_FAILURE() << "audit violation " << v.invariant << ": " << v.detail;
+  }
+  EXPECT_EQ(scaled.audit_violations, 0u);
+}
+
+TEST(TcpTransportIntegration, ParcelFromAKilledVmNeverArrives) {
+  // A parcel crosses the socket as its real bytes and arrives intact; the
+  // same parcel from a VM killed while its chunks are in flight never
+  // arrives — DetachVm drops parcels from the dead VM, not only those to
+  // it — and leaves no parcel-table entry or partial chunk stream behind.
+  const WordCountConfig wc = BaseWorkload();
+  sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
+  config.cluster.checkpoint_chunk_bytes = 4096;
+  WordCountQuery query = BuildWordCountQuery(wc);
+  const OperatorId counter = query.counter;
+  sps::Sps sps(std::move(query.graph), config);
+  ASSERT_TRUE(sps.Deploy().ok());
+  sps.RunUntil(10);
+
+  runtime::Cluster& cluster = sps.cluster();
+  const VmId sender =
+      cluster.GetInstance(cluster.LiveInstancesOf(counter).front())->vm();
+  VmId receiver = kInvalidVm;
+  for (const auto& [id, inst] : cluster.instances()) {
+    if (inst->alive() && inst->vm() != sender) receiver = inst->vm();
+  }
+  ASSERT_NE(receiver, kInvalidVm);
+
+  core::StateCheckpoint big;  // ~0.5 MB: over a hundred 4 KiB chunks
+  big.op = counter;
+  big.instance = 77;
+  for (int i = 0; i < 20000; ++i) {
+    big.processing.Add(static_cast<KeyHash>(i) * 2654435761u,
+                       "entry-" + std::to_string(i));
+  }
+  int arrivals = 0;
+  std::vector<uint8_t> arrived;
+  const runtime::ArrivalFn on_arrival = [&](runtime::ArrivedCheckpoint a) {
+    ++arrivals;
+    arrived = Encoded(a.ckpt);
+  };
+
+  auto ship = [&](uint64_t seq) {
+    big.seq = seq;
+    cluster.transport()->ShipCheckpoint(
+        sender, receiver, runtime::CheckpointParcel{big, /*receiver=*/9},
+        on_arrival);
+  };
+  ship(1);
+  sps.RunFor(1);
+  ASSERT_EQ(arrivals, 1);
+  EXPECT_EQ(arrived, Encoded(big));
+
+  ship(2);
+  ASSERT_TRUE(cluster.membership()->KillVm(sender).ok());
+  sps.RunFor(1);
+  EXPECT_EQ(arrivals, 1);
+  ExpectNoParcelsLeft(sps);
+}
+
+/// One single-chunk parcel of a real checkpoint, as TcpTransport cuts it.
+struct ChunkFixture {
+  core::StateCheckpoint ckpt;
+  runtime::TcpChunkStream stream;
+  std::vector<uint8_t> body;
+};
+
+ChunkFixture MakeChunkFixture(bool compress) {
+  ChunkFixture f;
+  f.ckpt.op = 3;
+  f.ckpt.instance = 11;
+  f.ckpt.seq = 7;
+  f.ckpt.positions.Set(1, 33);
+  for (int i = 0; i < 20; ++i) {
+    f.ckpt.processing.Add(100 + i, "count-" + std::to_string(i % 3));
+  }
+  runtime::CkptSerializer::Job job;
+  job.owner = f.ckpt.instance;
+  job.owner_op = f.ckpt.op;
+  job.seq = f.ckpt.seq;
+  job.snapshot = f.ckpt;
+  const runtime::SerializedCkptFrame frame =
+      runtime::CkptSerializer::BuildFrame(job, compress);
+  f.stream.chunk_bytes = frame.frame.size();
+  f.stream.header =
+      runtime::ChunkStreamHeader(frame, /*receiver=*/5, f.stream.chunk_bytes);
+  serde::Encoder enc;
+  runtime::EncodeChunkHeader(f.stream.header, &enc);
+  enc.AppendRaw(frame.frame.data(), frame.frame.size());
+  f.body = std::move(enc).TakeBuffer();
+  return f;
+}
+
+TEST(TcpChunkDecodeTest, EveryTruncationAndBitFlipIsOneDecodeFailure) {
+  core::QueryGraph graph;
+  runtime::ClusterConfig config;
+  config.audit_level = verify::kAuditOff;
+  runtime::Cluster cluster(&graph, config);
+  const uint64_t& failures = cluster.metrics()->ckpt_decode_failures;
+
+  for (bool compress : {false, true}) {
+    const ChunkFixture f = MakeChunkFixture(compress);
+    int arrivals = 0;
+    const runtime::ArrivalFn on_arrival =
+        [&](runtime::ArrivedCheckpoint arrived) {
+          ++arrivals;
+          EXPECT_EQ(Encoded(arrived.ckpt), Encoded(f.ckpt));
+        };
+    // Feeds one body through the pump's decode path as the parcel's first
+    // (and only) chunk; returns the decode failures it counted.
+    auto feed = [&](const std::vector<uint8_t>& body) {
+      runtime::TcpChunkStream stream = f.stream;
+      const uint64_t before = failures;
+      EXPECT_TRUE(
+          runtime::ReceiveChunkMessage(&cluster, &stream, body, on_arrival));
+      EXPECT_EQ(cluster.ckpt_reassembler()->pending_streams(), 0u);
+      return failures - before;
+    };
+
+    ASSERT_EQ(feed(f.body), 0u);
+    ASSERT_EQ(arrivals, 1);
+
+    const LogLevel log_level = GetLogLevel();
+    SetLogLevel(LogLevel::kError);  // every case below logs a drop
+    for (size_t len = 0; len < f.body.size(); ++len) {
+      const std::vector<uint8_t> cut(f.body.begin(), f.body.begin() + len);
+      EXPECT_EQ(feed(cut), 1u) << "truncated to " << len << " bytes";
+    }
+    for (size_t bit = 0; bit < f.body.size() * 8; ++bit) {
+      std::vector<uint8_t> flipped = f.body;
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      EXPECT_EQ(feed(flipped), 1u) << "bit " << bit << " flipped";
+    }
+    SetLogLevel(log_level);
+    EXPECT_EQ(arrivals, 1) << "a corrupted chunk was delivered";
+  }
 }
 
 }  // namespace
