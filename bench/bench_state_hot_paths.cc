@@ -3,7 +3,9 @@
 // checkpoint serialisation, each measured against the naive (pre-rework)
 // reference implementation — unsorted linear-scan filters, map-rebuild delta
 // application, vector-erase trims and a byte-at-a-time encoder without
-// reservation. Results go to stdout and BENCH_state_hot_paths.json.
+// reservation — plus the operators' own get-processing-state at the state
+// sizes the LRB benchmark reaches. Results go to stdout and
+// BENCH_state_hot_paths.json.
 //
 // Usage: bench_state_hot_paths [output.json]
 
@@ -17,11 +19,15 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/operator.h"
 #include "core/state.h"
 #include "core/state_ops.h"
 #include "serde/frame.h"
+#include "workloads/lrb/lrb.h"
+#include "workloads/wordcount/wordcount.h"
 
 namespace seep::bench {
 namespace {
@@ -413,7 +419,80 @@ void BenchPartitionSerialize(std::vector<Row>* rows, size_t n, int reps) {
   Report(rows, "part_serialize", n, naive, fast);
 }
 
-void WriteJson(FILE* f, const std::vector<Row>& rows) {
+// ---------------------------------------------------------- operator capture
+// get-processing-state itself (paper §3.1): every full checkpoint calls it,
+// every c = 5 s for every stateful instance, so at LRB scale it is the
+// simulator's single largest cost.
+
+struct CaptureRow {
+  const char* op;
+  size_t entries;
+  double capture_us;
+};
+
+class DiscardCollector : public core::Collector {
+ public:
+  void EmitTo(int port, Tuple tuple) override {}
+};
+
+void ReportCapture(std::vector<CaptureRow>* rows, const char* op,
+                   const core::Operator& impl, int reps) {
+  size_t entries = 0;
+  const double us = TimeUs(reps, [&] {
+    const ProcessingState state = impl.GetProcessingState();
+    entries = state.size();
+  });
+  std::printf("%-15s %9zu %14.1f\n", op, entries, us);
+  std::fflush(stdout);
+  rows->push_back(CaptureRow{op, entries, us});
+}
+
+void BenchOperatorCapture(std::vector<CaptureRow>* rows, int reps) {
+  namespace lrb = workloads::lrb;
+  namespace wc = workloads::wordcount;
+  DiscardCollector discard;
+  // The unpartitioned L = 64 toll calculator: 64 x 100 segments, each with
+  // three reports in each of six live minutes and, in every tenth segment,
+  // one stopped vehicle.
+  constexpr int64_t kXways = 64;
+  constexpr int64_t kSegments = 100;
+  lrb::TollCalculator toll(1.0);
+  for (int64_t minute = 0; minute < 6; ++minute) {
+    for (int64_t xway = 0; xway < kXways; ++xway) {
+      for (int64_t seg = 0; seg < kSegments; ++seg) {
+        for (int64_t v = 0; v < 3; ++v) {
+          const bool stopped = seg % 10 == 0 && v == 0;
+          Tuple t;
+          t.event_time = minute * 60 * kMicrosPerSecond + v;
+          t.ints = {lrb::kPositionReport, xway * 1000 + seg * 3 + v,
+                    lrb::PackLocation(xway, seg),
+                    lrb::PackSpeed(stopped ? 0 : 30 + v, true, stopped)};
+          t.key = Mix64(static_cast<uint64_t>(t.ints[2]));
+          toll.Process(t, &discard);
+        }
+      }
+    }
+  }
+  ReportCapture(rows, "TollCalculator", toll, reps);
+
+  // A word counter of the same entry count: 6 400 words, three windows each.
+  wc::WordCountConfig config;
+  config.probe_every_n = 0;
+  wc::WordCounter counter(config);
+  for (int64_t window = 0; window < 3; ++window) {
+    for (size_t word = 0; word < size_t{kXways * kSegments}; ++word) {
+      Tuple t;
+      t.text = wc::SentenceSource::WordAt(word);
+      t.key = HashBytes(t.text);
+      t.event_time = window * config.window;
+      counter.Process(t, &discard);
+    }
+  }
+  ReportCapture(rows, "WordCounter", counter, reps);
+}
+
+void WriteJson(FILE* f, const std::vector<Row>& rows,
+               const std::vector<CaptureRow>& captures) {
   std::fprintf(f, "{\n  \"bench\": \"state_hot_paths\",\n  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -423,6 +502,15 @@ void WriteJson(FILE* f, const std::vector<Row>& rows) {
                  "\"speedup\": %.2f}%s\n",
                  r.primitive, r.size, r.naive_us, r.fast_us,
                  r.naive_us / r.fast_us, i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"operator_capture\": [\n");
+  for (size_t i = 0; i < captures.size(); ++i) {
+    const CaptureRow& c = captures[i];
+    std::fprintf(f,
+                 "    {\"operator\": \"%s\", \"entries\": %zu, "
+                 "\"capture_us\": %.1f}%s\n",
+                 c.op, c.entries, c.capture_us,
+                 i + 1 < captures.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
 }
@@ -449,7 +537,11 @@ int Main(int argc, char** argv) {
     BenchSerialize(&rows, n, reps);
     BenchPartitionSerialize(&rows, n, reps);
   }
-  WriteJson(f, rows);
+  std::printf("\n==== Operator get-processing-state ====\n");
+  std::printf("%-15s %9s %14s\n", "operator", "entries", "capture(us)");
+  std::vector<CaptureRow> captures;
+  BenchOperatorCapture(&captures, 20);
+  WriteJson(f, rows, captures);
   std::fclose(f);
   std::printf("wrote %s\n", out);
   return 0;

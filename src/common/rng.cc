@@ -11,33 +11,39 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-uint64_t Rng::NextZipf(uint64_t n, double s) {
+ZipfDistribution::ZipfDistribution(uint64_t n, double s)
+    : n_(n),
+      s_(s),
+      e_(1.0 - s),
+      log_form_(std::abs(1.0 - s) < 1e-12),
+      h_x1_(HIntegral(1.5) - H(1.0)),
+      h_n_(HIntegral(static_cast<double>(n) + 0.5)),
+      h_half_(HIntegral(0.5)) {
   SEEP_CHECK_GT(n, 0u);
-  if (n == 1) return 0;
-  // Rejection-inversion sampling (Hörmann & Derflinger 1996) over ranks
-  // 1..n, returned zero-based.
-  const double e = 1.0 - s;
-  auto h_integral = [&](double x) {
-    if (std::abs(e) < 1e-12) return std::log(x);
-    return (std::pow(x, e) - 1.0) / e;
-  };
-  auto h_integral_inverse = [&](double y) {
-    if (std::abs(e) < 1e-12) return std::exp(y);
-    return std::pow(1.0 + e * y, 1.0 / e);
-  };
-  auto h = [&](double x) { return std::pow(x, -s); };
+}
 
-  const double h_x1 = h_integral(1.5) - h(1.0);
-  const double h_n = h_integral(static_cast<double>(n) + 0.5);
-  const double h_half = h_integral(0.5);
+double ZipfDistribution::HIntegral(double x) const {
+  if (log_form_) return std::log(x);
+  return (std::pow(x, e_) - 1.0) / e_;
+}
 
+double ZipfDistribution::HIntegralInverse(double y) const {
+  if (log_form_) return std::exp(y);
+  return std::pow(1.0 + e_ * y, 1.0 / e_);
+}
+
+double ZipfDistribution::H(double x) const { return std::pow(x, -s_); }
+
+uint64_t ZipfDistribution::Sample(Rng* rng) const {
+  if (n_ == 1) return 0;
+  // Ranks 1..n, returned zero-based.
   while (true) {
-    const double u = h_half + NextDouble() * (h_n - h_half);
-    const double x = h_integral_inverse(u);
+    const double u = h_half_ + rng->NextDouble() * (h_n_ - h_half_);
+    const double x = HIntegralInverse(u);
     double k = std::floor(x + 0.5);
     if (k < 1.0) k = 1.0;
-    if (k > static_cast<double>(n)) k = static_cast<double>(n);
-    if (k - x <= h_x1 || u >= h_integral(k + 0.5) - h(k)) {
+    if (k > static_cast<double>(n_)) k = static_cast<double>(n_);
+    if (k - x <= h_x1_ || u >= HIntegral(k + 0.5) - H(k)) {
       return static_cast<uint64_t>(k) - 1;
     }
   }

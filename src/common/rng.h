@@ -61,11 +61,6 @@ class Rng {
   /// Exponentially distributed value with the given mean.
   double NextExponential(double mean);
 
-  /// Zipf-distributed integer in [0, n) with skew parameter `s`.
-  /// Uses the rejection-inversion method of Hörmann/Derflinger so sampling is
-  /// O(1) without precomputing the harmonic table.
-  uint64_t NextZipf(uint64_t n, double s);
-
   /// Creates an independent child generator; used to give each simulated
   /// entity its own stream so entity creation order does not perturb others.
   Rng Fork() { return Rng(Next() ^ 0xA5A5A5A5DEADBEEFull); }
@@ -76,6 +71,33 @@ class Rng {
   }
 
   uint64_t state_[4];
+};
+
+/// Zipf-distributed integers in [0, n) with skew parameter `s`, drawn by the
+/// rejection-inversion method of Hörmann & Derflinger (1996): O(1) per draw
+/// without a harmonic table. The three constants that depend only on (n, s)
+/// are computed once here, so a draw skips the four pow/log calls they cost.
+/// n = 1 always yields 0 and consumes no randomness.
+class ZipfDistribution {
+ public:
+  ZipfDistribution(uint64_t n, double s);
+
+  uint64_t Sample(Rng* rng) const;
+
+ private:
+  double HIntegral(double x) const;
+  double HIntegralInverse(double y) const;
+  double H(double x) const;
+
+  // Declaration order matters: the h_* constants are initialised from the
+  // members above them.
+  uint64_t n_;
+  double s_;
+  double e_;       // 1 - s
+  bool log_form_;  // s == 1: the integral of x^-s is log x
+  double h_x1_;    // HIntegral(1.5) - H(1)
+  double h_n_;     // HIntegral(n + 0.5)
+  double h_half_;  // HIntegral(0.5)
 };
 
 }  // namespace seep

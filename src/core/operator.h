@@ -47,18 +47,16 @@ class Operator {
   /// get-processing-state(o) → θo (paper §3.1). Must return a consistent
   /// snapshot translated to key/value pairs. Stateless operators return
   /// empty state.
+  ///
+  /// Every full checkpoint calls this, once per checkpoint interval c per
+  /// stateful instance, and at LRB scale it dominates the simulator's wall
+  /// clock. It must not allocate per entry beyond the entry's own value:
+  /// encode every entry through one scratch serde::Encoder, Reserve the
+  /// result up front, and do not look up again the entry being iterated.
   virtual ProcessingState GetProcessingState() const { return {}; }
 
   /// set-processing-state: replaces internal state from a checkpointed θ.
   virtual void SetProcessingState(const ProcessingState& state) {}
-
-  /// Scale-in merge hook (paper §3.3): folds another partition's state into
-  /// this operator. Key sets are disjoint, so the default delegates to
-  /// SetProcessingState-style insertion via a second call; stateful
-  /// operators with cross-key aggregates override this.
-  virtual void MergeProcessingState(const ProcessingState& state) {
-    SetProcessingState(state);
-  }
 
   // ------------------------------------------------- incremental state
 

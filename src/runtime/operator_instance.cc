@@ -317,11 +317,6 @@ void OperatorInstance::Restore(const core::StateCheckpoint& checkpoint,
   checkpoints_.OnRestore(checkpoint);
 }
 
-void OperatorInstance::MergeState(const core::ProcessingState& state) {
-  SEEP_CHECK(operator_ != nullptr);
-  operator_->MergeProcessingState(state);
-}
-
 void OperatorInstance::ResetEmpty(core::OriginId fresh_origin) {
   SEEP_ASSERT_RUN_ON(sync::DriverThread);
   origin_ = fresh_origin;

@@ -145,9 +145,6 @@ class OperatorInstance : private JobScheduler::Host {
     router_.SetSuppressUntil(std::move(positions));
   }
 
-  /// Merges another partition's processing state (quiesced scale-in).
-  void MergeState(const core::ProcessingState& state);
-
   /// Clears processing state, positions, buffers, the job queue and the
   /// output clock, and adopts a fresh origin. The source-replay baseline
   /// resets every operator this way and recomputes from the sources'

@@ -2,15 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/hash.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
+#include "workloads/state_entry.h"
 
 namespace seep::workloads::lrb {
 
 namespace {
+
 constexpr SimTime kMinute = 60 * kMicrosPerSecond;
+
+/// First entry of an ascending-by-minute vector at or after `minute`.
+template <typename Minutes>
+auto MinuteLowerBound(Minutes& minutes, int64_t minute) {
+  return std::lower_bound(
+      minutes.begin(), minutes.end(), minute,
+      [](const auto& stats, int64_t m) { return stats.minute < m; });
+}
+
 }  // namespace
 
 double LrbConfig::ScaledRatePerXway(double t_seconds) const {
@@ -131,6 +143,17 @@ void Forwarder::Process(const core::Tuple& input, core::Collector* out) {
 
 // ----------------------------------------------------------- toll calculator
 
+TollCalculator::SegmentState& TollCalculator::SegmentAt(int64_t loc) {
+  const auto [it, inserted] =
+      slot_of_.try_emplace(loc, static_cast<uint32_t>(segments_.size()));
+  if (inserted) {
+    SegmentState& seg = segments_.emplace_back();
+    seg.loc = loc;
+    seg.key = Mix64(static_cast<uint64_t>(loc));
+  }
+  return segments_[it->second];
+}
+
 void TollCalculator::Process(const core::Tuple& input, core::Collector* out) {
   if (input.ints[0] != kPositionReport) return;
   const int64_t vid = input.ints[1];
@@ -138,14 +161,20 @@ void TollCalculator::Process(const core::Tuple& input, core::Collector* out) {
   const int64_t speed = SpeedOf(input.ints[3]);
   const int64_t minute = input.event_time / kMinute;
 
-  SegmentState& seg = segments_[loc];
-  auto& [count, speed_sum] = seg.minutes[minute];
-  ++count;
-  speed_sum += speed;
+  SegmentState& seg = SegmentAt(loc);
+  auto stats = MinuteLowerBound(seg.minutes, minute);
+  if (stats == seg.minutes.end() || stats->minute != minute) {
+    stats = seg.minutes.insert(stats, MinuteStats{.minute = minute});
+  }
+  ++stats->count;
+  stats->speed_sum += speed;
 
+  std::vector<int64_t>& stopped = seg.stopped_vehicles;
+  const auto vehicle = std::lower_bound(stopped.begin(), stopped.end(), vid);
+  const bool listed = vehicle != stopped.end() && *vehicle == vid;
   if (IsStopped(input.ints[3])) {
-    seg.stopped_vehicles.insert(vid);
-    if (seg.stopped_vehicles.size() >= 2 && !seg.accident) {
+    if (!listed) stopped.insert(vehicle, vid);
+    if (stopped.size() >= 2 && !seg.accident) {
       seg.accident = true;
       core::Tuple alert;
       alert.key = input.key;
@@ -154,19 +183,19 @@ void TollCalculator::Process(const core::Tuple& input, core::Collector* out) {
       out->EmitTo(0, std::move(alert));
     }
   } else {
-    seg.stopped_vehicles.erase(vid);
-    if (seg.stopped_vehicles.empty()) seg.accident = false;
+    if (listed) stopped.erase(vehicle);
+    if (stopped.empty()) seg.accident = false;
   }
 
   if (IsEntering(input.ints[3])) {
     // LRB toll: previous minute's latest average velocity and count.
     int64_t toll = 0;
-    auto prev = seg.minutes.find(minute - 1);
-    if (prev != seg.minutes.end() && !seg.accident) {
-      const auto& [pcount, pspeed_sum] = prev->second;
-      const int64_t lav = pcount > 0 ? pspeed_sum / pcount : 0;
+    const auto prev = MinuteLowerBound(seg.minutes, minute - 1);
+    if (prev != seg.minutes.end() && prev->minute == minute - 1 &&
+        !seg.accident) {
+      const int64_t lav = prev->count > 0 ? prev->speed_sum / prev->count : 0;
       const auto true_count = static_cast<int64_t>(
-          static_cast<double>(pcount) * count_scale_);
+          static_cast<double>(prev->count) * count_scale_);
       if (lav < 40 && true_count > 50) {
         const int64_t over = true_count - 50;
         toll = 2 * over * over;
@@ -188,38 +217,56 @@ void TollCalculator::Process(const core::Tuple& input, core::Collector* out) {
   }
 
   // GC minutes that can no longer influence tolls.
-  while (!seg.minutes.empty() && seg.minutes.begin()->first < minute - 5) {
-    seg.minutes.erase(seg.minutes.begin());
-  }
+  seg.minutes.erase(seg.minutes.begin(),
+                    MinuteLowerBound(seg.minutes, minute - 5));
 }
 
 core::ProcessingState TollCalculator::GetProcessingState() const {
+  // Merge the segments first seen since the previous capture into the key
+  // order: O(new log new + segments), not a full re-sort.
+  const size_t known = key_order_.size();
+  if (known < segments_.size()) {
+    const auto by_key = [this](uint32_t a, uint32_t b) {
+      return segments_[a].key < segments_[b].key;
+    };
+    key_order_.resize(segments_.size());
+    const auto fresh = key_order_.begin() + known;
+    std::iota(fresh, key_order_.end(), static_cast<uint32_t>(known));
+    std::sort(fresh, key_order_.end(), by_key);
+    std::inplace_merge(key_order_.begin(), fresh, key_order_.end(), by_key);
+  }
   core::ProcessingState state;
-  for (const auto& [loc, seg] : segments_) {
-    serde::Encoder enc;
-    enc.AppendVarintSigned64(loc);
+  state.Reserve(segments_.size());
+  serde::Encoder enc;
+  for (uint32_t slot : key_order_) {
+    const SegmentState& seg = segments_[slot];
+    enc.Clear();
+    enc.AppendVarintSigned64(seg.loc);
     enc.AppendU8(seg.accident ? 1 : 0);
     enc.AppendVarint64(seg.minutes.size());
-    for (const auto& [minute, stats] : seg.minutes) {
-      enc.AppendVarintSigned64(minute);
-      enc.AppendVarintSigned64(stats.first);
-      enc.AppendVarintSigned64(stats.second);
+    for (const MinuteStats& stats : seg.minutes) {
+      enc.AppendVarintSigned64(stats.minute);
+      enc.AppendVarintSigned64(stats.count);
+      enc.AppendVarintSigned64(stats.speed_sum);
     }
     enc.AppendVarint64(seg.stopped_vehicles.size());
     for (int64_t vid : seg.stopped_vehicles) enc.AppendVarintSigned64(vid);
-    state.Add(Mix64(static_cast<uint64_t>(loc)),
-              std::string(enc.buffer().begin(), enc.buffer().end()));
+    state.Add(seg.key, StateEntryValue(enc));
   }
   return state;
 }
 
 void TollCalculator::SetProcessingState(const core::ProcessingState& state) {
   segments_.clear();
+  slot_of_.clear();
+  segments_.reserve(state.size());
+  slot_of_.reserve(state.size());
   for (const auto& [key, value] : state.entries()) {
     serde::Decoder dec(value);
     auto loc = dec.ReadVarintSigned64();
     SEEP_CHECK(loc.ok());
-    SegmentState& seg = segments_[loc.value()];
+    SegmentState& seg = SegmentAt(loc.value());
+    SEEP_DCHECK(seg.key == key && seg.minutes.empty());
     auto accident = dec.ReadU8();
     SEEP_CHECK(accident.ok());
     seg.accident = accident.value() != 0;
@@ -230,16 +277,19 @@ void TollCalculator::SetProcessingState(const core::ProcessingState& state) {
       auto count = dec.ReadVarintSigned64();
       auto speed_sum = dec.ReadVarintSigned64();
       SEEP_CHECK(minute.ok() && count.ok() && speed_sum.ok());
-      seg.minutes[minute.value()] = {count.value(), speed_sum.value()};
+      seg.minutes.push_back({minute.value(), count.value(), speed_sum.value()});
     }
     auto n_stopped = dec.ReadVarint64();
     SEEP_CHECK(n_stopped.ok());
     for (uint64_t i = 0; i < n_stopped.value(); ++i) {
       auto vid = dec.ReadVarintSigned64();
       SEEP_CHECK(vid.ok());
-      seg.stopped_vehicles.insert(vid.value());
+      seg.stopped_vehicles.push_back(vid.value());
     }
   }
+  // Entries arrive ascending by key, and so the segments were appended.
+  key_order_.resize(segments_.size());
+  std::iota(key_order_.begin(), key_order_.end(), 0u);
 }
 
 // ----------------------------------------------------------- toll assessment
@@ -260,17 +310,21 @@ void TollAssessment::Process(const core::Tuple& input, core::Collector* out) {
   }
 }
 
-std::string TollAssessment::EncodeBalance(int64_t vid, int64_t balance) {
-  serde::Encoder enc;
-  enc.AppendVarintSigned64(vid);
-  enc.AppendVarintSigned64(balance);
-  return std::string(enc.buffer().begin(), enc.buffer().end());
+std::string TollAssessment::EncodeBalance(int64_t vid, int64_t balance,
+                                          serde::Encoder* enc) {
+  enc->Clear();
+  enc->AppendVarintSigned64(vid);
+  enc->AppendVarintSigned64(balance);
+  return StateEntryValue(*enc);
 }
 
 core::ProcessingState TollAssessment::GetProcessingState() const {
   core::ProcessingState state;
+  state.Reserve(balances_.size());
+  serde::Encoder enc;
   for (const auto& [vid, balance] : balances_) {
-    state.Add(Mix64(static_cast<uint64_t>(vid)), EncodeBalance(vid, balance));
+    state.Add(Mix64(static_cast<uint64_t>(vid)),
+              EncodeBalance(vid, balance, &enc));
   }
   return state;
 }
@@ -289,11 +343,13 @@ void TollAssessment::SetProcessingState(const core::ProcessingState& state) {
 
 core::StateDelta TollAssessment::TakeProcessingStateDelta() {
   core::StateDelta delta;
+  delta.updated.Reserve(dirty_vehicles_.size());
+  serde::Encoder enc;
   for (int64_t vid : dirty_vehicles_) {
     auto it = balances_.find(vid);
     if (it != balances_.end()) {
       delta.updated.Add(Mix64(static_cast<uint64_t>(vid)),
-                        EncodeBalance(vid, it->second));
+                        EncodeBalance(vid, it->second, &enc));
     }
   }
   dirty_vehicles_.clear();
@@ -322,13 +378,14 @@ void BalanceAccount::Process(const core::Tuple& input, core::Collector* out) {
 
 core::ProcessingState BalanceAccount::GetProcessingState() const {
   core::ProcessingState state;
+  state.Reserve(latest_.size());
+  serde::Encoder enc;
   for (const auto& [vid, entry] : latest_) {
-    serde::Encoder enc;
+    enc.Clear();
     enc.AppendVarintSigned64(vid);
     enc.AppendVarintSigned64(entry.first);
     enc.AppendVarintSigned64(entry.second);
-    state.Add(Mix64(static_cast<uint64_t>(vid)),
-              std::string(enc.buffer().begin(), enc.buffer().end()));
+    state.Add(Mix64(static_cast<uint64_t>(vid)), StateEntryValue(enc));
   }
   return state;
 }

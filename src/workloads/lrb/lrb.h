@@ -4,10 +4,15 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/operator.h"
 #include "core/query_graph.h"
+#include "serde/encoder.h"
 
 namespace seep::workloads::lrb {
 
@@ -140,16 +145,33 @@ class TollCalculator : public core::Operator {
   double CostMicrosPerTuple() const override { return cost_us_; }
 
  private:
-  struct SegmentState {
-    // minute -> (report count, speed sum).
-    std::map<int64_t, std::pair<int64_t, int64_t>> minutes;
-    std::set<int64_t> stopped_vehicles;
-    bool accident = false;
+  struct MinuteStats {
+    int64_t minute = 0;
+    int64_t count = 0;  // position reports
+    int64_t speed_sum = 0;
   };
+  struct SegmentState {
+    int64_t loc = 0;  // packed location
+    KeyHash key = 0;  // Mix64(loc): the segment's state entry key
+    bool accident = false;
+    // Ascending by minute; garbage collection keeps about six live.
+    std::vector<MinuteStats> minutes;
+    std::vector<int64_t> stopped_vehicles;  // ascending vehicle ids
+  };
+
+  /// The segment at `loc`, created empty on first sight.
+  SegmentState& SegmentAt(int64_t loc);
 
   double cost_us_;
   double count_scale_;
-  std::map<int64_t, SegmentState> segments_;  // packed location -> state
+  // Segments are never dropped, so they live in one dense vector in the
+  // order they were first seen, found by location through the index.
+  std::vector<SegmentState> segments_;
+  std::unordered_map<int64_t, uint32_t> slot_of_;  // loc -> segments_ index
+  // segments_ indices ascending by key, so the capture adds entries in
+  // ProcessingState order and nothing sorts them. Segments are only ever
+  // appended, so the capture merges in the slots past key_order_.size().
+  mutable std::vector<uint32_t> key_order_;
 };
 
 /// Stateful per-vehicle account: accumulates toll charges (complete-history
@@ -169,7 +191,9 @@ class TollAssessment : public core::Operator {
   double CostMicrosPerTuple() const override { return cost_us_; }
 
  private:
-  static std::string EncodeBalance(int64_t vid, int64_t balance);
+  /// One vehicle's state entry, encoded in the caller's scratch encoder.
+  static std::string EncodeBalance(int64_t vid, int64_t balance,
+                                   serde::Encoder* enc);
 
   double cost_us_;
   std::map<int64_t, int64_t> balances_;  // vehicle -> accumulated tolls

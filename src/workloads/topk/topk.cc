@@ -5,6 +5,7 @@
 #include "common/hash.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
+#include "workloads/state_entry.h"
 
 namespace seep::workloads::topk {
 
@@ -14,7 +15,8 @@ PageViewSource::PageViewSource(const TopKConfig& config, uint32_t index,
                                uint32_t count)
     : config_(config),
       count_(count),
-      rng_(HashCombine(config.seed, index)) {}
+      rng_(HashCombine(config.seed, index)),
+      language_rank_(config.num_languages, config.zipf_skew) {}
 
 double PageViewSource::TargetRate(SimTime now) const {
   return config_.total_rate_tuples_per_sec / static_cast<double>(count_);
@@ -26,8 +28,7 @@ void PageViewSource::GenerateBatch(SimTime now, SimTime dt,
   const auto n = static_cast<size_t>(want);
   carry_ = want - static_cast<double>(n);
   for (size_t i = 0; i < n; ++i) {
-    const auto lang = static_cast<int64_t>(
-        rng_.NextZipf(config_.num_languages, config_.zipf_skew));
+    const auto lang = static_cast<int64_t>(language_rank_.Sample(&rng_));
     core::Tuple t;
     t.event_time = now;
     t.key = Mix64(static_cast<uint64_t>(lang));
@@ -94,34 +95,42 @@ void TopKReducer::OnTimer(SimTime now, core::Collector* out) {
   });
 }
 
-std::string TopKReducer::EncodeLanguageEntry(int64_t lang) const {
-  const auto& windows = counts_.at(lang);
-  serde::Encoder enc;
-  enc.AppendVarintSigned64(lang);
-  enc.AppendVarint64(windows.size());
+std::string TopKReducer::EncodeLanguageEntry(int64_t lang,
+                                             const Windows& windows,
+                                             serde::Encoder* enc) {
+  enc->Clear();
+  enc->AppendVarintSigned64(lang);
+  enc->AppendVarint64(windows.size());
   for (const auto& [win, cell] : windows) {
-    enc.AppendVarintSigned64(win);
-    enc.AppendVarintSigned64(cell.count);
+    enc->AppendVarintSigned64(win);
+    enc->AppendVarintSigned64(cell.count);
   }
-  return std::string(enc.buffer().begin(), enc.buffer().end());
+  return StateEntryValue(*enc);
 }
 
 core::ProcessingState TopKReducer::GetProcessingState() const {
   core::ProcessingState state;
+  state.Reserve(counts_.size());
+  serde::Encoder enc;
   for (const auto& [lang, windows] : counts_) {
-    state.Add(Mix64(static_cast<uint64_t>(lang)), EncodeLanguageEntry(lang));
+    state.Add(Mix64(static_cast<uint64_t>(lang)),
+              EncodeLanguageEntry(lang, windows, &enc));
   }
   return state;
 }
 
 core::StateDelta TopKReducer::TakeProcessingStateDelta() {
   core::StateDelta delta;
+  delta.updated.Reserve(dirty_languages_.size());
+  serde::Encoder enc;
   for (int64_t lang : dirty_languages_) {
-    if (counts_.contains(lang)) {
+    auto it = counts_.find(lang);
+    if (it != counts_.end()) {
       delta.updated.Add(Mix64(static_cast<uint64_t>(lang)),
-                        EncodeLanguageEntry(lang));
+                        EncodeLanguageEntry(lang, it->second, &enc));
     }
   }
+  delta.deleted.reserve(removed_languages_.size());
   for (int64_t lang : removed_languages_) {
     delta.deleted.push_back(Mix64(static_cast<uint64_t>(lang)));
   }

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "core/operator.h"
 #include "core/query_graph.h"
+#include "serde/encoder.h"
 
 namespace seep::workloads::topk {
 
@@ -49,6 +50,7 @@ class PageViewSource : public core::SourceGenerator {
   TopKConfig config_;
   uint32_t count_;
   Rng rng_;
+  ZipfDistribution language_rank_;  // over config_.num_languages
   double carry_ = 0;
 };
 
@@ -75,7 +77,6 @@ class TopKReducer : public core::Operator {
   bool IsStateful() const override { return true; }
   core::ProcessingState GetProcessingState() const override;
   void SetProcessingState(const core::ProcessingState& state) override;
-  void MergeProcessingState(const core::ProcessingState& state) override;
   bool SupportsIncrementalState() const override { return true; }
   core::StateDelta TakeProcessingStateDelta() override;
   void ClearStateDelta() override;
@@ -83,18 +84,26 @@ class TopKReducer : public core::Operator {
   SimTime TimerInterval() const override { return config_.window; }
   void OnTimer(SimTime now, core::Collector* out) override;
 
- private:
-  std::string EncodeLanguageEntry(int64_t lang) const;
+  /// Adds the counts of another partition's state to this one, language by
+  /// language and window by window (scale-in merge, paper §3.3).
+  void MergeProcessingState(const core::ProcessingState& state);
 
-  TopKConfig config_;
-  std::set<int64_t> dirty_languages_;
-  std::set<int64_t> removed_languages_;
+ private:
   struct Cell {
     int64_t count = 0;
     int64_t emitted = 0;  // count at the last partial emission
   };
-  // language id -> window id -> cell.
-  std::map<int64_t, std::map<int64_t, Cell>> counts_;
+  using Windows = std::map<int64_t, Cell>;  // window id -> cell
+
+  /// One externalised state entry (all windows of one language), encoded in
+  /// the caller's scratch encoder.
+  static std::string EncodeLanguageEntry(int64_t lang, const Windows& windows,
+                                         serde::Encoder* enc);
+
+  TopKConfig config_;
+  std::set<int64_t> dirty_languages_;
+  std::set<int64_t> removed_languages_;
+  std::map<int64_t, Windows> counts_;  // language id -> windows
 };
 
 /// Merges partial counts and materialises the per-window top-k ranking.

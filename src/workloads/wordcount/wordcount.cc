@@ -5,6 +5,7 @@
 #include "common/hash.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
+#include "workloads/state_entry.h"
 
 namespace seep::workloads::wordcount {
 
@@ -14,7 +15,8 @@ SentenceSource::SentenceSource(const WordCountConfig& config, uint32_t index,
                                uint32_t count)
     : config_(config),
       count_(count),
-      rng_(HashCombine(config.seed, index)) {}
+      rng_(HashCombine(config.seed, index)),
+      word_rank_(config.vocabulary, config.zipf_skew) {}
 
 double SentenceSource::TargetRate(SimTime now) const {
   const double total = config_.rate_fn
@@ -36,7 +38,7 @@ void SentenceSource::GenerateBatch(SimTime now, SimTime dt,
     sentence.reserve(config_.words_per_sentence * 8);
     for (size_t w = 0; w < config_.words_per_sentence; ++w) {
       if (w > 0) sentence += ' ';
-      sentence += WordAt(rng_.NextZipf(config_.vocabulary, config_.zipf_skew));
+      sentence += WordAt(word_rank_.Sample(&rng_));
     }
     t.text = std::move(sentence);
     emit->Emit(std::move(t));
@@ -121,33 +123,41 @@ void WordCounter::OnTimer(SimTime now, core::Collector* out) {
   });
 }
 
-std::string WordCounter::EncodeWordEntry(const std::string& word) const {
-  const auto& windows = counts_.at(word);
-  serde::Encoder enc;
-  enc.AppendString(word);
-  enc.AppendVarint64(windows.size());
+std::string WordCounter::EncodeWordEntry(const std::string& word,
+                                         const Windows& windows,
+                                         serde::Encoder* enc) {
+  enc->Clear();
+  enc->AppendString(word);
+  enc->AppendVarint64(windows.size());
   for (const auto& [win, cell] : windows) {
-    enc.AppendVarintSigned64(win);
-    enc.AppendVarintSigned64(cell.count);
+    enc->AppendVarintSigned64(win);
+    enc->AppendVarintSigned64(cell.count);
   }
-  return std::string(enc.buffer().begin(), enc.buffer().end());
+  return StateEntryValue(*enc);
 }
 
 core::ProcessingState WordCounter::GetProcessingState() const {
   core::ProcessingState state;
+  state.Reserve(counts_.size());
+  serde::Encoder enc;
   for (const auto& [word, windows] : counts_) {
-    state.Add(HashBytes(word), EncodeWordEntry(word));
+    state.Add(HashBytes(word), EncodeWordEntry(word, windows, &enc));
   }
   return state;
 }
 
 core::StateDelta WordCounter::TakeProcessingStateDelta() {
   core::StateDelta delta;
+  delta.updated.Reserve(dirty_words_.size());
+  serde::Encoder enc;
   for (const std::string& word : dirty_words_) {
-    if (counts_.contains(word)) {
-      delta.updated.Add(HashBytes(word), EncodeWordEntry(word));
+    auto it = counts_.find(word);
+    if (it != counts_.end()) {
+      delta.updated.Add(HashBytes(word),
+                        EncodeWordEntry(word, it->second, &enc));
     }
   }
+  delta.deleted.reserve(removed_words_.size());
   for (const std::string& word : removed_words_) {
     delta.deleted.push_back(HashBytes(word));
   }

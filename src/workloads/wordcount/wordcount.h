@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "core/operator.h"
 #include "core/query_graph.h"
+#include "serde/encoder.h"
 
 namespace seep::workloads::wordcount {
 
@@ -65,7 +66,8 @@ class SentenceSource : public core::SourceGenerator {
   WordCountConfig config_;
   uint32_t count_;
   Rng rng_;
-  double carry_ = 0;  // fractional tuples carried between ticks
+  ZipfDistribution word_rank_;  // over config_.vocabulary
+  double carry_ = 0;            // fractional tuples carried between ticks
 };
 
 /// Stateless tokeniser: one input sentence → one output tuple per word,
@@ -94,7 +96,6 @@ class WordCounter : public core::Operator {
   bool IsStateful() const override { return true; }
   core::ProcessingState GetProcessingState() const override;
   void SetProcessingState(const core::ProcessingState& state) override;
-  void MergeProcessingState(const core::ProcessingState& state) override;
   bool SupportsIncrementalState() const override { return true; }
   core::StateDelta TakeProcessingStateDelta() override;
   void ClearStateDelta() override;
@@ -102,12 +103,26 @@ class WordCounter : public core::Operator {
   SimTime TimerInterval() const override { return config_.window; }
   void OnTimer(SimTime now, core::Collector* out) override;
 
+  /// Adds the counts of another partition's state to this one, word by
+  /// word and window by window (scale-in merge, paper §3.3); merged words
+  /// count as dirty for the next delta.
+  void MergeProcessingState(const core::ProcessingState& state);
+
   /// Number of (word, window) count cells currently held.
   size_t StateCells() const;
 
  private:
-  /// One externalised state entry (all windows of one word).
-  std::string EncodeWordEntry(const std::string& word) const;
+  struct Cell {
+    int64_t count = 0;
+    int64_t emitted = 0;  // count at the last final emission (dirty flag)
+  };
+  using Windows = std::map<int64_t, Cell>;  // window id -> cell
+
+  /// One externalised state entry (all windows of one word), encoded in the
+  /// caller's scratch encoder.
+  static std::string EncodeWordEntry(const std::string& word,
+                                     const Windows& windows,
+                                     serde::Encoder* enc);
 
   WordCountConfig config_;
   uint64_t inputs_since_probe_ = 0;
@@ -115,12 +130,7 @@ class WordCounter : public core::Operator {
   // since the last delta or full checkpoint.
   std::set<std::string> dirty_words_;
   std::set<std::string> removed_words_;
-  struct Cell {
-    int64_t count = 0;
-    int64_t emitted = 0;  // count at the last final emission (dirty flag)
-  };
-  // word -> window id -> cell.
-  std::map<std::string, std::map<int64_t, Cell>> counts_;
+  std::map<std::string, Windows> counts_;  // word -> windows
 };
 
 /// Collects final word frequencies. Upserts by (window, word) taking the

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/macros.h"
@@ -126,9 +128,10 @@ TEST(RngTest, ExponentialHasRequestedMean) {
 TEST(RngTest, ZipfInRangeAndSkewed) {
   Rng rng(13);
   const uint64_t n = 100;
+  const ZipfDistribution zipf(n, 1.0);
   std::vector<int> counts(n, 0);
   for (int i = 0; i < 100000; ++i) {
-    const uint64_t v = rng.NextZipf(n, 1.0);
+    const uint64_t v = zipf.Sample(&rng);
     ASSERT_LT(v, n);
     ++counts[v];
   }
@@ -139,7 +142,61 @@ TEST(RngTest, ZipfInRangeAndSkewed) {
 
 TEST(RngTest, ZipfSingleElement) {
   Rng rng(1);
-  EXPECT_EQ(rng.NextZipf(1, 1.0), 0u);
+  EXPECT_EQ(ZipfDistribution(1, 1.0).Sample(&rng), 0u);
+}
+
+// The sampler as it was written before its (n, s) constants were cached:
+// every draw recomputes them. ZipfDistribution must reproduce its draws bit
+// for bit, or every word-count and top-k input (and every figure built on
+// them) would change.
+uint64_t ReferenceZipf(Rng* rng, uint64_t n, double s) {
+  if (n == 1) return 0;
+  const double e = 1.0 - s;
+  auto h_integral = [&](double x) {
+    if (std::abs(e) < 1e-12) return std::log(x);
+    return (std::pow(x, e) - 1.0) / e;
+  };
+  auto h_integral_inverse = [&](double y) {
+    if (std::abs(e) < 1e-12) return std::exp(y);
+    return std::pow(1.0 + e * y, 1.0 / e);
+  };
+  auto h = [&](double x) { return std::pow(x, -s); };
+  const double h_x1 = h_integral(1.5) - h(1.0);
+  const double h_n = h_integral(static_cast<double>(n) + 0.5);
+  const double h_half = h_integral(0.5);
+  while (true) {
+    const double u = h_half + rng->NextDouble() * (h_n - h_half);
+    const double x = h_integral_inverse(u);
+    double k = std::floor(x + 0.5);
+    if (k < 1.0) k = 1.0;
+    if (k > static_cast<double>(n)) k = static_cast<double>(n);
+    if (k - x <= h_x1 || u >= h_integral(k + 0.5) - h(k)) {
+      return static_cast<uint64_t>(k) - 1;
+    }
+  }
+}
+
+TEST(RngTest, ZipfMatchesPerCallFormulaBitForBit) {
+  // s = 1 takes the log/exp branch, the others the pow branch; n = 1 must
+  // return 0 without consuming randomness, so the streams stay aligned.
+  const std::pair<uint64_t, double> cases[] = {
+      {300, 1.0},   // the top-k source
+      {1000, 0.9},  // the word-count source
+      {100000, 0.9},
+      {50, 1.5},
+      {7, 0.2},
+      {1, 0.9},
+      {1, 1.0},
+  };
+  for (const auto& [n, s] : cases) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " s=" + std::to_string(s));
+    const ZipfDistribution zipf(n, s);
+    Rng fast(77), reference(77);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(zipf.Sample(&fast), ReferenceZipf(&reference, n, s));
+    }
+    EXPECT_EQ(fast.Next(), reference.Next());
+  }
 }
 
 TEST(RngTest, ForkProducesIndependentStream) {

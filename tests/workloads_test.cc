@@ -4,7 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/hash.h"
+#include "serde/encoder.h"
 #include "workloads/lrb/lrb.h"
 #include "workloads/topk/topk.h"
 #include "workloads/wordcount/wordcount.h"
@@ -20,6 +28,19 @@ class TestCollector : public core::Collector {
   }
   std::vector<std::pair<int, core::Tuple>> emissions;
 };
+
+// The wire bytes of a processing state: what a checkpoint carries.
+std::vector<uint8_t> Bytes(const core::ProcessingState& state) {
+  serde::Encoder enc;
+  state.Encode(&enc);
+  return std::move(enc).TakeBuffer();
+}
+
+// Reference state entry: one fresh encoder per entry, copied into a string,
+// as every operator captured before the scratch-encoder rework.
+std::string RefValue(const serde::Encoder& enc) {
+  return std::string(enc.buffer().begin(), enc.buffer().end());
+}
 
 // ------------------------------------------------------------------ LRB
 
@@ -137,6 +158,130 @@ TEST(LrbOperatorsTest, TollCalculatorStateRoundtrip) {
   EXPECT_EQ(restored.GetProcessingState().size(), 5u);
 }
 
+// The toll calculator's state kept the way it was before the flat layout:
+// ordered maps per segment, and the capture that walked them. The operator's
+// capture must equal this reference byte for byte.
+class ReferenceTollState {
+ public:
+  void Apply(const core::Tuple& t) {
+    if (t.ints[0] != lrb::kPositionReport) return;
+    const int64_t vid = t.ints[1];
+    const int64_t minute = t.event_time / SecondsToSim(60);
+    Segment& seg = segments_[t.ints[2]];
+    auto& [count, speed_sum] = seg.minutes[minute];
+    ++count;
+    speed_sum += lrb::SpeedOf(t.ints[3]);
+    if (lrb::IsStopped(t.ints[3])) {
+      seg.stopped.insert(vid);
+      if (seg.stopped.size() >= 2) seg.accident = true;
+    } else {
+      seg.stopped.erase(vid);
+      if (seg.stopped.empty()) seg.accident = false;
+    }
+    while (!seg.minutes.empty() && seg.minutes.begin()->first < minute - 5) {
+      seg.minutes.erase(seg.minutes.begin());
+    }
+  }
+
+  core::ProcessingState Capture() const {
+    core::ProcessingState state;
+    for (const auto& [loc, seg] : segments_) {
+      serde::Encoder enc;
+      enc.AppendVarintSigned64(loc);
+      enc.AppendU8(seg.accident ? 1 : 0);
+      enc.AppendVarint64(seg.minutes.size());
+      for (const auto& [minute, stats] : seg.minutes) {
+        enc.AppendVarintSigned64(minute);
+        enc.AppendVarintSigned64(stats.first);
+        enc.AppendVarintSigned64(stats.second);
+      }
+      enc.AppendVarint64(seg.stopped.size());
+      for (int64_t vid : seg.stopped) enc.AppendVarintSigned64(vid);
+      state.Add(Mix64(static_cast<uint64_t>(loc)), RefValue(enc));
+    }
+    return state;
+  }
+
+ private:
+  struct Segment {
+    std::map<int64_t, std::pair<int64_t, int64_t>> minutes;
+    std::set<int64_t> stopped;
+    bool accident = false;
+  };
+  std::map<int64_t, Segment> segments_;
+};
+
+TEST(LrbOperatorsTest, TollCalculatorCaptureMatchesReferenceBytes) {
+  lrb::TollCalculator calc(1);
+  ReferenceTollState ref;
+  TestCollector out;
+  auto feed = [&](int64_t vid, int64_t xway, int64_t seg, int64_t speed,
+                  double at_s, bool stopped = false) {
+    const core::Tuple t = PositionReport(vid, xway, seg, speed,
+                                         SecondsToSim(at_s), true, stopped);
+    calc.Process(t, &out);
+    ref.Apply(t);
+  };
+  auto expect_same = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(Bytes(calc.GetProcessingState()), Bytes(ref.Capture()));
+  };
+
+  // Several segments; (0, 1) sees nine minutes of traffic, so the first
+  // three are garbage collected.
+  for (int minute = 0; minute < 9; ++minute) {
+    for (int64_t vid = 0; vid < 4; ++vid) {
+      feed(vid, 0, 1, 30 + minute, minute * 60.0 + 5 + vid);
+    }
+    if (minute % 3 == 0) {
+      feed(10 + minute, 1, 7, 55, minute * 60.0 + 10);
+      feed(20 + minute, 2, 50, 70, minute * 60.0 + 20);
+      feed(30 + minute, 0, 2, 45, minute * 60.0 + 30);
+    }
+  }
+  expect_same("after nine minutes");
+
+  // A late tuple from minute 1, older than the GC horizon (minute 3): it
+  // lands in front of the live minutes until the next fresh tuple.
+  feed(99, 0, 1, 20, 70);
+  expect_same("after the late tuple");
+  feed(98, 0, 1, 20, 8 * 60.0 + 40);
+  expect_same("after the late minute is collected");
+
+  // One vehicle stops, reports stopped again, then moves on.
+  feed(500, 1, 7, 0, 8 * 60.0 + 41, /*stopped=*/true);
+  feed(500, 1, 7, 0, 8 * 60.0 + 42, /*stopped=*/true);
+  expect_same("while vehicle 500 is stopped");
+  feed(500, 1, 7, 40, 8 * 60.0 + 43);
+  expect_same("after vehicle 500 moved");
+
+  // Two vehicles stop in (2, 50), the higher id first: an accident. It
+  // clears only once both have moved.
+  feed(601, 2, 50, 0, 8 * 60.0 + 44, /*stopped=*/true);
+  feed(600, 2, 50, 0, 8 * 60.0 + 45, /*stopped=*/true);
+  expect_same("during the accident");
+  feed(601, 2, 50, 35, 8 * 60.0 + 46);
+  expect_same("with one vehicle still stopped");
+  feed(600, 2, 50, 35, 8 * 60.0 + 47);
+  expect_same("after the accident cleared");
+
+  // Restore reproduces the capture, and both copies keep matching the
+  // reference as new segments appear after the restore.
+  const core::ProcessingState state = calc.GetProcessingState();
+  lrb::TollCalculator restored(1);
+  restored.SetProcessingState(state);
+  EXPECT_EQ(Bytes(restored.GetProcessingState()), Bytes(state));
+  for (int64_t vid = 700; vid < 706; ++vid) {
+    const core::Tuple t =
+        PositionReport(vid, vid % 4, 90 + vid % 3, 25, SecondsToSim(600));
+    calc.Process(t, &out);
+    restored.Process(t, &out);
+    ref.Apply(t);
+  }
+  expect_same("after new segments");
+  EXPECT_EQ(Bytes(restored.GetProcessingState()), Bytes(ref.Capture()));
+}
+
 TEST(LrbOperatorsTest, AssessmentAccumulatesAndAnswersQueries) {
   lrb::TollAssessment assessment(1);
   TestCollector out;
@@ -160,6 +305,87 @@ TEST(LrbOperatorsTest, AssessmentAccumulatesAndAnswersQueries) {
   restored.Process(query, &out);
   ASSERT_EQ(out.emissions.size(), 1u);
   EXPECT_EQ(out.emissions[0].second.ints[2], 100);
+}
+
+TEST(LrbOperatorsTest, AssessmentAndAccountCaptureMatchReferenceBytes) {
+  lrb::TollAssessment assessment(1);
+  lrb::BalanceAccount account(1);
+  TestCollector out;
+  // The reference: balances and latest answers by vehicle, and the
+  // vehicles charged since the last delta.
+  std::map<int64_t, int64_t> balances;
+  std::map<int64_t, std::pair<int64_t, int64_t>> latest;
+  std::set<int64_t> charged;
+  auto charge = [&](int64_t vid, int64_t toll) {
+    core::Tuple t;
+    t.ints = {lrb::kTollCharge, vid, toll, 0};
+    assessment.Process(t, &out);
+    balances[vid] += toll;
+    charged.insert(vid);
+  };
+  auto answer = [&](int64_t vid, int64_t qid, int64_t balance) {
+    core::Tuple t;
+    t.ints = {lrb::kBalanceAnswer, vid, balance, qid};
+    account.Process(t, &out);
+    auto& [q, b] = latest[vid];
+    if (qid >= q) {
+      q = qid;
+      b = balance;
+    }
+  };
+  auto ref_balances = [&](bool only_charged) {
+    core::ProcessingState state;
+    for (const auto& [vid, balance] : balances) {
+      if (only_charged && !charged.contains(vid)) continue;
+      serde::Encoder enc;
+      enc.AppendVarintSigned64(vid);
+      enc.AppendVarintSigned64(balance);
+      state.Add(Mix64(static_cast<uint64_t>(vid)), RefValue(enc));
+    }
+    return state;
+  };
+  auto ref_latest = [&] {
+    core::ProcessingState state;
+    for (const auto& [vid, entry] : latest) {
+      serde::Encoder enc;
+      enc.AppendVarintSigned64(vid);
+      enc.AppendVarintSigned64(entry.first);
+      enc.AppendVarintSigned64(entry.second);
+      state.Add(Mix64(static_cast<uint64_t>(vid)), RefValue(enc));
+    }
+    return state;
+  };
+
+  for (int64_t vid = 0; vid < 40; ++vid) charge(vid * 7 - 50, 2 * vid + 1);
+  charge(-50, 1000);
+  for (int64_t vid = 0; vid < 30; ++vid) answer(vid, 100 - vid, vid * 3);
+  answer(4, 10, 999);  // an older query's answer does not overwrite
+  answer(5, 200, 7);   // a newer one does
+  EXPECT_EQ(Bytes(assessment.GetProcessingState()),
+            Bytes(ref_balances(false)));
+  EXPECT_EQ(Bytes(account.GetProcessingState()), Bytes(ref_latest()));
+
+  // Deltas carry exactly the vehicles charged since the previous one.
+  core::StateDelta first = assessment.TakeProcessingStateDelta();
+  EXPECT_EQ(Bytes(first.updated), Bytes(ref_balances(true)));
+  EXPECT_TRUE(first.deleted.empty());
+  charged.clear();
+  charge(13, 5);
+  charge(-50, 5);
+  charge(13, 6);
+  core::StateDelta second = assessment.TakeProcessingStateDelta();
+  EXPECT_EQ(second.updated.size(), 2u);
+  EXPECT_EQ(Bytes(second.updated), Bytes(ref_balances(true)));
+  EXPECT_TRUE(second.deleted.empty());
+
+  lrb::TollAssessment restored_assessment(1);
+  restored_assessment.SetProcessingState(assessment.GetProcessingState());
+  EXPECT_EQ(Bytes(restored_assessment.GetProcessingState()),
+            Bytes(ref_balances(false)));
+  EXPECT_TRUE(restored_assessment.TakeProcessingStateDelta().updated.empty());
+  lrb::BalanceAccount restored_account(1);
+  restored_account.SetProcessingState(account.GetProcessingState());
+  EXPECT_EQ(Bytes(restored_account.GetProcessingState()), Bytes(ref_latest()));
 }
 
 TEST(LrbSourceTest, RateFollowsConfiguredRamp) {
@@ -259,6 +485,96 @@ TEST(WordCountOperatorsTest, CounterStateMergeIsAdditive) {
   EXPECT_EQ(out.emissions.back().second.ints[1], 3);
 }
 
+TEST(WordCountOperatorsTest, CounterCaptureAndDeltaMatchReferenceBytes) {
+  wc::WordCountConfig cfg;
+  cfg.window = SecondsToSim(30);
+  cfg.retained_windows = 2;
+  cfg.probe_every_n = 0;
+  wc::WordCounter counter(cfg);
+  TestCollector out;
+  // The reference: counts by word and window, and the words changed or
+  // removed since the last delta.
+  std::map<std::string, std::map<int64_t, int64_t>> ref;
+  std::set<std::string> dirty, removed;
+  auto feed = [&](const std::string& word, double at_s) {
+    core::Tuple t;
+    t.text = word;
+    t.key = HashBytes(word);
+    t.event_time = SecondsToSim(at_s);
+    counter.Process(t, &out);
+    ++ref[word][t.event_time / cfg.window];
+    dirty.insert(word);
+  };
+  auto timer = [&](double at_s) {
+    counter.OnTimer(SecondsToSim(at_s), &out);
+    const int64_t horizon =
+        SecondsToSim(at_s) / cfg.window - cfg.retained_windows;
+    for (auto word = ref.begin(); word != ref.end();) {
+      auto& windows = word->second;
+      while (!windows.empty() && windows.begin()->first < horizon) {
+        windows.erase(windows.begin());
+        dirty.insert(word->first);
+      }
+      if (!windows.empty()) {
+        ++word;
+        continue;
+      }
+      removed.insert(word->first);
+      dirty.erase(word->first);
+      word = ref.erase(word);
+    }
+  };
+  auto ref_state = [&](bool only_dirty) {
+    core::ProcessingState state;
+    for (const auto& [word, windows] : ref) {
+      if (only_dirty && !dirty.contains(word)) continue;
+      serde::Encoder enc;
+      enc.AppendString(word);
+      enc.AppendVarint64(windows.size());
+      for (const auto& [win, count] : windows) {
+        enc.AppendVarintSigned64(win);
+        enc.AppendVarintSigned64(count);
+      }
+      state.Add(HashBytes(word), RefValue(enc));
+    }
+    return state;
+  };
+  auto expect_delta = [&](const char* when) {
+    SCOPED_TRACE(when);
+    const core::StateDelta delta = counter.TakeProcessingStateDelta();
+    EXPECT_EQ(Bytes(delta.updated), Bytes(ref_state(true)));
+    std::vector<KeyHash> deleted;
+    for (const std::string& word : removed) deleted.push_back(HashBytes(word));
+    EXPECT_EQ(delta.deleted, deleted);
+    dirty.clear();
+    removed.clear();
+  };
+
+  const std::string words[] = {"the", "cat", "sat", "on", "a", "mat", "zebra"};
+  for (int i = 0; i < 60; ++i) {
+    feed(words[(i * i) % std::size(words)], i * 2.0);  // windows 0..3
+  }
+  EXPECT_EQ(Bytes(counter.GetProcessingState()), Bytes(ref_state(false)));
+  expect_delta("first delta");
+
+  feed("cat", 121);
+  feed("late", 10);  // re-opens closed window 0 for a new word
+  expect_delta("two words touched");
+
+  // At 150 s windows below 3 expire: words seen only there are deleted.
+  timer(150);
+  EXPECT_EQ(Bytes(counter.GetProcessingState()), Bytes(ref_state(false)));
+  expect_delta("after expiry");
+
+  const core::ProcessingState state = counter.GetProcessingState();
+  wc::WordCounter restored(cfg);
+  restored.SetProcessingState(state);
+  EXPECT_EQ(Bytes(restored.GetProcessingState()), Bytes(state));
+  const core::StateDelta none = restored.TakeProcessingStateDelta();
+  EXPECT_TRUE(none.updated.empty());
+  EXPECT_TRUE(none.deleted.empty());
+}
+
 TEST(WordCountOperatorsTest, ProbeEmittedEveryN) {
   wc::WordCountConfig cfg;
   cfg.probe_every_n = 5;
@@ -351,6 +667,82 @@ TEST(TopKOperatorsTest, ReducerStateRoundtrip) {
   b.OnTimer(SecondsToSim(60), &out);
   ASSERT_FALSE(out.emissions.empty());
   EXPECT_EQ(out.emissions.back().second.ints[2], 5);
+}
+
+TEST(TopKOperatorsTest, ReducerCaptureAndDeltaMatchReferenceBytes) {
+  topk::TopKConfig cfg;
+  cfg.window = SecondsToSim(30);
+  topk::TopKReducer reducer(cfg);
+  TestCollector out;
+  // The reference: counts by language and window, and the languages
+  // changed or removed since the last delta.
+  std::map<int64_t, std::map<int64_t, int64_t>> ref;
+  std::set<int64_t> dirty, removed;
+  auto feed = [&](int64_t lang, double at_s) {
+    core::Tuple t;
+    t.ints = {lang, 0, 0, 0};
+    t.event_time = SecondsToSim(at_s);
+    reducer.Process(t, &out);
+    ++ref[lang][t.event_time / cfg.window];
+    dirty.insert(lang);
+  };
+  auto ref_state = [&](bool only_dirty) {
+    core::ProcessingState state;
+    for (const auto& [lang, windows] : ref) {
+      if (only_dirty && !dirty.contains(lang)) continue;
+      serde::Encoder enc;
+      enc.AppendVarintSigned64(lang);
+      enc.AppendVarint64(windows.size());
+      for (const auto& [win, count] : windows) {
+        enc.AppendVarintSigned64(win);
+        enc.AppendVarintSigned64(count);
+      }
+      state.Add(Mix64(static_cast<uint64_t>(lang)), RefValue(enc));
+    }
+    return state;
+  };
+
+  for (int i = 0; i < 80; ++i) feed((i * 37) % 11 - 3, i * 1.5);  // 0..3
+  EXPECT_EQ(Bytes(reducer.GetProcessingState()), Bytes(ref_state(false)));
+  core::StateDelta delta = reducer.TakeProcessingStateDelta();
+  EXPECT_EQ(Bytes(delta.updated), Bytes(ref_state(true)));
+  EXPECT_TRUE(delta.deleted.empty());
+  dirty.clear();
+
+  // The reducer keeps two closed windows: at 150 s (window 5) windows 0-2
+  // expire, and language 42, seen only in window 0, is deleted.
+  feed(42, 5);
+  feed(4, 140);
+  reducer.OnTimer(SecondsToSim(150), &out);
+  for (auto lang = ref.begin(); lang != ref.end();) {
+    auto& windows = lang->second;
+    while (!windows.empty() && windows.begin()->first < 3) {
+      windows.erase(windows.begin());
+      dirty.insert(lang->first);
+    }
+    if (!windows.empty()) {
+      ++lang;
+      continue;
+    }
+    removed.insert(lang->first);
+    dirty.erase(lang->first);
+    lang = ref.erase(lang);
+  }
+  ASSERT_TRUE(removed.contains(42));
+  EXPECT_EQ(Bytes(reducer.GetProcessingState()), Bytes(ref_state(false)));
+  delta = reducer.TakeProcessingStateDelta();
+  EXPECT_EQ(Bytes(delta.updated), Bytes(ref_state(true)));
+  std::vector<KeyHash> deleted;
+  for (int64_t lang : removed) {
+    deleted.push_back(Mix64(static_cast<uint64_t>(lang)));
+  }
+  EXPECT_EQ(delta.deleted, deleted);
+
+  const core::ProcessingState state = reducer.GetProcessingState();
+  topk::TopKReducer restored(cfg);
+  restored.SetProcessingState(state);
+  EXPECT_EQ(Bytes(restored.GetProcessingState()), Bytes(state));
+  EXPECT_TRUE(restored.TakeProcessingStateDelta().updated.empty());
 }
 
 }  // namespace
