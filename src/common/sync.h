@@ -33,8 +33,8 @@
 ///    on thread X" as a capability the thread's entry point adopts. The
 ///    repo has three thread roles (DESIGN.md §8): the simulation driver
 ///    thread (`DriverThread` — all protocol state), the net event-loop
-///    threads (`LoopThread` — per-VM epoll reactors), and the background
-///    checkpoint serializers (`CkptWorkerThread`). A function annotated
+///    threads (`LoopThread` — per-VM epoll reactors), and the durable
+///    store's compactor (`StoreCompactorThread`). A function annotated
 ///    `SEEP_RUN_ON(DriverThread)` is compile-time rejected when called from
 ///    a context that does not hold the capability, and
 ///    `Role.AssertOnThread()` backs the static claim with a runtime check.
@@ -97,7 +97,7 @@
   SEEP_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 /// Thread-affinity shorthand: the annotated function runs only on threads
-/// holding `role` (one of DriverThread / LoopThread / CkptWorkerThread).
+/// holding `role` (one of DriverThread / LoopThread / StoreCompactorThread).
 #define SEEP_RUN_ON(role) SEEP_REQUIRES(role)
 
 /// Written waiver for a field in a thread-spawning TU that deliberately
@@ -295,9 +295,8 @@ inline thread_local uint32_t ThreadRole::tls_roles_ = 0;
 /// The repo's thread roles (DESIGN.md §8 maps state to roles).
 inline constexpr ThreadRole DriverThread{"DriverThread", 1u << 0};
 inline constexpr ThreadRole LoopThread{"LoopThread", 1u << 1};
-inline constexpr ThreadRole CkptWorkerThread{"CkptWorkerThread", 1u << 2};
 inline constexpr ThreadRole StoreCompactorThread{"StoreCompactorThread",
-                                                 1u << 3};
+                                                 1u << 2};
 
 /// Scoped role adoption for a thread entry point: the body of the thread
 /// (or the scope that is provably confined to it) holds the role.

@@ -1,5 +1,6 @@
 #include "runtime/checkpoint_plane.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/sync.h"
@@ -134,15 +135,22 @@ void CheckpointPlane::ShipAsync(CheckpointCapture cap) {
     return;
   }
   MaterializeCaptureBuffer(inst_->buffer_state(), &cap);
-  CkptSerializer::Job job;
-  job.owner = inst_->id();
-  job.owner_op = inst_->op();
-  job.vm = inst_->vm();
-  job.seq = cap.ckpt.seq;
-  job.captured_at = cap.ckpt.taken_at;
-  job.snapshot = std::move(cap.ckpt);
   ++cluster_->metrics()->async_ckpt_captures;
-  cluster_->ckpt_serializer()->Submit(std::move(job));
+  // Stage 2 is one deferred simulation event, on either backend: the
+  // modeled serialization cost (the one the synchronous path charges as a
+  // pause) elapses off the processing path, then the frame is built and
+  // shipped. The closure must stay copyable, hence the shared_ptr.
+  const double kib =
+      static_cast<double>(cap.ckpt.processing.ByteSize() + 64) / 1024.0;
+  const auto delay =
+      static_cast<SimTime>(kib * cluster_->config().serialize_cost_us_per_kb);
+  auto ckpt = std::make_shared<core::StateCheckpoint>(std::move(cap.ckpt));
+  cluster_->simulation()->Schedule(delay, [cluster = cluster_, ckpt]() {
+    SEEP_ASSERT_RUN_ON(sync::DriverThread);
+    ShipSerializedCheckpoint(
+        cluster,
+        SerializeCheckpoint(*ckpt, cluster->config().compress_checkpoints));
+  });
 }
 
 core::StateCheckpoint CheckpointPlane::MakeCheckpoint() {

@@ -43,9 +43,10 @@ class CheckpointPlane {
   /// snapshot does.
   CheckpointCapture Capture(bool delta) SEEP_RUN_ON(sync::DriverThread);
 
-  /// Hands a finished capture to the background serialization stage (stage
-  /// 2), or aborts it cleanly when the instance died, stopped or was
-  /// suspended while the capture job waited its service time; the next full
+  /// Schedules a finished capture's serialization and shipping (stage 2:
+  /// one deferred simulation event charged the modeled serialization cost),
+  /// or aborts it cleanly when the instance died, stopped or was suspended
+  /// while the capture job waited its service time; the next full
   /// checkpoint's sequence-mismatch fallback heals the skipped delta.
   void ShipAsync(CheckpointCapture cap) SEEP_RUN_ON(sync::DriverThread);
 

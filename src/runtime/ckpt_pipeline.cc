@@ -61,129 +61,15 @@ EncodedCkptFrame EncodeCheckpointFrame(const core::StateCheckpoint& ckpt,
   return core::StateCheckpoint::Decode(&dec);
 }
 
-// --------------------------------------------------------------- serializer
-
-CkptSerializer::CkptSerializer(sim::Simulation* sim, bool threaded,
-                               bool compress, SimTime pump_interval,
-                               CostFn cost, DoneFn on_done)
-    : sim_(sim),
-      threaded_(threaded),
-      compress_(compress),
-      pump_interval_(pump_interval),
-      cost_(std::move(cost)),
-      on_done_(std::move(on_done)) {}
-
-CkptSerializer::~CkptSerializer() {
-  // Flip the stop flags and move the thread handles out under the lock,
-  // then join outside it: workers reacquire mu_ to publish their last frame
-  // before exiting, and workers_ itself is mu_-guarded state the old code
-  // iterated unlocked (lint rule: every workers_ access holds mu_).
-  std::vector<std::thread> threads;
-  {
-    sync::MutexLock lock(&mu_);
-    for (auto& [vm, ws] : workers_) {
-      ws->stop = true;
-      threads.push_back(std::move(ws->thread));
-    }
-  }
-  cv_.NotifyAll();
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
-  }
-}
-
-SerializedCkptFrame CkptSerializer::BuildFrame(const Job& job, bool compress) {
+SerializedCkptFrame SerializeCheckpoint(const core::StateCheckpoint& ckpt,
+                                        bool compress) {
   SerializedCkptFrame out;
-  static_cast<EncodedCkptFrame&>(out) =
-      EncodeCheckpointFrame(job.snapshot, compress);
-  out.owner = job.owner;
-  out.owner_op = job.owner_op;
-  out.seq = job.seq;
-  out.captured_at = job.captured_at;
+  static_cast<EncodedCkptFrame&>(out) = EncodeCheckpointFrame(ckpt, compress);
+  out.owner = ckpt.instance;
+  out.owner_op = ckpt.op;
+  out.seq = ckpt.seq;
+  out.captured_at = ckpt.taken_at;
   return out;
-}
-
-void CkptSerializer::Submit(Job job) {
-  // Submit mutates driver-confined accounting (outstanding_) and, in sim
-  // mode, schedules events: both are driver-thread-only operations.
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
-  ++outstanding_;
-  if (!threaded_) {
-    // Deterministic deferral: charge the modeled serialization cost as a
-    // simulation delay, then build the frame inside the event. The closure
-    // must stay copyable, hence the shared_ptr.
-    const SimTime delay = cost_ ? cost_(job.snapshot) : 0;
-    auto shared = std::make_shared<Job>(std::move(job));
-    sim_->Schedule(delay, [this, shared]() {
-      SEEP_ASSERT_RUN_ON(sync::DriverThread);
-      --outstanding_;
-      on_done_(BuildFrame(*shared, compress_));
-    });
-    return;
-  }
-  {
-    sync::MutexLock lock(&mu_);
-    std::unique_ptr<WorkerState>& ws = workers_[job.vm];
-    if (ws == nullptr) {
-      ws = std::make_unique<WorkerState>();
-      ws->thread = std::thread([this, w = ws.get()]() { WorkerLoop(w); });
-    }
-    ws->queue.push_back(std::move(job));
-  }
-  cv_.NotifyAll();
-  if (!pump_scheduled_) {
-    pump_scheduled_ = true;
-    sim_->Schedule(pump_interval_, [this]() {
-      SEEP_ASSERT_RUN_ON(sync::DriverThread);
-      Pump();
-    });
-  }
-}
-
-void CkptSerializer::Pump() {
-  // The done-queue drain re-enters protocol code through on_done_; draining
-  // it from any thread but the driver would hand checkpoint completions to
-  // a thread that must not touch protocol state.
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
-  std::deque<SerializedCkptFrame> ready;
-  {
-    sync::MutexLock lock(&mu_);
-    ready.swap(done_);
-  }
-  for (SerializedCkptFrame& frame : ready) {
-    --outstanding_;
-    on_done_(std::move(frame));
-  }
-  // Keep polling only while work is in flight, so a quiesced simulation
-  // (RunAll) is not kept alive by an idle heartbeat.
-  if (outstanding_ > 0) {
-    sim_->Schedule(pump_interval_, [this]() {
-      SEEP_ASSERT_RUN_ON(sync::DriverThread);
-      Pump();
-    });
-  } else {
-    pump_scheduled_ = false;
-  }
-}
-
-void CkptSerializer::WorkerLoop(WorkerState* ws) {
-  sync::ScopedThreadRole role(sync::CkptWorkerThread);
-  while (true) {
-    Job job;
-    {
-      sync::MutexLock lock(&mu_);
-      cv_.Wait(&mu_, [this, ws]() {
-        mu_.AssertHeld();
-        return ws->stop || !ws->queue.empty();
-      });
-      if (ws->stop && ws->queue.empty()) return;
-      job = std::move(ws->queue.front());
-      ws->queue.pop_front();
-    }
-    SerializedCkptFrame frame = BuildFrame(job, compress_);
-    sync::MutexLock lock(&mu_);
-    done_.push_back(std::move(frame));
-  }
 }
 
 // ------------------------------------------------------------------- chunks

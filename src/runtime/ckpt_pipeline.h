@@ -2,33 +2,27 @@
 #define SEEP_RUNTIME_CKPT_PIPELINE_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
-#include <memory>
 #include <optional>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/result.h"
-#include "common/sync.h"
 #include "common/time.h"
 #include "core/state.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
-#include "sim/simulation.h"
 
 namespace seep::runtime {
 
-/// The asynchronous checkpoint pipeline (stage types and workers): a cheap
-/// synchronous *capture* pauses the operator for microseconds, a background
+/// The asynchronous checkpoint pipeline's stages: a cheap synchronous
+/// *capture* pauses the operator for microseconds, a deferred
 /// *serialization* stage encodes/compresses/crc32c's the snapshot off the
 /// processing path, and *chunked shipping* interleaves the frame with data
 /// batches through the Transport seam, reassembled at the backup holder.
-/// This header is Transport- and net-free by design: the background worker
-/// code must never touch net/ directly (lint rule ckpt-worker-no-net).
+/// This header is Transport- and net-free by design: pipeline code must
+/// never touch net/ directly (lint rule ckpt-worker-no-net).
 
 /// The slice of one downstream replay buffer a capture covers, recorded as
 /// positions instead of copied tuples: the live buffer is timestamp-sorted,
@@ -66,8 +60,8 @@ void MaterializeCaptureBuffer(const core::BufferState& live,
 /// What a kCheckpoint scheduler job carries between PrepareJob (capture) and
 /// FinishJob (hand-off to the backup path). A synchronous checkpoint's
 /// capture is materialized at capture time, before any trim can move the
-/// live buffers; an asynchronous one is materialized when it is handed to
-/// the serializer.
+/// live buffers; an asynchronous one is materialized when its
+/// serialization is scheduled (CheckpointPlane::ShipAsync).
 struct CheckpointWork {
   bool async = false;
   CheckpointCapture capture;
@@ -102,80 +96,11 @@ struct SerializedCkptFrame : EncodedCkptFrame {
   SimTime captured_at = 0;
 };
 
-/// Background serialization workers (stage 2). In sim mode the work is a
-/// deterministic deferred simulation event charged the same serialization
-/// cost the synchronous path models, so figure tables stay byte-identical;
-/// in TCP mode it runs on one std::thread per VM whose completions re-enter
-/// the driver thread through a polled done-queue. Either way the completion
-/// callback runs on the driver thread.
-class CkptSerializer {
- public:
-  struct Job {
-    InstanceId owner = kInvalidInstance;
-    OperatorId owner_op = 0;
-    VmId vm = kInvalidVm;
-    uint64_t seq = 0;
-    SimTime captured_at = 0;
-    core::StateCheckpoint snapshot;
-  };
-  using DoneFn = std::function<void(SerializedCkptFrame)>;
-  /// Simulated CPU time one snapshot costs to serialize (sim mode's deferral
-  /// delay — the same cost the synchronous pause used to charge).
-  using CostFn = std::function<SimTime(const core::StateCheckpoint&)>;
-
-  CkptSerializer(sim::Simulation* sim, bool threaded, bool compress,
-                 SimTime pump_interval, CostFn cost, DoneFn on_done);
-  ~CkptSerializer();
-
-  CkptSerializer(const CkptSerializer&) = delete;
-  CkptSerializer& operator=(const CkptSerializer&) = delete;
-
-  /// Hands a snapshot to the background stage. Driver thread only
-  /// (runtime-checked: submitting from a worker or loop thread aborts).
-  void Submit(Job job);
-
-  /// Jobs submitted whose completion has not yet been dispatched. Driver
-  /// thread only.
-  size_t in_flight() const SEEP_RUN_ON(sync::DriverThread) {
-    return outstanding_;
-  }
-
-  /// The pure serialize+compress+frame step, shared by both modes, the TCP
-  /// transport's materialized parcels and unit tests: EncodeCheckpointFrame
-  /// plus the job's identity.
-  static SerializedCkptFrame BuildFrame(const Job& job, bool compress);
-
- private:
-  // A nested struct cannot name the enclosing serializer's mu_ in a
-  // SEEP_GUARDED_BY annotation, so the discipline is recorded as waivers.
-  struct WorkerState {
-    std::deque<Job> queue SEEP_UNGUARDED("guarded by CkptSerializer::mu_");
-    std::thread thread
-        SEEP_UNGUARDED("created under mu_ in Submit; moved out under mu_ "
-                       "and joined by the destructor");
-    bool stop SEEP_UNGUARDED("guarded by CkptSerializer::mu_") = false;
-  };
-
-  void Pump() SEEP_RUN_ON(sync::DriverThread);
-  void WorkerLoop(WorkerState* ws);
-
-  sim::Simulation* const sim_;
-  const bool threaded_;
-  const bool compress_;
-  const SimTime pump_interval_;
-  CostFn cost_ SEEP_UNGUARDED("set in the constructor, immutable after");
-  DoneFn on_done_ SEEP_UNGUARDED("set in the constructor, immutable after");
-
-  // Driver-thread state.
-  size_t outstanding_ SEEP_GUARDED_BY(sync::DriverThread) = 0;
-  bool pump_scheduled_ SEEP_GUARDED_BY(sync::DriverThread) = false;
-
-  // Shared with worker threads (threaded mode only).
-  sync::Mutex mu_;
-  sync::CondVar cv_;
-  std::map<VmId, std::unique_ptr<WorkerState>> workers_ SEEP_GUARDED_BY(mu_);
-  std::deque<SerializedCkptFrame> done_ SEEP_GUARDED_BY(mu_);
-};
+/// Stage 2: EncodeCheckpointFrame plus the identity `ckpt` carries — the
+/// one way a checkpoint becomes a frame to ship (async captures, and every
+/// materialized parcel the TCP backend puts on the wire).
+SerializedCkptFrame SerializeCheckpoint(const core::StateCheckpoint& ckpt,
+                                        bool compress);
 
 /// The per-chunk header travelling with each slice of a serialized frame
 /// (stage 3). Chunks of one (owner, seq) stream arrive in order on their

@@ -7,8 +7,8 @@
 #include <string>
 
 #include "common/logging.h"
-#include "common/sync.h"
 #include "runtime/operator_instance.h"
+#include "runtime/tcp_transport.h"
 
 namespace seep::runtime {
 namespace {
@@ -36,28 +36,10 @@ Cluster::Cluster(const core::QueryGraph* graph, ClusterConfig config)
       membership_(this),
       fences_(this) {
   if (config_.transport == TransportKind::kTcp) {
-    transport_ = std::make_unique<TcpTransport>(this, config_.tcp);
+    transport_ = std::make_unique<TcpTransport>(this);
   } else {
     transport_ = std::make_unique<SimTransport>(this);
   }
-  // Background serialization stage of the async checkpoint pipeline. With
-  // the sim backend it is a deterministic deferred event charged the same
-  // serialization cost the synchronous pause models; with TCP it runs on
-  // real per-VM worker threads drained by a pump.
-  ckpt_serializer_ = std::make_unique<CkptSerializer>(
-      &sim_, /*threaded=*/config_.transport == TransportKind::kTcp,
-      config_.compress_checkpoints, config_.tcp.pump_interval,
-      [this](const core::StateCheckpoint& snapshot) {
-        const double kib =
-            static_cast<double>(snapshot.processing.ByteSize() + 64) / 1024.0;
-        return static_cast<SimTime>(kib * config_.serialize_cost_us_per_kb);
-      },
-      [this](SerializedCkptFrame frame) {
-        // Completions are dispatched by the serializer's driver-side pump
-        // (or a sim event); never directly by a worker thread.
-        SEEP_ASSERT_RUN_ON(sync::DriverThread);
-        ShipSerializedCheckpoint(this, std::move(frame));
-      });
   if (config_.audit_level > verify::kAuditOff) {
     auditor_ = std::make_unique<verify::InvariantAuditor>(config_.audit_level);
   }

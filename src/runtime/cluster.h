@@ -15,7 +15,6 @@
 #include "runtime/fence_registry.h"
 #include "runtime/membership.h"
 #include "runtime/metrics.h"
-#include "runtime/tcp_transport.h"
 #include "runtime/transport.h"
 #include "sim/network.h"
 #include "sim/simulation.h"
@@ -50,11 +49,6 @@ struct ClusterConfig {
   cloud::VmPoolConfig pool;
 
   TransportKind transport = TransportKind::kSim;
-  TcpTransportConfig tcp;
-  /// How long an instance throttles its job scheduler after SendBatch
-  /// reports outbound queue pressure (TCP backend only; the sim backend
-  /// never reports pressure). 0 disables throttling.
-  SimTime backpressure_pause = MillisToSim(5);
 
   FaultToleranceMode ft_mode = FaultToleranceMode::kStateManagement;
   /// Checkpointing interval c (paper §3.2); R+SM only.
@@ -74,7 +68,7 @@ struct ClusterConfig {
   double serialize_cost_us_per_kb = 25.0;
 
   /// Asynchronous checkpoint pipeline: the operator pauses only for a cheap
-  /// capture; serialization/compression runs on a background stage and the
+  /// capture; serialization/compression runs as a deferred stage and the
   /// frame ships in chunks. Off by default — the synchronous path (and
   /// every figure bench) is bit-for-bit unchanged.
   bool async_checkpoints = false;
@@ -160,10 +154,6 @@ class Cluster {
   /// Replay-fence registration and delivery.
   FenceRegistry* fences() { return &fences_; }
 
-  /// The background serialization stage of the async checkpoint pipeline
-  /// (one per cluster; per-VM workers inside).
-  CkptSerializer* ckpt_serializer() { return ckpt_serializer_.get(); }
-
   /// Holder-side reassembly of chunked checkpoint frames.
   CkptChunkReassembler* ckpt_reassembler() { return &ckpt_reassembler_; }
 
@@ -239,7 +229,6 @@ class Cluster {
   Membership membership_;
   FenceRegistry fences_;
   std::unique_ptr<Transport> transport_;
-  std::unique_ptr<CkptSerializer> ckpt_serializer_;
   CkptChunkReassembler ckpt_reassembler_;
   std::unique_ptr<verify::InvariantAuditor> auditor_;
 };

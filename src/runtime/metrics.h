@@ -117,7 +117,7 @@ class MetricsRegistry {
   SampleDistribution ckpt_pause_ms{1 << 16, /*seed=*/11};
   /// Capture-to-stored latency of the whole pipeline, ms.
   SampleDistribution ckpt_e2e_ms{1 << 16, /*seed=*/13};
-  /// Async captures handed to the background serialization stage.
+  /// Async captures handed to the deferred serialization stage.
   uint64_t async_ckpt_captures = 0;
   /// Checkpoint chunks delivered: async frames on the sim, every
   /// checkpoint parcel over TCP.

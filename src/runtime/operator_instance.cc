@@ -10,6 +10,12 @@
 
 namespace seep::runtime {
 
+namespace {
+// How long an instance throttles its job scheduler after SendBatch reports
+// outbound queue pressure (only the TCP backend ever does).
+constexpr SimTime kBackpressurePause = MillisToSim(5);
+}  // namespace
+
 // Gathers the emissions of one Process/OnTimer invocation together with the
 // per-emission suppression flag (catch-up suppression applies per input
 // tuple, and one input can produce several outputs).
@@ -112,7 +118,7 @@ void OperatorInstance::EnqueueJob(JobScheduler::Job job) {
 }
 
 void OperatorInstance::OnSendPressure() {
-  scheduler_.ThrottleFor(cluster_->config().backpressure_pause);
+  scheduler_.ThrottleFor(kBackpressurePause);
 }
 
 // ------------------------------------------------------------------ job hooks

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <map>
+#include <set>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -19,22 +21,46 @@
 #include "serde/encoder.h"
 
 namespace seep::runtime {
+namespace {
+
+// Sim interval between inbox pumps while traffic is in flight.
+constexpr SimTime kPumpInterval = MillisToSim(1);
+// Longest wall-clock wait per pump for in-flight messages to land before
+// sim time advances past them: it keeps delivery within one pump interval
+// of simulated time without letting a stalled link wedge the simulation.
+constexpr std::chrono::microseconds kPumpWait{200};
+
+// A post that put nothing in flight: the frame was dropped at the sender's
+// queue cap, or an end of the link is not attached.
+bool Lost(net::SendStatus st) {
+  return st == net::SendStatus::kOverflow || st == net::SendStatus::kClosed;
+}
+
+}  // namespace
 
 /// Everything shared between the sim driver thread and the worker threads.
-/// Invariant: `in_flight[vm]` over-approximates messages addressed to `vm`
-/// that were accepted by the net layer but have not yet reached the inbox —
-/// it is zeroed when `vm` detaches (traffic to a dead VM is dead by
-/// definition) and decrements are clamped, so the pump's bounded wait can
-/// never wedge on a lost frame.
+/// Invariant: `in_flight[{from, to}]` counts the frames `from` posted to
+/// `to` that the net layer accepted and that have neither reached the inbox
+/// nor been reported dropped. Detaching a VM writes off every link to or
+/// from it (traffic to a dead VM is dead by definition, and frames its
+/// worker had queued died with the worker), and decrements are clamped, so
+/// the total returns to zero once nothing live is in flight: the pump's
+/// bounded wait never waits on a lost frame, and the pump stops.
+///
+/// The links run with net's default limits: SendBatch reports kPressured
+/// above a worker's 4 MiB of queued outbound bytes, frames beyond its
+/// 64 MiB cap are dropped (replay recovers them, exactly as after a crash),
+/// and a receiver rejects any frame declaring more than
+/// serde::kDefaultMaxFramePayload (64 MiB).
 struct TcpTransport::Impl {
-  explicit Impl(net::WorkerOptions options) : cluster(options) {}
-
-  net::LocalCluster cluster;
+  net::LocalCluster cluster
+      SEEP_UNGUARDED("internally synchronised (its own mu_; local_cluster.h)");
 
   sync::Mutex mu;
   sync::CondVar cv;
   std::deque<net::Message> inbox SEEP_GUARDED_BY(mu);
-  std::unordered_map<VmId, uint64_t> in_flight SEEP_GUARDED_BY(mu);
+  std::set<VmId> attached SEEP_GUARDED_BY(mu);
+  std::map<std::pair<VmId, VmId>, uint64_t> in_flight SEEP_GUARDED_BY(mu);
   uint64_t total_in_flight SEEP_GUARDED_BY(mu) = 0;
 
   // Checkpoint parcels in flight, keyed by the ship_id every chunk carries:
@@ -53,29 +79,43 @@ struct TcpTransport::Impl {
 
   std::atomic<uint64_t> disconnects{0};
 
-  void DecInFlightLocked(VmId vm, uint64_t n) SEEP_REQUIRES(mu) {
-    auto it = in_flight.find(vm);
+  void DecInFlightLocked(VmId from, VmId to, uint64_t n) SEEP_REQUIRES(mu) {
+    auto it = in_flight.find({from, to});
     if (it == in_flight.end()) return;
     const uint64_t dec = std::min(it->second, n);
     it->second -= dec;
     total_in_flight -= dec;
   }
 
-  /// Queues `msg` on `from`'s worker with in-flight accounting. A detached
-  /// destination reports kClosed.
+  /// Writes off every link to or from `vm`.
+  void DetachLocked(VmId vm) SEEP_REQUIRES(mu) {
+    attached.erase(vm);
+    for (auto it = in_flight.begin(); it != in_flight.end();) {
+      if (it->first.first == vm || it->first.second == vm) {
+        total_in_flight -= it->second;
+        it = in_flight.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  /// Queues `msg` on `from`'s worker with in-flight accounting. A link with
+  /// a detached end reports kClosed.
   net::SendStatus Post(VmId from, VmId to, const net::Message& msg)
       SEEP_EXCLUDES(mu) {
     {
       sync::MutexLock lock(&mu);
-      auto it = in_flight.find(to);
-      if (it == in_flight.end()) return net::SendStatus::kClosed;
-      ++it->second;
+      if (attached.count(from) == 0 || attached.count(to) == 0) {
+        return net::SendStatus::kClosed;
+      }
+      ++in_flight[{from, to}];
       ++total_in_flight;
     }
     const net::SendStatus st = cluster.Post(from, to, msg);
-    if (st == net::SendStatus::kOverflow || st == net::SendStatus::kClosed) {
+    if (Lost(st)) {
       sync::MutexLock lock(&mu);
-      DecInFlightLocked(to, 1);
+      DecInFlightLocked(from, to, 1);
       cv.NotifyOne();
     }
     return st;
@@ -111,15 +151,8 @@ bool ReceiveChunkMessage(Cluster* cluster, TcpChunkStream* stream,
   return ++stream->next_index == want.count;
 }
 
-TcpTransport::TcpTransport(Cluster* cluster, TcpTransportConfig config)
-    : cluster_(cluster), config_(config) {
-  net::WorkerOptions options;
-  options.queue_limits.pressure_bytes = config_.queue_pressure_bytes;
-  options.queue_limits.max_bytes = config_.queue_max_bytes;
-  options.max_frame_payload = config_.max_frame_bytes;
-  impl_ = std::make_unique<Impl>(options);
-  SchedulePump();
-}
+TcpTransport::TcpTransport(Cluster* cluster)
+    : cluster_(cluster), impl_(std::make_unique<Impl>()) {}
 
 TcpTransport::~TcpTransport() { impl_->cluster.Shutdown(); }
 
@@ -142,6 +175,11 @@ size_t TcpTransport::parcels_in_flight() const {
   return impl_->ships.size();
 }
 
+uint64_t TcpTransport::frames_in_flight() const {
+  sync::MutexLock lock(&impl_->mu);
+  return impl_->total_in_flight;
+}
+
 void TcpTransport::AttachVm(VmId vm) {
   // Mirror into the sim network so its attachment directory (and any code
   // consulting IsAttached) stays coherent; no sim traffic flows through it.
@@ -152,7 +190,7 @@ void TcpTransport::AttachVm(VmId vm) {
       /*on_message=*/
       [impl, vm](net::Message msg) {
         sync::MutexLock lock(&impl->mu);
-        impl->DecInFlightLocked(vm, 1);
+        impl->DecInFlightLocked(msg.from_vm, vm, 1);
         impl->inbox.push_back(std::move(msg));
         impl->cv.NotifyOne();
       },
@@ -161,27 +199,26 @@ void TcpTransport::AttachVm(VmId vm) {
         impl->disconnects.fetch_add(1, std::memory_order_relaxed);
       },
       /*on_frames_dropped=*/
-      [impl](VmId peer, size_t n) {
+      [impl, vm](VmId peer, size_t n) {
         sync::MutexLock lock(&impl->mu);
-        impl->DecInFlightLocked(peer, n);
+        impl->DecInFlightLocked(vm, peer, n);
         impl->cv.NotifyOne();
       });
   SEEP_CHECK(started.ok());
   sync::MutexLock lock(&impl->mu);
-  impl->in_flight.try_emplace(vm, 0);
+  impl->attached.insert(vm);
 }
 
 void TcpTransport::DetachVm(VmId vm) {
   SEEP_ASSERT_RUN_ON(sync::DriverThread);
   cluster_->network()->Detach(vm);
-  // Kill first (joins the worker thread), then zero the accounting: frames
-  // already handed to this VM's kernel buffers die unobserved, and the
-  // pump must not wait for them.
+  // Kill first (joins the worker thread), then write off both directions:
+  // frames queued in this VM's worker or kernel buffers, and frames on
+  // their way to it, die unobserved, and the pump must not wait for them.
   impl_->cluster.KillWorker(vm);
   {
     sync::MutexLock lock(&impl_->mu);
-    impl_->DecInFlightLocked(vm, UINT64_MAX);
-    impl_->in_flight.erase(vm);
+    impl_->DetachLocked(vm);
     impl_->cv.NotifyOne();
   }
   // Parcels to the dead VM never arrive (sim parity: sim::Network drops
@@ -200,6 +237,7 @@ void TcpTransport::DetachVm(VmId vm) {
 
 SendPressure TcpTransport::SendBatch(OperatorInstance* from, InstanceId to,
                                      core::TupleBatch batch) {
+  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   batch.from = from->id();
   const OperatorInstance* dest = cluster_->membership()->GetInstance(to);
   if (dest == nullptr) return SendPressure::kNone;
@@ -212,10 +250,10 @@ SendPressure TcpTransport::SendBatch(OperatorInstance* from, InstanceId to,
   enc.AppendVarint64(to);  // destination instance, then the batch itself
   batch.Encode(&enc);
   msg.body = std::move(enc).TakeBuffer();
-  return impl_->Post(from->vm(), dest->vm(), msg) ==
-                 net::SendStatus::kPressured
-             ? SendPressure::kPressured
-             : SendPressure::kNone;
+  const net::SendStatus st = impl_->Post(from->vm(), dest->vm(), msg);
+  if (!Lost(st)) SchedulePump();
+  return st == net::SendStatus::kPressured ? SendPressure::kPressured
+                                           : SendPressure::kNone;
 }
 
 void TcpTransport::ShipCheckpoint(VmId from, VmId to,
@@ -224,14 +262,8 @@ void TcpTransport::ShipCheckpoint(VmId from, VmId to,
   SEEP_ASSERT_RUN_ON(sync::DriverThread);
   SerializedCkptFrame frame;
   if (auto* ckpt = std::get_if<core::StateCheckpoint>(&parcel.body)) {
-    CkptSerializer::Job job;
-    job.owner = ckpt->instance;
-    job.owner_op = ckpt->op;
-    job.seq = ckpt->seq;
-    job.captured_at = ckpt->taken_at;
-    job.snapshot = std::move(*ckpt);
-    frame = CkptSerializer::BuildFrame(job,
-                                       cluster_->config().compress_checkpoints);
+    frame =
+        SerializeCheckpoint(*ckpt, cluster_->config().compress_checkpoints);
   } else {
     frame = std::move(std::get<SerializedCkptFrame>(parcel.body));
   }
@@ -263,19 +295,24 @@ void TcpTransport::ShipCheckpoint(VmId from, VmId to,
     enc.Reserve(len);
     enc.AppendRaw(frame.frame.data() + begin, len);
     msg.body = std::move(enc).TakeBuffer();
-    const net::SendStatus st = impl_->Post(from, to, msg);
-    if (st == net::SendStatus::kOverflow || st == net::SendStatus::kClosed) {
+    if (Lost(impl_->Post(from, to, msg))) {
       // A lost chunk loses the parcel; chunks already posted find no entry
       // at the pump and are dropped there.
       impl_->ships.erase(id);
       return;
     }
+    SchedulePump();
   }
 }
 
 void TcpTransport::SchedulePump() {
-  cluster_->simulation()->Schedule(config_.pump_interval,
-                                   [this]() { Pump(); });
+  if (pump_scheduled_) return;
+  pump_scheduled_ = true;
+  cluster_->simulation()->Schedule(kPumpInterval, [this]() {
+    SEEP_ASSERT_RUN_ON(sync::DriverThread);
+    pump_scheduled_ = false;
+    Pump();
+  });
 }
 
 void TcpTransport::NoteWireDecodeFailure(const char* what,
@@ -286,7 +323,6 @@ void TcpTransport::NoteWireDecodeFailure(const char* what,
 }
 
 void TcpTransport::Pump() {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   std::deque<net::Message> drained;
   {
     sync::MutexLock lock(&impl_->mu);
@@ -294,14 +330,11 @@ void TcpTransport::Pump() {
     // in flight, give them a short wall-clock window to land before sim
     // time advances past this pump. The wait is bounded, so a stalled link
     // (reconnect backoff, dead peer mid-detach) delays the simulation by at
-    // most pump_wait_micros per pump instead of wedging it.
-    impl_->cv.WaitFor(&impl_->mu,
-                      std::chrono::microseconds(config_.pump_wait_micros),
-                      [this] {
-                        impl_->mu.AssertHeld();
-                        return impl_->total_in_flight == 0 ||
-                               !impl_->inbox.empty();
-                      });
+    // most kPumpWait per pump instead of wedging it.
+    impl_->cv.WaitFor(&impl_->mu, kPumpWait, [this] {
+      impl_->mu.AssertHeld();
+      return impl_->total_in_flight == 0 || !impl_->inbox.empty();
+    });
     drained.swap(impl_->inbox);
   }
   for (net::Message& msg : drained) {
@@ -340,7 +373,15 @@ void TcpTransport::Pump() {
         break;  // hellos stay inside net/; no control users yet
     }
   }
-  SchedulePump();
+  // Pump again only while traffic is in flight, so an idle transport
+  // schedules nothing. (A post the dispatch above made has rescheduled the
+  // pump already.)
+  bool busy = false;
+  {
+    sync::MutexLock lock(&impl_->mu);
+    busy = impl_->total_in_flight > 0 || !impl_->inbox.empty();
+  }
+  if (busy) SchedulePump();
 }
 
 }  // namespace seep::runtime

@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/time.h"
+#include "common/sync.h"
 #include "runtime/transport.h"
 
 namespace seep::net {
@@ -13,25 +13,6 @@ class LocalCluster;
 }  // namespace seep::net
 
 namespace seep::runtime {
-
-/// Knobs for the TCP transport backend.
-struct TcpTransportConfig {
-  /// Sim interval between inbox pumps: how often deliveries that arrived on
-  /// worker threads re-enter the (single-threaded) simulated runtime.
-  SimTime pump_interval = MillisToSim(1);
-  /// Soft watermark on a sending worker's queued outbound bytes; above it
-  /// SendBatch reports kPressured and the sender throttles.
-  size_t queue_pressure_bytes = 4u << 20;
-  /// Hard cap: frames beyond it are dropped (replay recovers them, exactly
-  /// as after a crash).
-  size_t queue_max_bytes = 64u << 20;
-  /// Ceiling a receiver enforces on a frame's declared payload length.
-  uint64_t max_frame_bytes = 64ull << 20;
-  /// Longest wall-clock wait per pump for in-flight messages to land before
-  /// sim time advances past them (bounds sim-time skew without letting a
-  /// stalled link wedge the simulation).
-  int64_t pump_wait_micros = 200;
-};
 
 /// A checkpoint parcel's chunk stream as its sender cut it: the stream
 /// header (index aside), the chunk size, and the chunk the receiver expects
@@ -58,30 +39,37 @@ struct TcpChunkStream {
 /// ship length-prefixed crc32c frames between epoll event loops, while the
 /// logical runtime stays single-threaded on the simulation driver thread.
 /// Worker threads never touch runtime state — inbound messages land in a
-/// thread-safe inbox that a recurring sim "pump" event drains and dispatches
-/// through exactly the same handlers SimTransport uses (OnBatch,
-/// ReceiveCheckpointChunk). Every checkpoint parcel crosses the socket as
-/// its serialized frame, cut into kCheckpointChunk messages; the receiver
+/// thread-safe inbox that a sim "pump" event drains and dispatches through
+/// exactly the same handlers SimTransport uses (OnBatch,
+/// ReceiveCheckpointChunk). The pump is scheduled on demand: a post onto an
+/// idle transport starts it, and it re-schedules itself only while frames
+/// are in flight or deliveries wait in the inbox, so an idle transport
+/// schedules nothing. Every checkpoint parcel crosses the socket as its
+/// serialized frame, cut into kCheckpointChunk messages; the receiver
 /// restores from the bytes that arrived. Per-link FIFO order is preserved
 /// because each VM pair shares one TCP connection; only arrival *times*
 /// differ from the sim backend, and the protocol's correctness is
 /// timing-independent.
 class TcpTransport : public Transport {
  public:
-  TcpTransport(Cluster* cluster, TcpTransportConfig config);
+  explicit TcpTransport(Cluster* cluster);
   ~TcpTransport() override;
 
   void AttachVm(VmId vm) override;
   void DetachVm(VmId vm) override;
   SendPressure SendBatch(OperatorInstance* from, InstanceId to,
                          core::TupleBatch batch) override;
-  /// Serializes a materialized parcel with CkptSerializer::BuildFrame, then
-  /// posts the frame in chunks of ClusterConfig::checkpoint_chunk_bytes.
+  /// Serializes a materialized parcel with SerializeCheckpoint, then posts
+  /// the frame in chunks of ClusterConfig::checkpoint_chunk_bytes.
   void ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
                       ArrivalFn on_arrival) override;
 
   /// Checkpoint parcels sent but neither delivered nor dropped yet.
   size_t parcels_in_flight() const;
+
+  /// Frames the net layer accepted that have neither reached the inbox nor
+  /// been reported dropped, over every link between attached VMs.
+  uint64_t frames_in_flight() const;
 
   /// Times any worker observed a peer link die (failure tests assert the
   /// upstream actually saw the disconnection).
@@ -97,17 +85,20 @@ class TcpTransport : public Transport {
  private:
   struct Impl;
 
-  void Pump();
-  void SchedulePump();
+  void Pump() SEEP_RUN_ON(sync::DriverThread);
+  /// Schedules the pump one interval from now, unless it is scheduled
+  /// already. Every post the net layer accepts calls it, so traffic put in
+  /// flight on an idle transport starts the pump.
+  void SchedulePump() SEEP_RUN_ON(sync::DriverThread);
 
   /// A wire body that fails to decode after passing the net layer's
   /// crc32c is protocol divergence: drop the message, but loudly —
   /// count it and log what/why so the loss is attributable.
   void NoteWireDecodeFailure(const char* what, const Status& status);
 
-  Cluster* cluster_;
-  TcpTransportConfig config_;
-  std::unique_ptr<Impl> impl_;
+  Cluster* const cluster_;
+  const std::unique_ptr<Impl> impl_;
+  bool pump_scheduled_ SEEP_GUARDED_BY(sync::DriverThread) = false;
 };
 
 }  // namespace seep::runtime

@@ -98,11 +98,11 @@ InstanceId ChooseBackupHolder(const Cluster* cluster,
 void ShipToBackupHolder(Cluster* cluster, OperatorInstance* owner,
                         CheckpointParcel parcel);
 
-/// The serializer's completion hook (driver thread): re-checks that the
-/// owner is still alive, running and unsuspended — an async checkpoint
-/// caught by Suspend()/failure between capture and serialization aborts
-/// here — then records compression metrics and ships the frame to the
-/// backup holder.
+/// The end of an async checkpoint's serialization event (driver thread):
+/// re-checks that the owner is still alive, running and unsuspended — an
+/// async checkpoint caught by Suspend()/failure between capture and
+/// serialization aborts here — then records compression metrics and ships
+/// the frame to the backup holder.
 void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame);
 
 /// The chunk stream header of a serialized parcel bound for `receiver`, cut

@@ -7,14 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/sync.h"
 #include "core/state.h"
 #include "runtime/ckpt_pipeline.h"
 #include "serde/block_codec.h"
@@ -149,17 +146,6 @@ TEST(CaptureTest, MaterializeIsIdempotent) {
 
 // ---------------------------------------------------------- frame building
 
-CkptSerializer::Job JobWithSnapshot(core::StateCheckpoint snapshot) {
-  CkptSerializer::Job job;
-  job.owner = snapshot.instance;
-  job.owner_op = snapshot.op;
-  job.vm = 1;
-  job.seq = snapshot.seq;
-  job.captured_at = snapshot.taken_at;
-  job.snapshot = std::move(snapshot);
-  return job;
-}
-
 core::StateCheckpoint CompressibleSnapshot() {
   core::StateCheckpoint c;
   FillHeader(&c);
@@ -172,8 +158,12 @@ core::StateCheckpoint CompressibleSnapshot() {
 TEST(BuildFrameTest, CompressedFrameRoundTripsToTheSnapshot) {
   const std::vector<uint8_t> raw = EncodeDirect(CompressibleSnapshot());
   const SerializedCkptFrame frame =
-      CkptSerializer::BuildFrame(JobWithSnapshot(CompressibleSnapshot()),
-                                 /*compress=*/true);
+      SerializeCheckpoint(CompressibleSnapshot(), /*compress=*/true);
+  // The frame carries the identity of the checkpoint it encodes.
+  EXPECT_EQ(frame.owner, 11u);
+  EXPECT_EQ(frame.owner_op, 3u);
+  EXPECT_EQ(frame.seq, 7u);
+  EXPECT_EQ(frame.captured_at, 1234);
   EXPECT_TRUE(frame.compressed);
   EXPECT_EQ(frame.raw_bytes, raw.size());
   EXPECT_LT(frame.frame.size(), raw.size());  // compression actually won
@@ -188,8 +178,7 @@ TEST(BuildFrameTest, CompressedFrameRoundTripsToTheSnapshot) {
 TEST(BuildFrameTest, UncompressedFrameCarriesTheRawEncoding) {
   const std::vector<uint8_t> raw = EncodeDirect(CompressibleSnapshot());
   const SerializedCkptFrame frame =
-      CkptSerializer::BuildFrame(JobWithSnapshot(CompressibleSnapshot()),
-                                 /*compress=*/false);
+      SerializeCheckpoint(CompressibleSnapshot(), /*compress=*/false);
   EXPECT_FALSE(frame.compressed);
   auto payload = serde::UnframePayload(frame.frame);
   ASSERT_TRUE(payload.ok());
@@ -197,8 +186,8 @@ TEST(BuildFrameTest, UncompressedFrameCarriesTheRawEncoding) {
 }
 
 TEST(BuildFrameTest, CorruptedFrameIsRejectedByTheCrc) {
-  SerializedCkptFrame frame = CkptSerializer::BuildFrame(
-      JobWithSnapshot(CompressibleSnapshot()), /*compress=*/true);
+  SerializedCkptFrame frame =
+      SerializeCheckpoint(CompressibleSnapshot(), /*compress=*/true);
   frame.frame[frame.frame.size() / 2] ^= 0x40;
   EXPECT_FALSE(serde::UnframePayload(frame.frame).ok());
 }
@@ -462,9 +451,10 @@ TEST(AsyncPipelineEndToEnd, MatchesSynchronousResultsUnderFullAudit) {
   const PipelineOutcome sync = RunWordCount(false);
   const PipelineOutcome async = RunWordCount(true);
 
-  // The async pipeline really ran: captures went through the background
-  // serializer and frames arrived in (multiple) chunks; nothing was lost
-  // to corruption and nothing needed aborting in a failure-free run.
+  // The async pipeline really ran: captures went through the deferred
+  // serialization stage and frames arrived in (multiple) chunks; nothing
+  // was lost to corruption and nothing needed aborting in a failure-free
+  // run.
   EXPECT_EQ(sync.async_captures, 0u);
   EXPECT_GT(async.async_captures, 5u);
   EXPECT_GT(async.async_chunks, async.async_captures);
@@ -480,96 +470,6 @@ TEST(AsyncPipelineEndToEnd, MatchesSynchronousResultsUnderFullAudit) {
   // the processing path cannot change their contents.
   EXPECT_FALSE(sync.counts.empty());
   EXPECT_EQ(sync.counts, async.counts);
-}
-
-// ------------------------------------------------- serializer concurrency
-
-// A threaded serializer with an inert completion callback, for lifecycle
-// and thread-affinity tests. Constructing the Simulation adopts the
-// DriverThread role for the calling thread.
-struct ThreadedSerializerHarness {
-  sim::Simulation sim;
-  CkptSerializer serializer{&sim,
-                            /*threaded=*/true,
-                            /*compress=*/true,
-                            /*pump_interval=*/MillisToSim(1),
-                            [](const core::StateCheckpoint&) {
-                              return SimTime{0};
-                            },
-                            [](SerializedCkptFrame) {}};
-};
-
-TEST(SerializerLifecycleTest, DestructorJoinsBusyWorkersUnderTheLock) {
-  // Regression for the destructor that iterated the mu_-guarded workers_
-  // map without the lock while worker threads were still publishing their
-  // last frames (lint rule: every workers_ access holds mu_; the TSan CI
-  // job fails here if the unlocked iteration comes back). Destroying the
-  // serializer with deep per-VM queues exercises the shutdown handshake
-  // while every worker is mid-frame.
-  for (int round = 0; round < 5; ++round) {
-    ThreadedSerializerHarness harness;
-    for (uint64_t i = 0; i < 40; ++i) {
-      CkptSerializer::Job job = JobWithSnapshot(CompressibleSnapshot());
-      job.vm = 1 + (i % 4);
-      job.seq = i;
-      harness.serializer.Submit(std::move(job));
-    }
-    // Destructor runs here: stop flags flipped and threads moved out under
-    // mu_, joined outside it.
-  }
-}
-
-TEST(SerializerAffinityDeathTest, SubmitOffTheDriverThreadAborts) {
-  // Submit mutates driver-confined accounting (outstanding_,
-  // pump_scheduled_) before taking mu_; calling it from a worker or loop
-  // thread must abort naming the missing role, not corrupt the counters
-  // (rule: serializer entry points are SEEP_RUN_ON(DriverThread)).
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ThreadedSerializerHarness harness;
-  EXPECT_DEATH(
-      {
-        std::thread t([&] {
-          harness.serializer.Submit(JobWithSnapshot(CompressibleSnapshot()));
-        });
-        t.join();
-      },
-      "thread-affinity violation.*DriverThread");
-}
-
-TEST(SerializerLifecycleTest, DrainAfterHeavySubmitDeliversEveryFrame) {
-  // The done-queue drain runs on the driver thread via Pump (the satellite
-  // fix: completions must re-enter through the polled queue, never fire on
-  // the worker). RunUntil pumps until every submitted frame lands.
-  sim::Simulation sim;
-  size_t delivered = 0;
-  CkptSerializer serializer(
-      &sim, /*threaded=*/true, /*compress=*/false,
-      /*pump_interval=*/MillisToSim(1),
-      [](const core::StateCheckpoint&) { return SimTime{0}; },
-      [&](SerializedCkptFrame frame) {
-        ++delivered;
-        EXPECT_FALSE(frame.frame.empty());
-      });
-  constexpr uint64_t kJobs = 25;
-  for (uint64_t i = 0; i < kJobs; ++i) {
-    CkptSerializer::Job job = JobWithSnapshot(CompressibleSnapshot());
-    job.vm = 1 + (i % 3);
-    job.seq = i;
-    serializer.Submit(std::move(job));
-  }
-  // Real worker threads race the simulated pump clock, and simulated
-  // milliseconds cost ~nothing in wall time — a spin counter alone can
-  // burn through every pump before the OS has even scheduled the workers.
-  // Pace the drain against a generous real-time deadline instead.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(30);
-  while (serializer.in_flight() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    sim.RunUntil(sim.Now() + MillisToSim(1));
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  EXPECT_EQ(serializer.in_flight(), 0u);
-  EXPECT_EQ(delivered, kJobs);
 }
 
 }  // namespace

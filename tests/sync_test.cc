@@ -149,16 +149,16 @@ TEST(CondVarTest, HolderMarkIsReleasedDuringWait) {
 // -------------------------------------------------------------- ThreadRole
 
 TEST(ThreadRoleTest, AdoptDropAndQuery) {
-  // Use the checkpoint-worker role: DriverThread may already be adopted by
+  // Use the store-compactor role: DriverThread may already be adopted by
   // the process-wide test harness (any test that builds a Simulation).
-  EXPECT_FALSE(CkptWorkerThread.OnThread());
-  CkptWorkerThread.Adopt();
-  EXPECT_TRUE(CkptWorkerThread.OnThread());
-  CkptWorkerThread.AssertOnThread();
-  CkptWorkerThread.Adopt();  // idempotent
-  EXPECT_TRUE(CkptWorkerThread.OnThread());
-  CkptWorkerThread.Drop();
-  EXPECT_FALSE(CkptWorkerThread.OnThread());
+  EXPECT_FALSE(StoreCompactorThread.OnThread());
+  StoreCompactorThread.Adopt();
+  EXPECT_TRUE(StoreCompactorThread.OnThread());
+  StoreCompactorThread.AssertOnThread();
+  StoreCompactorThread.Adopt();  // idempotent
+  EXPECT_TRUE(StoreCompactorThread.OnThread());
+  StoreCompactorThread.Drop();
+  EXPECT_FALSE(StoreCompactorThread.OnThread());
 }
 
 TEST(ThreadRoleTest, ScopedThreadRoleDropsAtScopeExit) {
@@ -181,12 +181,12 @@ TEST(ThreadRoleTest, RolesAreThreadLocal) {
 TEST(ThreadRoleTest, RolesAreIndependentBits) {
   ScopedThreadRole loop(LoopThread);
   {
-    ScopedThreadRole worker(CkptWorkerThread);
+    ScopedThreadRole worker(StoreCompactorThread);
     EXPECT_TRUE(LoopThread.OnThread());
-    EXPECT_TRUE(CkptWorkerThread.OnThread());
+    EXPECT_TRUE(StoreCompactorThread.OnThread());
   }
   EXPECT_TRUE(LoopThread.OnThread());  // dropping one bit keeps the other
-  EXPECT_FALSE(CkptWorkerThread.OnThread());
+  EXPECT_FALSE(StoreCompactorThread.OnThread());
 }
 
 TEST(ThreadRoleDeathTest, AssertOnThreadAbortsWithoutTheRole) {
@@ -205,11 +205,11 @@ TEST(ThreadRoleDeathTest, AssertOnThreadAbortsWithoutTheRole) {
 TEST(ThreadRoleDeathTest, DroppedRoleNoLongerSatisfiesAssert) {
   EXPECT_DEATH(
       {
-        CkptWorkerThread.Adopt();
-        CkptWorkerThread.Drop();
-        CkptWorkerThread.AssertOnThread();
+        StoreCompactorThread.Adopt();
+        StoreCompactorThread.Drop();
+        StoreCompactorThread.AssertOnThread();
       },
-      "thread-affinity violation.*CkptWorkerThread");
+      "thread-affinity violation.*StoreCompactorThread");
 }
 
 }  // namespace

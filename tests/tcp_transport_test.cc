@@ -6,8 +6,11 @@
 // observe the dead peer as a TCP disconnection, and the invariant auditor
 // at level 2 must stay silent. State crosses the sockets for real: every
 // instance a scale out or recovery restores got exactly the partition its
-// backup holder cut, no parcel or partial chunk stream outlives a run, and
-// the pump's chunk decode path rejects every corruption of a chunk body.
+// backup holder cut, no parcel, frame or partial chunk stream outlives a
+// run, and the pump's chunk decode path rejects every corruption of a chunk
+// body. The pump itself runs only while traffic is in flight: an idle
+// transport schedules nothing, and a sender detached mid-parcel leaves no
+// frame counted in flight.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include "runtime/operator_instance.h"
 #include "runtime/tcp_transport.h"
 #include "serde/encoder.h"
+#include "sim/simulation.h"
 #include "sps/sps.h"
 #include "verify/invariant_auditor.h"
 #include "workloads/wordcount/wordcount.h"
@@ -94,22 +98,37 @@ class RestoredStateCheck {
   std::vector<bool> verified_;
 };
 
-/// Runs the simulation on in 1 ms steps (at most 2 s) until no checkpoint
-/// parcel is in flight, then asserts that the TCP transport's parcel table
-/// and the chunk reassembler are both empty: nothing leaks, whatever died
-/// mid-stream.
+/// Runs the simulation on in 1 ms steps (at most 2 s) until neither a
+/// checkpoint parcel nor a frame is in flight, then asserts that the TCP
+/// transport's parcel table, its in-flight frame count and the chunk
+/// reassembler are all empty: nothing leaks, whatever died mid-stream.
 void ExpectNoParcelsLeft(sps::Sps& sps) {
   auto* tcp = dynamic_cast<runtime::TcpTransport*>(sps.cluster().transport());
   ASSERT_NE(tcp, nullptr);
   runtime::CkptChunkReassembler* reassembler =
       sps.cluster().ckpt_reassembler();
   for (int i = 0; i < 2000; ++i) {
-    if (tcp->parcels_in_flight() == 0 && reassembler->pending_streams() == 0)
+    if (tcp->parcels_in_flight() == 0 && tcp->frames_in_flight() == 0 &&
+        reassembler->pending_streams() == 0)
       break;
     sps.RunFor(0.001);
   }
   EXPECT_EQ(tcp->parcels_in_flight(), 0u);
+  EXPECT_EQ(tcp->frames_in_flight(), 0u);
   EXPECT_EQ(reassembler->pending_streams(), 0u);
+}
+
+/// A checkpoint of `entries` distinct dictionary entries: at 20 000, about
+/// 0.5 MB, over a hundred 4 KiB chunks.
+core::StateCheckpoint BigCheckpoint(OperatorId op, int entries) {
+  core::StateCheckpoint big;
+  big.op = op;
+  big.instance = 77;
+  for (int i = 0; i < entries; ++i) {
+    big.processing.Add(static_cast<KeyHash>(i) * 2654435761u,
+                       "entry-" + std::to_string(i));
+  }
+  return big;
 }
 
 using workloads::wordcount::BuildWordCountQuery;
@@ -305,11 +324,10 @@ TEST(TcpTransportIntegration, DetachMidFlightKeepsPumpAccountingCoherent) {
   // and dynamically by the TSan CI job, which runs this suite). Racing the
   // detach against live worker deliveries either corrupted the counters —
   // wedging the pump's cv wait forever — or tripped TSan. A short horizon
-  // with an aggressive pump wait and a VM hard-killed while its frames are
-  // still in flight hangs here (test timeout) if the fix regresses.
+  // with a VM hard-killed while its frames are still in flight hangs here
+  // (test timeout) if the fix regresses.
   const WordCountConfig wc = BaseWorkload();
   sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
-  config.cluster.tcp.pump_wait_micros = 50;
   RunOutcome outcome = RunQuery(wc, config, 60, [](sps::Sps& sps) {
     sps.InjectFailure(/*counter op id=*/2, /*at_seconds=*/12);
   });
@@ -321,10 +339,10 @@ TEST(TcpTransportIntegration, DetachMidFlightKeepsPumpAccountingCoherent) {
 }
 
 TEST(TcpTransportIntegration, AsyncPipelineMatchesSimBackend) {
-  // Async checkpointing over TCP: captures serialize on real per-VM worker
-  // threads and frames cross loopback sockets in small chunks. Stable
-  // windows must still match the synchronous sim reference exactly, with
-  // the level-2 auditor (chunk-reassembly included) silent.
+  // Async checkpointing over TCP: captures serialize in the deferred
+  // pipeline stage and frames cross loopback sockets in small chunks.
+  // Stable windows must still match the synchronous sim reference exactly,
+  // with the level-2 auditor (chunk-reassembly included) silent.
   const WordCountConfig wc = BaseWorkload();
   sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
   config.cluster.async_checkpoints = true;
@@ -524,13 +542,7 @@ TEST(TcpTransportIntegration, ParcelFromAKilledVmNeverArrives) {
   }
   ASSERT_NE(receiver, kInvalidVm);
 
-  core::StateCheckpoint big;  // ~0.5 MB: over a hundred 4 KiB chunks
-  big.op = counter;
-  big.instance = 77;
-  for (int i = 0; i < 20000; ++i) {
-    big.processing.Add(static_cast<KeyHash>(i) * 2654435761u,
-                       "entry-" + std::to_string(i));
-  }
+  core::StateCheckpoint big = BigCheckpoint(counter, 20000);
   int arrivals = 0;
   std::vector<uint8_t> arrived;
   const runtime::ArrivalFn on_arrival = [&](runtime::ArrivedCheckpoint a) {
@@ -556,6 +568,83 @@ TEST(TcpTransportIntegration, ParcelFromAKilledVmNeverArrives) {
   ExpectNoParcelsLeft(sps);
 }
 
+/// A bare cluster on the TCP backend: no query and no traffic but what a
+/// test ships between VMs it attaches by hand.
+runtime::ClusterConfig BareTcpConfig() {
+  runtime::ClusterConfig config;
+  config.transport = runtime::TransportKind::kTcp;
+  config.checkpoint_chunk_bytes = 4096;
+  config.audit_level = verify::kAuditOff;
+  return config;
+}
+
+TEST(TcpTransportPump, IdleTransportSchedulesNothing) {
+  // The pump runs only while traffic is in flight: two attached VMs with
+  // nothing to say leave the event queue empty, one parcel starts the
+  // pump, the pump keeps running while any of its chunks is in flight, and
+  // once the parcel has arrived the queue is empty again.
+  core::QueryGraph graph;
+  runtime::Cluster cluster(&graph, BareTcpConfig());
+  auto* tcp = dynamic_cast<runtime::TcpTransport*>(cluster.transport());
+  ASSERT_NE(tcp, nullptr);
+  sim::Simulation* sim = cluster.simulation();
+  tcp->AttachVm(1);
+  tcp->AttachVm(2);
+  sim->RunUntil(SecondsToSim(1));
+  EXPECT_EQ(sim->pending_events(), 0u);
+
+  int arrivals = 0;
+  tcp->ShipCheckpoint(1, 2,
+                      runtime::CheckpointParcel{BigCheckpoint(3, 20000),
+                                                /*receiver=*/9},
+                      [&](runtime::ArrivedCheckpoint) { ++arrivals; });
+  EXPECT_EQ(sim->pending_events(), 1u);  // one pump, however many chunks
+  for (int i = 0; i < 2000 && sim->pending_events() > 0; ++i) {
+    sim->RunUntil(sim->Now() + MillisToSim(1));
+    if (tcp->frames_in_flight() > 0) {
+      ASSERT_EQ(sim->pending_events(), 1u);
+    }
+  }
+  EXPECT_EQ(arrivals, 1);
+  EXPECT_EQ(sim->pending_events(), 0u);
+  EXPECT_EQ(tcp->frames_in_flight(), 0u);
+  EXPECT_EQ(cluster.ckpt_reassembler()->pending_streams(), 0u);
+}
+
+TEST(TcpTransportPump, DetachedSenderLeavesNoFramesInFlight) {
+  // Regression: DetachVm wrote off only the frames addressed *to* the
+  // detached VM. Frames its worker had queued for live peers died with the
+  // worker uncounted, so the in-flight total never returned to zero: every
+  // later pump waited out its full bound, and the pump never stopped.
+  // Detaching the sender right after it posts a multi-chunk parcel leaves
+  // most chunks in its queues.
+  core::QueryGraph graph;
+  runtime::Cluster cluster(&graph, BareTcpConfig());
+  auto* tcp = dynamic_cast<runtime::TcpTransport*>(cluster.transport());
+  ASSERT_NE(tcp, nullptr);
+  sim::Simulation* sim = cluster.simulation();
+  const core::StateCheckpoint big = BigCheckpoint(3, 20000);
+  for (VmId round = 0; round < 10; ++round) {
+    const VmId sender = 2 * round + 1;
+    const VmId receiver = 2 * round + 2;
+    tcp->AttachVm(sender);
+    tcp->AttachVm(receiver);
+    int arrivals = 0;
+    tcp->ShipCheckpoint(sender, receiver,
+                        runtime::CheckpointParcel{big, /*receiver=*/9},
+                        [&](runtime::ArrivedCheckpoint) { ++arrivals; });
+    tcp->DetachVm(sender);
+    for (int i = 0; i < 2000 && sim->pending_events() > 0; ++i) {
+      sim->RunUntil(sim->Now() + MillisToSim(1));
+    }
+    EXPECT_EQ(arrivals, 0) << "round " << round;
+    EXPECT_EQ(tcp->frames_in_flight(), 0u) << "round " << round;
+    EXPECT_EQ(tcp->parcels_in_flight(), 0u) << "round " << round;
+    EXPECT_EQ(sim->pending_events(), 0u) << "round " << round;
+    tcp->DetachVm(receiver);
+  }
+}
+
 /// One single-chunk parcel of a real checkpoint, as TcpTransport cuts it.
 struct ChunkFixture {
   core::StateCheckpoint ckpt;
@@ -572,13 +661,8 @@ ChunkFixture MakeChunkFixture(bool compress) {
   for (int i = 0; i < 20; ++i) {
     f.ckpt.processing.Add(100 + i, "count-" + std::to_string(i % 3));
   }
-  runtime::CkptSerializer::Job job;
-  job.owner = f.ckpt.instance;
-  job.owner_op = f.ckpt.op;
-  job.seq = f.ckpt.seq;
-  job.snapshot = f.ckpt;
   const runtime::SerializedCkptFrame frame =
-      runtime::CkptSerializer::BuildFrame(job, compress);
+      runtime::SerializeCheckpoint(f.ckpt, compress);
   f.stream.chunk_bytes = frame.frame.size();
   f.stream.header =
       runtime::ChunkStreamHeader(frame, /*receiver=*/5, f.stream.chunk_bytes);

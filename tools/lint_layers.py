@@ -23,11 +23,11 @@ reconfiguration plane and the durable checkpoint store:
     implementations (src/runtime/transport.* and tcp_transport.*) may
     include net/ headers. Everything else reaches the network through
     the runtime::Transport seam, keeping the sim path byte-identical.
-  * ckpt-worker-no-net: the checkpoint pipeline's background worker code
-    (src/runtime/ckpt_*) must not include net/ headers. Serialization
-    workers run off the driver thread and hand frames back through the
-    Transport seam; a worker writing sockets directly would bypass both
-    the per-link FIFO the chunk protocol assumes and the audit hooks.
+  * ckpt-worker-no-net: the checkpoint pipeline's code
+    (src/runtime/ckpt_*) must not include net/ headers. Serialized frames
+    reach the wire only through the Transport seam; pipeline code writing
+    sockets directly would bypass both the per-link FIFO the chunk
+    protocol assumes and the audit hooks.
   * store-isolation: src/store/ is a storage-engine leaf; it may include
     only serde/ (framing, crc, compression) and common/. The log knows
     bytes and record metadata, never operators, checkpoint objects or
