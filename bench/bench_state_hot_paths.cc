@@ -4,8 +4,8 @@
 // reference implementation — unsorted linear-scan filters, map-rebuild delta
 // application, vector-erase trims and a byte-at-a-time encoder without
 // reservation — plus the operators' own get-processing-state at the state
-// sizes the LRB benchmark reaches. Results go to stdout and
-// BENCH_state_hot_paths.json.
+// sizes the LRB benchmark reaches and the word counter's per-tuple Process.
+// Results go to stdout and BENCH_state_hot_paths.json.
 //
 // Usage: bench_state_hot_paths [output.json]
 
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -428,6 +429,7 @@ struct CaptureRow {
   const char* op;
   size_t entries;
   double capture_us;
+  double sorted_us;  // capture plus the first read of its entries
 };
 
 class DiscardCollector : public core::Collector {
@@ -442,9 +444,15 @@ void ReportCapture(std::vector<CaptureRow>* rows, const char* op,
     const ProcessingState state = impl.GetProcessingState();
     entries = state.size();
   });
-  std::printf("%-15s %9zu %14.1f\n", op, entries, us);
+  // ProcessingState sorts on first read, so a capture that adds entries out
+  // of key order leaves a sort to whoever encodes the checkpoint.
+  const double sorted_us = TimeUs(reps, [&] {
+    const ProcessingState state = impl.GetProcessingState();
+    entries = state.entries().size();
+  });
+  std::printf("%-15s %9zu %14.1f %14.1f\n", op, entries, us, sorted_us);
   std::fflush(stdout);
-  rows->push_back(CaptureRow{op, entries, us});
+  rows->push_back(CaptureRow{op, entries, us, sorted_us});
 }
 
 void BenchOperatorCapture(std::vector<CaptureRow>* rows, int reps) {
@@ -491,8 +499,47 @@ void BenchOperatorCapture(std::vector<CaptureRow>* rows, int reps) {
   ReportCapture(rows, "WordCounter", counter, reps);
 }
 
+// ---------------------------------------------------------- operator process
+// The per-tuple path of a stateful operator: the word counter's own state
+// bookkeeping on the stream the word-count benchmarks feed it.
+
+struct ProcessRow {
+  const char* op;
+  size_t tuples;
+  double ns_per_tuple;
+};
+
+void BenchOperatorProcess(std::vector<ProcessRow>* rows, int reps) {
+  namespace wc = workloads::wordcount;
+  // Zipf(1 000, 0.9) words at 2 000 words/s of event time (100 sentences/s
+  // of 20 words, as in the word-count benchmarks): 100 s, windows 0-3.
+  constexpr size_t kWords = 200'000;
+  constexpr SimTime kEveryUs = 500;
+  wc::WordCountConfig config;
+  config.probe_every_n = 0;  // the state update alone
+  Rng rng(0x5EED);
+  const ZipfDistribution rank(config.vocabulary, config.zipf_skew);
+  std::vector<Tuple> stream(kWords);
+  for (size_t i = 0; i < kWords; ++i) {
+    stream[i].text = wc::SentenceSource::WordAt(rank.Sample(&rng));
+    stream[i].key = HashBytes(stream[i].text);
+    stream[i].event_time = static_cast<SimTime>(i) * kEveryUs;
+  }
+  DiscardCollector discard;
+  const double us = TimeConsumingUs(
+      reps, [&] { return std::make_unique<wc::WordCounter>(config); },
+      [&](std::unique_ptr<wc::WordCounter>& counter) {
+        for (const Tuple& t : stream) counter->Process(t, &discard);
+      });
+  const double ns = us * 1000.0 / static_cast<double>(kWords);
+  std::printf("%-15s %9zu %14.1f\n", "WordCounter", kWords, ns);
+  std::fflush(stdout);
+  rows->push_back(ProcessRow{"WordCounter", kWords, ns});
+}
+
 void WriteJson(FILE* f, const std::vector<Row>& rows,
-               const std::vector<CaptureRow>& captures) {
+               const std::vector<CaptureRow>& captures,
+               const std::vector<ProcessRow>& processes) {
   std::fprintf(f, "{\n  \"bench\": \"state_hot_paths\",\n  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -508,9 +555,18 @@ void WriteJson(FILE* f, const std::vector<Row>& rows,
     const CaptureRow& c = captures[i];
     std::fprintf(f,
                  "    {\"operator\": \"%s\", \"entries\": %zu, "
-                 "\"capture_us\": %.1f}%s\n",
-                 c.op, c.entries, c.capture_us,
+                 "\"capture_us\": %.1f, \"sorted_us\": %.1f}%s\n",
+                 c.op, c.entries, c.capture_us, c.sorted_us,
                  i + 1 < captures.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"operator_process\": [\n");
+  for (size_t i = 0; i < processes.size(); ++i) {
+    const ProcessRow& p = processes[i];
+    std::fprintf(f,
+                 "    {\"operator\": \"%s\", \"tuples\": %zu, "
+                 "\"ns_per_tuple\": %.1f}%s\n",
+                 p.op, p.tuples, p.ns_per_tuple,
+                 i + 1 < processes.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
 }
@@ -538,10 +594,15 @@ int Main(int argc, char** argv) {
     BenchPartitionSerialize(&rows, n, reps);
   }
   std::printf("\n==== Operator get-processing-state ====\n");
-  std::printf("%-15s %9s %14s\n", "operator", "entries", "capture(us)");
+  std::printf("%-15s %9s %14s %14s\n", "operator", "entries", "capture(us)",
+              "+sort(us)");
   std::vector<CaptureRow> captures;
   BenchOperatorCapture(&captures, 20);
-  WriteJson(f, rows, captures);
+  std::printf("\n==== Operator process ====\n");
+  std::printf("%-15s %9s %14s\n", "operator", "tuples", "ns/tuple");
+  std::vector<ProcessRow> processes;
+  BenchOperatorProcess(&processes, 10);
+  WriteJson(f, rows, captures, processes);
   std::fclose(f);
   std::printf("wrote %s\n", out);
   return 0;

@@ -53,11 +53,19 @@ void MapProject::Process(const core::Tuple& input, core::Collector* out) {
 
 // -------------------------------------------------------------------- reduce
 
+TopKReducer::Windows& TopKReducer::DirtyWindows(int64_t lang) {
+  auto [it, inserted] = counts_.try_emplace(lang);
+  // A language that comes back before the next delta is updated, not
+  // deleted.
+  if (inserted) removed_languages_.erase(lang);
+  dirty_languages_.insert(lang);
+  return it->second;
+}
+
 void TopKReducer::Process(const core::Tuple& input, core::Collector* out) {
   const int64_t window =
       input.event_time / std::max<SimTime>(1, config_.window);
-  ++counts_[input.ints[0]][window].count;
-  dirty_languages_.insert(input.ints[0]);
+  ++DirtyWindows(input.ints[0])[window].count;
 }
 
 void TopKReducer::OnTimer(SimTime now, core::Collector* out) {
@@ -156,7 +164,7 @@ void TopKReducer::MergeProcessingState(const core::ProcessingState& state) {
     SEEP_CHECK(lang.ok());
     auto n = dec.ReadVarint64();
     SEEP_CHECK(n.ok());
-    auto& windows = counts_[lang.value()];
+    Windows& windows = DirtyWindows(lang.value());
     for (uint64_t i = 0; i < n.value(); ++i) {
       auto win = dec.ReadVarintSigned64();
       auto count = dec.ReadVarintSigned64();

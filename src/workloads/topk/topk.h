@@ -85,7 +85,8 @@ class TopKReducer : public core::Operator {
   void OnTimer(SimTime now, core::Collector* out) override;
 
   /// Adds the counts of another partition's state to this one, language by
-  /// language and window by window (scale-in merge, paper §3.3).
+  /// language and window by window (scale-in merge, paper §3.3); merged
+  /// languages count as dirty for the next delta.
   void MergeProcessingState(const core::ProcessingState& state);
 
  private:
@@ -99,8 +100,13 @@ class TopKReducer : public core::Operator {
   /// the caller's scratch encoder.
   static std::string EncodeLanguageEntry(int64_t lang, const Windows& windows,
                                          serde::Encoder* enc);
+  /// The language's windows, created empty on first sight; the language is
+  /// dirty for the next delta.
+  Windows& DirtyWindows(int64_t lang);
 
   TopKConfig config_;
+  // Languages changed / vanished since the last delta or full checkpoint; a
+  // language with counts is never in removed_languages_.
   std::set<int64_t> dirty_languages_;
   std::set<int64_t> removed_languages_;
   std::map<int64_t, Windows> counts_;  // language id -> windows

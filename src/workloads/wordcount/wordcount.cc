@@ -66,11 +66,27 @@ void WordSplitter::Process(const core::Tuple& input, core::Collector* out) {
 
 // ------------------------------------------------------------------- counter
 
+WordCounter::Word& WordCounter::DirtyWord(const std::string& word) {
+  auto [it, inserted] = counts_.try_emplace(word);
+  if (inserted) {
+    it->second.key = HashBytes(word);
+    // A word that comes back before the next delta is updated, not deleted.
+    removed_words_.erase(word);
+  }
+  MarkDirty(&*it);
+  return *it;
+}
+
+void WordCounter::MarkDirty(Word* word) {
+  if (word->second.dirty) return;
+  word->second.dirty = true;
+  dirty_.push_back(word);
+}
+
 void WordCounter::Process(const core::Tuple& input, core::Collector* out) {
   const int64_t window =
       input.event_time / std::max<SimTime>(1, config_.window);
-  const int64_t count = ++counts_[input.text][window].count;
-  dirty_words_.insert(input.text);
+  const int64_t count = ++DirtyWord(input.text).second.windows[window].count;
   if (config_.probe_every_n > 0 &&
       ++inputs_since_probe_ >= config_.probe_every_n) {
     inputs_since_probe_ = 0;
@@ -86,7 +102,13 @@ void WordCounter::Process(const core::Tuple& input, core::Collector* out) {
 void WordCounter::OnTimer(SimTime now, core::Collector* out) {
   const SimTime window = std::max<SimTime>(1, config_.window);
   const int64_t current = now / window;
-  for (auto& [word, windows] : counts_) {
+  std::vector<Word*> words;  // finals go out in word order
+  words.reserve(counts_.size());
+  for (Word& word : counts_) words.push_back(&word);
+  std::sort(words.begin(), words.end(),
+            [](const Word* a, const Word* b) { return a->first < b->first; });
+  for (Word* word : words) {
+    Windows& windows = word->second.windows;
     for (auto it = windows.begin(); it != windows.end();) {
       auto& [win, cell] = *it;
       if (win >= current) {
@@ -98,9 +120,9 @@ void WordCounter::OnTimer(SimTime now, core::Collector* out) {
       // final on the next timer).
       if (cell.count != cell.emitted) {
         core::Tuple result;
-        result.key = HashBytes(word);
+        result.key = word->second.key;
         result.event_time = (win + 1) * window;
-        result.text = word;
+        result.text = word->first;
         result.ints = {win, cell.count, /*final=*/1, 0};
         result.latency_sample = false;  // periodic output, not per-tuple path
         out->Emit(std::move(result));
@@ -108,55 +130,60 @@ void WordCounter::OnTimer(SimTime now, core::Collector* out) {
       }
       // Retain recently closed windows so late tuples re-accumulate.
       if (win < current - config_.retained_windows) {
-        dirty_words_.insert(word);
+        MarkDirty(word);
         it = windows.erase(it);
       } else {
         ++it;
       }
     }
   }
-  std::erase_if(counts_, [this](const auto& kv) {
-    if (!kv.second.empty()) return false;
-    removed_words_.insert(kv.first);
-    dirty_words_.erase(kv.first);
+  // Words with no window left are deleted, so they leave the dirty list
+  // before their entries go.
+  std::erase_if(dirty_,
+                [](const Word* word) { return word->second.windows.empty(); });
+  std::erase_if(counts_, [this](const Word& word) {
+    if (!word.second.windows.empty()) return false;
+    removed_words_.insert(word.first);
     return true;
   });
 }
 
-std::string WordCounter::EncodeWordEntry(const std::string& word,
-                                         const Windows& windows,
-                                         serde::Encoder* enc) {
-  enc->Clear();
-  enc->AppendString(word);
-  enc->AppendVarint64(windows.size());
-  for (const auto& [win, cell] : windows) {
-    enc->AppendVarintSigned64(win);
-    enc->AppendVarintSigned64(cell.count);
-  }
-  return StateEntryValue(*enc);
-}
-
-core::ProcessingState WordCounter::GetProcessingState() const {
+core::ProcessingState WordCounter::EncodeInKeyOrder(
+    std::vector<KeyedWord> words) {
+  std::sort(words.begin(), words.end(),
+            [](const KeyedWord& a, const KeyedWord& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return a.second->first < b.second->first;
+            });
   core::ProcessingState state;
-  state.Reserve(counts_.size());
+  state.Reserve(words.size());
   serde::Encoder enc;
-  for (const auto& [word, windows] : counts_) {
-    state.Add(HashBytes(word), EncodeWordEntry(word, windows, &enc));
+  for (const auto& [key, word] : words) {
+    enc.Clear();
+    enc.AppendString(word->first);
+    enc.AppendVarint64(word->second.windows.size());
+    for (const auto& [win, cell] : word->second.windows) {
+      enc.AppendVarintSigned64(win);
+      enc.AppendVarintSigned64(cell.count);
+    }
+    state.Add(key, StateEntryValue(enc));
   }
   return state;
 }
 
+core::ProcessingState WordCounter::GetProcessingState() const {
+  std::vector<KeyedWord> words;
+  words.reserve(counts_.size());
+  for (const Word& word : counts_) words.emplace_back(word.second.key, &word);
+  return EncodeInKeyOrder(std::move(words));
+}
+
 core::StateDelta WordCounter::TakeProcessingStateDelta() {
+  std::vector<KeyedWord> words;
+  words.reserve(dirty_.size());
+  for (const Word* word : dirty_) words.emplace_back(word->second.key, word);
   core::StateDelta delta;
-  delta.updated.Reserve(dirty_words_.size());
-  serde::Encoder enc;
-  for (const std::string& word : dirty_words_) {
-    auto it = counts_.find(word);
-    if (it != counts_.end()) {
-      delta.updated.Add(HashBytes(word),
-                        EncodeWordEntry(word, it->second, &enc));
-    }
-  }
+  delta.updated = EncodeInKeyOrder(std::move(words));
   delta.deleted.reserve(removed_words_.size());
   for (const std::string& word : removed_words_) {
     delta.deleted.push_back(HashBytes(word));
@@ -166,13 +193,14 @@ core::StateDelta WordCounter::TakeProcessingStateDelta() {
 }
 
 void WordCounter::ClearStateDelta() {
-  dirty_words_.clear();
+  for (Word* word : dirty_) word->second.dirty = false;
+  dirty_.clear();
   removed_words_.clear();
 }
 
 void WordCounter::SetProcessingState(const core::ProcessingState& state) {
+  ClearStateDelta();  // before the entries dirty_ points to go
   counts_.clear();
-  ClearStateDelta();
   MergeProcessingState(state);
   // Restored state equals the checkpoint it came from: nothing is dirty
   // relative to that base.
@@ -186,22 +214,21 @@ void WordCounter::MergeProcessingState(const core::ProcessingState& state) {
     SEEP_CHECK(word.ok());
     auto n = dec.ReadVarint64();
     SEEP_CHECK(n.ok());
-    auto& windows = counts_[word.value()];
-    dirty_words_.insert(word.value());
+    Word& entry = DirtyWord(word.value());
     for (uint64_t i = 0; i < n.value(); ++i) {
       auto win = dec.ReadVarintSigned64();
       auto count = dec.ReadVarintSigned64();
       SEEP_CHECK(win.ok() && count.ok());
       // Restored/merged state counts as un-emitted so the next timer emits
       // (or re-emits) the final; the sink's max-merge keeps this idempotent.
-      windows[win.value()].count += count.value();
+      entry.second.windows[win.value()].count += count.value();
     }
   }
 }
 
 size_t WordCounter::StateCells() const {
   size_t n = 0;
-  for (const auto& [word, windows] : counts_) n += windows.size();
+  for (const auto& [word, entry] : counts_) n += entry.windows.size();
   return n;
 }
 

@@ -6,7 +6,9 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/operator.h"
@@ -91,6 +93,9 @@ class WordSplitter : public core::Operator {
 class WordCounter : public core::Operator {
  public:
   explicit WordCounter(const WordCountConfig& config) : config_(config) {}
+  // dirty_ points into counts_, so a copy would point into the original.
+  WordCounter(const WordCounter&) = delete;
+  WordCounter& operator=(const WordCounter&) = delete;
 
   void Process(const core::Tuple& input, core::Collector* out) override;
   bool IsStateful() const override { return true; }
@@ -117,20 +122,35 @@ class WordCounter : public core::Operator {
     int64_t emitted = 0;  // count at the last final emission (dirty flag)
   };
   using Windows = std::map<int64_t, Cell>;  // window id -> cell
+  struct Entry {
+    KeyHash key = 0;     // HashBytes(word): the word's state entry key
+    bool dirty = false;  // listed in dirty_
+    Windows windows;
+  };
+  using Word = std::pair<const std::string, Entry>;
+  using KeyedWord = std::pair<KeyHash, const Word*>;  // (entry key, word)
 
-  /// One externalised state entry (all windows of one word), encoded in the
-  /// caller's scratch encoder.
-  static std::string EncodeWordEntry(const std::string& word,
-                                     const Windows& windows,
-                                     serde::Encoder* enc);
+  /// The word's entry, created empty on first sight and listed for the
+  /// next delta.
+  Word& DirtyWord(const std::string& word);
+  /// Lists the word's entry for the next delta.
+  void MarkDirty(Word* word);
+
+  /// The words' externalised entries (all windows of one word each), added
+  /// in the order ProcessingState keeps, ascending by key with ties by word,
+  /// so nothing sorts them again.
+  static core::ProcessingState EncodeInKeyOrder(std::vector<KeyedWord> words);
 
   WordCountConfig config_;
   uint64_t inputs_since_probe_ = 0;
-  // Incremental checkpoint tracking: words whose entry changed / vanished
-  // since the last delta or full checkpoint.
-  std::set<std::string> dirty_words_;
+  // word -> entry: one hash probe per tuple. Nothing depends on its
+  // iteration order; captures, deltas and timers sort what they emit.
+  std::unordered_map<std::string, Entry> counts_;
+  // Incremental checkpoint tracking: entries changed since the last delta
+  // or full checkpoint, and words whose entry vanished since then. A word
+  // with an entry is never in removed_words_.
+  std::vector<Word*> dirty_;
   std::set<std::string> removed_words_;
-  std::map<std::string, Windows> counts_;  // word -> windows
 };
 
 /// Collects final word frequencies. Upserts by (window, word) taking the

@@ -504,6 +504,7 @@ TEST(WordCountOperatorsTest, CounterCaptureAndDeltaMatchReferenceBytes) {
     counter.Process(t, &out);
     ++ref[word][t.event_time / cfg.window];
     dirty.insert(word);
+    removed.erase(word);  // a word that comes back is updated, not deleted
   };
   auto timer = [&](double at_s) {
     counter.OnTimer(SecondsToSim(at_s), &out);
@@ -566,6 +567,14 @@ TEST(WordCountOperatorsTest, CounterCaptureAndDeltaMatchReferenceBytes) {
   EXPECT_EQ(Bytes(counter.GetProcessingState()), Bytes(ref_state(false)));
   expect_delta("after expiry");
 
+  // At 180 s window 3 expires; "sat", seen last there, returns before the
+  // next delta.
+  timer(180);
+  ASSERT_TRUE(removed.contains("sat"));
+  feed("sat", 175);
+  EXPECT_EQ(Bytes(counter.GetProcessingState()), Bytes(ref_state(false)));
+  expect_delta("expired word fed again");
+
   const core::ProcessingState state = counter.GetProcessingState();
   wc::WordCounter restored(cfg);
   restored.SetProcessingState(state);
@@ -573,6 +582,145 @@ TEST(WordCountOperatorsTest, CounterCaptureAndDeltaMatchReferenceBytes) {
   const core::StateDelta none = restored.TakeProcessingStateDelta();
   EXPECT_TRUE(none.updated.empty());
   EXPECT_TRUE(none.deleted.empty());
+}
+
+// A word whose windows all expire and which comes back before the next delta
+// must be updated, not deleted: ApplyDelta lets a deletion win, so the
+// holder's base would lose counts its acknowledged positions cover.
+TEST(WordCountOperatorsTest, CounterDeltaKeepsWordThatReturnsAfterExpiry) {
+  wc::WordCountConfig cfg;
+  cfg.window = SecondsToSim(30);
+  cfg.retained_windows = 2;
+  cfg.probe_every_n = 0;
+  wc::WordCounter counter(cfg);
+  TestCollector out;
+  auto feed = [&](const std::string& word, double at_s) {
+    core::Tuple t;
+    t.text = word;
+    t.key = HashBytes(word);
+    t.event_time = SecondsToSim(at_s);
+    counter.Process(t, &out);
+  };
+  feed("cat", 5);
+  feed("dog", 5);
+  feed("dog", 100);
+  core::ProcessingState base = counter.GetProcessingState();
+  counter.ClearStateDelta();  // as a full checkpoint does
+
+  counter.OnTimer(SecondsToSim(100), &out);  // window 0 expires: "cat" goes
+  feed("cat", 110);                          // and comes back in window 3
+  const core::StateDelta delta = counter.TakeProcessingStateDelta();
+  EXPECT_TRUE(delta.deleted.empty());
+  base.ApplyDelta(delta.updated, delta.deleted);
+  EXPECT_EQ(Bytes(base), Bytes(counter.GetProcessingState()));
+}
+
+// The counter's window-close output against a reference: one final per
+// closed window whose count changed since its last final, as (window, count,
+// final=1), in word order; and merged words are dirty for the next delta.
+TEST(WordCountOperatorsTest, CounterTimerEmitsChangedFinalsInWordOrder) {
+  wc::WordCountConfig cfg;
+  cfg.window = SecondsToSim(30);
+  cfg.retained_windows = 2;
+  cfg.probe_every_n = 0;
+  wc::WordCounter counter(cfg);
+  TestCollector out;
+  // The reference: (count, count at the last final) by word and window.
+  std::map<std::string, std::map<int64_t, std::pair<int64_t, int64_t>>> ref;
+  auto feed = [&](const std::string& word, double at_s) {
+    core::Tuple t;
+    t.text = word;
+    t.key = HashBytes(word);
+    t.event_time = SecondsToSim(at_s);
+    counter.Process(t, &out);
+    ++ref[word][t.event_time / cfg.window].first;
+  };
+  // Fires both timers and returns how many finals the reference emitted.
+  auto timer = [&](double at_s) {
+    out.emissions.clear();
+    counter.OnTimer(SecondsToSim(at_s), &out);
+    const int64_t current = SecondsToSim(at_s) / cfg.window;
+    std::vector<core::Tuple> want;
+    for (auto word = ref.begin(); word != ref.end();) {
+      auto& windows = word->second;
+      for (auto it = windows.begin(); it != windows.end();) {
+        auto& [win, cell] = *it;
+        if (win >= current) {
+          ++it;
+          continue;
+        }
+        if (cell.first != cell.second) {
+          core::Tuple final_count;
+          final_count.key = HashBytes(word->first);
+          final_count.event_time = (win + 1) * cfg.window;
+          final_count.text = word->first;
+          final_count.ints = {win, cell.first, /*final=*/1, 0};
+          final_count.latency_sample = false;
+          want.push_back(final_count);
+          cell.second = cell.first;
+        }
+        it = win < current - cfg.retained_windows ? windows.erase(it)
+                                                  : std::next(it);
+      }
+      word = windows.empty() ? ref.erase(word) : std::next(word);
+    }
+    EXPECT_EQ(out.emissions.size(), want.size());
+    for (size_t i = 0; i < std::min(want.size(), out.emissions.size()); ++i) {
+      SCOPED_TRACE(i);
+      const auto& [port, got] = out.emissions[i];
+      EXPECT_EQ(port, 0);
+      EXPECT_EQ(got.text, want[i].text);
+      EXPECT_EQ(got.key, want[i].key);
+      EXPECT_EQ(got.event_time, want[i].event_time);
+      EXPECT_EQ(got.ints, want[i].ints);
+      EXPECT_FALSE(got.latency_sample);
+    }
+    return want.size();
+  };
+
+  const std::string words[] = {"zebra", "ant", "w10", "w9", "mole", "cat"};
+  for (int i = 0; i < 90; ++i) {
+    feed(words[(i * 5 + i / 7) % std::size(words)], i * 1.0);  // windows 0-2
+  }
+  EXPECT_EQ(timer(60), 2 * std::size(words));  // windows 0 and 1 close
+  EXPECT_EQ(timer(75), 0u);                    // nothing changed
+
+  // A late tuple into closed window 0, still retained, corrects its final.
+  feed("ant", 12);
+  ASSERT_EQ(timer(80), 1u);
+  EXPECT_EQ(out.emissions[0].second.text, "ant");
+  EXPECT_EQ(out.emissions[0].second.ints[0], 0);
+
+  // At 130 s windows 2 and 3 are closed and windows 0 and 1 expire.
+  feed("cat", 95);
+  feed("yak", 100);
+  EXPECT_EQ(timer(130), std::size(words) + 2);
+
+  // Merging another partition: every merged word, new or not, is in the
+  // next delta, and its merged windows get a final again.
+  counter.ClearStateDelta();
+  wc::WordCounter other(cfg);
+  std::set<KeyHash> merged_keys;
+  for (const std::string word : {"ant", "bee", "yak"}) {
+    core::Tuple t;
+    t.text = word;
+    t.key = HashBytes(word);
+    t.event_time = SecondsToSim(110);
+    other.Process(t, &out);
+    ++ref[word][t.event_time / cfg.window].first;
+    merged_keys.insert(t.key);
+  }
+  counter.MergeProcessingState(other.GetProcessingState());
+  const core::StateDelta delta = counter.TakeProcessingStateDelta();
+  const core::ProcessingState full = counter.GetProcessingState();
+  core::ProcessingState want;
+  for (const auto& [key, value] : full.entries()) {
+    if (merged_keys.contains(key)) want.Add(key, value);
+  }
+  EXPECT_EQ(delta.updated.size(), merged_keys.size());
+  EXPECT_EQ(Bytes(delta.updated), Bytes(want));
+  EXPECT_TRUE(delta.deleted.empty());
+  EXPECT_EQ(timer(130), merged_keys.size());
 }
 
 TEST(WordCountOperatorsTest, ProbeEmittedEveryN) {
@@ -743,6 +891,32 @@ TEST(TopKOperatorsTest, ReducerCaptureAndDeltaMatchReferenceBytes) {
   restored.SetProcessingState(state);
   EXPECT_EQ(Bytes(restored.GetProcessingState()), Bytes(state));
   EXPECT_TRUE(restored.TakeProcessingStateDelta().updated.empty());
+}
+
+// As CounterDeltaKeepsWordThatReturnsAfterExpiry, for a language.
+TEST(TopKOperatorsTest, ReducerDeltaKeepsLanguageThatReturnsAfterExpiry) {
+  topk::TopKConfig cfg;
+  cfg.window = SecondsToSim(30);
+  topk::TopKReducer reducer(cfg);
+  TestCollector out;
+  auto feed = [&](int64_t lang, double at_s) {
+    core::Tuple t;
+    t.ints = {lang, 0, 0, 0};
+    t.event_time = SecondsToSim(at_s);
+    reducer.Process(t, &out);
+  };
+  feed(7, 5);
+  feed(8, 5);
+  feed(8, 100);
+  core::ProcessingState base = reducer.GetProcessingState();
+  reducer.ClearStateDelta();  // as a full checkpoint does
+
+  reducer.OnTimer(SecondsToSim(100), &out);  // window 0 expires: 7 goes
+  feed(7, 110);                              // and comes back in window 3
+  const core::StateDelta delta = reducer.TakeProcessingStateDelta();
+  EXPECT_TRUE(delta.deleted.empty());
+  base.ApplyDelta(delta.updated, delta.deleted);
+  EXPECT_EQ(Bytes(base), Bytes(reducer.GetProcessingState()));
 }
 
 }  // namespace
