@@ -17,7 +17,7 @@
 /// goes through this header: the wrappers carry capability annotations, so
 /// a clang build with -DSEEP_TSA=ON (-Werror=thread-safety) rejects lock
 /// discipline violations at compile time — a guarded field read without its
-/// mutex, a loop-confined method called off the loop thread, a capability
+/// mutex, a driver-confined method called from another thread, a capability
 /// released twice. Under gcc the annotations expand to nothing and only the
 /// runtime checks (AssertHeld / AssertOnThread) remain.
 ///
@@ -31,13 +31,14 @@
 ///
 ///  * Thread-affinity capabilities — phantom capabilities that model "runs
 ///    on thread X" as a capability the thread's entry point adopts. The
-///    repo has three thread roles (DESIGN.md §8): the simulation driver
-///    thread (`DriverThread` — all protocol state), the net event-loop
-///    threads (`LoopThread` — per-VM epoll reactors), and the durable
-///    store's compactor (`StoreCompactorThread`). A function annotated
-///    `SEEP_RUN_ON(DriverThread)` is compile-time rejected when called from
-///    a context that does not hold the capability, and
-///    `Role.AssertOnThread()` backs the static claim with a runtime check.
+///    repo has two thread roles (DESIGN.md §8): the simulation driver
+///    thread (`DriverThread` — all protocol state, and every socket of the
+///    TCP backend, which it polls itself), and the durable store's
+///    compactor (`StoreCompactorThread`, the one thread the repo starts).
+///    A function annotated `SEEP_RUN_ON(DriverThread)` is compile-time
+///    rejected when called from a context that does not hold the
+///    capability, and `Role.AssertOnThread()` backs the static claim with a
+///    runtime check.
 
 // ---------------------------------------------------------------- attributes
 
@@ -82,9 +83,9 @@
 #define SEEP_EXCLUDES(...) SEEP_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 
 /// States (to the analysis and at runtime) that the capability is held.
-/// This is how code that the analysis cannot follow across threads —
-/// lambdas posted to an event loop, simulation events, condition-variable
-/// wait predicates — re-establishes the capability on re-entry.
+/// This is how code that the analysis cannot follow across a type-erased
+/// boundary — socket callbacks, simulation events, condition-variable wait
+/// predicates — re-establishes the capability on re-entry.
 #define SEEP_ASSERT_CAPABILITY(x) \
   SEEP_THREAD_ANNOTATION_(assert_capability(x))
 
@@ -97,7 +98,7 @@
   SEEP_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 /// Thread-affinity shorthand: the annotated function runs only on threads
-/// holding `role` (one of DriverThread / LoopThread / StoreCompactorThread).
+/// holding `role` (DriverThread or StoreCompactorThread).
 #define SEEP_RUN_ON(role) SEEP_REQUIRES(role)
 
 /// Written waiver for a field in a thread-spawning TU that deliberately
@@ -248,7 +249,7 @@ class CondVar {
 
 /// A phantom capability modelling "the calling thread is one of the X
 /// threads". Unlike a mutex, several threads may hold the same role at
-/// once (every net event-loop thread holds LoopThread); what the
+/// once (each test's driver thread holds DriverThread); what the
 /// capability buys is the converse guarantee — code annotated
 /// SEEP_RUN_ON(Role) cannot be reached from a thread that never adopted
 /// the role, statically under clang and at runtime via AssertOnThread.
@@ -269,7 +270,7 @@ class SEEP_CAPABILITY("thread role") ThreadRole {
   bool OnThread() const { return (tls_roles_ & bit_) != 0; }
 
   /// Aborts unless the calling thread holds this role. Statically asserts
-  /// the capability — the re-entry idiom for event-loop lambdas and
+  /// the capability — the re-entry idiom for socket callbacks and
   /// simulation events, mirroring Mutex::AssertHeld.
   void AssertOnThread() const SEEP_ASSERT_CAPABILITY(this) {
     if (!OnThread()) {
@@ -294,9 +295,8 @@ inline thread_local uint32_t ThreadRole::tls_roles_ = 0;
 
 /// The repo's thread roles (DESIGN.md §8 maps state to roles).
 inline constexpr ThreadRole DriverThread{"DriverThread", 1u << 0};
-inline constexpr ThreadRole LoopThread{"LoopThread", 1u << 1};
 inline constexpr ThreadRole StoreCompactorThread{"StoreCompactorThread",
-                                                 1u << 2};
+                                                 1u << 1};
 
 /// Scoped role adoption for a thread entry point: the body of the thread
 /// (or the scope that is provably confined to it) holds the role.
@@ -320,7 +320,7 @@ class SEEP_SCOPED_CAPABILITY ScopedThreadRole {
 /// Runtime + static assertion that the enclosing code runs under `role`.
 /// Place as the first statement of any function or lambda that touches
 /// role-confined state but is reached through a type-erased boundary
-/// (std::function, simulation event, posted task) the static analysis
+/// (std::function, simulation event, socket callback) the static analysis
 /// cannot see through.
 #define SEEP_ASSERT_RUN_ON(role) (role).AssertOnThread()
 

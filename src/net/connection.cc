@@ -14,48 +14,25 @@ namespace {
 constexpr size_t kReadChunk = 64 * 1024;
 }  // namespace
 
-Connection::Connection(EventLoop* loop, ScopedFd fd, bool connecting,
-                       QueueLimits limits, uint64_t max_frame_payload)
+Connection::Connection(EventLoop* loop, ScopedFd fd, bool connecting)
     : loop_(loop),
       fd_(std::move(fd)),
       state_(connecting ? State::kConnecting : State::kConnected),
-      limits_(limits),
-      reader_(max_frame_payload) {
-  // Constructed via make_unique, which the static analysis cannot see
-  // through; the runtime assert re-establishes the LoopThread capability.
-  SEEP_ASSERT_RUN_ON(sync::LoopThread);
-  ever_connected_ = !connecting;
-  // While connecting we wait for writability (connect completion); once
-  // connected we always want readability and add writability on demand.
-  want_write_ = connecting;
+      // While connecting we wait for writability (connect completion); once
+      // connected we always want readability and add writability on demand.
+      want_write_(connecting),
+      ever_connected_(!connecting) {
   loop_->AddFd(fd_.get(), EPOLLIN | (want_write_ ? EPOLLOUT : 0u),
-               [this](uint32_t events) {
-                 SEEP_ASSERT_RUN_ON(sync::LoopThread);
-                 OnEvents(events);
-               });
+               [this](uint32_t events) { OnEvents(events); });
 }
 
-Connection::~Connection() {
-  // Destroyed through unique_ptr (opaque to the static analysis); assert
-  // the affinity at runtime instead of annotating the destructor.
-  SEEP_ASSERT_RUN_ON(sync::LoopThread);
-  Close();
-}
+Connection::~Connection() { Close(); }
 
-SendStatus Connection::Send(std::vector<uint8_t> frame) {
-  if (state_ == State::kClosed) return SendStatus::kClosed;
-  if (queued_bytes_ + frame.size() > limits_.max_bytes) {
-    ++frames_dropped_;
-    return SendStatus::kOverflow;
-  }
+void Connection::Send(std::vector<uint8_t> frame) {
+  if (state_ == State::kClosed) return;
   queued_bytes_ += frame.size();
   write_queue_.push_back(std::move(frame));
-  if (state_ == State::kConnected) {
-    FlushWrites();
-    if (state_ == State::kClosed) return SendStatus::kClosed;
-  }
-  return queued_bytes_ > limits_.pressure_bytes ? SendStatus::kPressured
-                                                : SendStatus::kOk;
+  if (state_ == State::kConnected) FlushWrites();
 }
 
 void Connection::OnEvents(uint32_t events) {
@@ -157,7 +134,7 @@ void Connection::Close() {
   write_queue_.clear();
   queued_bytes_ = 0;
   if (on_close_) {
-    // The callback may delete this object, so detach it first.
+    // Detached before it runs, so it fires exactly once.
     CloseCallback cb = std::move(on_close_);
     on_close_ = nullptr;
     cb(this);

@@ -7,18 +7,17 @@
 #include <functional>
 #include <vector>
 
-#include "common/sync.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
 #include "net/wire.h"
 
 namespace seep::net {
 
-/// Outcome of queueing a frame on a connection. kPressured means the frame
-/// was accepted but the outbound queue has crossed its soft watermark — the
-/// sender should ease off; kOverflow means the hard cap was hit and the
-/// frame was dropped (the peer recovers the data through replay, exactly as
-/// it would after a crash).
+/// Outcome of posting a frame. kPressured means the frame was accepted but
+/// the sender's queued bytes have crossed the soft watermark — the sender
+/// should ease off; kOverflow means the hard cap was hit and the frame was
+/// dropped (the peer recovers the data through replay, exactly as it would
+/// after a crash).
 enum class [[nodiscard]] SendStatus : uint8_t {
   kOk = 0,
   kPressured = 1,
@@ -26,16 +25,10 @@ enum class [[nodiscard]] SendStatus : uint8_t {
   kClosed = 3,
 };
 
-/// Soft/hard bounds on a connection's outbound byte queue.
-struct QueueLimits {
-  size_t pressure_bytes = 4 << 20;  // report kPressured above this
-  size_t max_bytes = 64 << 20;      // drop frames above this
-};
-
-/// One non-blocking TCP stream, owned by and confined to an EventLoop
-/// thread (every method and both callbacks run under the LoopThread
-/// capability). Handles connect completion, a bounded outbound write queue,
-/// incremental frame reassembly on the inbound side, and error/EOF
+/// One non-blocking TCP stream registered with an EventLoop. Handles
+/// connect completion, writes that go straight to the socket with the rest
+/// queued until it is writable again, incremental frame reassembly on the
+/// inbound side (FrameReader's default payload ceiling), and error/EOF
 /// detection. Reconnect policy lives in Worker; a Connection dies once and
 /// reports it.
 class Connection {
@@ -45,78 +38,59 @@ class Connection {
   using CloseCallback = std::function<void(Connection*)>;
 
   /// Takes ownership of `fd`, which is either connecting (client side) or
-  /// already established (accepted side). Registers with `loop`; must be
-  /// called on the loop thread (runtime-checked), as must every other
-  /// method.
-  Connection(EventLoop* loop, ScopedFd fd, bool connecting,
-             QueueLimits limits, uint64_t max_frame_payload);
+  /// already established (accepted side), and registers it with `loop`.
+  Connection(EventLoop* loop, ScopedFd fd, bool connecting);
   ~Connection();
 
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  void set_on_frame(FrameCallback cb) SEEP_RUN_ON(sync::LoopThread) {
-    on_frame_ = std::move(cb);
-  }
-  /// Fires exactly once, after the fd is deregistered. The callback may
-  /// delete this Connection.
-  void set_on_close(CloseCallback cb) SEEP_RUN_ON(sync::LoopThread) {
-    on_close_ = std::move(cb);
-  }
+  void set_on_frame(FrameCallback cb) { on_frame_ = std::move(cb); }
+  /// Fires exactly once, after the fd is deregistered. The object must
+  /// outlive the callback: free it only once its event handling unwinds.
+  void set_on_close(CloseCallback cb) { on_close_ = std::move(cb); }
 
-  /// Queues an already-framed message for writing. Frames queued while still
-  /// connecting flush in order once the connect completes.
-  SendStatus Send(std::vector<uint8_t> frame) SEEP_RUN_ON(sync::LoopThread);
+  /// Writes an already-framed message, queueing whatever the socket does not
+  /// take. Frames sent while still connecting flush in order once the
+  /// connect completes. A failed write closes the connection, and the close
+  /// reports this frame among the dropped ones.
+  void Send(std::vector<uint8_t> frame);
 
   /// Deregisters from the loop and closes the socket. Pending outbound
   /// frames are dropped (a closing link makes no delivery promises — the
   /// recovery protocol does). Fires on_close unless it already fired.
-  void Close() SEEP_RUN_ON(sync::LoopThread);
+  void Close();
 
-  bool connected() const SEEP_RUN_ON(sync::LoopThread) {
-    return state_ == State::kConnected;
-  }
-  bool closed() const SEEP_RUN_ON(sync::LoopThread) {
-    return state_ == State::kClosed;
-  }
   /// Whether the connect ever completed (distinguishes an established link
   /// that died from one that never came up, for backoff policy).
-  bool ever_connected() const SEEP_RUN_ON(sync::LoopThread) {
-    return ever_connected_;
-  }
-  size_t queued_bytes() const SEEP_RUN_ON(sync::LoopThread) {
-    return queued_bytes_;
-  }
-  size_t frames_dropped() const SEEP_RUN_ON(sync::LoopThread) {
-    return frames_dropped_;
-  }
+  bool ever_connected() const { return ever_connected_; }
+  size_t queued_bytes() const { return queued_bytes_; }
+  size_t frames_dropped() const { return frames_dropped_; }
 
  private:
   enum class State : uint8_t { kConnecting, kConnected, kClosed };
 
-  void OnEvents(uint32_t events) SEEP_RUN_ON(sync::LoopThread);
-  void HandleConnectComplete() SEEP_RUN_ON(sync::LoopThread);
-  void HandleReadable() SEEP_RUN_ON(sync::LoopThread);
-  void FlushWrites() SEEP_RUN_ON(sync::LoopThread);
-  void UpdateInterest() SEEP_RUN_ON(sync::LoopThread);
+  void OnEvents(uint32_t events);
+  void HandleConnectComplete();
+  void HandleReadable();
+  void FlushWrites();
+  void UpdateInterest();
 
   EventLoop* const loop_;
-  ScopedFd fd_ SEEP_GUARDED_BY(sync::LoopThread);
-  State state_ SEEP_GUARDED_BY(sync::LoopThread);
-  const QueueLimits limits_;
+  ScopedFd fd_;
+  State state_;
 
-  FrameReader reader_ SEEP_GUARDED_BY(sync::LoopThread);
-  FrameCallback on_frame_ SEEP_GUARDED_BY(sync::LoopThread);
-  CloseCallback on_close_ SEEP_GUARDED_BY(sync::LoopThread);
+  FrameReader reader_;
+  FrameCallback on_frame_;
+  CloseCallback on_close_;
 
-  std::deque<std::vector<uint8_t>> write_queue_
-      SEEP_GUARDED_BY(sync::LoopThread);
+  std::deque<std::vector<uint8_t>> write_queue_;
   // Bytes of write_queue_.front() already sent.
-  size_t write_offset_ SEEP_GUARDED_BY(sync::LoopThread) = 0;
-  size_t queued_bytes_ SEEP_GUARDED_BY(sync::LoopThread) = 0;
-  size_t frames_dropped_ SEEP_GUARDED_BY(sync::LoopThread) = 0;
-  bool want_write_ SEEP_GUARDED_BY(sync::LoopThread) = false;
-  bool ever_connected_ SEEP_GUARDED_BY(sync::LoopThread) = false;
+  size_t write_offset_ = 0;
+  size_t queued_bytes_ = 0;
+  size_t frames_dropped_ = 0;
+  bool want_write_ = false;
+  bool ever_connected_ = false;
 };
 
 }  // namespace seep::net

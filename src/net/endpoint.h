@@ -6,37 +6,27 @@
 #include <unordered_map>
 
 #include "common/ids.h"
-#include "common/sync.h"
 
 namespace seep::net {
 
 /// Maps VmId to the loopback TCP port its worker listens on. Workers consult
 /// the registry lazily on every (re)connect attempt, so a worker can start
 /// before its peers have registered — the connect fails, backoff retries,
-/// and the link comes up once the peer appears. Thread-safe: worker threads
-/// read it while the harness thread registers/unregisters.
+/// and the link comes up once the peer appears.
 class EndpointRegistry {
  public:
-  void Register(VmId vm, uint16_t port) SEEP_EXCLUDES(mu_) {
-    sync::MutexLock lock(&mu_);
-    ports_[vm] = port;
-  }
+  void Register(VmId vm, uint16_t port) { ports_[vm] = port; }
 
-  void Unregister(VmId vm) SEEP_EXCLUDES(mu_) {
-    sync::MutexLock lock(&mu_);
-    ports_.erase(vm);
-  }
+  void Unregister(VmId vm) { ports_.erase(vm); }
 
-  std::optional<uint16_t> Lookup(VmId vm) const SEEP_EXCLUDES(mu_) {
-    sync::MutexLock lock(&mu_);
+  std::optional<uint16_t> Lookup(VmId vm) const {
     auto it = ports_.find(vm);
     if (it == ports_.end()) return std::nullopt;
     return it->second;
   }
 
  private:
-  mutable sync::Mutex mu_;
-  std::unordered_map<VmId, uint16_t> ports_ SEEP_GUARDED_BY(mu_);
+  std::unordered_map<VmId, uint16_t> ports_;
 };
 
 }  // namespace seep::net

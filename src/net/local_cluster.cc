@@ -1,7 +1,6 @@
 #include "net/local_cluster.h"
 
 #include <utility>
-#include <vector>
 
 #include "common/macros.h"
 
@@ -11,73 +10,37 @@ namespace seep::net {
 Status LocalCluster::StartWorker(VmId vm, Worker::MessageCallback on_message,
                                  Worker::PeerCallback on_peer_disconnect,
                                  Worker::DropCallback on_frames_dropped) {
-  auto worker = std::make_unique<Worker>(vm, &registry_, options_);
+  auto worker = std::make_unique<Worker>(vm, &registry_, &loop_);
   worker->set_on_message(std::move(on_message));
   worker->set_on_peer_disconnect(std::move(on_peer_disconnect));
   worker->set_on_frames_dropped(std::move(on_frames_dropped));
   SEEP_RETURN_IF_ERROR(worker->Start());
-  sync::MutexLock lock(&mu_);
   workers_[vm] = std::move(worker);
   return Status::OK();
 }
 
 void LocalCluster::KillWorker(VmId vm) {
-  std::unique_ptr<Worker> worker;
-  {
-    sync::MutexLock lock(&mu_);
-    auto it = workers_.find(vm);
-    if (it == workers_.end()) return;
-    worker = std::move(it->second);
-    workers_.erase(it);
-  }
-  // Kill outside the lock: it joins the worker thread, whose callbacks may
-  // be blocked in code that queries this cluster.
-  worker->Kill();
-  sync::MutexLock lock(&mu_);
-  Accumulate(*worker);
+  auto it = workers_.find(vm);
+  if (it == workers_.end()) return;
+  const Worker::Stats& stats = it->second->stats();
+  frozen_.messages_delivered += stats.messages_delivered;
+  frozen_.frames_dropped += stats.frames_dropped;
+  workers_.erase(it);  // ~Worker closes its sockets
 }
 
 SendStatus LocalCluster::Post(VmId from, VmId to, const Message& msg) {
-  sync::MutexLock lock(&mu_);
   auto it = workers_.find(from);
   if (it == workers_.end()) return SendStatus::kClosed;
   return it->second->Post(to, msg);
 }
 
-bool LocalCluster::IsAttached(VmId vm) const {
-  sync::MutexLock lock(&mu_);
-  return workers_.count(vm) > 0;
-}
-
-void LocalCluster::Accumulate(const Worker& worker) const {
-  const Worker::Stats& s = worker.stats();
-  frozen_.messages_delivered += s.messages_delivered.load();
-  frozen_.frames_dropped += s.frames_dropped.load();
-  frozen_.peer_disconnects += s.peer_disconnects.load();
-}
-
 LocalCluster::Stats LocalCluster::TotalStats() const {
-  sync::MutexLock lock(&mu_);
   Stats total = frozen_;
   for (const auto& [vm, worker] : workers_) {
-    const Worker::Stats& s = worker->stats();
-    total.messages_delivered += s.messages_delivered.load();
-    total.frames_dropped += s.frames_dropped.load();
-    total.peer_disconnects += s.peer_disconnects.load();
+    total.messages_delivered += worker->stats().messages_delivered;
+    total.frames_dropped += worker->stats().frames_dropped;
   }
   return total;
-}
-
-void LocalCluster::Shutdown() {
-  std::vector<std::unique_ptr<Worker>> doomed;
-  {
-    sync::MutexLock lock(&mu_);
-    for (auto& [vm, worker] : workers_) doomed.push_back(std::move(worker));
-    workers_.clear();
-  }
-  for (auto& worker : doomed) worker->Kill();
-  sync::MutexLock lock(&mu_);
-  for (const auto& worker : doomed) Accumulate(*worker);
 }
 
 }  // namespace seep::net

@@ -1,74 +1,72 @@
 #ifndef SEEP_NET_LOCAL_CLUSTER_H_
 #define SEEP_NET_LOCAL_CLUSTER_H_
 
+#include <chrono>
 #include <memory>
 #include <unordered_map>
 
 #include "common/ids.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "net/endpoint.h"
+#include "net/event_loop.h"
 #include "net/worker.h"
 
 namespace seep::net {
 
 /// A cluster of VM workers on 127.0.0.1 ephemeral ports: the harness the TCP
-/// transport (and the net tests/benches) run against. Owns the endpoint
-/// registry and one Worker per attached VM. All methods are safe from the
-/// harness thread; worker callbacks run on the worker threads.
+/// transport (and the net tests/benches) run against. Owns one EventLoop —
+/// a single epoll set holding every VM's listener and connections — the
+/// endpoint registry, and one Worker per attached VM.
+///
+/// Single-threaded: the owner drives every socket. Post writes straight to
+/// the sockets; everything else (accepting, connecting, reading, flushing
+/// what the kernel did not take, reconnect timers) happens inside Poll, and
+/// so do all worker callbacks. A callback may Post but must not Poll, start
+/// or kill a worker.
 class LocalCluster {
  public:
-  explicit LocalCluster(WorkerOptions options = {}) : options_(options) {}
-  ~LocalCluster() { Shutdown(); }
+  LocalCluster() = default;
 
   LocalCluster(const LocalCluster&) = delete;
   LocalCluster& operator=(const LocalCluster&) = delete;
 
-  /// Creates and starts a worker for `vm`. Callbacks are installed before
-  /// the worker starts, so no delivery can be missed.
-  [[nodiscard]] Status StartWorker(VmId vm, Worker::MessageCallback on_message,
-                     Worker::PeerCallback on_peer_disconnect = nullptr,
-                     Worker::DropCallback on_frames_dropped = nullptr)
-      SEEP_EXCLUDES(mu_);
+  /// Creates and starts a worker for `vm` with its callbacks installed.
+  [[nodiscard]] Status StartWorker(
+      VmId vm, Worker::MessageCallback on_message,
+      Worker::PeerCallback on_peer_disconnect = nullptr,
+      Worker::DropCallback on_frames_dropped = nullptr);
 
-  /// Hard-kills `vm`'s worker: sockets close mid-stream, peers observe a
-  /// dead TCP peer. No-op for an unknown VM.
-  void KillWorker(VmId vm) SEEP_EXCLUDES(mu_);
+  /// Hard-kills `vm`'s worker: its sockets close mid-stream, and peers
+  /// observe a dead TCP peer at their next poll. No-op for an unknown VM.
+  void KillWorker(VmId vm);
 
-  /// Sends `msg` from `from`'s worker to `to`. Returns kClosed if `from` has
-  /// no live worker.
-  SendStatus Post(VmId from, VmId to, const Message& msg)
-      SEEP_EXCLUDES(mu_);
+  /// Sends `msg` from `from`'s worker to `to` (see Worker::Post). Returns
+  /// kClosed if `from` has no live worker.
+  SendStatus Post(VmId from, VmId to, const Message& msg);
+
+  /// Runs one turn of the shared loop, waiting up to `timeout` for socket
+  /// events (zero takes only what is ready).
+  void Poll(std::chrono::microseconds timeout) { loop_.Poll(timeout); }
 
   /// Whether `vm` currently has a live worker.
-  bool IsAttached(VmId vm) const SEEP_EXCLUDES(mu_);
+  bool IsAttached(VmId vm) const { return workers_.count(vm) > 0; }
 
   /// Aggregate counters across live workers (killed workers' counts are
   /// frozen into the totals at kill time).
   struct Stats {
     uint64_t messages_delivered = 0;
     uint64_t frames_dropped = 0;
-    uint64_t peer_disconnects = 0;
   };
-  Stats TotalStats() const SEEP_EXCLUDES(mu_);
-
-  /// Kills every worker.
-  void Shutdown() SEEP_EXCLUDES(mu_);
-
-  EndpointRegistry* registry() { return &registry_; }
+  Stats TotalStats() const;
 
  private:
-  void Accumulate(const Worker& worker) const SEEP_REQUIRES(mu_);
-
-  const WorkerOptions options_;
-  EndpointRegistry registry_
-      SEEP_UNGUARDED("internally synchronised (its own mu_; endpoint.h)");
-
-  mutable sync::Mutex mu_;
-  std::unordered_map<VmId, std::unique_ptr<Worker>> workers_
-      SEEP_GUARDED_BY(mu_);
+  // Declared first, so it is destroyed last: it outlives the workers (whose
+  // destruction kills them) and the timers they leave on it.
+  EventLoop loop_;
+  EndpointRegistry registry_;
+  std::unordered_map<VmId, std::unique_ptr<Worker>> workers_;
   // Counters of workers killed so far.
-  mutable Stats frozen_ SEEP_GUARDED_BY(mu_);
+  Stats frozen_;
 };
 
 }  // namespace seep::net

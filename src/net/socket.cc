@@ -17,9 +17,9 @@ namespace seep::net {
 namespace {
 
 [[nodiscard]] Status Errno(const char* what) {
-  // strerror(3) shares a static buffer across threads and this path runs
-  // on every event-loop thread; format into a local buffer instead. The
-  // GNU strerror_r returns the message pointer (which may ignore buf).
+  // strerror(3) shares a static buffer across threads (clang-tidy's
+  // concurrency-mt-unsafe rejects it); format into a local buffer instead.
+  // The GNU strerror_r returns the message pointer (which may ignore buf).
   char buf[128] = {};
   const char* msg = strerror_r(errno, buf, sizeof(buf));
   return Status::Internal(std::string(what) + ": " + msg);

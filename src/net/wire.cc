@@ -29,7 +29,6 @@ Result<Message> DecodeMessage(const std::vector<uint8_t>& payload) {
   switch (msg.type) {
     case MessageType::kHello:
     case MessageType::kBatch:
-    case MessageType::kControl:
     case MessageType::kCheckpointChunk:
       break;
     default:

@@ -16,8 +16,7 @@ namespace seep::net {
 enum class MessageType : uint8_t {
   kHello = 1,  // first frame on every outbound link: identifies from_vm
   kBatch = 2,  // a tuple batch (data path)
-  // 3 and 4 are retired and decode as corruption.
-  kControl = 5,          // free-form control messages
+  // 3, 4 and 5 are retired and decode as corruption.
   kCheckpointChunk = 6,  // one chunk of a serialized checkpoint parcel
 };
 
@@ -26,7 +25,7 @@ enum class MessageType : uint8_t {
 /// sender keeps the parcel's arrival callback; the id travels with the
 /// bytes).
 struct Message {
-  MessageType type = MessageType::kControl;
+  MessageType type = MessageType::kBatch;
   VmId from_vm = kInvalidVm;
   VmId to_vm = kInvalidVm;
   uint64_t ship_id = 0;

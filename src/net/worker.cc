@@ -3,90 +3,67 @@
 #include <sys/epoll.h>
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/macros.h"
 
 namespace seep::net {
 
-Worker::Worker(VmId vm, EndpointRegistry* registry, WorkerOptions options)
-    : vm_(vm), registry_(registry), options_(options) {}
+namespace {
 
-Worker::~Worker() { Kill(); }
+// Reconnect backoff: the first retry after kBackoffInitial, doubling up to
+// kBackoffCap.
+constexpr std::chrono::milliseconds kBackoffInitial{10};
+constexpr std::chrono::milliseconds kBackoffCap{500};
+
+// A close fires inside the connection's own event handling, so the
+// connection is freed by a zero-delay timer, once that has unwound. The
+// timer needs nothing from the worker, so it may outlive it.
+void FreeLater(EventLoop* loop, std::unique_ptr<Connection> conn) {
+  loop->AddTimer(std::chrono::milliseconds::zero(),
+                 [dead = std::shared_ptr<Connection>(std::move(conn))] {});
+}
+
+}  // namespace
+
+Worker::Worker(VmId vm, EndpointRegistry* registry, EventLoop* loop)
+    : vm_(vm), registry_(registry), loop_(loop) {}
+
+Worker::~Worker() {
+  if (listener_.valid()) {
+    registry_->Unregister(vm_);
+    loop_->RemoveFd(listener_.get());
+  }
+  // Detaching the close callbacks keeps the teardown below (the members'
+  // destructors) from reporting a death this worker initiated itself.
+  for (auto& [to, link] : links_) {
+    if (link.conn) link.conn->set_on_close(nullptr);
+  }
+  for (const Inbound& in : inbound_) in.conn->set_on_close(nullptr);
+}
 
 [[nodiscard]] Status Worker::Start() {
   SEEP_ASSIGN_OR_RETURN(listener_, ListenLoopback(0));
   SEEP_ASSIGN_OR_RETURN(port_, LocalPort(listener_.get()));
   registry_->Register(vm_, port_);
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] {
-    {
-      // This thread is the loop thread from birth, so it may adopt the role
-      // before Run (which re-adopts for its own duration) to register the
-      // listener.
-      sync::ScopedThreadRole role(sync::LoopThread);
-      loop_.AddFd(listener_.get(), EPOLLIN, [this](uint32_t) {
-        SEEP_ASSERT_RUN_ON(sync::LoopThread);
-        OnListenerReadable();
-      });
-    }
-    loop_.Run();
-  });
+  loop_->AddFd(listener_.get(), EPOLLIN,
+               [this](uint32_t) { OnListenerReadable(); });
   return Status::OK();
 }
 
-void Worker::Kill() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  // Unregister first so peers' reconnect attempts stop finding us, then
-  // stop the loop. After the join no thread touches loop state, so tearing
-  // the connections down from this thread is safe; detaching their close
-  // callbacks keeps teardown from firing disconnect notifications for a
-  // death we initiated ourselves.
-  registry_->Unregister(vm_);
-  loop_.Stop();
-  if (thread_.joinable()) thread_.join();
-  // The loop thread is gone; this thread is now the sole owner of the
-  // loop-confined state, so it adopts the role for the teardown.
-  sync::ScopedThreadRole role(sync::LoopThread);
-  for (auto& [to, link] : links_) {
-    if (link.conn) link.conn->set_on_close(nullptr);
-  }
-  for (auto& in : inbound_) {
-    if (in->conn) in->conn->set_on_close(nullptr);
-  }
-  links_.clear();
-  inbound_.clear();
-  graveyard_.clear();
-  listener_.Reset();
-}
-
 SendStatus Worker::Post(VmId to, const Message& msg) {
-  if (!running_.load(std::memory_order_acquire)) return SendStatus::kClosed;
   std::vector<uint8_t> frame = EncodeMessage(msg);
-  const size_t frame_bytes = frame.size();
-  const size_t backlog =
-      posted_bytes_.fetch_add(frame_bytes, std::memory_order_relaxed) +
-      frame_bytes + queued_snapshot_.load(std::memory_order_relaxed);
-  if (backlog > options_.queue_limits.max_bytes) {
-    posted_bytes_.fetch_sub(frame_bytes, std::memory_order_relaxed);
-    stats_.frames_dropped.fetch_add(1, std::memory_order_relaxed);
+  const size_t backlog = QueuedBytes() + frame.size();
+  if (backlog > kMaxQueuedBytes) {
+    DropFrames(to, 1);
     return SendStatus::kOverflow;
   }
-  loop_.Post([this, to, frame = std::move(frame), frame_bytes]() mutable {
-    SEEP_ASSERT_RUN_ON(sync::LoopThread);
-    posted_bytes_.fetch_sub(frame_bytes, std::memory_order_relaxed);
-    SendOnLink(to, std::move(frame));
-    queued_snapshot_.store(TotalQueuedBytes(), std::memory_order_relaxed);
-  });
-  return backlog > options_.queue_limits.pressure_bytes
-             ? SendStatus::kPressured
-             : SendStatus::kOk;
+  SendOnLink(to, std::move(frame));
+  return backlog > kPressureBytes ? SendStatus::kPressured : SendStatus::kOk;
 }
 
-size_t Worker::TotalQueuedBytes() const {
+size_t Worker::QueuedBytes() const {
   size_t total = 0;
   for (const auto& [to, link] : links_) {
     total += link.pending_bytes;
@@ -97,7 +74,7 @@ size_t Worker::TotalQueuedBytes() const {
 
 void Worker::DropFrames(VmId to, size_t n) {
   if (n == 0) return;
-  stats_.frames_dropped.fetch_add(n, std::memory_order_relaxed);
+  stats_.frames_dropped += n;
   if (on_frames_dropped_) on_frames_dropped_(to, n);
 }
 
@@ -105,18 +82,10 @@ void Worker::SendOnLink(VmId to, std::vector<uint8_t> frame) {
   Link& link = links_[to];
   if (!link.conn && !link.retry_scheduled) TryConnect(to);
   if (link.conn) {
-    const SendStatus st = link.conn->Send(std::move(frame));
-    if (st == SendStatus::kOverflow) DropFrames(to, 1);
-    // kClosed: the close callback already rerouted state; the frame is part
-    // of that link's loss, which replay covers.
+    link.conn->Send(std::move(frame));
     return;
   }
-  // Link down, retry pending: hold the frame, bounded like a live queue.
-  if (link.pending_bytes + frame.size() >
-      options_.queue_limits.max_bytes) {
-    DropFrames(to, 1);
-    return;
-  }
+  // Link down, retry pending: hold the frame until the link comes up.
   link.pending_bytes += frame.size();
   link.pending.push_back(std::move(frame));
 }
@@ -137,39 +106,25 @@ void Worker::TryConnect(VmId to) {
     ScheduleRetry(to);
     return;
   }
-  stats_.reconnect_attempts.fetch_add(1, std::memory_order_relaxed);
-  link.conn = std::make_unique<Connection>(
-      &loop_, std::move(fd).value(), /*connecting=*/true,
-      options_.queue_limits, options_.max_frame_payload);
-  link.conn->set_on_close([this, to](Connection* conn) {
-    SEEP_ASSERT_RUN_ON(sync::LoopThread);
-    OnOutboundClosed(to, conn);
-  });
+  link.conn = std::make_unique<Connection>(loop_, std::move(fd).value(),
+                                           /*connecting=*/true);
+  link.conn->set_on_close(
+      [this, to](Connection* conn) { OnOutboundClosed(to, conn); });
   // First frame on every outbound link: who we are, so the receiver can
-  // attribute a later disconnect of this link to our VmId.
+  // attribute a later disconnect of this link to our VmId. A connecting
+  // connection only queues, so nothing below can close it; once the
+  // connect completes it flushes in order: hello, then the frames queued
+  // while the link was down.
   Message hello;
   hello.type = MessageType::kHello;
   hello.from_vm = vm_;
   hello.to_vm = to;
-  // The connection was created above in the connecting state, so the
-  // hello only queues: it cannot overflow (empty queue, tiny frame) and
-  // cannot observe a close (no flush happens before connect completes).
-  // Losing it silently would strip VmId attribution from every later
-  // disconnect on this link, so enforce rather than assume.
-  const SendStatus hello_sent = link.conn->Send(EncodeMessage(hello));
-  SEEP_CHECK(hello_sent != SendStatus::kOverflow &&
-             hello_sent != SendStatus::kClosed);
-  // A successful (eventual) connect flushes in order: hello, then any
-  // frames queued while the link was down.
-  while (!link.pending.empty()) {
-    std::vector<uint8_t> frame = std::move(link.pending.front());
-    link.pending.pop_front();
-    link.pending_bytes -= frame.size();
-    if (link.conn->Send(std::move(frame)) == SendStatus::kOverflow) {
-      DropFrames(to, 1);
-    }
-    if (!link.conn) return;  // close fired re-entrantly
+  link.conn->Send(EncodeMessage(hello));
+  for (std::vector<uint8_t>& frame : link.pending) {
+    link.conn->Send(std::move(frame));
   }
+  link.pending.clear();
+  link.pending_bytes = 0;
 }
 
 void Worker::OnOutboundClosed(VmId to, Connection* conn) {
@@ -177,17 +132,10 @@ void Worker::OnOutboundClosed(VmId to, Connection* conn) {
   if (it == links_.end() || it->second.conn.get() != conn) return;
   Link& link = it->second;
   DropFrames(to, conn->frames_dropped());
-  stats_.peer_disconnects.fetch_add(1, std::memory_order_relaxed);
-  // Defer destruction: this callback runs inside the connection's own event
-  // handling, and the loop drains posted tasks only after unwinding it.
-  graveyard_.push_back(std::move(link.conn));
-  loop_.Post([this] {
-    SEEP_ASSERT_RUN_ON(sync::LoopThread);
-    graveyard_.clear();
-  });
   // A link that had come up earns a fresh backoff schedule; one that never
   // connected keeps climbing towards the cap.
   link.failures = conn->ever_connected() ? 0 : link.failures + 1;
+  FreeLater(loop_, std::move(link.conn));
   ScheduleRetry(to);
   if (on_peer_disconnect_) on_peer_disconnect_(to);
 }
@@ -197,14 +145,12 @@ void Worker::ScheduleRetry(VmId to) {
   if (link.retry_scheduled) return;
   link.retry_scheduled = true;
   const uint32_t shift = std::min<uint32_t>(link.failures, 16);
-  const auto delay = std::min(options_.backoff_initial * (1u << shift),
-                              options_.backoff_cap);
-  loop_.AddTimer(delay, [this, to] {
-    SEEP_ASSERT_RUN_ON(sync::LoopThread);
-    auto it = links_.find(to);
-    if (it == links_.end()) return;
-    it->second.retry_scheduled = false;
-    if (!it->second.conn) TryConnect(to);
+  const auto delay = std::min(kBackoffInitial * (1u << shift), kBackoffCap);
+  loop_->AddTimer(delay, [this, alive = std::weak_ptr<bool>(alive_), to] {
+    if (alive.expired()) return;  // the worker was killed meanwhile
+    Link& retried = links_.at(to);
+    retried.retry_scheduled = false;
+    if (!retried.conn) TryConnect(to);
   });
 }
 
@@ -213,20 +159,13 @@ void Worker::OnListenerReadable() {
     auto fd = AcceptConnection(listener_.get());
     if (!fd.ok()) return;
     if (!fd.value().valid()) return;  // accept queue drained
-    auto in = std::make_unique<Inbound>();
-    in->conn = std::make_unique<Connection>(
-        &loop_, std::move(fd).value(), /*connecting=*/false,
-        options_.queue_limits, options_.max_frame_payload);
-    in->conn->set_on_frame(
-        [this](Connection* conn, std::vector<uint8_t> payload) {
-          SEEP_ASSERT_RUN_ON(sync::LoopThread);
-          OnInboundFrame(conn, std::move(payload));
-        });
-    in->conn->set_on_close([this](Connection* conn) {
-      SEEP_ASSERT_RUN_ON(sync::LoopThread);
-      OnInboundClosed(conn);
+    auto conn = std::make_unique<Connection>(loop_, std::move(fd).value(),
+                                             /*connecting=*/false);
+    conn->set_on_frame([this](Connection* c, std::vector<uint8_t> payload) {
+      OnInboundFrame(c, std::move(payload));
     });
-    inbound_.push_back(std::move(in));
+    conn->set_on_close([this](Connection* c) { OnInboundClosed(c); });
+    inbound_.push_back(Inbound{std::move(conn), kInvalidVm});
   }
 }
 
@@ -241,29 +180,23 @@ void Worker::OnInboundFrame(Connection* conn,
   }
   Message msg = std::move(decoded).value();
   if (msg.type == MessageType::kHello) {
-    for (auto& in : inbound_) {
-      if (in->conn.get() == conn) {
-        in->peer = msg.from_vm;
+    for (Inbound& in : inbound_) {
+      if (in.conn.get() == conn) {
+        in.peer = msg.from_vm;
         break;
       }
     }
     return;
   }
-  stats_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.messages_delivered;
   if (on_message_) on_message_(std::move(msg));
 }
 
 void Worker::OnInboundClosed(Connection* conn) {
   for (auto it = inbound_.begin(); it != inbound_.end(); ++it) {
-    if ((*it)->conn.get() != conn) continue;
-    const VmId peer = (*it)->peer;
-    stats_.peer_disconnects.fetch_add(1, std::memory_order_relaxed);
-    // Deferred destruction, as for outbound links.
-    graveyard_.push_back(std::move((*it)->conn));
-    loop_.Post([this] {
-      SEEP_ASSERT_RUN_ON(sync::LoopThread);
-      graveyard_.clear();
-    });
+    if (it->conn.get() != conn) continue;
+    const VmId peer = it->peer;
+    FreeLater(loop_, std::move(it->conn));
     inbound_.erase(it);
     if (peer != kInvalidVm && on_peer_disconnect_) on_peer_disconnect_(peer);
     return;

@@ -1,18 +1,16 @@
 #ifndef SEEP_NET_WORKER_H_
 #define SEEP_NET_WORKER_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "net/connection.h"
 #include "net/endpoint.h"
 #include "net/event_loop.h"
@@ -20,46 +18,44 @@
 
 namespace seep::net {
 
-/// Knobs for a worker's links.
-struct WorkerOptions {
-  QueueLimits queue_limits;
-  uint64_t max_frame_payload = serde::kDefaultMaxFramePayload;
-  /// Reconnect backoff: first retry after `backoff_initial`, doubling up to
-  /// `backoff_cap`.
-  std::chrono::milliseconds backoff_initial{10};
-  std::chrono::milliseconds backoff_cap{500};
-};
+/// Bounds on a worker's queued outbound bytes: what the kernel's socket
+/// buffers did not take, plus frames held while a link is down. Above the
+/// watermark a post reports kPressured; a frame that would take the queue
+/// past the cap is dropped.
+inline constexpr size_t kPressureBytes = 4 << 20;
+inline constexpr size_t kMaxQueuedBytes = 64 << 20;
 
-/// The networking half of one VM: a thread running an EventLoop, a loopback
-/// listener other workers connect to, and one outbound Connection per peer
-/// VM this worker sends to (lazily established, reconnected with capped
-/// exponential backoff after any failure). Inbound links identify their peer
-/// through a kHello frame, so disconnects are attributed to a VmId on both
-/// sides.
+/// The networking half of one VM: a loopback listener other workers connect
+/// to, and one outbound Connection per peer VM this worker sends to (lazily
+/// established, reconnected with capped exponential backoff after any
+/// failure). Inbound links identify their peer through a kHello frame, so
+/// disconnects are attributed to a VmId on both sides.
 ///
-/// Threading: Post and Kill are safe from any thread; everything else —
-/// including all callbacks — runs on the worker's loop thread.
+/// A worker has no thread: its sockets and retry timers live on an
+/// EventLoop it shares with the other workers, and every callback runs
+/// inside that loop's Poll. Destroying the worker is a hard stop.
 class Worker {
  public:
-  /// Inbound message, delivered on the worker thread.
+  /// Inbound message.
   using MessageCallback = std::function<void(Message)>;
-  /// A link to/from `peer` died, delivered on the worker thread. Fires for
-  /// both inbound and outbound links (once per link death, which means a
-  /// dead peer is typically reported twice: data link and reverse link).
+  /// A link to/from `peer` died. Fires for both inbound and outbound links
+  /// (once per link death, which means a dead peer is typically reported
+  /// twice: data link and reverse link).
   using PeerCallback = std::function<void(VmId peer)>;
-  /// `frames` outbound frames to `peer` were dropped (overflow or link
-  /// death), on the worker thread.
+  /// `frames` outbound frames to `peer` were dropped: one at a time at the
+  /// queue cap, or the rest of a link's queue when the link dies.
   using DropCallback = std::function<void(VmId peer, size_t frames)>;
 
-  /// Monotonic counters, readable from any thread.
+  /// Monotonic counters.
   struct Stats {
-    std::atomic<uint64_t> messages_delivered{0};
-    std::atomic<uint64_t> frames_dropped{0};
-    std::atomic<uint64_t> peer_disconnects{0};
-    std::atomic<uint64_t> reconnect_attempts{0};
+    uint64_t messages_delivered = 0;
+    uint64_t frames_dropped = 0;
   };
 
-  Worker(VmId vm, EndpointRegistry* registry, WorkerOptions options = {});
+  Worker(VmId vm, EndpointRegistry* registry, EventLoop* loop);
+  /// Unregisters the endpoint and closes every socket. Peers see the close
+  /// as a dead TCP peer at their next poll — exactly the failure the
+  /// recovery protocol handles.
   ~Worker();
 
   Worker(const Worker&) = delete;
@@ -73,31 +69,25 @@ class Worker {
     on_frames_dropped_ = std::move(cb);
   }
 
-  /// Binds the listener (ephemeral loopback port), registers it, and starts
-  /// the loop thread. Callbacks must be set before Start.
+  /// Binds the listener (ephemeral loopback port), registers it and adds it
+  /// to the loop.
   [[nodiscard]] Status Start();
 
-  /// Hard stop, from any thread except the loop thread: unregisters the
-  /// endpoint, stops and joins the loop, closes every socket. Peers see the
-  /// close as a dead TCP peer — exactly the failure the recovery protocol
-  /// handles. Idempotent.
-  void Kill();
-
-  /// Queues `msg` for delivery to `to`, establishing the link if needed.
-  /// Safe from any thread. kPressured reflects this worker's total queued
-  /// outbound bytes crossing the soft watermark; kOverflow means the frame
-  /// was dropped at the hard cap; kClosed means the worker was killed.
+  /// Writes `msg` to the link to `to`, establishing the link if needed;
+  /// what the socket does not take, or what waits for the link to come up,
+  /// stays queued. kPressured reflects this worker's queued outbound bytes
+  /// crossing kPressureBytes; kOverflow means the frame was dropped at
+  /// kMaxQueuedBytes (and reported through the drop callback).
   SendStatus Post(VmId to, const Message& msg);
 
   VmId vm() const { return vm_; }
   uint16_t port() const { return port_; }
   const Stats& stats() const { return stats_; }
-  bool running() const { return running_.load(std::memory_order_acquire); }
 
  private:
   /// One outbound link: the live connection (possibly still connecting), a
   /// pending queue for frames that arrive while the link is down, and the
-  /// reconnect backoff state. Loop thread only.
+  /// reconnect backoff state.
   struct Link {
     std::unique_ptr<Connection> conn;
     std::deque<std::vector<uint8_t>> pending;
@@ -112,55 +102,32 @@ class Worker {
     VmId peer = kInvalidVm;
   };
 
-  void OnListenerReadable() SEEP_RUN_ON(sync::LoopThread);
-  void SendOnLink(VmId to, std::vector<uint8_t> frame)
-      SEEP_RUN_ON(sync::LoopThread);
-  void TryConnect(VmId to) SEEP_RUN_ON(sync::LoopThread);
-  void OnOutboundClosed(VmId to, Connection* conn)
-      SEEP_RUN_ON(sync::LoopThread);
-  void ScheduleRetry(VmId to) SEEP_RUN_ON(sync::LoopThread);
-  void OnInboundFrame(Connection* conn, std::vector<uint8_t> payload)
-      SEEP_RUN_ON(sync::LoopThread);
-  void OnInboundClosed(Connection* conn) SEEP_RUN_ON(sync::LoopThread);
-  void DropFrames(VmId to, size_t n) SEEP_RUN_ON(sync::LoopThread);
-  size_t TotalQueuedBytes() const SEEP_RUN_ON(sync::LoopThread);
+  void OnListenerReadable();
+  void SendOnLink(VmId to, std::vector<uint8_t> frame);
+  void TryConnect(VmId to);
+  void OnOutboundClosed(VmId to, Connection* conn);
+  void ScheduleRetry(VmId to);
+  void OnInboundFrame(Connection* conn, std::vector<uint8_t> payload);
+  void OnInboundClosed(Connection* conn);
+  void DropFrames(VmId to, size_t n);
+  size_t QueuedBytes() const;
 
   const VmId vm_;
   EndpointRegistry* const registry_;
-  const WorkerOptions options_;
+  EventLoop* const loop_;
 
-  MessageCallback on_message_
-      SEEP_UNGUARDED("set before Start, immutable while the loop runs");
-  PeerCallback on_peer_disconnect_
-      SEEP_UNGUARDED("set before Start, immutable while the loop runs");
-  DropCallback on_frames_dropped_
-      SEEP_UNGUARDED("set before Start, immutable while the loop runs");
+  MessageCallback on_message_;
+  PeerCallback on_peer_disconnect_;
+  DropCallback on_frames_dropped_;
 
-  EventLoop loop_ SEEP_UNGUARDED("internally synchronised; event_loop.h");
-  std::thread thread_
-      SEEP_UNGUARDED("owned exclusively by the harness thread (Start/Kill)");
-  ScopedFd listener_
-      SEEP_UNGUARDED("set in Start before the loop thread exists, read-only "
-                     "after; reset in Kill after the join");
-  uint16_t port_
-      SEEP_UNGUARDED("set in Start before the loop thread exists") = 0;
-  std::atomic<bool> running_{false};
-
-  // Loop-thread state (Kill re-adopts the role after joining the loop).
-  std::unordered_map<VmId, Link> links_ SEEP_GUARDED_BY(sync::LoopThread);
-  std::vector<std::unique_ptr<Inbound>> inbound_
-      SEEP_GUARDED_BY(sync::LoopThread);
-  // Connections whose close callback fired mid-event: parked here and freed
-  // by a posted task, after the loop unwinds out of their callbacks.
-  std::vector<std::unique_ptr<Connection>> graveyard_
-      SEEP_GUARDED_BY(sync::LoopThread);
-
-  // Approximate outbound backlog for pressure reporting: posted-but-not-yet-
-  // processed bytes plus a loop-thread-maintained snapshot of queued bytes.
-  std::atomic<size_t> posted_bytes_{0};
-  std::atomic<size_t> queued_snapshot_{0};
-
-  Stats stats_ SEEP_UNGUARDED("all members are monotonic atomics");
+  ScopedFd listener_;
+  uint16_t port_ = 0;
+  std::unordered_map<VmId, Link> links_;
+  std::vector<Inbound> inbound_;
+  // Retry timers stay on the shared loop when the worker dies; each holds a
+  // weak reference to this token and does nothing once it has expired.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  Stats stats_;
 };
 
 }  // namespace seep::net

@@ -36,8 +36,8 @@ enum class FaultToleranceMode {
 
 /// Which Transport backend ships messages between instances. kSim is the
 /// deterministic default every figure bench uses; kTcp runs real loopback
-/// TCP between per-VM worker threads (net::LocalCluster) while the logical
-/// runtime stays on the sim driver thread.
+/// TCP between per-VM listeners (net::LocalCluster), whose sockets the sim
+/// driver thread polls itself, so the whole runtime stays on that thread.
 enum class TransportKind {
   kSim,
   kTcp,

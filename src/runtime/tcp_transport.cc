@@ -1,11 +1,9 @@
 #include "runtime/tcp_transport.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <deque>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -38,35 +36,34 @@ bool Lost(net::SendStatus st) {
 
 }  // namespace
 
-/// Everything shared between the sim driver thread and the worker threads.
-/// Invariant: `in_flight[{from, to}]` counts the frames `from` posted to
-/// `to` that the net layer accepted and that have neither reached the inbox
-/// nor been reported dropped. Detaching a VM writes off every link to or
-/// from it (traffic to a dead VM is dead by definition, and frames its
-/// worker had queued died with the worker), and decrements are clamped, so
-/// the total returns to zero once nothing live is in flight: the pump's
-/// bounded wait never waits on a lost frame, and the pump stops.
+/// The transport's state, all of it on the driver thread: the sockets'
+/// callbacks run inside the pump's poll. Invariant: `in_flight[{from, to}]`
+/// counts the frames `from` posted to `to` that the net layer accepted and
+/// that have neither been delivered nor been reported dropped. Detaching a
+/// VM writes off every link to or from it (traffic to a dead VM is dead by
+/// definition, and frames its worker had queued died with the worker), and
+/// decrements are clamped, so the total returns to zero once nothing live
+/// is in flight: the pump's bounded wait never waits on a lost frame, and
+/// the pump stops.
 ///
-/// The links run with net's default limits: SendBatch reports kPressured
-/// above a worker's 4 MiB of queued outbound bytes, frames beyond its
-/// 64 MiB cap are dropped (replay recovers them, exactly as after a crash),
-/// and a receiver rejects any frame declaring more than
-/// serde::kDefaultMaxFramePayload (64 MiB).
+/// The links run with net's fixed limits: SendBatch reports kPressured
+/// above a worker's 4 MiB of queued outbound bytes (what the kernel's
+/// socket buffers did not take), frames beyond its 64 MiB cap are dropped
+/// (replay recovers them, exactly as after a crash), and a receiver rejects
+/// any frame declaring more than serde::kDefaultMaxFramePayload (64 MiB).
 struct TcpTransport::Impl {
-  net::LocalCluster cluster
-      SEEP_UNGUARDED("internally synchronised (its own mu_; local_cluster.h)");
+  net::LocalCluster cluster;
 
-  sync::Mutex mu;
-  sync::CondVar cv;
-  std::deque<net::Message> inbox SEEP_GUARDED_BY(mu);
-  std::set<VmId> attached SEEP_GUARDED_BY(mu);
-  std::map<std::pair<VmId, VmId>, uint64_t> in_flight SEEP_GUARDED_BY(mu);
-  uint64_t total_in_flight SEEP_GUARDED_BY(mu) = 0;
+  // Messages the last poll delivered, in arrival order, waiting for the
+  // pump to dispatch them.
+  std::deque<net::Message> inbox SEEP_GUARDED_BY(sync::DriverThread);
+  std::map<std::pair<VmId, VmId>, uint64_t> in_flight
+      SEEP_GUARDED_BY(sync::DriverThread);
+  uint64_t total_in_flight SEEP_GUARDED_BY(sync::DriverThread) = 0;
 
   // Checkpoint parcels in flight, keyed by the ship_id every chunk carries:
   // the endpoints, the chunk stream as sent and the sender's arrival
-  // callback. Driver thread only — never touched by the worker-thread
-  // callbacks.
+  // callback.
   struct ShipEntry {
     VmId from = kInvalidVm;
     VmId to = kInvalidVm;
@@ -77,9 +74,10 @@ struct TcpTransport::Impl {
       SEEP_GUARDED_BY(sync::DriverThread);
   uint64_t next_ship_id SEEP_GUARDED_BY(sync::DriverThread) = 0;
 
-  std::atomic<uint64_t> disconnects{0};
+  uint64_t disconnects SEEP_GUARDED_BY(sync::DriverThread) = 0;
 
-  void DecInFlightLocked(VmId from, VmId to, uint64_t n) SEEP_REQUIRES(mu) {
+  void DecInFlight(VmId from, VmId to, uint64_t n)
+      SEEP_RUN_ON(sync::DriverThread) {
     auto it = in_flight.find({from, to});
     if (it == in_flight.end()) return;
     const uint64_t dec = std::min(it->second, n);
@@ -88,8 +86,7 @@ struct TcpTransport::Impl {
   }
 
   /// Writes off every link to or from `vm`.
-  void DetachLocked(VmId vm) SEEP_REQUIRES(mu) {
-    attached.erase(vm);
+  void WriteOff(VmId vm) SEEP_RUN_ON(sync::DriverThread) {
     for (auto it = in_flight.begin(); it != in_flight.end();) {
       if (it->first.first == vm || it->first.second == vm) {
         total_in_flight -= it->second;
@@ -100,25 +97,17 @@ struct TcpTransport::Impl {
     }
   }
 
-  /// Queues `msg` on `from`'s worker with in-flight accounting. A link with
-  /// a detached end reports kClosed.
+  /// Posts `msg` on `from`'s worker with in-flight accounting. A link with
+  /// a detached end reports kClosed; a frame dropped at the queue cap
+  /// leaves flight again through the drop callback.
   net::SendStatus Post(VmId from, VmId to, const net::Message& msg)
-      SEEP_EXCLUDES(mu) {
-    {
-      sync::MutexLock lock(&mu);
-      if (attached.count(from) == 0 || attached.count(to) == 0) {
-        return net::SendStatus::kClosed;
-      }
-      ++in_flight[{from, to}];
-      ++total_in_flight;
+      SEEP_RUN_ON(sync::DriverThread) {
+    if (!cluster.IsAttached(from) || !cluster.IsAttached(to)) {
+      return net::SendStatus::kClosed;
     }
-    const net::SendStatus st = cluster.Post(from, to, msg);
-    if (Lost(st)) {
-      sync::MutexLock lock(&mu);
-      DecInFlightLocked(from, to, 1);
-      cv.NotifyOne();
-    }
-    return st;
+    ++in_flight[{from, to}];
+    ++total_in_flight;
+    return cluster.Post(from, to, msg);
   }
 };
 
@@ -154,12 +143,11 @@ bool ReceiveChunkMessage(Cluster* cluster, TcpChunkStream* stream,
 TcpTransport::TcpTransport(Cluster* cluster)
     : cluster_(cluster), impl_(std::make_unique<Impl>()) {}
 
-TcpTransport::~TcpTransport() { impl_->cluster.Shutdown(); }
-
-net::LocalCluster* TcpTransport::net_cluster() { return &impl_->cluster; }
+TcpTransport::~TcpTransport() = default;
 
 uint64_t TcpTransport::disconnects_observed() const {
-  return impl_->disconnects.load(std::memory_order_relaxed);
+  SEEP_ASSERT_RUN_ON(sync::DriverThread);
+  return impl_->disconnects;
 }
 
 uint64_t TcpTransport::messages_delivered() const {
@@ -176,51 +164,47 @@ size_t TcpTransport::parcels_in_flight() const {
 }
 
 uint64_t TcpTransport::frames_in_flight() const {
-  sync::MutexLock lock(&impl_->mu);
+  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   return impl_->total_in_flight;
 }
 
 void TcpTransport::AttachVm(VmId vm) {
+  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   // Mirror into the sim network so its attachment directory (and any code
   // consulting IsAttached) stays coherent; no sim traffic flows through it.
   cluster_->network()->Attach(vm);
+  // The callbacks run inside the pump's poll. They only account and queue:
+  // dispatch waits until the poll has returned.
   Impl* impl = impl_.get();
   const Status started = impl->cluster.StartWorker(
       vm,
       /*on_message=*/
       [impl, vm](net::Message msg) {
-        sync::MutexLock lock(&impl->mu);
-        impl->DecInFlightLocked(msg.from_vm, vm, 1);
+        SEEP_ASSERT_RUN_ON(sync::DriverThread);
+        impl->DecInFlight(msg.from_vm, vm, 1);
         impl->inbox.push_back(std::move(msg));
-        impl->cv.NotifyOne();
       },
       /*on_peer_disconnect=*/
       [impl](VmId) {
-        impl->disconnects.fetch_add(1, std::memory_order_relaxed);
+        SEEP_ASSERT_RUN_ON(sync::DriverThread);
+        ++impl->disconnects;
       },
       /*on_frames_dropped=*/
       [impl, vm](VmId peer, size_t n) {
-        sync::MutexLock lock(&impl->mu);
-        impl->DecInFlightLocked(vm, peer, n);
-        impl->cv.NotifyOne();
+        SEEP_ASSERT_RUN_ON(sync::DriverThread);
+        impl->DecInFlight(vm, peer, n);
       });
   SEEP_CHECK(started.ok());
-  sync::MutexLock lock(&impl->mu);
-  impl->attached.insert(vm);
 }
 
 void TcpTransport::DetachVm(VmId vm) {
   SEEP_ASSERT_RUN_ON(sync::DriverThread);
   cluster_->network()->Detach(vm);
-  // Kill first (joins the worker thread), then write off both directions:
-  // frames queued in this VM's worker or kernel buffers, and frames on
-  // their way to it, die unobserved, and the pump must not wait for them.
+  // Kill first, then write off both directions: frames queued in this VM's
+  // worker or kernel buffers, and frames on their way to it, die
+  // unobserved, and the pump must not wait for them.
   impl_->cluster.KillWorker(vm);
-  {
-    sync::MutexLock lock(&impl_->mu);
-    impl_->DetachLocked(vm);
-    impl_->cv.NotifyOne();
-  }
+  impl_->WriteOff(vm);
   // Parcels to the dead VM never arrive (sim parity: sim::Network drops
   // deliveries to detached endpoints), and parcels from it lost their
   // unsent chunks with its worker. Either way the partial chunk stream at
@@ -323,20 +307,24 @@ void TcpTransport::NoteWireDecodeFailure(const char* what,
 }
 
 void TcpTransport::Pump() {
-  std::deque<net::Message> drained;
-  {
-    sync::MutexLock lock(&impl_->mu);
-    // Bound the sim-time skew between send and delivery: while messages are
-    // in flight, give them a short wall-clock window to land before sim
-    // time advances past this pump. The wait is bounded, so a stalled link
-    // (reconnect backoff, dead peer mid-detach) delays the simulation by at
-    // most kPumpWait per pump instead of wedging it.
-    impl_->cv.WaitFor(&impl_->mu, kPumpWait, [this] {
-      impl_->mu.AssertHeld();
-      return impl_->total_in_flight == 0 || !impl_->inbox.empty();
-    });
-    drained.swap(impl_->inbox);
+  Impl& impl = *impl_;
+  // Take whatever the sockets hold. If nothing has arrived while frames are
+  // in flight, give them a short wall-clock window to land before sim time
+  // advances past this pump. The wait is bounded, so a stalled link
+  // (reconnect backoff, dead peer mid-detach) delays the simulation by at
+  // most kPumpWait per pump instead of wedging it.
+  impl.cluster.Poll(std::chrono::microseconds::zero());
+  const auto deadline = std::chrono::steady_clock::now() + kPumpWait;
+  while (impl.inbox.empty() && impl.total_in_flight > 0) {
+    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left <= std::chrono::microseconds::zero()) break;
+    impl.cluster.Poll(left);
   }
+  // Dispatch only now that the poll has returned: handlers post, and posts
+  // write to the sockets.
+  std::deque<net::Message> drained;
+  drained.swap(impl.inbox);
   for (net::Message& msg : drained) {
     switch (msg.type) {
       case net::MessageType::kBatch: {
@@ -359,29 +347,23 @@ void TcpTransport::Pump() {
       case net::MessageType::kCheckpointChunk: {
         // The entry leaves the table while its chunk is processed: the
         // arrival callback may ship again, inserting into the table.
-        auto ship = impl_->ships.extract(msg.ship_id);
+        auto ship = impl.ships.extract(msg.ship_id);
         if (ship.empty()) break;  // parcel already dropped
         Impl::ShipEntry& entry = ship.mapped();
         if (!ReceiveChunkMessage(cluster_, &entry.stream, msg.body,
                                  entry.on_arrival)) {
-          impl_->ships.insert(std::move(ship));  // more chunks to come
+          impl.ships.insert(std::move(ship));  // more chunks to come
         }
         break;
       }
       case net::MessageType::kHello:
-      case net::MessageType::kControl:
-        break;  // hellos stay inside net/; no control users yet
+        break;  // hellos stay inside net/
     }
   }
   // Pump again only while traffic is in flight, so an idle transport
   // schedules nothing. (A post the dispatch above made has rescheduled the
   // pump already.)
-  bool busy = false;
-  {
-    sync::MutexLock lock(&impl_->mu);
-    busy = impl_->total_in_flight > 0 || !impl_->inbox.empty();
-  }
-  if (busy) SchedulePump();
+  if (impl.total_in_flight > 0) SchedulePump();
 }
 
 }  // namespace seep::runtime

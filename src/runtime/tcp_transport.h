@@ -8,10 +8,6 @@
 #include "common/sync.h"
 #include "runtime/transport.h"
 
-namespace seep::net {
-class LocalCluster;
-}  // namespace seep::net
-
 namespace seep::runtime {
 
 /// A checkpoint parcel's chunk stream as its sender cut it: the stream
@@ -35,21 +31,22 @@ struct TcpChunkStream {
                                        const std::vector<uint8_t>& body,
                                        const ArrivalFn& on_arrival);
 
-/// Transport over real loopback TCP: per-VM worker threads (net::Worker)
-/// ship length-prefixed crc32c frames between epoll event loops, while the
-/// logical runtime stays single-threaded on the simulation driver thread.
-/// Worker threads never touch runtime state — inbound messages land in a
-/// thread-safe inbox that a sim "pump" event drains and dispatches through
-/// exactly the same handlers SimTransport uses (OnBatch,
-/// ReceiveCheckpointChunk). The pump is scheduled on demand: a post onto an
-/// idle transport starts it, and it re-schedules itself only while frames
-/// are in flight or deliveries wait in the inbox, so an idle transport
-/// schedules nothing. Every checkpoint parcel crosses the socket as its
-/// serialized frame, cut into kCheckpointChunk messages; the receiver
-/// restores from the bytes that arrived. Per-link FIFO order is preserved
-/// because each VM pair shares one TCP connection; only arrival *times*
-/// differ from the sim backend, and the protocol's correctness is
-/// timing-independent.
+/// Transport over real loopback TCP: one net::Worker per VM ships
+/// length-prefixed crc32c frames between per-VM loopback listeners, and
+/// the whole of it runs on the simulation driver thread. The workers share
+/// one net::LocalCluster, whose single epoll set holds every VM's listener
+/// and connections. Posts write straight to the sockets. A sim "pump" event
+/// polls that set, which moves bytes and queues whatever arrived; the pump
+/// then dispatches the queue through exactly the same handlers SimTransport
+/// uses (OnBatch, ReceiveCheckpointChunk), never from inside a socket
+/// callback. The pump is scheduled on demand: a post onto an idle transport
+/// starts it, and it re-schedules itself only while frames are in flight,
+/// so an idle transport schedules nothing. Every checkpoint parcel crosses
+/// the socket as its serialized frame, cut into kCheckpointChunk messages;
+/// the receiver restores from the bytes that arrived. Per-link FIFO order
+/// is preserved because each VM pair shares one TCP connection; only
+/// arrival *times* differ from the sim backend, and the protocol's
+/// correctness is timing-independent.
 class TcpTransport : public Transport {
  public:
   explicit TcpTransport(Cluster* cluster);
@@ -67,7 +64,7 @@ class TcpTransport : public Transport {
   /// Checkpoint parcels sent but neither delivered nor dropped yet.
   size_t parcels_in_flight() const;
 
-  /// Frames the net layer accepted that have neither reached the inbox nor
+  /// Frames the net layer accepted that have neither been delivered nor
   /// been reported dropped, over every link between attached VMs.
   uint64_t frames_in_flight() const;
 
@@ -78,9 +75,6 @@ class TcpTransport : public Transport {
   /// the net layer (overflow or link death).
   uint64_t messages_delivered() const;
   uint64_t frames_dropped() const;
-
-  /// The loopback harness carrying this transport's traffic.
-  net::LocalCluster* net_cluster();
 
  private:
   struct Impl;

@@ -163,30 +163,35 @@ TEST(ThreadRoleTest, AdoptDropAndQuery) {
 
 TEST(ThreadRoleTest, ScopedThreadRoleDropsAtScopeExit) {
   {
-    ScopedThreadRole role(LoopThread);
-    EXPECT_TRUE(LoopThread.OnThread());
+    ScopedThreadRole role(StoreCompactorThread);
+    EXPECT_TRUE(StoreCompactorThread.OnThread());
   }
-  EXPECT_FALSE(LoopThread.OnThread());
+  EXPECT_FALSE(StoreCompactorThread.OnThread());
 }
 
 TEST(ThreadRoleTest, RolesAreThreadLocal) {
-  ScopedThreadRole role(LoopThread);
+  ScopedThreadRole role(StoreCompactorThread);
   bool seen_on_other_thread = true;
-  std::thread t([&] { seen_on_other_thread = LoopThread.OnThread(); });
+  std::thread t(
+      [&] { seen_on_other_thread = StoreCompactorThread.OnThread(); });
   t.join();
   EXPECT_FALSE(seen_on_other_thread);  // adoption does not leak across
-  EXPECT_TRUE(LoopThread.OnThread());
+  EXPECT_TRUE(StoreCompactorThread.OnThread());
 }
 
 TEST(ThreadRoleTest, RolesAreIndependentBits) {
-  ScopedThreadRole loop(LoopThread);
-  {
-    ScopedThreadRole worker(StoreCompactorThread);
-    EXPECT_TRUE(LoopThread.OnThread());
-    EXPECT_TRUE(StoreCompactorThread.OnThread());
-  }
-  EXPECT_TRUE(LoopThread.OnThread());  // dropping one bit keeps the other
-  EXPECT_FALSE(StoreCompactorThread.OnThread());
+  // Runs on a fresh thread: this one may hold DriverThread for good.
+  std::thread t([] {
+    ScopedThreadRole driver(DriverThread);
+    {
+      ScopedThreadRole compactor(StoreCompactorThread);
+      EXPECT_TRUE(DriverThread.OnThread());
+      EXPECT_TRUE(StoreCompactorThread.OnThread());
+    }
+    EXPECT_TRUE(DriverThread.OnThread());  // dropping one bit keeps the other
+    EXPECT_FALSE(StoreCompactorThread.OnThread());
+  });
+  t.join();
 }
 
 TEST(ThreadRoleDeathTest, AssertOnThreadAbortsWithoutTheRole) {
@@ -196,10 +201,10 @@ TEST(ThreadRoleDeathTest, AssertOnThreadAbortsWithoutTheRole) {
   // thread, naming the missing role.
   EXPECT_DEATH(
       {
-        std::thread t([] { LoopThread.AssertOnThread(); });
+        std::thread t([] { DriverThread.AssertOnThread(); });
         t.join();
       },
-      "thread-affinity violation.*LoopThread");
+      "thread-affinity violation.*DriverThread");
 }
 
 TEST(ThreadRoleDeathTest, DroppedRoleNoLongerSatisfiesAssert) {

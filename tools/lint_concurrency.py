@@ -11,13 +11,19 @@ keep the analysis sound on every toolchain:
     A raw mutex is invisible to the analysis, to the holder bookkeeping,
     and to the lock-order manifest; every lock in the tree goes through
     sync::Mutex / sync::CondVar.
-  * unannotated-member: in the thread-spawning translation units (the net/
-    library, the checkpoint pipeline, the TCP transport), every mutable
-    data member is either SEEP_GUARDED_BY a mutex or a thread-role
-    capability, or carries an explicit SEEP_UNGUARDED waiver. Immutable
-    (`const`/`constexpr`), `std::atomic`, and the sync primitives
-    themselves are exempt. An unannotated member in threaded code is a
-    data race nobody has thought about yet.
+  * thread-outside-store: under src/, only the durable store's checkpoint
+    log (src/store/checkpoint_log.*) may start a thread (`std::thread`,
+    `std::jthread`, `pthread_create`): its background compactor is the one
+    thread besides the simulation driver, which owns everything else, the
+    TCP backend's sockets included. A new thread anywhere else is a new
+    concurrency domain, and it should be a decision, not a drift.
+  * unannotated-member: in the translation units two threads enter (the
+    durable store's checkpoint log), every mutable data member is either
+    SEEP_GUARDED_BY a mutex or a thread-role capability, or carries an
+    explicit SEEP_UNGUARDED waiver. Immutable (`const`/`constexpr`),
+    `std::atomic`, and the sync primitives themselves are exempt. An
+    unannotated member in threaded code is a data race nobody has thought
+    about yet.
   * waiver-needs-reason: every SEEP_UNGUARDED carries a non-empty written
     reason. A waiver without a reason is a suppression, not a decision.
   * lock-order: tools/lock_order.json lists every sync::Mutex in the tree
@@ -55,18 +61,23 @@ RAW_MUTEX_RE = re.compile(
     r"shared_lock|condition_variable|condition_variable_any)\b"
     r"|^\s*#include\s+<(mutex|condition_variable|shared_mutex)>")
 
+# The only files under src/ that may start a thread: the durable store's
+# checkpoint log, whose background compactor is the one thread besides the
+# simulation driver.
+THREAD_START_ALLOWLIST = {
+    Path("src/store/checkpoint_log.h"),
+    Path("src/store/checkpoint_log.cc"),
+}
+
+# A thread start: `std::thread` / `std::jthread` as a type (not a nested
+# name such as std::thread::id), or the pthread call.
+THREAD_START_RE = re.compile(r"\bstd::j?thread\b(?!\s*::)|\bpthread_create\b")
+
 # Translation units that spawn or are entered by more than one thread; every
 # mutable member they declare must be annotated or explicitly waivered.
 THREADED_TUS = (
-    "src/net/event_loop.h",
-    "src/net/connection.h",
-    "src/net/worker.h",
-    "src/net/endpoint.h",
-    "src/net/local_cluster.h",
-    "src/runtime/ckpt_pipeline.h",
-    "src/runtime/tcp_transport.h",
-    "src/runtime/tcp_transport.cc",
     "src/store/checkpoint_log.h",
+    "src/store/checkpoint_log.cc",
 )
 
 ANNOTATION_TOKENS = (
@@ -128,6 +139,29 @@ def check_raw_mutex(repo_root, violations):
                     f"'{match.group(0).strip()}' bypasses common/sync.h; "
                     "raw std synchronisation is invisible to the thread "
                     "safety analysis and the lock-order manifest"))
+
+
+def check_thread_starts(repo_root, violations, paths, allowlist):
+    for path in paths:
+        rel = path.relative_to(repo_root)
+        if rel in allowlist:
+            continue
+        text = strip_comments(path.read_text(errors="replace"))
+        for number, line in enumerate(text.splitlines(), start=1):
+            match = THREAD_START_RE.search(line)
+            if match:
+                violations.append((
+                    "thread-outside-store", f"{rel}:{number}",
+                    f"'{match.group(0)}' starts a thread outside "
+                    "src/store/checkpoint_log.*; everything else runs on "
+                    "the simulation driver thread (DESIGN.md §8)"))
+
+
+def src_files(repo_root):
+    src = repo_root / "src"
+    if not src.is_dir():
+        return []
+    return [p for p in sorted(src.rglob("*")) if p.suffix in (".h", ".cc")]
 
 
 def class_regions(text):
@@ -302,23 +336,19 @@ def check_lock_order(repo_root, manifest_path, violations):
     listed_by_file = {}
     for name, rel in mutexes.items():
         listed_by_file.setdefault(rel, set()).add(name.rsplit("::", 1)[-1])
-    src = repo_root / "src"
-    if src.is_dir():
-        for path in sorted(src.rglob("*")):
-            if path.suffix not in (".h", ".cc"):
-                continue
-            if path.relative_to(repo_root) in RAW_MUTEX_ALLOWLIST:
-                continue
-            rel = str(path.relative_to(repo_root))
-            text = strip_comments(path.read_text(errors="replace"))
-            for match in SYNC_MUTEX_DECL_RE.finditer(text):
-                if match.group(1) not in listed_by_file.get(rel, set()):
-                    number = text.count("\n", 0, match.start()) + 1
-                    violations.append((
-                        "lock-order-unlisted-mutex", f"{rel}:{number}",
-                        f"sync::Mutex '{match.group(1)}' is not in "
-                        f"{rel_manifest}; add it (and its held-while-"
-                        "acquiring edges, if any)"))
+    for path in src_files(repo_root):
+        if path.relative_to(repo_root) in RAW_MUTEX_ALLOWLIST:
+            continue
+        rel = str(path.relative_to(repo_root))
+        text = strip_comments(path.read_text(errors="replace"))
+        for match in SYNC_MUTEX_DECL_RE.finditer(text):
+            if match.group(1) not in listed_by_file.get(rel, set()):
+                number = text.count("\n", 0, match.start()) + 1
+                violations.append((
+                    "lock-order-unlisted-mutex", f"{rel}:{number}",
+                    f"sync::Mutex '{match.group(1)}' is not in "
+                    f"{rel_manifest}; add it (and its held-while-"
+                    "acquiring edges, if any)"))
 
     # Edge endpoints must be listed mutexes.
     graph = {name: [] for name in mutexes}
@@ -368,6 +398,8 @@ def check_lock_order(repo_root, manifest_path, violations):
 def lint(repo_root, manifest_path, tus):
     violations = []
     check_raw_mutex(repo_root, violations)
+    check_thread_starts(repo_root, violations, src_files(repo_root),
+                        THREAD_START_ALLOWLIST)
     check_threaded_members(repo_root, violations, tus)
     check_waiver_reasons(repo_root, violations)
     check_lock_order(repo_root, manifest_path, violations)
@@ -404,14 +436,16 @@ def self_test(repo_root):
                 if literal is None or len(literal) <= 2:
                     violations.append(
                         ("waiver-needs-reason", f"{rel}:{number}", ""))
+    check_thread_starts(fixtures, violations, fixture_files(), set())
     check_threaded_members(
         fixtures, violations,
         tuple(str(p.relative_to(fixtures)) for p in fixture_files()))
     check_lock_order(fixtures, fixtures / "lock_order_cycle.json",
                      violations)
 
-    expected = {"no-raw-mutex", "unannotated-member", "waiver-needs-reason",
-                "lock-order-cycle", "lock-order-stale-mutex"}
+    expected = {"no-raw-mutex", "thread-outside-store", "unannotated-member",
+                "waiver-needs-reason", "lock-order-cycle",
+                "lock-order-stale-mutex"}
     return lint_common.self_test_verdict(
         "lint_concurrency", expected, violations)
 
@@ -437,8 +471,8 @@ def main():
                       THREADED_TUS)
     return lint_common.report(
         "lint_concurrency", violations,
-        "clean (no raw mutexes, threaded members annotated, waivers "
-        "reasoned, lock order acyclic)")
+        "clean (no raw mutexes, threads only in the store, threaded "
+        "members annotated, waivers reasoned, lock order acyclic)")
 
 
 if __name__ == "__main__":
