@@ -148,10 +148,11 @@ Result<ProcessingState> ProcessingState::Decode(serde::Decoder* dec) {
   SEEP_ASSIGN_OR_RETURN(n, dec->ReadVarint64());
   if (n <= dec->remaining()) out.Reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    KeyHash k;
-    SEEP_ASSIGN_OR_RETURN(k, dec->ReadFixed64());
+    KeyHash k = 0;
     std::string v;
-    SEEP_ASSIGN_OR_RETURN(v, dec->ReadString());
+    if (!dec->GetFixed64(&k) || !dec->GetString(&v)) {
+      return Status::Corruption("truncated or corrupt state entry");
+    }
     out.Add(k, std::move(v));
   }
   return out;
@@ -186,20 +187,10 @@ void InputPositions::UpperBoundWith(const InputPositions& other) {
   }
 }
 
-namespace {
-
-// Encoded size of AppendVarintSigned64(v): the zigzag-mapped varint.
-size_t SignedVarintSize(int64_t v) {
-  return serde::Encoder::VarintSize((static_cast<uint64_t>(v) << 1) ^
-                                    static_cast<uint64_t>(v >> 63));
-}
-
-}  // namespace
-
 size_t InputPositions::EncodedSize() const {
   size_t total = serde::Encoder::VarintSize(positions_.size());
   for (const auto& [origin, ts] : positions_) {
-    total += 8 + SignedVarintSize(ts);
+    total += 8 + serde::Encoder::SignedVarintSize(ts);
   }
   return total;
 }
@@ -321,7 +312,12 @@ void BufferState::Encode(serde::Encoder* enc) const {
   for (const auto& [op, buf] : buffers_) {
     enc->AppendFixed32(op);
     enc->AppendVarint64(buf.size());
-    for (const Tuple& t : buf) t.Encode(enc);
+    // ByteSize() is the exact encoded size of the live tuples (kept by
+    // Append and the trims), so each buffer is one region and one cursor.
+    uint8_t* p = enc->Extend(buf.ByteSize());
+    uint8_t* const end = p + buf.ByteSize();
+    for (const Tuple& t : buf) p = t.Write(p);
+    SEEP_CHECK(p == end);
   }
 }
 
@@ -329,6 +325,7 @@ void BufferState::Encode(serde::Encoder* enc) const {
   BufferState out;
   uint64_t n_ops;
   SEEP_ASSIGN_OR_RETURN(n_ops, dec->ReadVarint64());
+  Tuple scratch;
   for (uint64_t i = 0; i < n_ops; ++i) {
     uint32_t op;
     SEEP_ASSIGN_OR_RETURN(op, dec->ReadFixed32());
@@ -337,9 +334,10 @@ void BufferState::Encode(serde::Encoder* enc) const {
     auto& buf = out.buffers_[op];
     if (n_tuples <= dec->remaining()) buf.Reserve(n_tuples);
     for (uint64_t j = 0; j < n_tuples; ++j) {
-      Tuple t;
-      SEEP_ASSIGN_OR_RETURN(t, Tuple::Decode(dec));
-      buf.Append(std::move(t));
+      if (!scratch.DecodeFrom(dec)) {
+        return Status::Corruption("truncated or corrupt buffered tuple");
+      }
+      buf.Append(std::move(scratch));
     }
   }
   return out;
@@ -377,8 +375,9 @@ size_t StateCheckpoint::ByteSize() const {
 
 size_t StateCheckpoint::EncodedSize() const {
   size_t total = 4 + 4 + 8 + 8 + 8;  // op, instance, origin, key range
-  total += SignedVarintSize(out_clock) + serde::Encoder::VarintSize(seq) +
-           SignedVarintSize(taken_at);
+  total += serde::Encoder::SignedVarintSize(out_clock) +
+           serde::Encoder::VarintSize(seq) +
+           serde::Encoder::SignedVarintSize(taken_at);
   total += positions.EncodedSize() + processing.EncodedSize() +
            buffer.EncodedSize();
   total += 1 + serde::Encoder::VarintSize(base_seq);
@@ -386,7 +385,7 @@ size_t StateCheckpoint::EncodedSize() const {
       serde::Encoder::VarintSize(deleted_keys.size()) + 8 * deleted_keys.size();
   total += serde::Encoder::VarintSize(buffer_front.size());
   for (const auto& [op_id, front] : buffer_front) {
-    total += 4 + SignedVarintSize(front);
+    total += 4 + serde::Encoder::SignedVarintSize(front);
   }
   return total;
 }

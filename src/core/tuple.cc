@@ -2,71 +2,80 @@
 
 namespace seep::core {
 
-namespace {
-size_t VarintSize(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+using serde::Encoder;
+
+uint8_t* Tuple::Write(uint8_t* p) const {
+  p = Encoder::WriteVarintSigned64(p, timestamp);
+  p = Encoder::WriteFixed64(p, key);
+  p = Encoder::WriteFixed64(p, origin);
+  p = Encoder::WriteVarintSigned64(p, event_time);
+  for (int64_t v : ints) p = Encoder::WriteVarintSigned64(p, v);
+  p = Encoder::WriteString(p, text);
+  return Encoder::WriteU8(p, latency_sample ? 1 : 0);
 }
-size_t SignedVarintSize(int64_t v) {
-  return VarintSize((static_cast<uint64_t>(v) << 1) ^
-                    static_cast<uint64_t>(v >> 63));
-}
-}  // namespace
 
 void Tuple::Encode(serde::Encoder* enc) const {
-  enc->AppendVarintSigned64(timestamp);
-  enc->AppendFixed64(key);
-  enc->AppendFixed64(origin);
-  enc->AppendVarintSigned64(event_time);
-  for (int64_t v : ints) enc->AppendVarintSigned64(v);
-  enc->AppendString(text);
-  enc->AppendU8(latency_sample ? 1 : 0);
+  const size_t n = SerializedSize();
+  uint8_t* const p = enc->Extend(n);
+  uint8_t* const end = Write(p);
+  SEEP_CHECK(end == p + n);
+}
+
+[[nodiscard]] bool Tuple::DecodeFrom(serde::Decoder* dec) {
+  if (!dec->GetVarintSigned64(&timestamp) || !dec->GetFixed64(&key) ||
+      !dec->GetFixed64(&origin) || !dec->GetVarintSigned64(&event_time)) {
+    return false;
+  }
+  for (int64_t& v : ints) {
+    if (!dec->GetVarintSigned64(&v)) return false;
+  }
+  uint8_t sample = 0;
+  if (!dec->GetString(&text) || !dec->GetU8(&sample)) return false;
+  latency_sample = sample != 0;
+  return true;
 }
 
 [[nodiscard]] Result<Tuple> Tuple::Decode(serde::Decoder* dec) {
   Tuple t;
-  SEEP_ASSIGN_OR_RETURN(t.timestamp, dec->ReadVarintSigned64());
-  SEEP_ASSIGN_OR_RETURN(t.key, dec->ReadFixed64());
-  SEEP_ASSIGN_OR_RETURN(t.origin, dec->ReadFixed64());
-  SEEP_ASSIGN_OR_RETURN(t.event_time, dec->ReadVarintSigned64());
-  for (auto& v : t.ints) {
-    SEEP_ASSIGN_OR_RETURN(v, dec->ReadVarintSigned64());
+  if (!t.DecodeFrom(dec)) {
+    return Status::Corruption("truncated or corrupt tuple");
   }
-  SEEP_ASSIGN_OR_RETURN(t.text, dec->ReadString());
-  uint8_t latency_sample;
-  SEEP_ASSIGN_OR_RETURN(latency_sample, dec->ReadU8());
-  t.latency_sample = latency_sample != 0;
   return t;
 }
 
 size_t Tuple::SerializedSize() const {
-  size_t n = SignedVarintSize(timestamp) + 8 + 8 + SignedVarintSize(event_time);
-  for (int64_t v : ints) n += SignedVarintSize(v);
-  n += VarintSize(text.size()) + text.size();
+  size_t n = Encoder::SignedVarintSize(timestamp) + 8 + 8 +
+             Encoder::SignedVarintSize(event_time);
+  for (int64_t v : ints) n += Encoder::SignedVarintSize(v);
+  n += Encoder::VarintSize(text.size()) + text.size();
   return n + 1;  // + latency_sample flag
 }
 
 void TupleBatch::Encode(serde::Encoder* enc) const {
-  enc->AppendFixed32(from);
-  enc->AppendU8(replay ? 1 : 0);
-  enc->AppendVarint64(fence_id);
-  enc->AppendVarint64(tuples.size());
-  for (const Tuple& t : tuples) t.Encode(enc);
+  // Sized once, written through a cursor: the header (sender, replay flag,
+  // fence, count), then every tuple.
+  size_t n = 4 + 1 + Encoder::VarintSize(fence_id) +
+             Encoder::VarintSize(tuples.size());
+  for (const Tuple& t : tuples) n += t.SerializedSize();
+  uint8_t* p = enc->Extend(n);
+  uint8_t* const end = p + n;
+  p = Encoder::WriteFixed32(p, from);
+  p = Encoder::WriteU8(p, replay ? 1 : 0);
+  p = Encoder::WriteVarint64(p, fence_id);
+  p = Encoder::WriteVarint64(p, tuples.size());
+  for (const Tuple& t : tuples) p = t.Write(p);
+  SEEP_CHECK(p == end);
 }
 
 [[nodiscard]] Result<TupleBatch> TupleBatch::Decode(serde::Decoder* dec) {
   TupleBatch batch;
-  SEEP_ASSIGN_OR_RETURN(batch.from, dec->ReadFixed32());
-  uint8_t replay;
-  SEEP_ASSIGN_OR_RETURN(replay, dec->ReadU8());
+  uint8_t replay = 0;
+  uint64_t count = 0;
+  if (!dec->GetFixed32(&batch.from) || !dec->GetU8(&replay) ||
+      !dec->GetVarint64(&batch.fence_id) || !dec->GetVarint64(&count)) {
+    return Status::Corruption("truncated tuple batch header");
+  }
   batch.replay = replay != 0;
-  SEEP_ASSIGN_OR_RETURN(batch.fence_id, dec->ReadVarint64());
-  uint64_t count;
-  SEEP_ASSIGN_OR_RETURN(count, dec->ReadVarint64());
   // A tuple encodes to >= 19 bytes; a declared count beyond what the buffer
   // could possibly hold is corruption, caught before reserving memory.
   if (count > dec->remaining() / 19 + 1) {
@@ -74,9 +83,9 @@ void TupleBatch::Encode(serde::Encoder* enc) const {
   }
   batch.tuples.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
-    Tuple t;
-    SEEP_ASSIGN_OR_RETURN(t, Tuple::Decode(dec));
-    batch.tuples.push_back(std::move(t));
+    if (!batch.tuples.emplace_back().DecodeFrom(dec)) {
+      return Status::Corruption("truncated or corrupt tuple in batch");
+    }
   }
   return batch;
 }

@@ -46,7 +46,16 @@ struct Tuple {
   /// they don't masquerade as multi-second processing latencies.
   bool latency_sample = true;
 
+  /// The one tuple writer: writes Encode()'s exactly SerializedSize() bytes
+  /// at `p` and returns the advanced cursor. Batch and buffer encoders size
+  /// one region for many tuples and call this per tuple.
+  uint8_t* Write(uint8_t* p) const;
   void Encode(serde::Encoder* enc) const;
+
+  /// The one tuple decoder: overwrites every field in place (the text keeps
+  /// its capacity), so batch and buffer decoders fill their destination
+  /// directly. Returns false on truncated or corrupt input.
+  [[nodiscard]] bool DecodeFrom(serde::Decoder* dec);
   [[nodiscard]] static Result<Tuple> Decode(serde::Decoder* dec);
 
   /// Exact size of the Encode() output, without encoding. Drives the network

@@ -1,5 +1,7 @@
 #include "runtime/ckpt_pipeline.h"
 
+#include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/macros.h"
@@ -33,31 +35,46 @@ EncodedCkptFrame EncodeCheckpointFrame(const core::StateCheckpoint& ckpt,
                                        bool compress) {
   serde::Encoder enc;
   ckpt.Encode(&enc);  // Encode reserves EncodedSize() exactly
-  std::vector<uint8_t> payload = std::move(enc).TakeBuffer();
+  const std::vector<uint8_t>& raw = enc.buffer();
   EncodedCkptFrame out;
-  out.raw_bytes = payload.size();
+  out.raw_bytes = raw.size();
+  // One pass: the payload is built in the frame, after room for the header.
+  out.frame.resize(serde::kFrameHeaderBytes +
+                   (compress ? serde::BlockCompressBound(raw.size())
+                             : raw.size()));
+  uint8_t* const payload = out.frame.data() + serde::kFrameHeaderBytes;
+  size_t payload_len = raw.size();
   if (compress) {
-    std::vector<uint8_t> packed = serde::BlockCompress(payload);
-    if (packed.size() < payload.size()) {
-      payload = std::move(packed);
-      out.compressed = true;
-    }
+    const size_t packed =
+        serde::BlockCompress(raw.data(), raw.size(), payload);
+    out.compressed = packed < raw.size();
+    if (out.compressed) payload_len = packed;
   }
-  out.frame = serde::FramePayload(payload);
+  if (!out.compressed) std::copy(raw.begin(), raw.end(), payload);
+  out.frame.resize(serde::kFrameHeaderBytes + payload_len);
+  serde::SealFrame(out.frame.data(), payload_len);
   return out;
 }
 
 [[nodiscard]] Result<core::StateCheckpoint> DecodeCheckpointFrame(
     const std::vector<uint8_t>& frame, uint64_t raw_bytes, bool compressed) {
-  SEEP_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                        serde::UnframePayload(frame));
-  if (compressed) {
-    SEEP_ASSIGN_OR_RETURN(raw, serde::BlockDecompress(raw, raw_bytes));
+  std::span<const uint8_t> payload;
+  SEEP_ASSIGN_OR_RETURN(payload,
+                        serde::CheckFrame(frame.data(), frame.size()));
+  if (raw_bytes > kMaxCheckpointRawBytes) {
+    return Status::Corruption("checkpoint raw size exceeds limit");
   }
-  if (raw.size() != raw_bytes) {
+  std::vector<uint8_t> decompressed;
+  if (compressed) {
+    SEEP_ASSIGN_OR_RETURN(decompressed,
+                          serde::BlockDecompress(payload.data(),
+                                                 payload.size(), raw_bytes));
+    payload = decompressed;
+  }
+  if (payload.size() != raw_bytes) {
     return Status::Corruption("checkpoint frame size disagrees with header");
   }
-  serde::Decoder dec(raw);
+  serde::Decoder dec(payload.data(), payload.size());
   return core::StateCheckpoint::Decode(&dec);
 }
 

@@ -13,6 +13,7 @@
 #include "core/state.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
+#include "serde/frame.h"
 
 namespace seep::runtime {
 
@@ -77,13 +78,26 @@ struct EncodedCkptFrame {
   bool compressed = false;
 };
 
+/// Ceiling on a checkpoint's declared uncompressed size (a chunk header's or
+/// a log record's `raw_bytes`), checked before decompression allocates it.
+/// It equals the frame ceiling: a checkpoint that ships raw (compression
+/// off, or not smaller) carries its raw encoding as the frame payload,
+/// which no receiver accepts above kDefaultMaxFramePayload. Holding the
+/// compressed path to the same ceiling keeps compression from changing
+/// which checkpoints can be restored, and the frame ceiling already covers
+/// the largest checkpoint the experiments ship.
+inline constexpr uint64_t kMaxCheckpointRawBytes =
+    serde::kDefaultMaxFramePayload;
+
 /// Encode, compress when smaller (and `compress` is set), frame with
-/// crc32c. The only checkpoint frame encoder.
+/// crc32c. The only checkpoint frame encoder; it compresses straight into
+/// the frame.
 EncodedCkptFrame EncodeCheckpointFrame(const core::StateCheckpoint& ckpt,
                                        bool compress);
 
-/// Unframe (crc32c), decompress, decode: the inverse of
-/// EncodeCheckpointFrame and the only checkpoint frame decoder.
+/// Check the frame (length, crc32c) in place, decompress, decode: the
+/// inverse of EncodeCheckpointFrame and the only checkpoint frame decoder.
+/// A `raw_bytes` above kMaxCheckpointRawBytes is Corruption.
 [[nodiscard]] Result<core::StateCheckpoint> DecodeCheckpointFrame(
     const std::vector<uint8_t>& frame, uint64_t raw_bytes, bool compressed);
 

@@ -23,8 +23,21 @@ namespace seep::serde {
 ///
 /// The stream is worth shipping only when it is smaller than the input; the
 /// caller keeps the raw bytes otherwise (a flag travels beside the payload).
+///
+/// The output is a pure function of the input: the matcher (hash, table,
+/// greedy choice) is part of the format's contract because checkpoint frame
+/// sizes feed the figures, and serde_test pins it against a byte-at-a-time
+/// reference.
 std::vector<uint8_t> BlockCompress(const uint8_t* data, size_t size);
 std::vector<uint8_t> BlockCompress(const std::vector<uint8_t>& data);
+
+/// Most bytes BlockCompress can produce for `size` input bytes.
+size_t BlockCompressBound(size_t size);
+
+/// BlockCompress into a caller buffer of at least BlockCompressBound(size)
+/// bytes (the checkpoint frame encoder compresses straight into its frame);
+/// returns the bytes written. The vector form wraps this one.
+size_t BlockCompress(const uint8_t* data, size_t size, uint8_t* out);
 
 /// Decompresses a BlockCompress stream. Fully bounds-checked: a truncated
 /// stream, an offset pointing before the output start, a declared size above

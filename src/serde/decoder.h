@@ -13,8 +13,15 @@
 namespace seep::serde {
 
 /// Reads values written by Encoder. All reads are bounds-checked and report
-/// truncation/corruption as Status rather than crashing, since checkpoints
-/// can arrive damaged from a failing VM.
+/// truncation/corruption rather than crashing, since checkpoints can arrive
+/// damaged from a failing VM.
+///
+/// Each primitive has one implementation, a Status-free Get* that returns
+/// false on truncated or malformed input (the position is then
+/// unspecified, so the caller abandons the decode). Per-element decoders
+/// (tuples, state entries) call these directly and turn a false into one
+/// Corruption for the whole value; the Read* forms wrap them for callers
+/// that want a Result per field.
 class Decoder {
  public:
   explicit Decoder(std::string_view data)
@@ -24,47 +31,85 @@ class Decoder {
   explicit Decoder(const std::vector<uint8_t>& buf)
       : data_(buf.data()), size_(buf.size()) {}
 
+  [[nodiscard]] bool GetU8(uint8_t* out) {
+    if (pos_ == size_) return false;
+    *out = data_[pos_++];
+    return true;
+  }
+
+  [[nodiscard]] bool GetFixed32(uint32_t* out) {
+    if (size_ - pos_ < 4) return false;
+    const uint8_t* p = data_ + pos_;
+    *out = uint32_t(p[0]) | (uint32_t(p[1]) << 8) | (uint32_t(p[2]) << 16) |
+           (uint32_t(p[3]) << 24);
+    pos_ += 4;
+    return true;
+  }
+
+  [[nodiscard]] bool GetFixed64(uint64_t* out) {
+    if (size_ - pos_ < 8) return false;
+    const uint8_t* p = data_ + pos_;
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v |= uint64_t(p[i]) << (8 * i);
+    *out = v;
+    pos_ += 8;
+    return true;
+  }
+
+  /// LEB128; fails on truncation or on more than ten bytes (64 bits).
+  [[nodiscard]] bool GetVarint64(uint64_t* out) {
+    size_t pos = pos_;
+    uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (pos == size_) return false;
+      const uint8_t byte = data_[pos++];
+      v |= uint64_t(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        pos_ = pos;
+        *out = v;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  [[nodiscard]] bool GetVarintSigned64(int64_t* out) {
+    uint64_t u = 0;
+    if (!GetVarint64(&u)) return false;
+    *out = static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
+    return true;
+  }
+
+  /// Length-prefixed string, assigned into `out` (reusing its capacity).
+  /// The length is checked against the bytes left before anything is
+  /// allocated from it.
+  [[nodiscard]] bool GetString(std::string* out) {
+    uint64_t len = 0;
+    if (!GetVarint64(&len) || len > size_ - pos_) return false;
+    out->assign(reinterpret_cast<const char*>(data_ + pos_),
+                static_cast<size_t>(len));
+    pos_ += static_cast<size_t>(len);
+    return true;
+  }
+
   [[nodiscard]] Result<uint8_t> ReadU8() {
-    if (pos_ + 1 > size_) return Truncated("u8");
-    return data_[pos_++];
+    return Wrap(&Decoder::GetU8, "u8");
   }
 
   [[nodiscard]] Result<uint32_t> ReadFixed32() {
-    if (pos_ + 4 > size_) return Truncated("fixed32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= uint32_t(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
+    return Wrap(&Decoder::GetFixed32, "fixed32");
   }
 
   [[nodiscard]] Result<uint64_t> ReadFixed64() {
-    if (pos_ + 8 > size_) return Truncated("fixed64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= uint64_t(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
+    return Wrap(&Decoder::GetFixed64, "fixed64");
   }
 
   [[nodiscard]] Result<uint64_t> ReadVarint64() {
-    uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (pos_ >= size_) return Truncated("varint");
-      if (shift >= 64) {
-        return Status::Corruption("varint too long");
-      }
-      const uint8_t byte = data_[pos_++];
-      v |= uint64_t(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return v;
-      shift += 7;
-    }
+    return Wrap(&Decoder::GetVarint64, "varint");
   }
 
   [[nodiscard]] Result<int64_t> ReadVarintSigned64() {
-    auto raw = ReadVarint64();
-    if (!raw.ok()) return raw.status();
-    const uint64_t u = raw.value();
-    return static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
+    return Wrap(&Decoder::GetVarintSigned64, "signed varint");
   }
 
   [[nodiscard]] Result<double> ReadDouble() {
@@ -77,13 +122,7 @@ class Decoder {
   }
 
   [[nodiscard]] Result<std::string> ReadString() {
-    auto len = ReadVarint64();
-    if (!len.ok()) return len.status();
-    if (pos_ + len.value() > size_) return Truncated("string body");
-    std::string out(reinterpret_cast<const char*>(data_ + pos_),
-                    static_cast<size_t>(len.value()));
-    pos_ += static_cast<size_t>(len.value());
-    return out;
+    return Wrap(&Decoder::GetString, "string");
   }
 
   bool AtEnd() const { return pos_ == size_; }
@@ -91,8 +130,14 @@ class Decoder {
   size_t position() const { return pos_; }
 
  private:
-  [[nodiscard]] Status Truncated(const char* what) const {
-    return Status::Corruption(std::string("truncated input reading ") + what);
+  template <typename T>
+  [[nodiscard]] Result<T> Wrap(bool (Decoder::*get)(T*), const char* what) {
+    T v{};
+    if (!(this->*get)(&v)) {
+      return Status::Corruption(std::string("truncated or malformed ") +
+                                what);
+    }
+    return v;
   }
 
   const uint8_t* data_;

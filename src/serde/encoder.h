@@ -24,19 +24,9 @@ class Encoder {
   /// allocation instead of log(n) reallocation-and-copy cycles.
   void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
 
-  void AppendFixed32(uint32_t v) {
-    const uint8_t staged[4] = {uint8_t(v), uint8_t(v >> 8), uint8_t(v >> 16),
-                               uint8_t(v >> 24)};
-    buf_.insert(buf_.end(), staged, staged + sizeof(staged));
-  }
+  void AppendFixed32(uint32_t v) { WriteFixed32(Extend(4), v); }
 
-  void AppendFixed64(uint64_t v) {
-    const uint8_t staged[8] = {uint8_t(v),       uint8_t(v >> 8),
-                               uint8_t(v >> 16), uint8_t(v >> 24),
-                               uint8_t(v >> 32), uint8_t(v >> 40),
-                               uint8_t(v >> 48), uint8_t(v >> 56)};
-    buf_.insert(buf_.end(), staged, staged + sizeof(staged));
-  }
+  void AppendFixed64(uint64_t v) { WriteFixed64(Extend(8), v); }
 
   /// LEB128 variable-length unsigned integer.
   void AppendVarint64(uint64_t v) {
@@ -48,10 +38,7 @@ class Encoder {
   }
 
   /// ZigZag-mapped signed varint (small magnitudes stay small).
-  void AppendVarintSigned64(int64_t v) {
-    AppendVarint64((static_cast<uint64_t>(v) << 1) ^
-                   static_cast<uint64_t>(v >> 63));
-  }
+  void AppendVarintSigned64(int64_t v) { AppendVarint64(ZigZag(v)); }
 
   void AppendDouble(double v) {
     uint64_t bits;
@@ -80,8 +67,21 @@ class Encoder {
     return buf_.data() + old;
   }
 
-  /// Raw-pointer variants of the appends, for writing into Extend() regions.
-  /// Each returns the advanced cursor.
+  /// Raw-pointer variants of the appends, for writing into Extend() regions
+  /// (or any buffer sized by the *Size helpers below). Each writes exactly
+  /// the bytes its Append* counterpart would and returns the advanced cursor.
+  static uint8_t* WriteU8(uint8_t* p, uint8_t v) {
+    *p = v;
+    return p + 1;
+  }
+
+  static uint8_t* WriteFixed32(uint8_t* p, uint32_t v) {
+    const uint8_t staged[4] = {uint8_t(v), uint8_t(v >> 8), uint8_t(v >> 16),
+                               uint8_t(v >> 24)};
+    std::memcpy(p, staged, sizeof(staged));
+    return p + sizeof(staged);
+  }
+
   static uint8_t* WriteFixed64(uint8_t* p, uint64_t v) {
     const uint8_t staged[8] = {uint8_t(v),       uint8_t(v >> 8),
                                uint8_t(v >> 16), uint8_t(v >> 24),
@@ -100,6 +100,20 @@ class Encoder {
     return p;
   }
 
+  static uint8_t* WriteVarintSigned64(uint8_t* p, int64_t v) {
+    return WriteVarint64(p, ZigZag(v));
+  }
+
+  static uint8_t* WriteString(uint8_t* p, std::string_view s) {
+    p = WriteVarint64(p, s.size());
+    if (!s.empty()) std::memcpy(p, s.data(), s.size());
+    return p + s.size();
+  }
+
+  static uint64_t ZigZag(int64_t v) {
+    return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+  }
+
   /// Encoded size of AppendVarint64(v)/WriteVarint64(v), without encoding.
   static size_t VarintSize(uint64_t v) {
     size_t n = 1;
@@ -109,6 +123,9 @@ class Encoder {
     }
     return n;
   }
+
+  /// Encoded size of AppendVarintSigned64(v)/WriteVarintSigned64(v).
+  static size_t SignedVarintSize(int64_t v) { return VarintSize(ZigZag(v)); }
 
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> TakeBuffer() && { return std::move(buf_); }

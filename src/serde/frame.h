@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -39,9 +40,21 @@ Result<FrameHeader> ReadFrameHeader(const uint8_t* data, size_t size,
 /// integrity.
 std::vector<uint8_t> FramePayload(const std::vector<uint8_t>& payload);
 
-/// Validates and strips a frame produced by FramePayload. Returns Corruption
-/// on a truncated header, a declared length exceeding `max_payload` or the
-/// remaining buffer, or a CRC mismatch. The length checks run before the
+/// Writes the header of a frame in place: `frame` holds kFrameHeaderBytes
+/// of room followed by `payload_len` payload bytes. FramePayload and the
+/// checkpoint frame encoder, which builds its payload inside the frame, both
+/// seal through this.
+void SealFrame(uint8_t* frame, size_t payload_len);
+
+/// Validates a whole frame in place and returns its payload as a view into
+/// `frame`. Returns Corruption on a truncated header, a declared length
+/// exceeding `max_payload` or disagreeing with the frame's size, or a CRC
+/// mismatch.
+[[nodiscard]] Result<std::span<const uint8_t>> CheckFrame(
+    const uint8_t* frame, size_t size,
+    uint64_t max_payload = kDefaultMaxFramePayload);
+
+/// CheckFrame, then a copy of the payload. The length checks run before the
 /// payload is copied, so a corrupt length can never drive an allocation.
 [[nodiscard]] Result<std::vector<uint8_t>> UnframePayload(
     const std::vector<uint8_t>& frame,

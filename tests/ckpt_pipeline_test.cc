@@ -217,6 +217,73 @@ TEST(FrameCodecTest, DeclaredRawSizeMustMatch) {
   }
 }
 
+TEST(FrameCodecTest, DeclaredRawSizeAboveTheCeilingIsCorruption) {
+  // A crc-valid frame whose block declares 2^40 raw bytes, as a chunk
+  // header or log record may claim: rejected before anything is sized by
+  // it, on both the compressed and the raw path.
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  serde::Encoder block;
+  block.AppendVarint64(kHuge);
+  block.AppendU8(0x10);  // one literal
+  block.AppendU8(0x42);
+  const std::vector<uint8_t> frame = serde::FramePayload(block.buffer());
+  for (bool compressed : {true, false}) {
+    auto back = DecodeCheckpointFrame(frame, kHuge, compressed);
+    ASSERT_FALSE(back.ok());
+    EXPECT_TRUE(back.status().IsCorruption()) << back.status().message();
+  }
+  auto back = DecodeCheckpointFrame(frame, kMaxCheckpointRawBytes + 1, true);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsCorruption());
+}
+
+// A snapshot with processing entries, buffered tuples and delta fields, so
+// the sweeps below cover every part of the checkpoint encoding.
+core::StateCheckpoint SweepSnapshot() {
+  core::StateCheckpoint c;
+  FillHeader(&c);
+  for (int i = 0; i < 24; ++i) c.processing.Add(100 + i, "count-17");
+  c.buffer = MakeLive();
+  c.deleted_keys = {5, 6};
+  c.buffer_front[4] = 10;
+  return c;
+}
+
+TEST(FrameCodecSweepTest, EveryStrictPrefixIsCorruption) {
+  for (bool compress : {true, false}) {
+    const EncodedCkptFrame frame = EncodeCheckpointFrame(SweepSnapshot(),
+                                                         compress);
+    ASSERT_EQ(frame.compressed, compress);
+    for (size_t len = 0; len < frame.frame.size(); ++len) {
+      const std::vector<uint8_t> cut(frame.frame.begin(),
+                                     frame.frame.begin() + len);
+      auto back = DecodeCheckpointFrame(cut, frame.raw_bytes, compress);
+      ASSERT_FALSE(back.ok()) << "prefix of " << len << " bytes accepted";
+      EXPECT_TRUE(back.status().IsCorruption());
+    }
+  }
+}
+
+TEST(FrameCodecSweepTest, EverySingleBitFlipDecodesOrIsCorruption) {
+  for (bool compress : {true, false}) {
+    const EncodedCkptFrame frame = EncodeCheckpointFrame(SweepSnapshot(),
+                                                         compress);
+    ASSERT_EQ(frame.compressed, compress);
+    for (size_t bit = 0; bit < frame.frame.size() * 8; ++bit) {
+      std::vector<uint8_t> damaged = frame.frame;
+      damaged[bit / 8] ^= uint8_t(1u << (bit % 8));
+      // The crc32c catches every single-bit flip of the payload, and the
+      // length check every flip of the header's length.
+      auto back = DecodeCheckpointFrame(damaged, frame.raw_bytes, compress);
+      if (back.ok()) {
+        EXPECT_EQ(EncodeDirect(back.value()), EncodeDirect(SweepSnapshot()));
+      } else {
+        EXPECT_TRUE(back.status().IsCorruption());
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------- chunk header
 
 TEST(ChunkHeaderTest, RoundTripsEveryField) {
@@ -253,8 +320,8 @@ TEST(ChunkHeaderTest, TruncatedHeaderFails) {
   h.owner = 1;
   serde::Encoder enc;
   EncodeChunkHeader(h, &enc);
-  std::vector<uint8_t> bytes = enc.buffer();
-  bytes.resize(bytes.size() - 3);
+  const std::vector<uint8_t>& whole = enc.buffer();
+  const std::vector<uint8_t> bytes(whole.begin(), whole.end() - 3);
   serde::Decoder dec(bytes);
   EXPECT_FALSE(DecodeChunkHeader(&dec).ok());
 }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/rng.h"
 #include "core/key_range.h"
 #include "core/state.h"
@@ -172,6 +175,63 @@ TEST(BufferStateTest, SerdeRoundtrip) {
   ASSERT_NE(back.value().Get(3), nullptr);
   EXPECT_EQ(back.value().Get(3)->front().text, "payload");
   EXPECT_EQ(back.value().Get(3)->front().origin, 9u);
+}
+
+TEST(BufferStatePinTest, EncodingMatchesTheAppendReference) {
+  // Edge values per field (extremes, zero, the zigzag one-to-two-byte
+  // boundaries) and texts around the one-byte length limits, over three
+  // downstream buffers, one of them trimmed and one empty.
+  const int64_t edges[] = {INT64_MIN, INT64_MAX, 0, 63, 64, -64, -65};
+  BufferState buffer;
+  buffer.buffers()[9];
+  int64_t ts = INT64_MIN;
+  size_t k = 0;
+  for (OperatorId op : {2u, 5u}) {
+    for (size_t text_len : {0, 15, 16, 127, 128}) {
+      for (int64_t e : edges) {
+        Tuple t;
+        t.timestamp = ts;
+        ts = ts == INT64_MIN ? -64 : ts + 1;
+        t.key = k++ % 2 == 0 ? 0 : UINT64_MAX;
+        t.origin = k;
+        t.event_time = e;
+        t.ints = {e, -1, INT64_MAX, static_cast<int64_t>(k)};
+        t.text = std::string(text_len, 'w');
+        t.latency_sample = k % 3 != 0;
+        buffer.Append(op, t);
+      }
+    }
+  }
+  ASSERT_EQ(buffer.Trim(5, -20), 11u);
+
+  serde::Encoder reference;
+  reference.AppendVarint64(buffer.buffers().size());
+  for (const auto& [op, tuples] : buffer.buffers()) {
+    reference.AppendFixed32(op);
+    reference.AppendVarint64(tuples.size());
+    for (const Tuple& t : tuples) {
+      reference.AppendVarintSigned64(t.timestamp);
+      reference.AppendFixed64(t.key);
+      reference.AppendFixed64(t.origin);
+      reference.AppendVarintSigned64(t.event_time);
+      for (int64_t v : t.ints) reference.AppendVarintSigned64(v);
+      reference.AppendString(t.text);
+      reference.AppendU8(t.latency_sample ? 1 : 0);
+    }
+  }
+  serde::Encoder enc;
+  buffer.Encode(&enc);
+  ASSERT_EQ(enc.buffer(), reference.buffer());
+  EXPECT_EQ(enc.size(), buffer.EncodedSize());
+
+  serde::Decoder dec(enc.buffer());
+  auto back = BufferState::Decode(&dec);
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(dec.AtEnd());
+  serde::Encoder again;
+  back.value().Encode(&again);
+  EXPECT_EQ(again.buffer(), enc.buffer());
+  EXPECT_EQ(back.value().ByteSize(), buffer.ByteSize());
 }
 
 // ------------------------------------------------------------- RoutingState

@@ -1,10 +1,13 @@
 // Unit and property tests for the binary serialisation layer: encoder and
-// decoder roundtrips, varint edge cases, CRC32C vectors and frame integrity.
+// decoder roundtrips, varint edge cases, CRC32C vectors, frame integrity,
+// and the block codec's output pinned byte for byte against a reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "serde/block_codec.h"
@@ -89,6 +92,68 @@ TEST(DecoderTest, TruncatedStringBody) {
   enc.AppendRaw("short", 5);
   Decoder dec(enc.buffer());
   EXPECT_FALSE(dec.ReadString().ok());
+}
+
+TEST(DecoderTest, StringLengthThatWrapsThePositionIsCorruption) {
+  // A declared length near 2^64 must not wrap `position + length` past the
+  // bounds check (and then ask std::string for exabytes).
+  for (uint64_t len : {UINT64_MAX, UINT64_MAX - 2, uint64_t{1} << 63}) {
+    Encoder enc;
+    enc.AppendVarint64(len);
+    enc.AppendRaw("abc", 3);
+    Decoder dec(enc.buffer());
+    auto r = dec.ReadString();
+    ASSERT_FALSE(r.ok()) << len;
+    EXPECT_TRUE(r.status().IsCorruption());
+    Decoder again(enc.buffer());
+    std::string out;
+    EXPECT_FALSE(again.GetString(&out));
+  }
+}
+
+TEST(DecoderTest, StatusFreeReadersRoundTripAndFailAtTheEnd) {
+  Encoder enc;
+  enc.AppendU8(7);
+  enc.AppendFixed32(0xCAFEF00D);
+  enc.AppendFixed64(0x1122334455667788ull);
+  enc.AppendVarint64(300);
+  enc.AppendVarintSigned64(-65);
+  enc.AppendString("seep");
+  Decoder dec(enc.buffer());
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0, var = 0;
+  int64_t svar = 0;
+  std::string text;
+  ASSERT_TRUE(dec.GetU8(&u8) && dec.GetFixed32(&u32) &&
+              dec.GetFixed64(&u64) && dec.GetVarint64(&var) &&
+              dec.GetVarintSigned64(&svar) && dec.GetString(&text));
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(u32, 0xCAFEF00Du);
+  EXPECT_EQ(u64, 0x1122334455667788ull);
+  EXPECT_EQ(var, 300u);
+  EXPECT_EQ(svar, -65);
+  EXPECT_EQ(text, "seep");
+  EXPECT_TRUE(dec.AtEnd());
+  EXPECT_FALSE(dec.GetU8(&u8));
+  EXPECT_FALSE(dec.GetFixed32(&u32));
+  EXPECT_FALSE(dec.GetFixed64(&u64));
+  EXPECT_FALSE(dec.GetVarint64(&var));
+}
+
+TEST(EncoderTest, VarintSizesMatchTheEncoding) {
+  for (int bits = 0; bits <= 64; ++bits) {
+    for (uint64_t v : {bits == 0 ? 0 : (uint64_t{1} << (bits - 1)),
+                       bits == 64 ? UINT64_MAX : (uint64_t{1} << bits) - 1}) {
+      Encoder enc;
+      enc.AppendVarint64(v);
+      EXPECT_EQ(Encoder::VarintSize(v), enc.size()) << v;
+      const int64_t s = static_cast<int64_t>(v);
+      Encoder senc;
+      senc.AppendVarintSigned64(s);
+      EXPECT_EQ(Encoder::SignedVarintSize(s), senc.size()) << s;
+    }
+  }
 }
 
 TEST(DecoderTest, OverlongVarintRejected) {
@@ -264,6 +329,182 @@ TEST(FrameTest, ReadFrameHeaderTruncatedAndOversized) {
 }
 
 // ------------------------------------------------------------ block codec
+
+// The byte-at-a-time compressor BlockCompress replaced, kept as the
+// reference its output must equal byte for byte: checkpoint frame sizes
+// (and so fig14's shipped bytes and the store's appended bytes) are a
+// function of these exact bytes.
+std::vector<uint8_t> ReferenceCompress(const std::vector<uint8_t>& input) {
+  constexpr size_t kHashBits = 14;
+  constexpr size_t kMinMatch = 4;
+  constexpr size_t kMaxOffset = 65535;
+  constexpr size_t kTailLiterals = 12;
+  const uint8_t* data = input.data();
+  const size_t size = input.size();
+  const auto read32 = [](const uint8_t* p) {
+    uint32_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  };
+  std::vector<uint8_t> out;
+  const auto put_length = [&out](size_t len) {
+    while (len >= 255) {
+      out.push_back(255);
+      len -= 255;
+    }
+    out.push_back(uint8_t(len));
+  };
+  const auto emit = [&](const uint8_t* literals, size_t lit_len,
+                        size_t offset, size_t match_len) {
+    const size_t lit_nibble = lit_len < 15 ? lit_len : 15;
+    const size_t match_extra = match_len == 0 ? 0 : match_len - kMinMatch;
+    const size_t match_nibble = match_extra < 15 ? match_extra : 15;
+    out.push_back(uint8_t((lit_nibble << 4) | match_nibble));
+    if (lit_nibble == 15) put_length(lit_len - 15);
+    out.insert(out.end(), literals, literals + lit_len);
+    if (match_len == 0) return;
+    out.push_back(uint8_t(offset));
+    out.push_back(uint8_t(offset >> 8));
+    if (match_nibble == 15) put_length(match_extra - 15);
+  };
+  for (uint64_t v = size; ; v >>= 7) {
+    if (v < 0x80) {
+      out.push_back(uint8_t(v));
+      break;
+    }
+    out.push_back(uint8_t(v) | 0x80);
+  }
+  if (size <= kTailLiterals + kMinMatch) {
+    if (size > 0) emit(data, size, 0, 0);
+    return out;
+  }
+  std::vector<uint32_t> table(size_t{1} << kHashBits, 0);
+  const size_t match_limit = size - kTailLiterals;
+  size_t anchor = 0;
+  size_t i = 0;
+  while (i < match_limit) {
+    const uint32_t h = (read32(data + i) * 2654435761u) >> (32 - kHashBits);
+    const size_t candidate = table[h] == 0 ? SIZE_MAX : table[h] - 1;
+    table[h] = uint32_t(i + 1);
+    if (candidate == SIZE_MAX || i - candidate > kMaxOffset ||
+        read32(data + candidate) != read32(data + i)) {
+      ++i;
+      continue;
+    }
+    size_t len = kMinMatch;
+    const size_t extend_limit = size - (kTailLiterals - kMinMatch);
+    while (i + len < extend_limit && data[candidate + len] == data[i + len]) {
+      ++len;
+    }
+    emit(data + anchor, i - anchor, i - candidate, len);
+    i += len;
+    anchor = i;
+  }
+  emit(data + anchor, size - anchor, 0, 0);
+  return out;
+}
+
+std::vector<uint8_t> RandomBytes(Rng* rng, size_t n) {
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng->Next());
+  return out;
+}
+
+// Compresses `input`, requires the reference's exact bytes and the bound,
+// and round-trips it.
+void ExpectPinned(const std::vector<uint8_t>& input, const std::string& what) {
+  const std::vector<uint8_t> packed = BlockCompress(input);
+  ASSERT_EQ(packed, ReferenceCompress(input)) << what;
+  EXPECT_LE(packed.size(), BlockCompressBound(input.size())) << what;
+  auto back = BlockDecompress(packed, input.size());
+  ASSERT_TRUE(back.ok()) << what;
+  EXPECT_EQ(back.value(), input) << what;
+}
+
+TEST(BlockCodecPinTest, SizesAroundTheLiteralsOnlyCutoff) {
+  Rng rng(11);
+  for (size_t n = 0; n <= 40; ++n) {
+    ExpectPinned(RandomBytes(&rng, n), "random " + std::to_string(n));
+    ExpectPinned(std::vector<uint8_t>(n, 0x61), "equal " + std::to_string(n));
+    std::vector<uint8_t> periodic(n);
+    for (size_t i = 0; i < n; ++i) periodic[i] = uint8_t("abcde"[i % 5]);
+    ExpectPinned(periodic, "periodic " + std::to_string(n));
+  }
+}
+
+TEST(BlockCodecPinTest, BackReferencesAtTheOffsetLimit) {
+  // A random 64-byte block, zeros, then the block again exactly `offset`
+  // bytes after the first copy. The zeros compress to offset-1 matches,
+  // whose positions never enter the hash table, so the first copy's
+  // positions are still there when the second copy is probed.
+  std::vector<size_t> packed_sizes;
+  for (size_t offset : {size_t{65534}, size_t{65535}, size_t{65536}}) {
+    Rng rng(3);
+    std::vector<uint8_t> input = RandomBytes(&rng, 50);
+    const std::vector<uint8_t> block = RandomBytes(&rng, 64);
+    input.insert(input.end(), block.begin(), block.end());
+    input.resize(50 + offset, 0);
+    input.insert(input.end(), block.begin(), block.end());
+    const std::vector<uint8_t> tail = RandomBytes(&rng, 40);
+    input.insert(input.end(), tail.begin(), tail.end());
+    ExpectPinned(input, "offset " + std::to_string(offset));
+    packed_sizes.push_back(BlockCompress(input).size());
+  }
+  // The copy is a match at 65534 and 65535, and literals at 65536.
+  EXPECT_LT(packed_sizes[0] + 40, packed_sizes[2]);
+  EXPECT_LT(packed_sizes[1] + 40, packed_sizes[2]);
+}
+
+TEST(BlockCodecPinTest, LiteralAndMatchLengthsAcrossTheNibbleAndRunLimits) {
+  // Every pair of a literal run and a match length around 15 (the
+  // nibble), 19 (a match's nibble: 4 + 15), 270 and 274 (each one's first
+  // 255-run extension byte) and the second extension byte. The input is a
+  // random source, the source again (one match), `lit` fresh bytes (a
+  // literal run of exactly that length) and the source's first `match`
+  // bytes (a match of that length against the second copy).
+  std::vector<size_t> lengths;
+  for (size_t base : {13, 268, 523}) {
+    for (size_t d = 0; d <= 8; ++d) lengths.push_back(base + d);
+  }
+  Rng rng(5);
+  for (size_t lit : lengths) {
+    for (size_t match : lengths) {
+      const std::vector<uint8_t> source = RandomBytes(&rng, 540);
+      std::vector<uint8_t> input = source;
+      input.insert(input.end(), source.begin(), source.end());
+      const std::vector<uint8_t> fresh = RandomBytes(&rng, lit);
+      input.insert(input.end(), fresh.begin(), fresh.end());
+      input.insert(input.end(), source.begin(), source.begin() + match);
+      const std::vector<uint8_t> tail = RandomBytes(&rng, 20);
+      input.insert(input.end(), tail.begin(), tail.end());
+      ExpectPinned(input, "literals " + std::to_string(lit) + " match " +
+                              std::to_string(match));
+    }
+  }
+}
+
+TEST(BlockCodecPinTest, IncompressibleEqualAndWordCountPayloads) {
+  Rng rng(17);
+  ExpectPinned(RandomBytes(&rng, 4096), "random 4096");
+  ExpectPinned(RandomBytes(&rng, 100000), "random 100000");
+  for (size_t n : {17, 100, 4096, 100000}) {
+    ExpectPinned(std::vector<uint8_t>(n, 0), "zeros " + std::to_string(n));
+  }
+  // Word-count-shaped: sorted 8-byte keys, a length byte and a count
+  // string per entry, as ProcessingState encodes its window counts.
+  Encoder enc;
+  const char* words[] = {"the", "of", "stream", "state", "checkpoint",
+                         "operator", "a", "backup"};
+  uint64_t key = 0x100;
+  for (int i = 0; i < 5000; ++i) {
+    key += 1 + rng.NextBounded(1u << 20);
+    enc.AppendFixed64(key);
+    enc.AppendString(std::string(words[rng.NextBounded(8)]) + ":" +
+                     std::to_string(rng.NextBounded(1000)));
+  }
+  ExpectPinned(enc.buffer(), "word count");
+}
+
 
 std::vector<uint8_t> RoundTrip(const std::vector<uint8_t>& input) {
   const std::vector<uint8_t> packed = BlockCompress(input);
