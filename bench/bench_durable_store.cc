@@ -44,7 +44,6 @@ CheckpointLogConfig BaseConfig(const std::filesystem::path& dir) {
   CheckpointLogConfig config;
   config.directory = dir.string();
   config.fsync = FsyncPolicy::kNever;
-  config.background_compaction = false;
   return config;
 }
 

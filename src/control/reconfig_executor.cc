@@ -51,7 +51,6 @@ void ReconfigExecutor::StartStage(uint64_t plan_id) {
   run.stage_started = cluster_->Now();
   if (stage.deadline > 0) {
     cluster_->simulation()->Schedule(stage.deadline, [this, plan_id, epoch]() {
-      SEEP_ASSERT_RUN_ON(sync::DriverThread);
       auto rit = runs_.find(plan_id);
       if (rit == runs_.end() || rit->second.epoch != epoch) return;
       const StageKind kind = rit->second.stages[rit->second.stage].kind;
@@ -68,7 +67,6 @@ void ReconfigExecutor::StartStage(uint64_t plan_id) {
   auto ctx = run.ctx;
   SEEP_CHECK(forward != nullptr);
   forward(ctx, [this, plan_id, epoch](Status status) {
-    SEEP_ASSERT_RUN_ON(sync::DriverThread);
     CompleteStage(plan_id, epoch, std::move(status));
   });
 }

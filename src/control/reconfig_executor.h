@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/sync.h"
 #include "control/reconfig_plan.h"
 #include "runtime/cluster.h"
 #include "runtime/metrics.h"
@@ -38,20 +37,13 @@ class ReconfigExecutor {
 
   /// Starts `plan`. `on_done` fires exactly once: OK after the commit stage,
   /// or the failing stage's status after all compensations ran.
-  void Run(ReconfigPlan plan, std::function<void(Status)> on_done)
-      SEEP_RUN_ON(sync::DriverThread);
+  void Run(ReconfigPlan plan, std::function<void(Status)> on_done);
 
   /// True while a plan for `op` is running.
-  bool InProgress(OperatorId op) const SEEP_RUN_ON(sync::DriverThread) {
-    return active_ops_.contains(op);
-  }
+  bool InProgress(OperatorId op) const { return active_ops_.contains(op); }
 
-  size_t committed_plans() const SEEP_RUN_ON(sync::DriverThread) {
-    return committed_;
-  }
-  size_t aborted_plans() const SEEP_RUN_ON(sync::DriverThread) {
-    return aborted_;
-  }
+  size_t committed_plans() const { return committed_; }
+  size_t aborted_plans() const { return aborted_; }
 
  private:
   struct RunState {
@@ -66,20 +58,17 @@ class ReconfigExecutor {
     runtime::ReconfigPlanEvent event;
   };
 
-  void StartStage(uint64_t plan_id) SEEP_RUN_ON(sync::DriverThread);
-  void CompleteStage(uint64_t plan_id, uint64_t epoch, Status status)
-      SEEP_RUN_ON(sync::DriverThread);
-  void Abort(uint64_t plan_id, Status status)
-      SEEP_RUN_ON(sync::DriverThread);
-  void Finish(uint64_t plan_id, Status status, bool aborted)
-      SEEP_RUN_ON(sync::DriverThread);
+  void StartStage(uint64_t plan_id);
+  void CompleteStage(uint64_t plan_id, uint64_t epoch, Status status);
+  void Abort(uint64_t plan_id, Status status);
+  void Finish(uint64_t plan_id, Status status, bool aborted);
 
   runtime::Cluster* cluster_;
-  uint64_t next_plan_id_ SEEP_GUARDED_BY(sync::DriverThread) = 1;
-  std::map<uint64_t, RunState> runs_ SEEP_GUARDED_BY(sync::DriverThread);
-  std::set<OperatorId> active_ops_ SEEP_GUARDED_BY(sync::DriverThread);
-  size_t committed_ SEEP_GUARDED_BY(sync::DriverThread) = 0;
-  size_t aborted_ SEEP_GUARDED_BY(sync::DriverThread) = 0;
+  uint64_t next_plan_id_ = 1;
+  std::map<uint64_t, RunState> runs_;
+  std::set<OperatorId> active_ops_;
+  size_t committed_ = 0;
+  size_t aborted_ = 0;
 };
 
 }  // namespace seep::control

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/sync.h"
 #include "core/state_ops.h"
 #include "runtime/operator_instance.h"
 #include "verify/invariant_auditor.h"
@@ -58,7 +57,6 @@ void NotePlanVmDisposed(PlanContext& ctx, VmId vm) {
 }
 
 void SuspendCheckpoints(PlanContext& ctx, InstanceId id) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   runtime::OperatorInstance* inst = ctx.cluster->GetInstance(id);
   SEEP_CHECK(inst != nullptr);
   inst->SuspendCheckpoints();
@@ -74,7 +72,6 @@ void SuspendCheckpoints(PlanContext& ctx, InstanceId id) {
 /// suspended would never back up again, which is exactly the scale-in abort
 /// bug the checkpoints-resumed-after-abort invariant guards against.
 void ResumeSuspended(PlanContext& ctx) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   for (InstanceId id : ctx.suspended) {
     runtime::OperatorInstance* inst = ctx.cluster->GetInstance(id);
     if (inst != nullptr && inst->alive() && !inst->stopped()) {
@@ -473,7 +470,6 @@ ReconfigStage SeedAcksAndReplayStage() {
   ReconfigStage stage;
   stage.kind = StageKind::kSeedAcksAndReplay;
   stage.forward = [](const std::shared_ptr<PlanContext>& ctx, StageDone done) {
-    SEEP_ASSERT_RUN_ON(sync::DriverThread);
     runtime::Cluster* cluster = ctx->cluster;
     std::vector<runtime::OperatorInstance*> upstream;
     for (InstanceId uid : ctx->upstreams) {
@@ -567,7 +563,6 @@ ReconfigStage MergeStage() {
   ReconfigStage stage;
   stage.kind = StageKind::kMerge;
   stage.forward = [](const std::shared_ptr<PlanContext>& ctx, StageDone done) {
-    SEEP_ASSERT_RUN_ON(sync::DriverThread);
     runtime::OperatorInstance* a = ctx->cluster->GetInstance(ctx->merge_a);
     runtime::OperatorInstance* b = ctx->cluster->GetInstance(ctx->merge_b);
     auto merged =
@@ -619,7 +614,6 @@ ReconfigStage SeedAcksAndReplayMergedStage() {
   ReconfigStage stage;
   stage.kind = StageKind::kSeedAcksAndReplay;
   stage.forward = [](const std::shared_ptr<PlanContext>& ctx, StageDone done) {
-    SEEP_ASSERT_RUN_ON(sync::DriverThread);
     const InstanceId new_id = ctx->new_ids[0];
     for (InstanceId uid : ctx->paused_upstreams) {
       runtime::OperatorInstance* u = ctx->cluster->GetInstance(uid);
@@ -694,7 +688,6 @@ ReconfigStage ReplayUpstreamBuffersStage() {
   ReconfigStage stage;
   stage.kind = StageKind::kSeedAcksAndReplay;
   stage.forward = [](const std::shared_ptr<PlanContext>& ctx, StageDone done) {
-    SEEP_ASSERT_RUN_ON(sync::DriverThread);
     runtime::Cluster* cluster = ctx->cluster;
     const InstanceId new_id = ctx->new_ids[0];
 
@@ -720,7 +713,6 @@ ReconfigStage SourceReplayStage() {
   ReconfigStage stage;
   stage.kind = StageKind::kSeedAcksAndReplay;
   stage.forward = [](const std::shared_ptr<PlanContext>& ctx, StageDone done) {
-    SEEP_ASSERT_RUN_ON(sync::DriverThread);
     runtime::Cluster* cluster = ctx->cluster;
     const InstanceId new_id = ctx->new_ids[0];
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/sync.h"
 #include "control/reconfig_plan.h"
 #include "runtime/operator_instance.h"
 
@@ -15,7 +14,6 @@ void RecoveryCoordinator::Start() {
   if (!detector_config_.enabled) return;
   cluster_->simulation()->Schedule(detector_config_.heartbeat_interval,
                                    [this]() {
-                                     SEEP_ASSERT_RUN_ON(sync::DriverThread);
                                      Poll();
                                      Start();
                                    });
@@ -82,14 +80,12 @@ void RecoveryCoordinator::RecoverStateManagement(InstanceId failed,
     metrics->recoveries[event_index].caught_up_at = at;
   };
   callbacks.on_done = [this, failed, event_index](Status status) {
-    SEEP_ASSERT_RUN_ON(sync::DriverThread);
     if (status.ok()) return;
     // Abort (e.g. another operation in flight, or the backup holder also
     // failed): retry shortly, per the paper's §4.3 discussion. The plan's
     // compensations already rolled the cluster back to a clean state.
     cluster_->simulation()->Schedule(SecondsToSim(1), [this, failed,
                                                        event_index]() {
-      SEEP_ASSERT_RUN_ON(sync::DriverThread);
       RecoverStateManagement(failed, event_index);
     });
   };
@@ -100,7 +96,6 @@ void RecoveryCoordinator::RecoverStateManagement(InstanceId failed,
 void RecoveryCoordinator::RecoverReplayBased(InstanceId failed,
                                              size_t event_index,
                                              bool source_replay) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   // The replay-based baselines (Fig. 11) share one plan shape: deploy a
   // replacement with the dead instance's key range, retire the corpse,
   // reroute, then rebuild state by replay — from every upstream buffer
@@ -132,13 +127,11 @@ void RecoveryCoordinator::RecoverReplayBased(InstanceId failed,
   coordinator_->executor()->Run(
       std::move(plan), [this, failed, event_index,
                         source_replay](Status status) {
-        SEEP_ASSERT_RUN_ON(sync::DriverThread);
         if (status.ok()) return;
         // Refused (another plan owns the operator) or compensated: retry
         // once the conflicting reconfiguration finished.
         cluster_->simulation()->Schedule(
             SecondsToSim(1), [this, failed, event_index, source_replay]() {
-              SEEP_ASSERT_RUN_ON(sync::DriverThread);
               RecoverReplayBased(failed, event_index, source_replay);
             });
       });

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/sync.h"
 #include "control/reconfig_plan.h"
 #include "runtime/operator_instance.h"
 
@@ -14,7 +13,6 @@ namespace seep::control {
 std::function<void(Status)> ScaleOutCoordinator::FinishFn(
     OperatorId op, std::function<void(Status)> on_done) {
   return [this, op, on_done = std::move(on_done)](Status status) {
-    SEEP_ASSERT_RUN_ON(sync::DriverThread);
     in_progress_.erase(op);
     if (status.ok()) {
       ++completed_;
@@ -30,7 +28,6 @@ std::function<void(Status)> ScaleOutCoordinator::FinishFn(
 void ScaleOutCoordinator::ScaleOutInstance(InstanceId target, uint32_t pi,
                                            bool recovery,
                                            Callbacks callbacks) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   runtime::OperatorInstance* t = cluster_->GetInstance(target);
   if (t == nullptr || pi == 0) {
     if (callbacks.on_done) {
@@ -83,7 +80,6 @@ void ScaleOutCoordinator::ScaleOutInstance(InstanceId target, uint32_t pi,
 }
 
 void ScaleOutCoordinator::ScaleIn(OperatorId op, Callbacks callbacks) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   if (in_progress_.contains(op)) {
     if (callbacks.on_done) {
       callbacks.on_done(Status::Aborted("operation already in progress"));

@@ -7,11 +7,10 @@
 
 namespace seep::runtime {
 void BackupStore::AttachDurable(store::CheckpointLog* log,
-                                BackupDurability mode, bool compress,
+                                BackupDurability mode,
                                 verify::InvariantAuditor* audit) {
   log_ = log;
   mode_ = mode;
-  compress_ = compress;
   audit_ = audit;
   if (audit_ != nullptr) {
     audit_->SetDurableMode(mode_ != BackupDurability::kMemory &&
@@ -27,7 +26,7 @@ void BackupStore::AttachDurable(store::CheckpointLog* log,
   }
   EncodedCkptFrame fresh;
   if (frame == nullptr) {
-    fresh = EncodeCheckpointFrame(checkpoint, compress_);
+    fresh = EncodeCheckpointFrame(checkpoint, kCompressCheckpoints);
     frame = &fresh;
   }
   store::RecordMeta meta;

@@ -51,11 +51,9 @@ class BackupStore {
   };
 
   /// Wires the durable tier. `log` must outlive the store; `audit` may be
-  /// null. `compress` controls encoding on the paths that must serialize
-  /// fresh (checkpoints the sim handed over in memory, post-delta
-  /// refreshes, new partitions' initial backups).
+  /// null.
   void AttachDurable(store::CheckpointLog* log, BackupDurability mode,
-                     bool compress, verify::InvariantAuditor* audit);
+                     verify::InvariantAuditor* audit);
 
   BackupDurability durability() const { return mode_; }
 
@@ -138,7 +136,6 @@ class BackupStore {
   std::map<InstanceId, Entry> entries_;
   store::CheckpointLog* log_ = nullptr;
   BackupDurability mode_ = BackupDurability::kMemory;
-  bool compress_ = true;
   verify::InvariantAuditor* audit_ = nullptr;
 };
 

@@ -3,20 +3,23 @@
 #include <memory>
 #include <utility>
 
-#include "common/sync.h"
-
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
 #include "runtime/transport.h"
 
 namespace seep::runtime {
 
+namespace {
+// With incremental checkpoints, every kFullCheckpointEvery-th checkpoint is
+// a full resync, which bounds staleness after any failed delta apply.
+constexpr uint64_t kFullCheckpointEvery = 12;
+}  // namespace
+
 void CheckpointPlane::StartSchedule() { ScheduleTimer(); }
 
 void CheckpointPlane::ScheduleTimer() {
   cluster_->simulation()->Schedule(
       cluster_->config().checkpoint_interval, [this]() {
-        SEEP_ASSERT_RUN_ON(sync::DriverThread);
         if (!inst_->alive() || inst_->stopped()) return;
         if (!suspended_) {
           JobScheduler::Job job;
@@ -146,10 +149,8 @@ void CheckpointPlane::ShipAsync(CheckpointCapture cap) {
       static_cast<SimTime>(kib * cluster_->config().serialize_cost_us_per_kb);
   auto ckpt = std::make_shared<core::StateCheckpoint>(std::move(cap.ckpt));
   cluster_->simulation()->Schedule(delay, [cluster = cluster_, ckpt]() {
-    SEEP_ASSERT_RUN_ON(sync::DriverThread);
     ShipSerializedCheckpoint(
-        cluster,
-        SerializeCheckpoint(*ckpt, cluster->config().compress_checkpoints));
+        cluster, SerializeCheckpoint(*ckpt, kCompressCheckpoints));
   });
 }
 
@@ -169,11 +170,7 @@ bool CheckpointPlane::CanCheckpointIncrementally() const {
   if (op->IsStateful() && !op->SupportsIncrementalState()) {
     return false;
   }
-  // Periodic full resync bounds staleness after any failed delta apply.
-  if (config.full_checkpoint_every > 0 &&
-      (ckpt_seq_ + 1) % config.full_checkpoint_every == 0) {
-    return false;
-  }
+  if ((ckpt_seq_ + 1) % kFullCheckpointEvery == 0) return false;
   // The stored base must be at this sequence and at the holder Algorithm 1
   // would pick now (upstream repartitioning moves the holder). Find, not
   // Retrieve: this runs before every checkpoint and must not copy the base.

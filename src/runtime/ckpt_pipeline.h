@@ -89,6 +89,11 @@ struct EncodedCkptFrame {
 inline constexpr uint64_t kMaxCheckpointRawBytes =
     serde::kDefaultMaxFramePayload;
 
+/// What every production frame passes as `compress` below: compress when
+/// that makes the frame smaller (the flag travels per frame, so
+/// incompressible payloads ship raw). Tests pass false to build raw frames.
+inline constexpr bool kCompressCheckpoints = true;
+
 /// Encode, compress when smaller (and `compress` is set), frame with
 /// crc32c. The only checkpoint frame encoder; it compresses straight into
 /// the frame.

@@ -58,13 +58,13 @@ Cluster::Cluster(const core::QueryGraph* graph, ClusterConfig config)
     SEEP_CHECK(log.ok());
     durable_log_ = std::move(log).value();
     backups_.AttachDurable(durable_log_.get(), config_.backup_durability,
-                           config_.compress_checkpoints, auditor_.get());
+                           auditor_.get());
   }
 }
 
 Cluster::~Cluster() {
-  // Close the log (joining its compactor) before deleting an auto-created
-  // store directory out from under it.
+  // Close the log (its final fsync and its files) before deleting an
+  // auto-created store directory out from under it.
   durable_log_.reset();
   if (!owned_store_dir_.empty()) {
     std::error_code ec;

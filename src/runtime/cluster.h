@@ -53,8 +53,6 @@ struct ClusterConfig {
   FaultToleranceMode ft_mode = FaultToleranceMode::kStateManagement;
   /// Checkpointing interval c (paper §3.2); R+SM only.
   SimTime checkpoint_interval = SecondsToSim(5);
-  /// Granularity at which sources materialise tuples into batches.
-  SimTime source_tick = MillisToSim(100);
   /// Age horizon for buffer trimming in UB/SR modes; must exceed the longest
   /// window of any operator, plus slack for replay.
   SimTime buffer_window = SecondsToSim(35);
@@ -72,15 +70,9 @@ struct ClusterConfig {
   /// frame ships in chunks. Off by default — the synchronous path (and
   /// every figure bench) is bit-for-bit unchanged.
   bool async_checkpoints = false;
-  /// CPU cost of the capture pause (async pipeline), µs per KiB of
-  /// processing state — the O(dirty) snapshot, not serialization.
-  double capture_cost_us_per_kb = 1.0;
   /// Chunk size for shipping serialized checkpoint frames: multi-MB frames
   /// interleave with data batches at this granularity.
   size_t checkpoint_chunk_bytes = 256u << 10;
-  /// Block-compress serialized checkpoint frames when it helps (the flag
-  /// travels per frame, so incompressible payloads ship raw).
-  bool compress_checkpoints = true;
 
   /// Durability tier of the backup directory: kMemory is the paper's single
   /// in-memory copy at the upstream holder (default, and byte-identical to
@@ -100,10 +92,9 @@ struct ClusterConfig {
 
   /// Incremental checkpointing (paper §3.2 / [17]): operators that support
   /// dirty-key tracking ship only state deltas; the backup holder applies
-  /// them onto its stored full copy. Every `full_checkpoint_every`-th
-  /// checkpoint is a full resync.
+  /// them onto its stored full copy. Every 12th checkpoint is a full
+  /// resync (kFullCheckpointEvery in checkpoint_plane.cc).
   bool incremental_checkpoints = false;
-  uint32_t full_checkpoint_every = 12;
 
   /// Protocol invariant auditing (src/verify/): 0 off, 1 cheap per-event
   /// checks, 2 adds per-tuple and whole-table sweeps. Defaults to the

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "common/ids.h"
-#include "common/sync.h"
 #include "common/time.h"
 
 namespace seep::runtime {
@@ -30,13 +29,11 @@ class FenceRegistry {
   /// Registers a replay fence: `expected` fence deliveries at instances in
   /// `targets` complete the fence and invoke `on_complete(now)`.
   uint64_t Register(int expected, std::set<InstanceId> targets,
-                    std::function<void(SimTime)> on_complete)
-      SEEP_RUN_ON(sync::DriverThread);
+                    std::function<void(SimTime)> on_complete);
 
   /// A fence marker reached instance `at` (called when its batch-job
   /// finishes, i.e. after all earlier queued work).
-  void Handle(uint64_t fence_id, OperatorInstance* at)
-      SEEP_RUN_ON(sync::DriverThread);
+  void Handle(uint64_t fence_id, OperatorInstance* at);
 
  private:
   struct Fence {
@@ -46,8 +43,8 @@ class FenceRegistry {
   };
 
   Cluster* cluster_;
-  uint64_t counter_ SEEP_GUARDED_BY(sync::DriverThread) = 0;
-  std::map<uint64_t, Fence> fences_ SEEP_GUARDED_BY(sync::DriverThread);
+  uint64_t counter_ = 0;
+  std::map<uint64_t, Fence> fences_;
 };
 
 }  // namespace seep::runtime

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/sync.h"
 #include "runtime/cluster.h"
 #include "runtime/transport.h"
 
@@ -14,6 +13,11 @@ namespace {
 // How long an instance throttles its job scheduler after SendBatch reports
 // outbound queue pressure (only the TCP backend ever does).
 constexpr SimTime kBackpressurePause = MillisToSim(5);
+// Granularity at which sources materialise tuples into batches.
+constexpr SimTime kSourceTick = MillisToSim(100);
+// CPU cost of the async pipeline's capture pause, µs per KiB of processing
+// state: the O(dirty) snapshot, not serialization.
+constexpr double kCaptureCostUsPerKb = 1.0;
 }  // namespace
 
 // Gathers the emissions of one Process/OnTimer invocation together with the
@@ -68,7 +72,6 @@ double OperatorInstance::CostMicrosPerTuple() const {
 // ------------------------------------------------------------------ lifecycle
 
 void OperatorInstance::Start() {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   if (source_) ScheduleSourceTick();
   if (operator_ && operator_->TimerInterval() > 0) ScheduleWindowTimer();
 
@@ -124,7 +127,6 @@ void OperatorInstance::OnSendPressure() {
 // ------------------------------------------------------------------ job hooks
 
 void OperatorInstance::PrepareJob(JobScheduler::Job* job) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   using Kind = JobScheduler::Job::Kind;
   switch (job->kind) {
     case Kind::kBatch:
@@ -146,7 +148,7 @@ void OperatorInstance::PrepareJob(JobScheduler::Job* job) {
       if (work->async) {
         // Asynchronous pipeline: the operator pauses only for the capture;
         // serialization CPU is charged on the background stage instead.
-        job->cost_us = kib * config.capture_cost_us_per_kb;
+        job->cost_us = kib * kCaptureCostUsPerKb;
       } else {
         // Synchronous path: the backup is materialized at capture time
         // (before any trim moves the live buffers) and serialisation CPU is
@@ -172,7 +174,6 @@ void OperatorInstance::PrepareJob(JobScheduler::Job* job) {
 }
 
 void OperatorInstance::FinishJob(JobScheduler::Job* job) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   using Kind = JobScheduler::Job::Kind;
   switch (job->kind) {
     case Kind::kBatch:
@@ -269,7 +270,7 @@ void OperatorInstance::ScheduleWindowTimer() {
 }
 
 void OperatorInstance::ScheduleSourceTick() {
-  const SimTime dt = cluster_->config().source_tick;
+  const SimTime dt = kSourceTick;
   cluster_->simulation()->Schedule(dt, [this, dt]() {
     if (!alive_ || stopped_) return;
     ScheduleSourceTick();
@@ -312,7 +313,6 @@ void OperatorInstance::ScheduleAgeTrim() {
 
 void OperatorInstance::Restore(const core::StateCheckpoint& checkpoint,
                                bool inherit_origin) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   if (inherit_origin) {
     origin_ = checkpoint.origin;
     router_.set_out_clock(checkpoint.out_clock);
@@ -324,7 +324,6 @@ void OperatorInstance::Restore(const core::StateCheckpoint& checkpoint,
 }
 
 void OperatorInstance::ResetEmpty(core::OriginId fresh_origin) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   origin_ = fresh_origin;
   router_.Reset();
   positions_ = core::InputPositions();
@@ -339,7 +338,6 @@ void OperatorInstance::ResetEmpty(core::OriginId fresh_origin) {
 void OperatorInstance::ReplayBuffer(OperatorId down, int64_t from_ts,
                                     const std::vector<InstanceId>& targets,
                                     uint64_t fence_id) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   std::map<InstanceId, core::TupleBatch> outgoing;
   const core::TupleBuffer* tuples = buffer_.Get(down);
   size_t replayed = 0;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/sync.h"
 #include "common/time.h"
 #include "core/operator.h"
 #include "core/query_graph.h"
@@ -85,15 +84,9 @@ class OperatorInstance : private JobScheduler::Host {
 
   /// Freezes the checkpoint schedule while the scale-out coordinator is
   /// partitioning this instance's backed-up state (see CheckpointPlane).
-  void SuspendCheckpoints() SEEP_RUN_ON(sync::DriverThread) {
-    checkpoints_.Suspend();
-  }
-  void ResumeCheckpoints() SEEP_RUN_ON(sync::DriverThread) {
-    checkpoints_.Resume();
-  }
-  bool checkpoints_suspended() const SEEP_RUN_ON(sync::DriverThread) {
-    return checkpoints_.suspended();
-  }
+  void SuspendCheckpoints() { checkpoints_.Suspend(); }
+  void ResumeCheckpoints() { checkpoints_.Resume(); }
+  bool checkpoints_suspended() const { return checkpoints_.suspended(); }
 
   // ------------------------------------------------------------- data path
 
@@ -113,20 +106,19 @@ class OperatorInstance : private JobScheduler::Host {
 
   /// checkpoint-state(o) → (θo, τo, βo): synchronous snapshot, used by the
   /// checkpoint job and by quiesced scale-in.
-  core::StateCheckpoint MakeCheckpoint() SEEP_RUN_ON(sync::DriverThread) {
+  core::StateCheckpoint MakeCheckpoint() {
     return checkpoints_.MakeCheckpoint();
   }
 
   /// Incremental variant: only the state entries changed since the previous
   /// checkpoint, new buffer tuples, and trim positions for the mirrored
   /// buffer. Requires the operator's SupportsIncrementalState().
-  core::StateCheckpoint MakeDeltaCheckpoint()
-      SEEP_RUN_ON(sync::DriverThread) {
+  core::StateCheckpoint MakeDeltaCheckpoint() {
     return checkpoints_.MakeDeltaCheckpoint();
   }
 
   /// Whether the next periodic checkpoint may be shipped as a delta.
-  bool CanCheckpointIncrementally() const SEEP_RUN_ON(sync::DriverThread) {
+  bool CanCheckpointIncrementally() const {
     return checkpoints_.CanCheckpointIncrementally();
   }
 
@@ -169,20 +161,18 @@ class OperatorInstance : private JobScheduler::Host {
   /// this instance's origin; trim the output buffer when all current
   /// partitions of `down_op` have acknowledged (Algorithm 1 line 4).
   void OnTrimAck(OperatorId down_op, InstanceId down_instance,
-                 int64_t position) SEEP_RUN_ON(sync::DriverThread) {
+                 int64_t position) {
     trims_.OnTrimAck(down_op, down_instance, position);
   }
 
   /// Drops ack entries for instances no longer routed (after scale out /
   /// recovery replaced partitions).
-  void PruneAcks(OperatorId down_op) SEEP_RUN_ON(sync::DriverThread) {
-    trims_.PruneAcks(down_op);
-  }
+  void PruneAcks(OperatorId down_op) { trims_.PruneAcks(down_op); }
 
   /// Seeds the ack position of a freshly restored downstream instance from
   /// its restored checkpoint, so trimming can make progress.
   void SeedAck(OperatorId down_op, InstanceId down_instance,
-               int64_t position) SEEP_RUN_ON(sync::DriverThread) {
+               int64_t position) {
     trims_.SeedAck(down_op, down_instance, position);
   }
 

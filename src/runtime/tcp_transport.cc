@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/sync.h"
 #include "net/local_cluster.h"
 #include "net/wire.h"
 #include "runtime/cluster.h"
@@ -56,10 +55,9 @@ struct TcpTransport::Impl {
 
   // Messages the last poll delivered, in arrival order, waiting for the
   // pump to dispatch them.
-  std::deque<net::Message> inbox SEEP_GUARDED_BY(sync::DriverThread);
-  std::map<std::pair<VmId, VmId>, uint64_t> in_flight
-      SEEP_GUARDED_BY(sync::DriverThread);
-  uint64_t total_in_flight SEEP_GUARDED_BY(sync::DriverThread) = 0;
+  std::deque<net::Message> inbox;
+  std::map<std::pair<VmId, VmId>, uint64_t> in_flight;
+  uint64_t total_in_flight = 0;
 
   // Checkpoint parcels in flight, keyed by the ship_id every chunk carries:
   // the endpoints, the chunk stream as sent and the sender's arrival
@@ -70,14 +68,12 @@ struct TcpTransport::Impl {
     TcpChunkStream stream;
     ArrivalFn on_arrival;
   };
-  std::unordered_map<uint64_t, ShipEntry> ships
-      SEEP_GUARDED_BY(sync::DriverThread);
-  uint64_t next_ship_id SEEP_GUARDED_BY(sync::DriverThread) = 0;
+  std::unordered_map<uint64_t, ShipEntry> ships;
+  uint64_t next_ship_id = 0;
 
-  uint64_t disconnects SEEP_GUARDED_BY(sync::DriverThread) = 0;
+  uint64_t disconnects = 0;
 
-  void DecInFlight(VmId from, VmId to, uint64_t n)
-      SEEP_RUN_ON(sync::DriverThread) {
+  void DecInFlight(VmId from, VmId to, uint64_t n) {
     auto it = in_flight.find({from, to});
     if (it == in_flight.end()) return;
     const uint64_t dec = std::min(it->second, n);
@@ -86,7 +82,7 @@ struct TcpTransport::Impl {
   }
 
   /// Writes off every link to or from `vm`.
-  void WriteOff(VmId vm) SEEP_RUN_ON(sync::DriverThread) {
+  void WriteOff(VmId vm) {
     for (auto it = in_flight.begin(); it != in_flight.end();) {
       if (it->first.first == vm || it->first.second == vm) {
         total_in_flight -= it->second;
@@ -100,8 +96,7 @@ struct TcpTransport::Impl {
   /// Posts `msg` on `from`'s worker with in-flight accounting. A link with
   /// a detached end reports kClosed; a frame dropped at the queue cap
   /// leaves flight again through the drop callback.
-  net::SendStatus Post(VmId from, VmId to, const net::Message& msg)
-      SEEP_RUN_ON(sync::DriverThread) {
+  net::SendStatus Post(VmId from, VmId to, const net::Message& msg) {
     if (!cluster.IsAttached(from) || !cluster.IsAttached(to)) {
       return net::SendStatus::kClosed;
     }
@@ -114,7 +109,6 @@ struct TcpTransport::Impl {
 bool ReceiveChunkMessage(Cluster* cluster, TcpChunkStream* stream,
                          const std::vector<uint8_t>& body,
                          const ArrivalFn& on_arrival) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   const CkptChunkHeader& want = stream->header;
   CkptChunkHeader next = want;
   next.index = stream->next_index;
@@ -146,7 +140,6 @@ TcpTransport::TcpTransport(Cluster* cluster)
 TcpTransport::~TcpTransport() = default;
 
 uint64_t TcpTransport::disconnects_observed() const {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   return impl_->disconnects;
 }
 
@@ -159,17 +152,14 @@ uint64_t TcpTransport::frames_dropped() const {
 }
 
 size_t TcpTransport::parcels_in_flight() const {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   return impl_->ships.size();
 }
 
 uint64_t TcpTransport::frames_in_flight() const {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   return impl_->total_in_flight;
 }
 
 void TcpTransport::AttachVm(VmId vm) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   // Mirror into the sim network so its attachment directory (and any code
   // consulting IsAttached) stays coherent; no sim traffic flows through it.
   cluster_->network()->Attach(vm);
@@ -180,25 +170,21 @@ void TcpTransport::AttachVm(VmId vm) {
       vm,
       /*on_message=*/
       [impl, vm](net::Message msg) {
-        SEEP_ASSERT_RUN_ON(sync::DriverThread);
         impl->DecInFlight(msg.from_vm, vm, 1);
         impl->inbox.push_back(std::move(msg));
       },
       /*on_peer_disconnect=*/
       [impl](VmId) {
-        SEEP_ASSERT_RUN_ON(sync::DriverThread);
         ++impl->disconnects;
       },
       /*on_frames_dropped=*/
       [impl, vm](VmId peer, size_t n) {
-        SEEP_ASSERT_RUN_ON(sync::DriverThread);
         impl->DecInFlight(vm, peer, n);
       });
   SEEP_CHECK(started.ok());
 }
 
 void TcpTransport::DetachVm(VmId vm) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   cluster_->network()->Detach(vm);
   // Kill first, then write off both directions: frames queued in this VM's
   // worker or kernel buffers, and frames on their way to it, die
@@ -221,7 +207,6 @@ void TcpTransport::DetachVm(VmId vm) {
 
 SendPressure TcpTransport::SendBatch(OperatorInstance* from, InstanceId to,
                                      core::TupleBatch batch) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   batch.from = from->id();
   const OperatorInstance* dest = cluster_->membership()->GetInstance(to);
   if (dest == nullptr) return SendPressure::kNone;
@@ -243,11 +228,9 @@ SendPressure TcpTransport::SendBatch(OperatorInstance* from, InstanceId to,
 void TcpTransport::ShipCheckpoint(VmId from, VmId to,
                                   CheckpointParcel parcel,
                                   ArrivalFn on_arrival) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   SerializedCkptFrame frame;
   if (auto* ckpt = std::get_if<core::StateCheckpoint>(&parcel.body)) {
-    frame =
-        SerializeCheckpoint(*ckpt, cluster_->config().compress_checkpoints);
+    frame = SerializeCheckpoint(*ckpt, kCompressCheckpoints);
   } else {
     frame = std::move(std::get<SerializedCkptFrame>(parcel.body));
   }
@@ -293,7 +276,6 @@ void TcpTransport::SchedulePump() {
   if (pump_scheduled_) return;
   pump_scheduled_ = true;
   cluster_->simulation()->Schedule(kPumpInterval, [this]() {
-    SEEP_ASSERT_RUN_ON(sync::DriverThread);
     pump_scheduled_ = false;
     Pump();
   });

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/sync.h"
 #include "runtime/transport.h"
 
 namespace seep::runtime {
@@ -79,11 +78,11 @@ class TcpTransport : public Transport {
  private:
   struct Impl;
 
-  void Pump() SEEP_RUN_ON(sync::DriverThread);
+  void Pump();
   /// Schedules the pump one interval from now, unless it is scheduled
   /// already. Every post the net layer accepts calls it, so traffic put in
   /// flight on an idle transport starts the pump.
-  void SchedulePump() SEEP_RUN_ON(sync::DriverThread);
+  void SchedulePump();
 
   /// A wire body that fails to decode after passing the net layer's
   /// crc32c is protocol divergence: drop the message, but loudly —
@@ -92,7 +91,7 @@ class TcpTransport : public Transport {
 
   Cluster* const cluster_;
   const std::unique_ptr<Impl> impl_;
-  bool pump_scheduled_ SEEP_GUARDED_BY(sync::DriverThread) = false;
+  bool pump_scheduled_ = false;
 };
 
 }  // namespace seep::runtime

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/sync.h"
 #include "core/state_ops.h"
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
@@ -32,7 +31,6 @@ namespace {
 void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
                                OperatorId owner_op, InstanceId holder_id,
                                ArrivedCheckpoint arrived) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   Membership* members = cluster->membership();
   MetricsRegistry* metrics = cluster->metrics();
   core::StateCheckpoint& ckpt = arrived.ckpt;
@@ -143,7 +141,6 @@ void ShipToBackupHolder(Cluster* cluster, OperatorInstance* owner,
 }
 
 void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   MetricsRegistry* metrics = cluster->metrics();
   OperatorInstance* owner = cluster->GetInstance(frame.owner);
   if (owner == nullptr || !owner->alive() || owner->stopped() ||
@@ -181,7 +178,6 @@ CkptChunkHeader ChunkStreamHeader(const SerializedCkptFrame& frame,
 void ReceiveCheckpointChunk(Cluster* cluster, const CkptChunkHeader& header,
                             const uint8_t* data, size_t n,
                             const ArrivalFn& on_arrival) {
-  SEEP_ASSERT_RUN_ON(sync::DriverThread);
   MetricsRegistry* metrics = cluster->metrics();
   ++metrics->ckpt_chunks;
   if (auto* audit = cluster->audit()) {

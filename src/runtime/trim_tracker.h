@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/sync.h"
 #include "core/state.h"
 #include "verify/invariant_auditor.h"
 
@@ -42,27 +41,26 @@ class TrimTracker {
   /// (sent > acked) tuples; destinations that never receive tuples from this
   /// partition (key-preserving operators route each upstream partition to
   /// few downstream partitions) must not block trims.
-  void NoteSent(OperatorId down_op, InstanceId dest, int64_t timestamp)
-      SEEP_RUN_ON(sync::DriverThread);
+  void NoteSent(OperatorId down_op, InstanceId dest, int64_t timestamp);
 
   /// Downstream instance `down_instance` checkpointed through `position`;
   /// trim the output buffer when all current partitions of `down_op` have
   /// acknowledged (Algorithm 1 line 4).
   void OnTrimAck(OperatorId down_op, InstanceId down_instance,
-                 int64_t position) SEEP_RUN_ON(sync::DriverThread);
+                 int64_t position);
 
   /// Drops ack entries for instances no longer routed (after scale out /
   /// recovery replaced partitions).
-  void PruneAcks(OperatorId down_op) SEEP_RUN_ON(sync::DriverThread);
+  void PruneAcks(OperatorId down_op);
 
   /// Seeds the ack position of a freshly restored downstream instance from
   /// its restored checkpoint, so trimming can make progress.
   void SeedAck(OperatorId down_op, InstanceId down_instance,
-               int64_t position) SEEP_RUN_ON(sync::DriverThread);
+               int64_t position);
 
   /// Trims the buffer for `down_op` to the furthest position every current
   /// partition with outstanding tuples has acknowledged.
-  void MaybeTrim(OperatorId down_op) SEEP_RUN_ON(sync::DriverThread);
+  void MaybeTrim(OperatorId down_op);
 
  private:
   core::BufferState* buffer_;
@@ -71,19 +69,16 @@ class TrimTracker {
   InstanceId self_;
   // Per downstream logical op: last checkpoint-acknowledged position of each
   // current downstream instance (this instance's origin timestamps).
-  std::map<OperatorId, std::map<InstanceId, int64_t>> acks_
-      SEEP_GUARDED_BY(sync::DriverThread);
+  std::map<OperatorId, std::map<InstanceId, int64_t>> acks_;
   // Per downstream logical op: highest timestamp sent to each downstream
   // instance.
-  std::map<OperatorId, std::map<InstanceId, int64_t>> sent_
-      SEEP_GUARDED_BY(sync::DriverThread);
+  std::map<OperatorId, std::map<InstanceId, int64_t>> sent_;
   // Per downstream logical op: high-water trim position. The admissible
   // bound can legitimately regress after a membership change (a partition
   // with nothing outstanding stops constraining it, then a freshly seeded
   // partition re-lowers it); re-trimming below the high-water mark is a
   // no-op on the buffer, so such bounds are suppressed rather than emitted.
-  std::map<OperatorId, int64_t> trimmed_
-      SEEP_GUARDED_BY(sync::DriverThread);
+  std::map<OperatorId, int64_t> trimmed_;
 };
 
 }  // namespace seep::runtime

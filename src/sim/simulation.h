@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "common/sync.h"
 #include "common/time.h"
 
 namespace seep::sim {
@@ -22,11 +21,7 @@ using EventId = uint64_t;
 /// VMs, network links and coordinators all schedule their work here.
 class Simulation {
  public:
-  /// The thread that constructs a Simulation is its driver thread: it (and
-  /// only it) runs events and the protocol code they reach. Adoption is
-  /// idempotent and deliberately permanent — tests and benches create many
-  /// simulations from one harness thread, and that thread stays the driver.
-  Simulation() { sync::DriverThread.Adopt(); }
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 

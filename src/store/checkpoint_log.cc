@@ -153,25 +153,14 @@ CheckpointLog::CheckpointLog(CheckpointLogConfig config)
   }
   std::unique_ptr<CheckpointLog> log(new CheckpointLog(std::move(config)));
   SEEP_RETURN_IF_ERROR(log->Recover());
-  if (log->config_.background_compaction) {
-    CheckpointLog* raw = log.get();
-    log->compactor_ = std::thread([raw] { raw->CompactorLoop(); });
-  }
   return log;
 }
 
 CheckpointLog::~CheckpointLog() {
-  {
-    sync::MutexLock lock(&mu_);
-    stop_ = true;
-    compaction_cv_.NotifyAll();
-  }
-  if (compactor_.joinable()) compactor_.join();
-  sync::MutexLock lock(&mu_);
   if (config_.fsync != FsyncPolicy::kNever) {
     // A destructor cannot propagate, but a failed final fsync is
     // potential data loss and must at least be observable.
-    const Status final_sync = MaybeFsyncLocked(/*force=*/true);
+    const Status final_sync = MaybeFsync(/*force=*/true);
     if (!final_sync.ok()) {
       SEEP_LOG(kWarn, 0) << "final fsync on close failed: "
                          << final_sync.message();
@@ -199,7 +188,6 @@ CheckpointLog::~CheckpointLog() {
   }
   std::sort(files.begin(), files.end());
 
-  sync::MutexLock lock(&mu_);
   ReplayState replay;
   for (const auto& [id, path] : files) {
     const int fd = ::open(path.c_str(), O_RDWR);
@@ -273,7 +261,7 @@ CheckpointLog::~CheckpointLog() {
   }
 
   if (segments_.empty()) {
-    SEEP_RETURN_IF_ERROR(CreateSegmentLocked(next_segment_id_));
+    SEEP_RETURN_IF_ERROR(CreateSegment(next_segment_id_));
     next_segment_id_ += 1;
   } else {
     active_id_ = segments_.rbegin()->first;
@@ -292,7 +280,7 @@ CheckpointLog::~CheckpointLog() {
   return Status::OK();
 }
 
-[[nodiscard]] Status CheckpointLog::CreateSegmentLocked(uint32_t id) {
+[[nodiscard]] Status CheckpointLog::CreateSegment(uint32_t id) {
   Segment seg;
   seg.path = config_.directory + "/" + SegmentFileName(id);
   seg.fd = ::open(seg.path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
@@ -316,7 +304,7 @@ CheckpointLog::~CheckpointLog() {
   return Status::OK();
 }
 
-[[nodiscard]] Status CheckpointLog::RollSegmentLocked() {
+[[nodiscard]] Status CheckpointLog::RollSegment() {
   Segment& act = segments_[active_id_];
   if (config_.fsync != FsyncPolicy::kNever) {
     SEEP_RETURN_IF_ERROR(FsyncFd(act.fd));
@@ -325,19 +313,19 @@ CheckpointLog::~CheckpointLog() {
   act.sealed = true;
   const uint32_t id = next_segment_id_;
   next_segment_id_ += 1;
-  return CreateSegmentLocked(id);
+  return CreateSegment(id);
 }
 
-[[nodiscard]] Status CheckpointLog::AppendRecordLocked(const RecordMeta& meta,
-                                         const uint8_t* payload, size_t n,
-                                         IndexEntry* out) {
+[[nodiscard]] Status CheckpointLog::AppendRecord(const RecordMeta& meta,
+                                                const uint8_t* payload,
+                                                size_t n, IndexEntry* out) {
   const std::vector<uint8_t> header = EncodeRecordHeader(meta);
   const uint64_t rec_bytes = header.size() + n;
   {
     const Segment& act = segments_[active_id_];
     if (act.bytes > kSegmentHeaderBytes &&
         act.bytes + rec_bytes > config_.segment_bytes) {
-      SEEP_RETURN_IF_ERROR(RollSegmentLocked());
+      SEEP_RETURN_IF_ERROR(RollSegment());
     }
   }
   Segment& act = segments_[active_id_];
@@ -356,10 +344,10 @@ CheckpointLog::~CheckpointLog() {
   act.live += rec_bytes;
   dirty_since_fsync_ = true;
   metrics_.append_bytes.fetch_add(rec_bytes, std::memory_order_relaxed);
-  return MaybeFsyncLocked(/*force=*/false);
+  return MaybeFsync(/*force=*/false);
 }
 
-[[nodiscard]] Status CheckpointLog::MaybeFsyncLocked(bool force) {
+[[nodiscard]] Status CheckpointLog::MaybeFsync(bool force) {
   if (!dirty_since_fsync_ && !force) return Status::OK();
   bool do_sync = force;
   switch (config_.fsync) {
@@ -398,54 +386,41 @@ Status CheckpointLog::Append(RecordMeta meta, const uint8_t* payload,
   }
   meta.type = RecordType::kCheckpoint;
   meta.payload_bytes = n;
-  bool inline_compact = false;
-  {
-    sync::MutexLock lock(&mu_);
-    if (tombstones_.count(meta.owner) != 0) {
-      return Status::FailedPrecondition("owner is tombstoned");
-    }
-    IndexEntry e;
-    SEEP_RETURN_IF_ERROR(AppendRecordLocked(meta, payload, n, &e));
-    auto it = index_.find(meta.owner);
-    if (it != index_.end()) {
-      segments_[it->second.segment].live -= it->second.record_bytes;
-      it->second = e;
-    } else {
-      index_.emplace(meta.owner, e);
-    }
-    metrics_.appends.fetch_add(1, std::memory_order_relaxed);
-    inline_compact = SignalCompactionLocked();
+  if (tombstones_.count(meta.owner) != 0) {
+    return Status::FailedPrecondition("owner is tombstoned");
   }
-  if (inline_compact) return CompactOnce();
+  IndexEntry e;
+  SEEP_RETURN_IF_ERROR(AppendRecord(meta, payload, n, &e));
+  auto [it, inserted] = index_.try_emplace(meta.owner, e);
+  if (!inserted) {
+    segments_[it->second.segment].live -= it->second.record_bytes;
+    it->second = e;
+  }
+  metrics_.appends.fetch_add(1, std::memory_order_relaxed);
+  MaybeCompact();
   return Status::OK();
 }
 
 [[nodiscard]] Status CheckpointLog::AppendTombstone(InstanceId owner) {
+  if (tombstones_.count(owner) != 0) return Status::OK();
   RecordMeta meta;
   meta.type = RecordType::kTombstone;
   meta.owner = owner;
-  bool inline_compact = false;
-  {
-    sync::MutexLock lock(&mu_);
-    if (tombstones_.count(owner) != 0) return Status::OK();
-    IndexEntry e;
-    SEEP_RETURN_IF_ERROR(AppendRecordLocked(meta, nullptr, 0, &e));
-    auto it = index_.find(owner);
-    if (it != index_.end()) {
-      segments_[it->second.segment].live -= it->second.record_bytes;
-      index_.erase(it);
-    }
-    tombstones_.emplace(owner, e);
-    metrics_.tombstones.fetch_add(1, std::memory_order_relaxed);
-    inline_compact = SignalCompactionLocked();
+  IndexEntry e;
+  SEEP_RETURN_IF_ERROR(AppendRecord(meta, nullptr, 0, &e));
+  auto it = index_.find(owner);
+  if (it != index_.end()) {
+    segments_[it->second.segment].live -= it->second.record_bytes;
+    index_.erase(it);
   }
-  if (inline_compact) return CompactOnce();
+  tombstones_.emplace(owner, e);
+  metrics_.tombstones.fetch_add(1, std::memory_order_relaxed);
+  MaybeCompact();
   return Status::OK();
 }
 
 [[nodiscard]] Result<std::vector<uint8_t>> CheckpointLog::ReadPayload(
     InstanceId owner) const {
-  sync::MutexLock lock(&mu_);
   auto it = index_.find(owner);
   if (it == index_.end()) {
     return Status::NotFound("no live checkpoint for owner");
@@ -462,19 +437,16 @@ Status CheckpointLog::Append(RecordMeta meta, const uint8_t* payload,
 }
 
 std::optional<RecordMeta> CheckpointLog::Find(InstanceId owner) const {
-  sync::MutexLock lock(&mu_);
   auto it = index_.find(owner);
   if (it == index_.end()) return std::nullopt;
   return it->second.meta;
 }
 
 bool CheckpointLog::Has(InstanceId owner) const {
-  sync::MutexLock lock(&mu_);
   return index_.count(owner) != 0;
 }
 
 std::vector<RecordMeta> CheckpointLog::LiveRecords() const {
-  sync::MutexLock lock(&mu_);
   std::vector<RecordMeta> out;
   out.reserve(index_.size());
   for (const auto& [owner, e] : index_) out.push_back(e.meta);
@@ -482,11 +454,10 @@ std::vector<RecordMeta> CheckpointLog::LiveRecords() const {
 }
 
 [[nodiscard]] Status CheckpointLog::Flush() {
-  sync::MutexLock lock(&mu_);
-  return MaybeFsyncLocked(/*force=*/true);
+  return MaybeFsync(/*force=*/true);
 }
 
-bool CheckpointLog::CompactionNeededLocked() const {
+bool CheckpointLog::CompactionNeeded() const {
   uint64_t sealed_payload = 0;
   uint64_t sealed_live = 0;
   for (const auto& [id, seg] : segments_) {
@@ -502,169 +473,96 @@ bool CheckpointLog::CompactionNeededLocked() const {
              static_cast<double>(sealed_payload);
 }
 
-bool CheckpointLog::SignalCompactionLocked() {
-  if (compaction_running_ || compaction_requested_) return false;
-  if (!CompactionNeededLocked()) return false;
-  if (config_.background_compaction) {
-    compaction_requested_ = true;
-    compaction_cv_.NotifyAll();
-    return false;
-  }
-  return true;
+void CheckpointLog::MaybeCompact() {
+  if (CompactionNeeded()) last_compaction_error_ = CompactNow();
 }
 
-void CheckpointLog::CompactorLoop() {
-  sync::ScopedThreadRole role(sync::StoreCompactorThread);
-  while (true) {
-    {
-      sync::MutexLock lock(&mu_);
-      compaction_cv_.Wait(&mu_, [this] {
-        mu_.AssertHeld();
-        return stop_ || compaction_requested_;
-      });
-      if (stop_) return;
-      compaction_requested_ = false;
-    }
-    const Status st = CompactOnce();
-    if (!st.ok()) {
-      sync::MutexLock lock(&mu_);
-      last_compaction_error_ = st;
-    }
-  }
-}
-
-[[nodiscard]] Status CheckpointLog::CompactOnce() {
-  // Phase 1: snapshot the survivors and victims under mu_. Sealed segments
-  // are immutable and their fds are closed only by this function (single
-  // flight via compaction_running_), so phase 2 can read them lock-free.
-  std::vector<Survivor> survivors;
-  std::set<uint32_t> victims;
+[[nodiscard]] Status CheckpointLog::CompactNow() {
+  std::vector<uint32_t> victims;
   uint64_t bytes_in = 0;
-  uint32_t new_id = 0;
-  std::map<uint32_t, int> victim_fds;
-  {
-    sync::MutexLock lock(&mu_);
-    if (compaction_running_) return Status::OK();
-    for (const auto& [id, seg] : segments_) {
-      if (!seg.sealed) continue;
-      victims.insert(id);
-      victim_fds[id] = seg.fd;
-      bytes_in += seg.bytes;
+  for (const auto& [id, seg] : segments_) {
+    if (!seg.sealed) continue;
+    victims.push_back(id);
+    bytes_in += seg.bytes;
+  }
+  if (victims.empty()) return Status::OK();
+  // Every live record and tombstone still in a sealed segment survives.
+  std::vector<IndexEntry*> survivors;
+  for (auto* table : {&index_, &tombstones_}) {
+    for (auto& [owner, e] : *table) {
+      if (segments_[e.segment].sealed) survivors.push_back(&e);
     }
-    if (victims.empty()) return Status::OK();
-    for (const auto& [owner, e] : index_) {
-      if (victims.count(e.segment) != 0) {
-        survivors.push_back({owner, false, e});
-      }
-    }
-    for (const auto& [owner, e] : tombstones_) {
-      if (victims.count(e.segment) != 0) {
-        survivors.push_back({owner, true, e});
-      }
-    }
-    new_id = next_segment_id_;
-    next_segment_id_ += 1;
-    compaction_running_ = true;
   }
 
-  // Phase 2: rewrite the survivors verbatim into a fresh sealed segment,
-  // without holding mu_ — appends and reads proceed concurrently.
-  struct NewLocation {
-    uint64_t record_offset = 0;
-    uint64_t payload_offset = 0;
-  };
-  std::vector<NewLocation> locations(survivors.size());
+  // Rewrite the survivors verbatim into a fresh sealed segment, durable
+  // before the index moves: a crash mid-pass leaves the victims intact, and
+  // replay is independent of segment order.
+  const uint32_t new_id = next_segment_id_;
+  next_segment_id_ += 1;
   Segment fresh;
   fresh.sealed = true;
-  uint64_t bytes_out = 0;
-  Status st = Status::OK();
+  std::vector<uint64_t> offsets(survivors.size());  // new record offsets
   if (!survivors.empty()) {
     fresh.path = config_.directory + "/" + SegmentFileName(new_id);
     fresh.fd = ::open(fresh.path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+    Status st = Status::OK();
     if (fresh.fd < 0) {
       st = Status::Internal("open " + fresh.path + ": " +
                             std::strerror(errno));
-    }
-    if (st.ok()) {
+    } else {
       const std::vector<uint8_t> header = EncodeSegmentHeader(new_id);
       st = WriteExact(fresh.fd, 0, header.data(), header.size());
       fresh.bytes = header.size();
     }
     std::vector<uint8_t> buf;
     for (size_t i = 0; st.ok() && i < survivors.size(); ++i) {
-      const IndexEntry& e = survivors[i].entry;
+      const IndexEntry& e = *survivors[i];
       buf.resize(e.record_bytes);
-      st = ReadExact(victim_fds[e.segment], e.record_offset, buf.data(),
+      st = ReadExact(segments_[e.segment].fd, e.record_offset, buf.data(),
                      buf.size());
-      if (!st.ok()) break;
-      st = WriteExact(fresh.fd, fresh.bytes, buf.data(), buf.size());
-      if (!st.ok()) break;
-      locations[i].record_offset = fresh.bytes;
-      locations[i].payload_offset =
-          fresh.bytes + (e.payload_offset - e.record_offset);
+      if (st.ok()) {
+        st = WriteExact(fresh.fd, fresh.bytes, buf.data(), buf.size());
+      }
+      offsets[i] = fresh.bytes;
       fresh.bytes += e.record_bytes;
     }
     if (st.ok() && config_.fsync != FsyncPolicy::kNever) {
       st = FsyncFd(fresh.fd);
       if (st.ok()) st = FsyncDirectory(config_.directory);
     }
-    bytes_out = fresh.bytes;
-    if (!st.ok() && fresh.fd >= 0) {
+    if (!st.ok()) {
       // Failed pass: drop the half-written output, keep the victims.
-      ::close(fresh.fd);
-      ::unlink(fresh.path.c_str());
-      fresh.fd = -1;
+      if (fresh.fd >= 0) {
+        ::close(fresh.fd);
+        ::unlink(fresh.path.c_str());
+      }
+      return st;
     }
   }
 
-  // Phase 3: install the swap under mu_. An entry that moved while we
-  // copied (superseded by a fresh append or tombstone) keeps its current
-  // location; its stale copy in the fresh segment is dead weight.
-  std::vector<std::string> unlink_paths;
-  {
-    sync::MutexLock lock(&mu_);
-    compaction_running_ = false;
-    if (!st.ok()) return st;
-    if (fresh.fd >= 0) {
-      for (size_t i = 0; i < survivors.size(); ++i) {
-        const Survivor& s = survivors[i];
-        auto& table = s.tombstone ? tombstones_ : index_;
-        auto it = table.find(s.owner);
-        if (it == table.end() ||
-            it->second.segment != s.entry.segment ||
-            it->second.record_offset != s.entry.record_offset) {
-          continue;  // superseded mid-compaction
-        }
-        it->second.segment = new_id;
-        it->second.record_offset = locations[i].record_offset;
-        it->second.payload_offset = locations[i].payload_offset;
-        fresh.live += it->second.record_bytes;
-      }
-      segments_.emplace(new_id, fresh);
-    }
-    for (uint32_t id : victims) {
-      auto it = segments_.find(id);
-      SEEP_CHECK(it != segments_.end());
-      ::close(it->second.fd);
-      unlink_paths.push_back(it->second.path);
-      segments_.erase(it);
-    }
-    metrics_.compactions.fetch_add(1, std::memory_order_relaxed);
-    metrics_.compaction_bytes_in.fetch_add(bytes_in,
-                                           std::memory_order_relaxed);
-    metrics_.compaction_bytes_out.fetch_add(bytes_out,
-                                            std::memory_order_relaxed);
+  // Only now move the index entries and unlink the victims.
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    IndexEntry& e = *survivors[i];
+    e.payload_offset = offsets[i] + (e.payload_offset - e.record_offset);
+    e.record_offset = offsets[i];
+    e.segment = new_id;
+    fresh.live += e.record_bytes;
   }
-  for (const auto& path : unlink_paths) ::unlink(path.c_str());
+  if (!survivors.empty()) segments_.emplace(new_id, fresh);
+  for (uint32_t id : victims) {
+    auto it = segments_.find(id);
+    ::close(it->second.fd);
+    ::unlink(it->second.path.c_str());
+    segments_.erase(it);
+  }
+  metrics_.compactions.fetch_add(1, std::memory_order_relaxed);
+  metrics_.compaction_bytes_in.fetch_add(bytes_in, std::memory_order_relaxed);
+  metrics_.compaction_bytes_out.fetch_add(fresh.bytes,
+                                          std::memory_order_relaxed);
   return Status::OK();
 }
 
-[[nodiscard]] Status CheckpointLog::CompactNow() {
-  return CompactOnce();
-}
-
 [[nodiscard]] Status CheckpointLog::SpotCheck(InstanceId owner) const {
-  sync::MutexLock lock(&mu_);
   auto it = index_.find(owner);
   if (it == index_.end()) {
     return Status::NotFound("no live checkpoint for owner");
@@ -697,7 +595,7 @@ void CheckpointLog::CompactorLoop() {
   return Status::OK();
 }
 
-[[nodiscard]] Status CheckpointLog::VerifyIndexLocked() const {
+[[nodiscard]] Status CheckpointLog::VerifyIndex() const {
   ReplayState replay;
   for (const auto& [id, seg] : segments_) {
     SegmentScan scan = ScanSegment(seg.fd, seg.bytes, config_.max_payload);
@@ -748,33 +646,20 @@ void CheckpointLog::CompactorLoop() {
   return Status::OK();
 }
 
-[[nodiscard]] Status CheckpointLog::VerifyIndex() const {
-  sync::MutexLock lock(&mu_);
-  return VerifyIndexLocked();
-}
-
 size_t CheckpointLog::segment_count() const {
-  sync::MutexLock lock(&mu_);
   return segments_.size();
 }
 
 uint64_t CheckpointLog::total_bytes() const {
-  sync::MutexLock lock(&mu_);
   uint64_t total = 0;
   for (const auto& [id, seg] : segments_) total += seg.bytes;
   return total;
 }
 
 uint64_t CheckpointLog::live_bytes() const {
-  sync::MutexLock lock(&mu_);
   uint64_t live = 0;
   for (const auto& [id, seg] : segments_) live += seg.live;
   return live;
-}
-
-[[nodiscard]] Status CheckpointLog::last_compaction_error() const {
-  sync::MutexLock lock(&mu_);
-  return last_compaction_error_;
 }
 
 }  // namespace seep::store

@@ -6,14 +6,11 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/result.h"
-#include "common/sync.h"
 #include "serde/frame.h"
 #include "store/log_format.h"
 #include "store/store_metrics.h"
@@ -34,11 +31,13 @@ struct CheckpointLogConfig {
   uint64_t fsync_interval_ms = 50;
   /// A segment holding at least one record seals once it grows past this.
   uint64_t segment_bytes = 8ull << 20;
-  /// Compaction runs when sealed segments hold at least this many dead
-  /// bytes AND the dead fraction of sealed bytes reaches the ratio.
+  /// The append or tombstone that finds sealed segments holding at least
+  /// this many dead bytes AND the dead fraction of sealed bytes at the
+  /// ratio runs one compaction pass inline.
   uint64_t compact_min_bytes = 1ull << 20;
   double compact_min_dead_ratio = 0.5;
-  /// Off: compaction only runs via CompactNow (deterministic tests).
+  /// Ignored: compaction always runs inline. Kept only because the
+  /// benchmark harness (perfbench/perfbench.cc) still assigns it.
   bool background_compaction = true;
   /// Ceiling on one record's checkpoint payload, pre-allocation-checked.
   uint64_t max_payload = serde::kDefaultMaxFramePayload;
@@ -73,10 +72,8 @@ struct RecoveryInfo {
 /// the newest records, never resurrect superseded ones, because replay
 /// consumes only the intact prefix.
 ///
-/// Threading: the driver thread appends and reads under `mu_`; one
-/// background compactor thread (sync.h discipline, StoreCompactorThread
-/// role) rewrites sealed segments, holding `mu_` only to snapshot survivors
-/// and to install the swap. `mu_` is a leaf in tools/lock_order.json.
+/// Single-threaded: the appending thread also compacts, inline, so no
+/// record can be superseded while a compaction pass runs.
 class CheckpointLog {
  public:
   [[nodiscard]] static Result<std::unique_ptr<CheckpointLog>> Open(
@@ -88,7 +85,10 @@ class CheckpointLog {
 
   /// Appends a checkpoint record. `meta.payload_bytes` is derived from `n`;
   /// `payload` must be the checkpoint's framed bytes. Fails with
-  /// FailedPrecondition for a tombstoned owner.
+  /// FailedPrecondition for a tombstoned owner. A compaction pass the
+  /// append runs inline never fails it: its error goes to
+  /// last_compaction_error(), and the next append past the thresholds
+  /// retries.
   [[nodiscard]]
   Status Append(RecordMeta meta, const uint8_t* payload, size_t n);
 
@@ -109,8 +109,10 @@ class CheckpointLog {
   /// Forces an fdatasync of the active segment regardless of policy.
   [[nodiscard]] Status Flush();
 
-  /// Runs one synchronous compaction pass over the sealed segments (no-op
-  /// when none are sealed). Tests and benches call this for determinism.
+  /// The one compaction pass: rewrites the sealed segments' live records
+  /// into a fresh segment and unlinks them (no-op when none are sealed).
+  /// Appends run it when the thresholds are met; tests and benches also
+  /// call it directly. A failed pass keeps the sealed segments as they were.
   [[nodiscard]] Status CompactNow();
 
   /// Full cross-check: rescans the segment files and verifies the replayed
@@ -128,7 +130,10 @@ class CheckpointLog {
   size_t segment_count() const;
   uint64_t total_bytes() const;
   uint64_t live_bytes() const;
-  [[nodiscard]] Status last_compaction_error() const;
+  /// The outcome of the last compaction pass an append or tombstone ran.
+  [[nodiscard]] Status last_compaction_error() const {
+    return last_compaction_error_;
+  }
 
  private:
   struct IndexEntry {
@@ -145,52 +150,32 @@ class CheckpointLog {
     uint64_t live = 0;
     bool sealed = false;
   };
-  /// A record carried forward by one compaction pass.
-  struct Survivor {
-    InstanceId owner = kInvalidInstance;
-    bool tombstone = false;
-    IndexEntry entry;
-  };
 
   explicit CheckpointLog(CheckpointLogConfig config);
 
   [[nodiscard]] Status Recover();
   [[nodiscard]]
-  Status AppendRecordLocked(const RecordMeta& meta, const uint8_t* payload,
-                            size_t n, IndexEntry* out) SEEP_REQUIRES(mu_);
-  [[nodiscard]] Status RollSegmentLocked() SEEP_REQUIRES(mu_);
-  [[nodiscard]] Status CreateSegmentLocked(uint32_t id) SEEP_REQUIRES(mu_);
-  [[nodiscard]] Status MaybeFsyncLocked(bool force) SEEP_REQUIRES(mu_);
-  bool CompactionNeededLocked() const SEEP_REQUIRES(mu_);
-  /// Returns true when a synchronous caller should run CompactOnce after
-  /// releasing mu_ (background mode signals the compactor instead).
-  bool SignalCompactionLocked() SEEP_REQUIRES(mu_);
-  [[nodiscard]] Status CompactOnce();
-  void CompactorLoop();
-  [[nodiscard]] Status VerifyIndexLocked() const SEEP_REQUIRES(mu_);
+  Status AppendRecord(const RecordMeta& meta, const uint8_t* payload,
+                      size_t n, IndexEntry* out);
+  [[nodiscard]] Status RollSegment();
+  [[nodiscard]] Status CreateSegment(uint32_t id);
+  [[nodiscard]] Status MaybeFsync(bool force);
+  bool CompactionNeeded() const;
+  /// Runs CompactNow when CompactionNeeded, recording its outcome.
+  void MaybeCompact();
 
   const CheckpointLogConfig config_;
-  mutable StoreMetrics metrics_ SEEP_UNGUARDED("all counters are std::atomic");
-  RecoveryInfo recovery_info_
-      SEEP_UNGUARDED("written once by Open's recovery scan before the "
-                     "compactor thread exists; read-only after");
+  mutable StoreMetrics metrics_;
+  RecoveryInfo recovery_info_;
 
-  mutable sync::Mutex mu_;
-  sync::CondVar compaction_cv_;
-  std::map<InstanceId, IndexEntry> index_ SEEP_GUARDED_BY(mu_);
-  std::map<InstanceId, IndexEntry> tombstones_ SEEP_GUARDED_BY(mu_);
-  std::map<uint32_t, Segment> segments_ SEEP_GUARDED_BY(mu_);
-  uint32_t active_id_ SEEP_GUARDED_BY(mu_) = 0;
-  uint32_t next_segment_id_ SEEP_GUARDED_BY(mu_) = 1;
-  std::chrono::steady_clock::time_point last_fsync_ SEEP_GUARDED_BY(mu_);
-  bool dirty_since_fsync_ SEEP_GUARDED_BY(mu_) = false;
-  bool stop_ SEEP_GUARDED_BY(mu_) = false;
-  bool compaction_requested_ SEEP_GUARDED_BY(mu_) = false;
-  bool compaction_running_ SEEP_GUARDED_BY(mu_) = false;
-  Status last_compaction_error_ SEEP_GUARDED_BY(mu_);
-  std::thread compactor_
-      SEEP_UNGUARDED("started at the end of Open before the log is shared; "
-                     "joined by the destructor after stop_ is set under mu_");
+  std::map<InstanceId, IndexEntry> index_;
+  std::map<InstanceId, IndexEntry> tombstones_;
+  std::map<uint32_t, Segment> segments_;
+  uint32_t active_id_ = 0;
+  uint32_t next_segment_id_ = 1;
+  std::chrono::steady_clock::time_point last_fsync_;
+  bool dirty_since_fsync_ = false;
+  Status last_compaction_error_;
 };
 
 }  // namespace seep::store

@@ -44,6 +44,9 @@ Result<RecordMeta> DecodeRecordMeta(const uint8_t* data, size_t size) {
   SEEP_ASSIGN_OR_RETURN(meta.seq, dec.ReadVarint64());
   SEEP_ASSIGN_OR_RETURN(meta.raw_bytes, dec.ReadVarint64());
   SEEP_ASSIGN_OR_RETURN(const uint8_t compressed, dec.ReadU8());
+  if (compressed > 1) {
+    return Status::Corruption("log record compression flag invalid");
+  }
   meta.compressed = compressed != 0;
   SEEP_ASSIGN_OR_RETURN(meta.payload_bytes, dec.ReadVarint64());
   if (meta.type == RecordType::kTombstone && meta.payload_bytes != 0) {

@@ -45,7 +45,8 @@ inline constexpr uint64_t kMaxMetaBytes = 256;
 std::vector<uint8_t> EncodeRecordHeader(const RecordMeta& meta);
 
 /// Decodes a RecordMeta from an already-unframed meta payload. Returns
-/// Corruption on truncation, trailing bytes, or an unknown record type.
+/// Corruption on truncation, trailing bytes, an unknown record type or a
+/// compression flag other than 0 or 1.
 [[nodiscard]]
 Result<RecordMeta> DecodeRecordMeta(const uint8_t* data, size_t size);
 

@@ -6,10 +6,9 @@
 
 namespace seep::store {
 
-/// Per-operation counters for the durable checkpoint log. All fields are
-/// relaxed atomics: the log is written from the driver thread but compacted
-/// (and read by tests/benches) from other threads, and a torn counter read
-/// must never require the log's mutex.
+/// Per-operation counters for the durable checkpoint log. The log runs on
+/// one thread; the fields are std::atomic only because the benchmark
+/// harness (perfbench/perfbench.cc) reads them with `.load()`.
 struct StoreMetrics {
   // Append path.
   std::atomic<uint64_t> appends{0};
@@ -21,8 +20,8 @@ struct StoreMetrics {
   std::atomic<uint64_t> fsync_nanos_total{0};
   std::atomic<uint64_t> fsync_nanos_max{0};
 
-  // Background compaction (write amplification = bytes_written /
-  // live bytes carried forward).
+  // Compaction (write amplification = bytes_written / live bytes carried
+  // forward).
   std::atomic<uint64_t> compactions{0};
   std::atomic<uint64_t> compaction_bytes_in{0};   // sealed bytes examined
   std::atomic<uint64_t> compaction_bytes_out{0};  // bytes rewritten
@@ -39,9 +38,8 @@ struct StoreMetrics {
   void RecordFsync(uint64_t nanos) {
     fsyncs.fetch_add(1, std::memory_order_relaxed);
     fsync_nanos_total.fetch_add(nanos, std::memory_order_relaxed);
-    uint64_t prev = fsync_nanos_max.load(std::memory_order_relaxed);
-    while (prev < nanos && !fsync_nanos_max.compare_exchange_weak(
-                               prev, nanos, std::memory_order_relaxed)) {
+    if (nanos > fsync_nanos_max.load(std::memory_order_relaxed)) {
+      fsync_nanos_max.store(nanos, std::memory_order_relaxed);
     }
   }
 };

@@ -66,7 +66,6 @@ store::CheckpointLogConfig RejectingLogConfig(const std::string& name) {
   store::CheckpointLogConfig config;
   config.directory = dir.string();
   config.fsync = store::FsyncPolicy::kNever;
-  config.background_compaction = false;
   // Every realistic checkpoint frame exceeds this, so each durable
   // append fails deterministically (the log's malformed-append guard).
   config.max_payload = 1;
@@ -83,7 +82,7 @@ TEST(BackupStoreTest, DiskModeFailedAppendStoresNothing) {
   ASSERT_TRUE(log.ok());
   BackupStore store;
   store.AttachDurable(log->get(), BackupDurability::kDisk,
-                      /*compress=*/false, /*audit=*/nullptr);
+                      /*audit=*/nullptr);
   const Status stored = store.Store(1, 10, Ckpt(1, 5));
   EXPECT_FALSE(stored.ok());
   EXPECT_FALSE(store.Has(1));
@@ -99,7 +98,7 @@ TEST(BackupStoreTest, TieredModeFailedAppendKeepsMemoryCopy) {
   ASSERT_TRUE(log.ok());
   BackupStore store;
   store.AttachDurable(log->get(), BackupDurability::kTiered,
-                      /*compress=*/false, /*audit=*/nullptr);
+                      /*audit=*/nullptr);
   ASSERT_TRUE(store.Store(1, 10, Ckpt(1, 5)).ok());
   ASSERT_TRUE(store.Has(1));
   auto entry = store.Retrieve(1);

@@ -286,7 +286,8 @@ TEST(FrameCodecSweepTest, EverySingleBitFlipDecodesOrIsCorruption) {
 
 // ---------------------------------------------------------- chunk header
 
-TEST(ChunkHeaderTest, RoundTripsEveryField) {
+/// A chunk header with every field set.
+CkptChunkHeader FullChunkHeader() {
   CkptChunkHeader h;
   h.owner = 12;
   h.owner_op = 3;
@@ -297,6 +298,11 @@ TEST(ChunkHeaderTest, RoundTripsEveryField) {
   h.frame_bytes = 5u << 20;
   h.raw_bytes = 9u << 20;
   h.compressed = true;
+  return h;
+}
+
+TEST(ChunkHeaderTest, RoundTripsEveryField) {
+  const CkptChunkHeader h = FullChunkHeader();
 
   serde::Encoder enc;
   EncodeChunkHeader(h, &enc);
@@ -324,6 +330,36 @@ TEST(ChunkHeaderTest, TruncatedHeaderFails) {
   const std::vector<uint8_t> bytes(whole.begin(), whole.end() - 3);
   serde::Decoder dec(bytes);
   EXPECT_FALSE(DecodeChunkHeader(&dec).ok());
+}
+
+TEST(ChunkHeaderSweepTest, EveryStrictPrefixIsCorruption) {
+  serde::Encoder enc;
+  EncodeChunkHeader(FullChunkHeader(), &enc);
+  const std::vector<uint8_t>& bytes = enc.buffer();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    serde::Decoder dec(bytes.data(), len);
+    auto back = DecodeChunkHeader(&dec);
+    ASSERT_FALSE(back.ok()) << "prefix of " << len << " bytes accepted";
+    EXPECT_TRUE(back.status().IsCorruption());
+  }
+}
+
+TEST(ChunkHeaderSweepTest, EverySingleBitFlipDecodesOrIsCorruption) {
+  serde::Encoder enc;
+  EncodeChunkHeader(FullChunkHeader(), &enc);
+  const std::vector<uint8_t> bytes = enc.buffer();
+  size_t rejected = 0;
+  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    std::vector<uint8_t> damaged = bytes;
+    damaged[bit / 8] ^= uint8_t(1u << (bit % 8));
+    serde::Decoder dec(damaged);
+    auto back = DecodeChunkHeader(&dec);
+    if (!back.ok()) {
+      EXPECT_TRUE(back.status().IsCorruption());
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(ChunkHeaderTest, CompressionFlagIsZeroOrOne) {

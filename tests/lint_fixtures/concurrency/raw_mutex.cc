@@ -1,6 +1,6 @@
-// Fixture: violates no-raw-mutex. A std::mutex outside common/sync.h is
-// invisible to the thread safety analysis, the holder bookkeeping, and the
-// lock-order manifest. Never compiled.
+// Fixture: violates single-thread. With one thread there is nothing to
+// exclude, so no std lock type, condition variable or their headers may
+// appear. Never compiled.
 #include <mutex>
 
 struct RawLocker {

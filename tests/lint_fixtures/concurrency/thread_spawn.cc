@@ -1,8 +1,9 @@
-// Fixture: violates thread-outside-store. Outside the durable store's
-// checkpoint log, nothing under src/ may start a thread; the driver thread
-// owns everything else, sockets included. Never compiled.
+// Fixture: violates single-thread. Nothing in the tree may start a thread;
+// the driver thread runs everything, sockets and store compaction included.
+// Never compiled.
 #include <pthread.h>
 
+#include <future>
 #include <thread>
 
 struct StartsItsOwnLoop {
@@ -10,9 +11,12 @@ struct StartsItsOwnLoop {
     loop_ = std::thread([this] { Run(); });
   }
   void StartRaw() { pthread_create(&raw_, nullptr, &Trampoline, this); }
+  void StartAsync() {
+    auto done = std::async(std::launch::async, [this] { Run(); });
+  }
   void Run();
   static void* Trampoline(void* self);
 
-  std::thread loop_ SEEP_UNGUARDED("owned exclusively by the starter");
-  pthread_t raw_ SEEP_UNGUARDED("owned exclusively by the starter");
+  std::thread loop_;
+  pthread_t raw_;
 };

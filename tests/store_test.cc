@@ -1,17 +1,23 @@
 // Unit tests for the durable checkpoint log (src/store/): append/read
 // roundtrips, tombstone terminality, reopen recovery, segment roll +
-// compaction, fsync policies — and the torn-write sweep, which truncates and
-// bit-flips the segment file at every frame boundary and checks that the
-// recovery scan never crashes, never resurrects a superseded or tombstoned
-// record, and reports exactly the surviving prefix.
+// inline compaction (and a compaction that fails under an append), fsync
+// policies, the record meta decoder's truncation and bit-flip sweeps, the
+// check that neither the log nor a kDisk cluster starts a thread — and the
+// torn-write sweep, which truncates and bit-flips the segment file at every
+// frame boundary and checks that the recovery scan never crashes, never
+// resurrects a superseded or tombstoned record, and reports exactly the
+// surviving prefix.
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -19,10 +25,13 @@
 
 #include <gtest/gtest.h>
 
+#include "serde/encoder.h"
 #include "serde/frame.h"
+#include "sps/sps.h"
 #include "store/checkpoint_log.h"
 #include "store/log_format.h"
 #include "store/segment.h"
+#include "workloads/wordcount/wordcount.h"
 
 namespace seep::store {
 namespace {
@@ -38,7 +47,6 @@ CheckpointLogConfig TestConfig(const std::string& dir) {
   CheckpointLogConfig config;
   config.directory = dir;
   config.fsync = FsyncPolicy::kNever;  // tests exercise scans, not platters
-  config.background_compaction = false;
   return config;
 }
 
@@ -214,23 +222,115 @@ TEST(CheckpointLogTest, CompactionSurvivesReopen) {
   EXPECT_TRUE(log->VerifyIndex().ok());
 }
 
-TEST(CheckpointLogTest, BackgroundCompactionRuns) {
-  CheckpointLogConfig config = TestConfig(FreshDir("bg_compact"));
+/// Small segments, and thresholds that one superseded record in a sealed
+/// segment meets, so appends compact as soon as they can.
+CheckpointLogConfig EagerCompactionConfig(const std::string& name) {
+  CheckpointLogConfig config = TestConfig(FreshDir(name));
   config.segment_bytes = 512;
   config.compact_min_bytes = 1;
   config.compact_min_dead_ratio = 0.1;
-  config.background_compaction = true;
-  auto log = MustOpen(config);
+  return config;
+}
+
+TEST(CheckpointLogTest, AppendsCompactInline) {
+  auto log = MustOpen(EagerCompactionConfig("inline_compact"));
   for (uint64_t seq = 1; seq <= 60; ++seq) {
     ASSERT_TRUE(Put(log.get(), 1, seq, 100).ok());
-  }
-  // The compactor thread races the appends; give it a bounded moment.
-  for (int i = 0; i < 200 && log->metrics().compactions.load() == 0; ++i) {
-    usleep(2000);
+    // A roll seals a segment of superseded records, and the same append
+    // compacts it away before it returns.
+    EXPECT_EQ(log->segment_count(), 1u) << "after seq " << seq;
   }
   EXPECT_GT(log->metrics().compactions.load(), 0u);
   EXPECT_EQ(log->Find(1)->seq, 60u);
+  EXPECT_EQ(log->ReadPayload(1).value(), FramedPayload(1, 60, 100));
+  EXPECT_TRUE(log->last_compaction_error().ok());
   EXPECT_TRUE(log->VerifyIndex().ok());
+}
+
+/// The id the log gives its next segment: one past the highest on disk.
+uint32_t NextSegmentId(const std::string& dir) {
+  uint32_t last = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    unsigned id = 0;
+    if (std::sscanf(entry.path().filename().c_str(), "seg-%8u.seeplog",
+                    &id) == 1) {
+      last = std::max<uint32_t>(last, id);
+    }
+  }
+  return last + 1;
+}
+
+TEST(CheckpointLogTest, FailedInlineCompactionKeepsTheAppend) {
+  const CheckpointLogConfig config = EagerCompactionConfig("compact_fails");
+  auto log = MustOpen(config);
+  // Distinct owners: the first segment seals with nothing dead in it.
+  InstanceId owner = 1;
+  while (log->segment_count() < 2) {
+    ASSERT_TRUE(Put(log.get(), owner, 1).ok());
+    ++owner;
+  }
+  ASSERT_EQ(log->metrics().compactions.load(), 0u);
+  // A directory where the compaction's output segment goes makes its open
+  // fail with EISDIR, root or not.
+  char name[32];
+  std::snprintf(name, sizeof(name), "seg-%08u.seeplog",
+                NextSegmentId(config.directory));
+  ASSERT_TRUE(std::filesystem::create_directory(
+      std::filesystem::path(config.directory) / name));
+
+  // Superseding owner 1 (in the sealed segment) meets both thresholds
+  // without rolling the active segment, so this append compacts inline.
+  ASSERT_TRUE(Put(log.get(), 1, 2).ok());
+  EXPECT_EQ(log->segment_count(), 2u);
+  EXPECT_EQ(log->Find(1)->seq, 2u);
+  EXPECT_EQ(log->ReadPayload(1).value(), FramedPayload(1, 2, 64));
+  EXPECT_FALSE(log->last_compaction_error().ok());
+  EXPECT_EQ(log->metrics().compactions.load(), 0u);
+  EXPECT_TRUE(log->VerifyIndex().ok());
+  for (InstanceId o = 2; o < owner; ++o) {
+    EXPECT_EQ(log->ReadPayload(o).value(), FramedPayload(o, 1, 64));
+  }
+
+  // The next append past the thresholds retries the pass under a fresh id.
+  ASSERT_TRUE(Put(log.get(), 2, 2).ok());
+  EXPECT_TRUE(log->last_compaction_error().ok());
+  EXPECT_EQ(log->metrics().compactions.load(), 1u);
+  EXPECT_EQ(log->Find(2)->seq, 2u);
+  EXPECT_TRUE(log->VerifyIndex().ok());
+}
+
+/// Threads of this process, sanitizer runtimes' own included.
+size_t ThreadCount() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
+
+TEST(SingleThreadTest, NeitherTheLogNorADiskClusterStartsAThread) {
+  const size_t threads = ThreadCount();
+  {
+    auto log = MustOpen(EagerCompactionConfig("single_thread"));
+    for (uint64_t seq = 1; seq <= 20; ++seq) {
+      ASSERT_TRUE(Put(log.get(), 1, seq, 100).ok());
+    }
+    ASSERT_GT(log->metrics().compactions.load(), 0u);
+    EXPECT_EQ(ThreadCount(), threads) << "after compacting appends";
+  }
+
+  workloads::wordcount::WordCountConfig wc;
+  wc.rate_tuples_per_sec = 100;
+  wc.vocabulary = 100;
+  sps::SpsConfig config;
+  config.cluster.backup_durability = runtime::BackupDurability::kDisk;
+  config.scaling.enabled = false;
+  auto query = workloads::wordcount::BuildWordCountQuery(wc);
+  sps::Sps sps(std::move(query.graph), config);
+  ASSERT_TRUE(sps.Deploy().ok());
+  sps.RunFor(12);
+  const CheckpointLog* log = sps.cluster().durable_log();
+  ASSERT_NE(log, nullptr);
+  ASSERT_GT(log->metrics().appends.load(), 0u);
+  EXPECT_EQ(ThreadCount(), threads) << "during a kDisk cluster run";
 }
 
 TEST(CheckpointLogTest, FsyncPolicies) {
@@ -249,6 +349,72 @@ TEST(CheckpointLogTest, FsyncPolicies) {
     const uint64_t before = log->metrics().fsyncs.load();
     ASSERT_TRUE(log->Flush().ok());  // explicit Flush still syncs
     EXPECT_EQ(log->metrics().fsyncs.load(), before + 1);
+  }
+}
+
+// ------------------------------------------------------------------------
+// Record meta decoder sweeps.
+
+/// A checkpoint meta with every field set, unframed: the bytes
+/// DecodeRecordMeta sees.
+std::vector<uint8_t> SweepMetaBytes() {
+  RecordMeta meta;
+  meta.owner = 4242;
+  meta.owner_op = 7;
+  meta.holder = 99;
+  meta.seq = 1u << 20;
+  meta.raw_bytes = 5u << 20;
+  meta.compressed = true;
+  meta.payload_bytes = 300;
+  const std::vector<uint8_t> framed = EncodeRecordHeader(meta);
+  return std::vector<uint8_t>(framed.begin() + serde::kFrameHeaderBytes,
+                              framed.end());
+}
+
+TEST(RecordMetaSweepTest, EveryStrictPrefixIsCorruption) {
+  const std::vector<uint8_t> bytes = SweepMetaBytes();
+  ASSERT_TRUE(DecodeRecordMeta(bytes.data(), bytes.size()).ok());
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    auto back = DecodeRecordMeta(bytes.data(), len);
+    ASSERT_FALSE(back.ok()) << "prefix of " << len << " bytes accepted";
+    EXPECT_TRUE(back.status().IsCorruption());
+  }
+}
+
+TEST(RecordMetaSweepTest, EverySingleBitFlipDecodesOrIsCorruption) {
+  const std::vector<uint8_t> bytes = SweepMetaBytes();
+  size_t rejected = 0;
+  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    std::vector<uint8_t> damaged = bytes;
+    damaged[bit / 8] ^= uint8_t(1u << (bit % 8));
+    auto back = DecodeRecordMeta(damaged.data(), damaged.size());
+    if (!back.ok()) {
+      EXPECT_TRUE(back.status().IsCorruption());
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(RecordMetaSweepTest, CompressionFlagIsZeroOrOne) {
+  for (uint8_t flag : {0, 1, 2, 255}) {
+    serde::Encoder enc;
+    enc.AppendU8(static_cast<uint8_t>(RecordType::kCheckpoint));
+    enc.AppendVarint64(3);    // owner
+    enc.AppendVarint64(1);    // owner_op
+    enc.AppendVarint64(2);    // holder
+    enc.AppendVarint64(8);    // seq
+    enc.AppendVarint64(100);  // raw_bytes
+    enc.AppendU8(flag);       // compressed
+    enc.AppendVarint64(64);   // payload_bytes
+    auto back = DecodeRecordMeta(enc.buffer().data(), enc.buffer().size());
+    if (flag <= 1) {
+      ASSERT_TRUE(back.ok()) << int(flag);
+      EXPECT_EQ(back->compressed, flag == 1);
+    } else {
+      ASSERT_FALSE(back.ok()) << "flag " << int(flag) << " accepted";
+      EXPECT_TRUE(back.status().IsCorruption());
+    }
   }
 }
 

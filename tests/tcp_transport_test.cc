@@ -319,20 +319,17 @@ TEST(TcpTransportIntegration, CorrelatedKillRecoversFromDurableLogOverTcp) {
 
 TEST(TcpTransportIntegration, DetachMidFlightKeepsPumpAccountingCoherent) {
   // Regression for the DetachVm path that zeroed the in-flight delivery
-  // accounting outside Impl::mu (rule: every inbox / in_flight access
-  // holds the lock — SEEP_GUARDED_BY(mu), checked statically by SEEP_TSA
-  // and dynamically by the TSan CI job, which runs this suite). Racing the
-  // detach against live worker deliveries either corrupted the counters —
-  // wedging the pump's cv wait forever — or tripped TSan. A short horizon
-  // with a VM hard-killed while its frames are still in flight hangs here
-  // (test timeout) if the fix regresses.
+  // accounting while the detached VM's frames were still being delivered,
+  // corrupting the counters and wedging the pump's wait forever. A short
+  // horizon with a VM hard-killed while its frames are still in flight
+  // hangs here (test timeout) if the fix regresses.
   const WordCountConfig wc = BaseWorkload();
   sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
   RunOutcome outcome = RunQuery(wc, config, 60, [](sps::Sps& sps) {
     sps.InjectFailure(/*counter op id=*/2, /*at_seconds=*/12);
   });
-  // The run drained: the killed VM's in-flight frames were written off
-  // under the lock, the pump woke, and recovery completed over TCP.
+  // The run drained: the killed VM's in-flight frames were written off,
+  // the pump woke, and recovery completed over TCP.
   EXPECT_EQ(outcome.recoveries_completed, 1u);
   EXPECT_GT(outcome.tcp_messages_delivered, 0u);
   EXPECT_GE(outcome.disconnects_observed, 1u);

@@ -3,7 +3,9 @@
 # <base-ref> (from a temporary `git archive` export) and the working tree in
 # Release, runs the named figure benches on both, blanks the wall-clock
 # columns google-benchmark prints, and diffs the output. The simulation is
-# deterministic, so any remaining difference is a semantic change.
+# deterministic, so any remaining difference is a semantic change. Each
+# verdict line also gives the bench's wall clock on both sides, e.g.
+# `same: bench_fig11_recovery_modes (base 12.1 s, head 11.4 s)`.
 #
 # Usage: tools/diff_figure_tables.sh <base-ref> [bench...]
 #   tools/diff_figure_tables.sh HEAD~1                 # all 11 figure benches
@@ -18,7 +20,7 @@
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
-  sed -n '2,16p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 fi
 
@@ -61,19 +63,29 @@ normalize() {
   sed -E 's/[[:space:]]+[0-9.]+ (ns|us|ms|s)[[:space:]]+[0-9.]+ (ns|us|ms|s)[[:space:]]+/ <wall> <cpu> /'
 }
 
+# Wall clock since <start> (from `date +%s%N`) in seconds, one decimal.
+seconds_since() {
+  local tenths=$((($(date +%s%N) - $1) / 100000000))
+  echo "$((tenths / 10)).$((tenths % 10))"
+}
+
 status=0
 for bench in "${benches[@]}"; do
+  declare -A wall=()
   for side in base head; do
     bin="${work}/base-build/bench/${bench}"
     [[ ${side} == head ]] && bin="${repo_root}/build-figtables/bench/${bench}"
     mkdir -p "${work}/run-${side}"
+    start="$(date +%s%N)"
     (cd "${work}/run-${side}" && "${bin}" 2>/dev/null) | normalize \
         >"${work}/${bench}.${side}"
+    wall[${side}]="$(seconds_since "${start}")"
   done
+  times="(base ${wall[base]} s, head ${wall[head]} s)"
   if diff -u "${work}/${bench}.base" "${work}/${bench}.head"; then
-    echo "same: ${bench}"
+    echo "same: ${bench} ${times}"
   else
-    echo "DIFFERENT: ${bench}"
+    echo "DIFFERENT: ${bench} ${times}"
     status=1
   fi
 done
