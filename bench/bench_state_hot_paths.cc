@@ -4,7 +4,8 @@
 // reference implementation — unsorted linear-scan filters, map-rebuild delta
 // application, vector-erase trims and a byte-at-a-time encoder without
 // reservation — plus the operators' own get-processing-state at the state
-// sizes the LRB benchmark reaches and the word counter's per-tuple Process.
+// sizes the LRB benchmark reaches, the word counter's per-tuple Process, and
+// the word-count source's per-sentence generation and Zipf draw.
 // Results go to stdout and BENCH_state_hot_paths.json.
 //
 // Usage: bench_state_hot_paths [output.json]
@@ -537,9 +538,58 @@ void BenchOperatorProcess(std::vector<ProcessRow>* rows, int reps) {
   rows->push_back(ProcessRow{"WordCounter", kWords, ns});
 }
 
+// ----------------------------------------------------------- source generate
+// The word-count source's per-sentence work (20 Zipf(1 000, 0.9) words drawn,
+// formatted and emitted), and the Zipf draw alone at the word-count and
+// top-k parameters. The draws' checksum shows that two builds compared here
+// drew the same sequence.
+
+struct GenerateRow {
+  std::string what;
+  size_t items;
+  double ns_per_item;
+  uint64_t checksum;  // sum of the draws; 0 for the source
+};
+
+void BenchSourceGenerate(std::vector<GenerateRow>* rows, int reps) {
+  namespace wc = workloads::wordcount;
+  constexpr size_t kSentences = 20'000;
+  wc::WordCountConfig config;
+  config.rate_tuples_per_sec = kSentences;  // one 1 s batch
+  wc::SentenceSource source(config, 0, 1);
+  DiscardCollector discard;
+  const double source_us = TimeUs(
+      reps, [&] { source.GenerateBatch(0, SecondsToSim(1), &discard); });
+  rows->push_back(GenerateRow{
+      "SentenceSource", kSentences,
+      source_us * 1000.0 / static_cast<double>(kSentences), 0});
+
+  constexpr size_t kDraws = 1'000'000;
+  for (const auto& [n, skew] :
+       {std::pair<uint64_t, double>{1000, 0.9}, {300, 1.0}}) {
+    const ZipfDistribution zipf(n, skew);
+    Rng rng(0x5EED);
+    uint64_t checksum = 0;
+    const double us = TimeUs(reps, [&] {
+      for (size_t i = 0; i < kDraws; ++i) checksum += zipf.Sample(&rng);
+    });
+    char what[48];
+    std::snprintf(what, sizeof(what), "Zipf(%llu, %.1f)",
+                  static_cast<unsigned long long>(n), skew);
+    rows->push_back(GenerateRow{
+        what, kDraws, us * 1000.0 / static_cast<double>(kDraws), checksum});
+  }
+  for (const GenerateRow& r : *rows) {
+    std::printf("%-15s %9zu %14.1f %20llu\n", r.what.c_str(), r.items,
+                r.ns_per_item, static_cast<unsigned long long>(r.checksum));
+  }
+  std::fflush(stdout);
+}
+
 void WriteJson(FILE* f, const std::vector<Row>& rows,
                const std::vector<CaptureRow>& captures,
-               const std::vector<ProcessRow>& processes) {
+               const std::vector<ProcessRow>& processes,
+               const std::vector<GenerateRow>& generates) {
   std::fprintf(f, "{\n  \"bench\": \"state_hot_paths\",\n  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -567,6 +617,16 @@ void WriteJson(FILE* f, const std::vector<Row>& rows,
                  "\"ns_per_tuple\": %.1f}%s\n",
                  p.op, p.tuples, p.ns_per_tuple,
                  i + 1 < processes.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"source_generate\": [\n");
+  for (size_t i = 0; i < generates.size(); ++i) {
+    const GenerateRow& g = generates[i];
+    std::fprintf(f,
+                 "    {\"what\": \"%s\", \"items\": %zu, "
+                 "\"ns_per_item\": %.1f, \"checksum\": %llu}%s\n",
+                 g.what.c_str(), g.items, g.ns_per_item,
+                 static_cast<unsigned long long>(g.checksum),
+                 i + 1 < generates.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
 }
@@ -602,7 +662,12 @@ int Main(int argc, char** argv) {
   std::printf("%-15s %9s %14s\n", "operator", "tuples", "ns/tuple");
   std::vector<ProcessRow> processes;
   BenchOperatorProcess(&processes, 10);
-  WriteJson(f, rows, captures, processes);
+  std::printf("\n==== Source generate ====\n");
+  std::printf("%-15s %9s %14s %20s\n", "what", "items", "ns/item",
+              "checksum");
+  std::vector<GenerateRow> generates;
+  BenchSourceGenerate(&generates, 10);
+  WriteJson(f, rows, captures, processes, generates);
   std::fclose(f);
   std::printf("wrote %s\n", out);
   return 0;

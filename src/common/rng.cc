@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <limits>
 
 namespace seep {
 
@@ -16,10 +17,15 @@ ZipfDistribution::ZipfDistribution(uint64_t n, double s)
       s_(s),
       e_(1.0 - s),
       log_form_(std::abs(1.0 - s) < 1e-12),
-      h_x1_(HIntegral(1.5) - H(1.0)),
       h_n_(HIntegral(static_cast<double>(n) + 0.5)),
-      h_half_(HIntegral(0.5)) {
+      h_half_(HIntegral(0.5)),
+      accept_(n, std::numeric_limits<double>::quiet_NaN()) {
   SEEP_CHECK_GT(n, 0u);
+  // Sample has no squeeze test (accept k at once if k - x <= HIntegral(1.5)
+  // - H(1)): for s >= 0 its right side is at most -0.5, and k = floor(x +
+  // 0.5) keeps k - x above -0.5 (short of the clamp at n, which only a
+  // uniform within rounding of its top end reaches), so it never holds.
+  SEEP_CHECK_GE(s, 0.0);
 }
 
 double ZipfDistribution::HIntegral(double x) const {
@@ -43,9 +49,10 @@ uint64_t ZipfDistribution::Sample(Rng* rng) const {
     double k = std::floor(x + 0.5);
     if (k < 1.0) k = 1.0;
     if (k > static_cast<double>(n_)) k = static_cast<double>(n_);
-    if (k - x <= h_x1_ || u >= HIntegral(k + 0.5) - H(k)) {
-      return static_cast<uint64_t>(k) - 1;
-    }
+    const auto rank = static_cast<uint64_t>(k) - 1;
+    double& bound = accept_[rank];
+    if (std::isnan(bound)) bound = HIntegral(k + 0.5) - H(k);
+    if (u >= bound) return rank;
   }
 }
 

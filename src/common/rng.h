@@ -2,6 +2,7 @@
 #define SEEP_COMMON_RNG_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/macros.h"
 
@@ -73,10 +74,15 @@ class Rng {
   uint64_t state_[4];
 };
 
-/// Zipf-distributed integers in [0, n) with skew parameter `s`, drawn by the
-/// rejection-inversion method of Hörmann & Derflinger (1996): O(1) per draw
-/// without a harmonic table. The three constants that depend only on (n, s)
-/// are computed once here, so a draw skips the four pow/log calls they cost.
+/// Zipf-distributed integers in [0, n) with skew parameter `s` >= 0, drawn
+/// by the rejection-inversion method of Hörmann & Derflinger (1996). A draw
+/// inverts one uniform to a candidate rank k (one pow, or one exp at s = 1)
+/// and accepts k when the uniform reaches k's bound HIntegral(k + 0.5) - H(k).
+/// The bound depends on the rank alone, so Sample computes it by that
+/// expression on the rank's first draw and reads it from a table of n
+/// doubles afterwards: the draws are bit-identical to recomputing it, and a
+/// distribution pays the bound's two calls once per rank it draws, not once
+/// per draw.
 /// n = 1 always yields 0 and consumes no randomness.
 class ZipfDistribution {
  public:
@@ -95,9 +101,11 @@ class ZipfDistribution {
   double s_;
   double e_;       // 1 - s
   bool log_form_;  // s == 1: the integral of x^-s is log x
-  double h_x1_;    // HIntegral(1.5) - H(1)
   double h_n_;     // HIntegral(n + 0.5)
   double h_half_;  // HIntegral(0.5)
+  // Rank k's acceptance bound at [k - 1]; NaN until k is first drawn.
+  // Filled lazily, as ProcessingState sorts, so Sample stays const.
+  mutable std::vector<double> accept_;
 };
 
 }  // namespace seep

@@ -24,8 +24,9 @@ class Collector {
   /// latency accounting; timestamp and origin are stamped by the runtime.
   virtual void EmitTo(int port, Tuple tuple) = 0;
 
-  /// Emits on port 0 — the common single-downstream case.
-  void Emit(Tuple tuple) { EmitTo(0, std::move(tuple)); }
+  /// Emits on port 0 — the common single-downstream case. The tuple moves
+  /// once, into EmitTo.
+  void Emit(Tuple&& tuple) { EmitTo(0, std::move(tuple)); }
 };
 
 /// The paper's operator function fo (§2.2): deterministic, no externally

@@ -265,10 +265,6 @@ void TupleBuffer::MaybeCompact() {
 
 // -------------------------------------------------------------------- Buffer
 
-void BufferState::Append(OperatorId downstream, Tuple t) {
-  buffers_[downstream].Append(std::move(t));
-}
-
 size_t BufferState::Trim(OperatorId downstream, int64_t up_to) {
   auto it = buffers_.find(downstream);
   if (it == buffers_.end()) return 0;
@@ -336,6 +332,11 @@ void BufferState::Encode(serde::Encoder* enc) const {
     for (uint64_t j = 0; j < n_tuples; ++j) {
       if (!scratch.DecodeFrom(dec)) {
         return Status::Corruption("truncated or corrupt buffered tuple");
+      }
+      // Trims binary-search the buffer, so it must be in timestamp order
+      // (equal timestamps are legal, as in Append).
+      if (!buf.empty() && scratch.timestamp < buf.back().timestamp) {
+        return Status::Corruption("buffered tuples out of timestamp order");
       }
       buf.Append(std::move(scratch));
     }

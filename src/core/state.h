@@ -148,11 +148,13 @@ class TupleBuffer {
   TupleBuffer(TupleBuffer&&) = default;
   TupleBuffer& operator=(TupleBuffer&&) = default;
 
-  void Append(Tuple t) {
-    // UpperBound/Trim binary-search on timestamp order; an out-of-order
-    // append would silently corrupt trims.
-    SEEP_DCHECK(tuples_.empty() || tuples_.back().timestamp <= t.timestamp);
-    bytes_ += t.SerializedSize();
+  /// Appends a copy of `t`, constructed in place.
+  void Append(const Tuple& t) {
+    Admit(t);
+    tuples_.push_back(t);
+  }
+  void Append(Tuple&& t) {
+    Admit(t);
     tuples_.push_back(std::move(t));
   }
 
@@ -185,6 +187,12 @@ class TupleBuffer {
   size_t TrimBeforeEventTime(SimTime cutoff);
 
  private:
+  void Admit(const Tuple& t) {
+    // UpperBound/Trim binary-search on timestamp order; an out-of-order
+    // append would silently corrupt trims.
+    SEEP_DCHECK(tuples_.empty() || tuples_.back().timestamp <= t.timestamp);
+    bytes_ += t.SerializedSize();
+  }
   void MaybeCompact();
 
   std::vector<Tuple> tuples_;
@@ -197,7 +205,12 @@ class TupleBuffer {
 /// downstream restore; trimmed on checkpoint acknowledgements.
 class BufferState {
  public:
-  void Append(OperatorId downstream, Tuple t);
+  void Append(OperatorId downstream, const Tuple& t) {
+    buffers_[downstream].Append(t);
+  }
+  void Append(OperatorId downstream, Tuple&& t) {
+    buffers_[downstream].Append(std::move(t));
+  }
 
   /// Drops all tuples for `downstream` with timestamp <= up_to (the paper's
   /// trim(o, τ)). Returns the number of tuples dropped.

@@ -1,6 +1,6 @@
 #include "runtime/emission_router.h"
 
-#include <map>
+#include <algorithm>
 
 #include "common/macros.h"
 #include "runtime/cluster.h"
@@ -18,25 +18,54 @@ EmissionRouter::EmissionRouter(Cluster* cluster, OperatorInstance* instance,
 void EmissionRouter::Flush(
     std::vector<std::pair<int, core::Tuple>>* emissions,
     const std::vector<bool>* suppressed) {
-  std::map<InstanceId, core::TupleBatch> outgoing;
+  // Pass 1, in emission order: stamp, buffer and route each tuple, noting
+  // its destination and counting the tuples bound for each.
+  dests_.clear();
+  fanout_.clear();
   for (size_t i = 0; i < emissions->size(); ++i) {
     auto& [port, tuple] = (*emissions)[i];
     SEEP_CHECK_LT(static_cast<size_t>(port), downstream_ops_.size());
     const OperatorId down = downstream_ops_[static_cast<size_t>(port)];
     tuple.timestamp = ++out_clock_;
     tuple.origin = inst_->origin();
+    InstanceId dest = kInvalidInstance;
     // Suppressed emissions rebuild state only; the stopped parent already
     // delivered (and buffered through its checkpoint) these outputs.
-    if (suppressed != nullptr && (*suppressed)[i]) continue;
-    if (BuffersTo(down)) inst_->buffer_state().Append(down, tuple);
-    const InstanceId dest = cluster_->routing()->RouteKey(down, tuple.key);
+    if (suppressed == nullptr || !(*suppressed)[i]) {
+      if (BuffersTo(down)) inst_->buffer_state().Append(down, tuple);
+      dest = cluster_->routing()->RouteKey(down, tuple.key);
+    }
+    dests_.push_back(dest);
     if (dest == kInvalidInstance) continue;
     trims_->NoteSent(down, dest, tuple.timestamp);
-    outgoing[dest].tuples.push_back(std::move(tuple));
+    auto it = std::find_if(fanout_.begin(), fanout_.end(),
+                           [dest](const auto& f) { return f.first == dest; });
+    if (it == fanout_.end()) {
+      fanout_.emplace_back(dest, 1);
+    } else {
+      ++it->second;
+    }
+  }
+  // Batches go out in ascending destination order (the order the sim's
+  // events, and so every figure, depend on), each sized exactly.
+  std::sort(fanout_.begin(), fanout_.end());
+  std::vector<core::TupleBatch> batches(fanout_.size());
+  for (size_t b = 0; b < fanout_.size(); ++b) {
+    batches[b].tuples.reserve(fanout_[b].second);
+  }
+  // Pass 2: move each routed tuple into its batch, in emission order.
+  for (size_t i = 0; i < emissions->size(); ++i) {
+    if (dests_[i] == kInvalidInstance) continue;
+    const auto it = std::lower_bound(
+        fanout_.begin(), fanout_.end(), dests_[i],
+        [](const auto& f, InstanceId dest) { return f.first < dest; });
+    batches[static_cast<size_t>(it - fanout_.begin())].tuples.push_back(
+        std::move((*emissions)[i].second));
   }
   bool pressured = false;
-  for (auto& [dest, batch] : outgoing) {
-    if (cluster_->transport()->SendBatch(inst_, dest, std::move(batch)) ==
+  for (size_t b = 0; b < fanout_.size(); ++b) {
+    if (cluster_->transport()->SendBatch(inst_, fanout_[b].first,
+                                         std::move(batches[b])) ==
         SendPressure::kPressured) {
       pressured = true;
     }

@@ -59,6 +59,12 @@ class EmissionRouter {
   core::InputPositions suppress_until_;
   bool suppressing_ = false;
   std::vector<OperatorId> downstream_ops_;  // port order (graph edge order)
+
+  // Flush's scratch, reused across flushes: each emission's destination
+  // (kInvalidInstance when suppressed or unrouted), and the number of
+  // tuples per destination.
+  std::vector<InstanceId> dests_;
+  std::vector<std::pair<InstanceId, size_t>> fanout_;
 };
 
 }  // namespace seep::runtime

@@ -1,6 +1,9 @@
 #include "workloads/wordcount/wordcount.h"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
+#include <limits>
 
 #include "common/hash.h"
 #include "serde/decoder.h"
@@ -34,15 +37,21 @@ void SentenceSource::GenerateBatch(SimTime now, SimTime dt,
     core::Tuple t;
     t.event_time = now;
     t.key = rng_.Next();
-    std::string sentence;
-    sentence.reserve(config_.words_per_sentence * 8);
+    t.text.reserve(config_.words_per_sentence * 8);
     for (size_t w = 0; w < config_.words_per_sentence; ++w) {
-      if (w > 0) sentence += ' ';
-      sentence += WordAt(word_rank_.Sample(&rng_));
+      if (w > 0) t.text += ' ';
+      AppendWord(&t.text, word_rank_.Sample(&rng_));
     }
-    t.text = std::move(sentence);
     emit->Emit(std::move(t));
   }
+}
+
+void SentenceSource::AppendWord(std::string* out, size_t index) {
+  char digits[std::numeric_limits<size_t>::digits10 + 1];
+  const char* const end =
+      std::to_chars(std::begin(digits), std::end(digits), index).ptr;
+  out->push_back('w');
+  out->append(digits, static_cast<size_t>(end - digits));
 }
 
 // ------------------------------------------------------------------ splitter
@@ -56,7 +65,7 @@ void WordSplitter::Process(const core::Tuple& input, core::Collector* out) {
     if (end > start) {
       core::Tuple word;
       word.event_time = input.event_time;
-      word.text = s.substr(start, end - start);
+      word.text.assign(s, start, end - start);
       word.key = HashBytes(word.text);
       out->Emit(std::move(word));
     }

@@ -59,9 +59,14 @@ class SentenceSource : public core::SourceGenerator {
   void GenerateBatch(SimTime now, SimTime dt, core::Collector* emit) override;
   double TargetRate(SimTime now) const override;
 
-  /// The word with this vocabulary index ("w0", "w1", ...).
+  /// Appends the word with this vocabulary index ("w0", "w1", ...).
+  static void AppendWord(std::string* out, size_t index);
+
+  /// The word with this vocabulary index.
   static std::string WordAt(size_t index) {
-    return "w" + std::to_string(index);
+    std::string word;
+    AppendWord(&word, index);
+    return word;
   }
 
  private:

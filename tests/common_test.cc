@@ -185,6 +185,8 @@ TEST(RngTest, ZipfMatchesPerCallFormulaBitForBit) {
       {100000, 0.9},
       {50, 1.5},
       {7, 0.2},
+      {2, 0.9},
+      {1000, 0.0},  // uniform: s = 0 is the smallest skew accepted
       {1, 0.9},
       {1, 1.0},
   };
@@ -197,6 +199,10 @@ TEST(RngTest, ZipfMatchesPerCallFormulaBitForBit) {
     }
     EXPECT_EQ(fast.Next(), reference.Next());
   }
+}
+
+TEST(RngDeathTest, ZipfRejectsNegativeSkew) {
+  EXPECT_DEATH(ZipfDistribution(10, -0.1), "s >= 0");
 }
 
 TEST(RngTest, ForkProducesIndependentStream) {

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/key_range.h"
@@ -177,6 +179,56 @@ TEST(BufferStateTest, SerdeRoundtrip) {
   EXPECT_EQ(back.value().Get(3)->front().origin, 9u);
 }
 
+TEST(BufferStateTest, LvalueAppendCopiesAndRvalueAppendMoves) {
+  BufferState buffer;
+  const std::string text(64, 'w');  // past the short-string buffer
+  Tuple kept = MakeTuple(1, 7);
+  kept.text = text;
+  buffer.Append(3, kept);
+  EXPECT_EQ(kept.text, text);
+  EXPECT_EQ(buffer.Get(3)->back().text, text);
+
+  Tuple taken = MakeTuple(2, 8);
+  taken.text = text;
+  const char* const storage = taken.text.data();
+  buffer.Append(3, std::move(taken));
+  EXPECT_EQ(buffer.Get(3)->back().text.data(), storage);
+
+  size_t bytes = 0;
+  for (const Tuple& t : *buffer.Get(3)) bytes += t.SerializedSize();
+  EXPECT_EQ(buffer.Get(3)->size(), 2u);
+  EXPECT_EQ(buffer.Get(3)->ByteSize(), bytes);
+  EXPECT_EQ(buffer.ByteSize(), bytes);
+}
+
+// One downstream buffer holding tuples stamped `first` then `second`.
+std::vector<uint8_t> EncodeTwoTupleBuffer(int64_t first, int64_t second) {
+  serde::Encoder enc;
+  enc.AppendVarint64(1);  // buffers
+  enc.AppendFixed32(4);   // downstream op
+  enc.AppendVarint64(2);  // tuples
+  MakeTuple(first, 1).Encode(&enc);
+  MakeTuple(second, 2).Encode(&enc);
+  return enc.buffer();
+}
+
+TEST(BufferStateTest, DecodeRejectsTimestampsThatGoBackwards) {
+  // Trims binary-search a buffer by timestamp, so a decoded buffer that
+  // goes backwards would be trimmed wrongly.
+  const std::vector<uint8_t> backwards = EncodeTwoTupleBuffer(9, 3);
+  serde::Decoder dec(backwards);
+  auto back = BufferState::Decode(&dec);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsCorruption()) << back.status().message();
+
+  // Equal timestamps stay legal, as Append allows them.
+  const std::vector<uint8_t> level = EncodeTwoTupleBuffer(9, 9);
+  serde::Decoder level_dec(level);
+  auto same = BufferState::Decode(&level_dec);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same.value().Get(4)->size(), 2u);
+}
+
 TEST(BufferStatePinTest, EncodingMatchesTheAppendReference) {
   // Edge values per field (extremes, zero, the zigzag one-to-two-byte
   // boundaries) and texts around the one-byte length limits, over three
@@ -294,6 +346,71 @@ TEST(StateCheckpointTest, CorruptedWireRejected) {
   auto raw = MakeCheckpoint(2, 10).Serialize();
   raw[raw.size() / 2] ^= 0x80;
   EXPECT_FALSE(StateCheckpoint::Deserialize(raw).ok());
+}
+
+// A delta checkpoint with two downstream buffers of six tuples each, so the
+// sweeps below reach every field StateCheckpoint::Decode reads.
+std::vector<uint8_t> SweepCheckpointBytes() {
+  StateCheckpoint c = MakeCheckpoint(3, 4);
+  for (OperatorId op : {4u, 7u}) {
+    for (int64_t ts = 2000; ts < 2006; ++ts) {
+      Tuple t = MakeTuple(ts, static_cast<KeyHash>(ts * op), ts);
+      t.origin = 99;
+      t.text = "w" + std::to_string(ts % 97);
+      c.buffer.Append(op, std::move(t));
+    }
+  }
+  c.is_delta = true;
+  c.base_seq = 4;
+  c.deleted_keys = {11, 12};
+  c.buffer_front[4] = 1000;
+  c.buffer_front[7] = 2000;
+  serde::Encoder enc;
+  c.Encode(&enc);
+  return enc.buffer();
+}
+
+bool BuffersSorted(const StateCheckpoint& c) {
+  for (const auto& [op, tuples] : c.buffer.buffers()) {
+    if (!std::is_sorted(tuples.begin(), tuples.end(),
+                        [](const Tuple& a, const Tuple& b) {
+                          return a.timestamp < b.timestamp;
+                        })) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(StateCheckpointSweepTest, EveryStrictPrefixIsCorruption) {
+  const std::vector<uint8_t> bytes = SweepCheckpointBytes();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    serde::Decoder dec(bytes.data(), len);
+    auto back = StateCheckpoint::Decode(&dec);
+    ASSERT_FALSE(back.ok()) << "prefix of " << len << " bytes accepted";
+    EXPECT_TRUE(back.status().IsCorruption());
+  }
+}
+
+TEST(StateCheckpointSweepTest, EverySingleBitFlipDecodesSortedOrIsCorruption) {
+  // The payload behind a valid crc32c: a flip the checksum would catch is
+  // still fed to the decoder, which must return a checkpoint whose buffers
+  // the trims can binary-search, or Corruption; never abort.
+  const std::vector<uint8_t> bytes = SweepCheckpointBytes();
+  size_t rejected = 0;
+  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    std::vector<uint8_t> damaged = bytes;
+    damaged[bit / 8] ^= uint8_t(1u << (bit % 8));
+    serde::Decoder dec(damaged);
+    auto back = StateCheckpoint::Decode(&dec);
+    if (back.ok()) {
+      EXPECT_TRUE(BuffersSorted(back.value())) << "bit " << bit;
+    } else {
+      EXPECT_TRUE(back.status().IsCorruption());
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 // ------------------------------------------------ Partition/Merge (Alg. 2)

@@ -2,9 +2,15 @@
 // TrimTracker's ack/trim semantics (standalone, with an injected buffer and
 // membership), JobScheduler's FIFO/pause/priority behaviour (standalone,
 // with a fake host), and CheckpointPlane suspension plus source catch-up on
-// a minimal deployed query.
+// a minimal deployed query, and the EmissionRouter's delivery to a
+// scaled-out downstream.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/hash.h"
 #include "control/deployment_manager.h"
@@ -12,6 +18,7 @@
 #include "runtime/job_scheduler.h"
 #include "runtime/operator_instance.h"
 #include "runtime/trim_tracker.h"
+#include "sps/sps.h"
 
 namespace seep::runtime {
 namespace {
@@ -331,6 +338,94 @@ TEST(OperatorInstanceTest, PausedSourceOwesTimeAndCatchesUpOnResume) {
   src->Resume();
   sim->RunUntil(SecondsToSim(30));
   EXPECT_NEAR(static_cast<double>(*q.received), 3000, 60);
+}
+
+// ------------------------------------------------------- EmissionRouter
+// (on a deployed query whose downstream runs three instances)
+
+// (origin, timestamp) of each input one downstream instance processed.
+using Arrivals = std::vector<std::pair<core::OriginId, int64_t>>;
+
+class RecordingOperator : public core::Operator {
+ public:
+  explicit RecordingOperator(std::shared_ptr<Arrivals> arrivals)
+      : arrivals_(std::move(arrivals)) {}
+  void Process(const core::Tuple& input, core::Collector*) override {
+    arrivals_->emplace_back(input.origin, input.timestamp);
+  }
+
+ private:
+  std::shared_ptr<Arrivals> arrivals_;
+};
+
+TEST(EmissionRouterTest, ScaledOutDownstreamGetsEveryTupleOnceInOrder) {
+  // Each 100 ms source tick is one flush of 200 tuples spread over three
+  // downstream instances by key.
+  auto per_instance =
+      std::make_shared<std::vector<std::shared_ptr<Arrivals>>>();
+  core::QueryGraph graph;
+  const OperatorId source = graph.AddSource("src", [](uint32_t, uint32_t) {
+    return std::make_unique<SteadySource>(2000);
+  });
+  const OperatorId op = graph.AddOperator(
+      "rec",
+      [per_instance] {
+        per_instance->push_back(std::make_shared<Arrivals>());
+        return std::make_unique<RecordingOperator>(per_instance->back());
+      },
+      /*stateful=*/false);
+  auto sunk = std::make_shared<uint64_t>(0);
+  const OperatorId sink = graph.AddSink(
+      "snk", [sunk] { return std::make_unique<TallySink>(sunk.get()); });
+  ASSERT_TRUE(graph.Connect(source, op).ok());
+  ASSERT_TRUE(graph.Connect(op, sink).ok());
+  sps::SpsConfig config;
+  config.scaling.enabled = false;
+  // No downstream checkpoint, so no acknowledgement trims the buffer.
+  config.cluster.checkpoint_interval = SecondsToSim(1000);
+  config.initial_parallelism = {{op, 3}};
+  sps::Sps sps(std::move(graph), config);
+  ASSERT_TRUE(sps.Deploy().ok());
+  ASSERT_EQ(sps.ParallelismOf(op), 3u);
+
+  OperatorInstance* src =
+      sps.cluster().GetInstance(sps.cluster().LiveInstancesOf(source).at(0));
+  sps.RunFor(5);
+  src->Pause();
+  sps.RunFor(2);  // drain what is in flight
+  const int64_t emitted = src->out_clock();
+  ASSERT_GT(emitted, 0);
+
+  // Each instance sees its tuples in timestamp order, and together they
+  // see every emission exactly once.
+  std::vector<int64_t> arrived;
+  size_t reached = 0;
+  for (const auto& arrivals : *per_instance) {
+    reached += arrivals->empty() ? 0 : 1;
+    for (size_t i = 0; i < arrivals->size(); ++i) {
+      EXPECT_EQ((*arrivals)[i].first, src->origin());
+      if (i > 0) {
+        EXPECT_LT((*arrivals)[i - 1].second, (*arrivals)[i].second);
+      }
+      arrived.push_back((*arrivals)[i].second);
+    }
+  }
+  EXPECT_GE(reached, 2u);
+  std::sort(arrived.begin(), arrived.end());
+  ASSERT_EQ(arrived.size(), static_cast<size_t>(emitted));
+  for (int64_t i = 0; i < emitted; ++i) {
+    ASSERT_EQ(arrived[static_cast<size_t>(i)], i + 1);
+  }
+
+  // The source's replay buffer holds every emission once, in order.
+  const core::TupleBuffer* buffered = src->buffer_state().Get(op);
+  ASSERT_NE(buffered, nullptr);
+  ASSERT_EQ(buffered->size(), static_cast<size_t>(emitted));
+  int64_t expect = 1;
+  for (const core::Tuple& t : *buffered) {
+    EXPECT_EQ(t.timestamp, expect++);
+    EXPECT_EQ(t.origin, src->origin());
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iterator>
 #include <map>
 #include <set>
@@ -747,6 +748,50 @@ TEST(WordCountSourceTest, SentencesHaveConfiguredShape) {
   // Each sentence has exactly 20 space-separated words.
   const std::string& s = out.emissions[0].second.text;
   EXPECT_EQ(std::count(s.begin(), s.end(), ' '), 19);
+}
+
+TEST(WordCountSourceTest, AppendWordMatchesToString) {
+  const size_t indices[] = {0,   9,    10, 99, 100, 999, 1000,
+                            size_t{1} << 32, SIZE_MAX};
+  for (size_t i : indices) {
+    std::string sentence = "x ";
+    wc::SentenceSource::AppendWord(&sentence, i);
+    EXPECT_EQ(sentence, "x w" + std::to_string(i));
+    EXPECT_EQ(wc::SentenceSource::WordAt(i), "w" + std::to_string(i));
+  }
+}
+
+// Hash of every field a workload reads (event time, key, integers, text)
+// over the first `n` tuples a source generates in 100 ms ticks.
+uint64_t Fingerprint(core::SourceGenerator* source, size_t n) {
+  TestCollector out;
+  for (SimTime now = 0; out.emissions.size() < n; now += MillisToSim(100)) {
+    source->GenerateBatch(now, MillisToSim(100), &out);
+  }
+  uint64_t h = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const core::Tuple& t = out.emissions[i].second;
+    h = HashCombine(h, static_cast<uint64_t>(t.event_time));
+    h = HashCombine(h, t.key);
+    for (int64_t v : t.ints) h = HashCombine(h, static_cast<uint64_t>(v));
+    h = HashCombine(h, HashBytes(t.text));
+  }
+  return h;
+}
+
+// The generated inputs are pinned: every word-count and top-k figure is
+// built on them, so a change to the sources' formatting or to the Zipf
+// sampler must reproduce these tuples exactly.
+TEST(SourceFingerprintTest, SentenceSourceIsPinned) {
+  wc::SentenceSource source(wc::WordCountConfig{}, 0, 1);
+  EXPECT_EQ(Fingerprint(&source, 2000), 0x5fa21b4965cd1005ull);
+}
+
+TEST(SourceFingerprintTest, PageViewSourceIsPinned) {
+  workloads::topk::TopKConfig config;
+  config.seed = 1;
+  workloads::topk::PageViewSource source(config, 0, 1);
+  EXPECT_EQ(Fingerprint(&source, 2000), 0xfb0209ff5b25f4c8ull);
 }
 
 // ----------------------------------------------------------------- Top-k
