@@ -6,22 +6,6 @@
 
 namespace seep::cloud {
 
-const char* VmStateName(VmState s) {
-  switch (s) {
-    case VmState::kProvisioning:
-      return "provisioning";
-    case VmState::kPooled:
-      return "pooled";
-    case VmState::kInUse:
-      return "in-use";
-    case VmState::kFailed:
-      return "failed";
-    case VmState::kReleased:
-      return "released";
-  }
-  return "unknown";
-}
-
 void CloudProvider::RequestVm(VmGrant on_ready) {
   const VmId id = next_id_++;
   Vm vm;

@@ -17,8 +17,6 @@ enum class VmState {
   kReleased,      // returned to the provider, no longer billed
 };
 
-const char* VmStateName(VmState s);
-
 /// A virtual machine. `capacity` expresses compute power relative to the
 /// reference core that per-tuple operator costs are calibrated against
 /// (paper: 1 EC2 compute unit ≈ 1.0–1.2 GHz 2007 Xeon).

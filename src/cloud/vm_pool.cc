@@ -10,8 +10,6 @@ VmPool::VmPool(sim::Simulation* sim, CloudProvider* provider,
                VmPoolConfig config)
     : sim_(sim), provider_(provider), config_(config) {}
 
-void VmPool::Prefill() { Refill(); }
-
 void VmPool::PrefillImmediate() {
   while (pooled_.size() < config_.target_size) {
     pooled_.push_back(provider_->RequestVmImmediate());

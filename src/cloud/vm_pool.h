@@ -33,9 +33,6 @@ class VmPool {
 
   VmPool(sim::Simulation* sim, CloudProvider* provider, VmPoolConfig config);
 
-  /// Pre-fills the pool to the target size (call once at deployment).
-  void Prefill();
-
   /// Pre-fills synchronously with immediately provisioned VMs, for initial
   /// deployments that happen before the measured run.
   void PrefillImmediate();

@@ -22,12 +22,6 @@ struct KeyRange {
   bool Contains(KeyHash k) const { return lo <= k && k <= hi; }
   bool operator==(const KeyRange& other) const = default;
 
-  /// Number of keys covered; saturates at UINT64_MAX for the full range.
-  uint64_t Width() const {
-    const uint64_t w = hi - lo;
-    return w == UINT64_MAX ? UINT64_MAX : w + 1;
-  }
-
   /// Splits this range into `n` contiguous, non-overlapping subranges that
   /// exactly cover it. Hash partitioning assumes uniform keys, so even splits
   /// balance load (paper Algorithm 2: "the key space can be distributed

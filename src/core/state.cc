@@ -360,12 +360,6 @@ InstanceId RoutingState::RouteKey(OperatorId downstream, KeyHash key) const {
   return kInvalidInstance;
 }
 
-const std::vector<RoutingState::Route>* RoutingState::GetRoutes(
-    OperatorId downstream) const {
-  auto it = table_.find(downstream);
-  return it == table_.end() ? nullptr : &it->second;
-}
-
 // ---------------------------------------------------------------- Checkpoint
 
 size_t StateCheckpoint::ByteSize() const {

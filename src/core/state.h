@@ -261,7 +261,6 @@ class RoutingState {
   /// kInvalidInstance if `downstream` has no routes (not deployed).
   InstanceId RouteKey(OperatorId downstream, KeyHash key) const;
 
-  const std::vector<Route>* GetRoutes(OperatorId downstream) const;
   const std::map<OperatorId, std::vector<Route>>& all() const {
     return table_;
   }

@@ -57,12 +57,6 @@ class BackupStore {
 
   BackupDurability durability() const { return mode_; }
 
-  /// kDisk keeps no in-memory entry, so in-place delta application (and
-  /// with it incremental checkpointing) degrades to full checkpoints.
-  bool SupportsInPlaceDelta() const {
-    return mode_ != BackupDurability::kDisk;
-  }
-
   /// store-backup(holder, owner, checkpoint): replaces any previous backup
   /// of `owner` (Algorithm 1 lines 5-6 delete the old holder's copy). With
   /// a durable tier the log append happens before the in-memory replace:

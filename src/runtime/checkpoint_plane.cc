@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "runtime/ckpt_pipeline.h"
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
 #include "runtime/transport.h"
@@ -44,14 +45,13 @@ void CheckpointPlane::Resume() {
   }
 }
 
-CheckpointCapture CheckpointPlane::Capture(bool delta) {
+core::StateCheckpoint CheckpointPlane::Capture(bool delta) {
   return delta ? CaptureDelta() : CaptureFull();
 }
 
-CheckpointCapture CheckpointPlane::CaptureFull() {
+core::StateCheckpoint CheckpointPlane::CaptureFull() {
   core::Operator* op = inst_->operator_impl();
-  CheckpointCapture cap;
-  core::StateCheckpoint& c = cap.ckpt;
+  core::StateCheckpoint c;
   c.op = inst_->op();
   c.instance = inst_->id();
   c.origin = inst_->origin();
@@ -66,24 +66,18 @@ CheckpointCapture CheckpointPlane::CaptureFull() {
     // next incremental checkpoint starts from this base.
     op->ClearStateDelta();
   }
-  // The buffers themselves are not copied here: the capture records their
-  // extents (positions + tuple counts), and the tuples are materialized by
-  // a later pipeline stage.
-  for (const auto& [op_id, tuples] : inst_->buffer_state().buffers()) {
-    BufferExtent extent;
-    extent.from_exclusive = INT64_MIN;
-    extent.back = tuples.empty() ? INT64_MIN : tuples.back().timestamp;
-    extent.tuples = tuples.size();
-    cap.extents[op_id] = extent;
+  // β whole, including the entries of deployed downstreams with nothing
+  // buffered (restore recreates them).
+  c.buffer = inst_->buffer_state();
+  for (const auto& [op_id, tuples] : c.buffer.buffers()) {
     shipped_buffer_back_[op_id] =
         tuples.empty() ? inst_->out_clock() : tuples.back().timestamp;
   }
-  return cap;
+  return c;
 }
 
-CheckpointCapture CheckpointPlane::CaptureDelta() {
-  CheckpointCapture cap;
-  core::StateCheckpoint& c = cap.ckpt;
+core::StateCheckpoint CheckpointPlane::CaptureDelta() {
+  core::StateCheckpoint c;
   c.op = inst_->op();
   c.instance = inst_->id();
   c.origin = inst_->origin();
@@ -100,10 +94,10 @@ CheckpointCapture CheckpointPlane::CaptureDelta() {
   core::StateDelta delta = inst_->operator_impl()->TakeProcessingStateDelta();
   c.processing = std::move(delta.updated);
   c.deleted_keys = std::move(delta.deleted);
-  // Buffer delta: the unshipped suffix past the last shipped timestamp,
-  // plus the current buffer fronts so the holder can mirror our trims.
-  // Buffers are timestamp-sorted, so the suffix starts at a binary search;
-  // only its length is recorded here — the tuples are not copied.
+  // Buffer delta: the unshipped suffix past the last shipped timestamp
+  // (a downstream with nothing new gets no entry), plus the current buffer
+  // fronts so the holder can mirror our trims. Buffers are
+  // timestamp-sorted, so the suffix starts at a binary search.
   for (const auto& [op_id, tuples] : inst_->buffer_state().buffers()) {
     const int64_t shipped = [&] {
       auto it = shipped_buffer_back_.find(op_id);
@@ -111,53 +105,41 @@ CheckpointCapture CheckpointPlane::CaptureDelta() {
     }();
     c.buffer_front[op_id] =
         tuples.empty() ? inst_->out_clock() + 1 : tuples.front().timestamp;
-    BufferExtent extent;
-    extent.from_exclusive = shipped;
-    if (!tuples.empty() && tuples.back().timestamp > shipped) {
-      extent.back = tuples.back().timestamp;
-      extent.tuples =
-          static_cast<size_t>(tuples.end() - tuples.UpperBound(shipped));
+    for (auto it = tuples.UpperBound(shipped); it != tuples.end(); ++it) {
+      c.buffer.Append(op_id, *it);
     }
-    cap.extents[op_id] = extent;
     shipped_buffer_back_[op_id] =
         tuples.empty() ? inst_->out_clock() : tuples.back().timestamp;
   }
-  return cap;
+  return c;
 }
 
-void CheckpointPlane::ShipAsync(CheckpointCapture cap) {
+void CheckpointPlane::ShipAsync(core::StateCheckpoint ckpt) {
   if (!inst_->alive() || inst_->stopped() || suspended_) {
-    // Clean abort: the capture is discarded before serialization. Its
+    // Clean abort: the checkpoint is discarded before serialization. Its
     // sequence number was consumed, so the holder's stored seq now trails
     // ckpt_seq_ and CanCheckpointIncrementally forces the next checkpoint
     // to be a full resync — no torn lineage.
     ++cluster_->metrics()->async_ckpts_aborted;
     if (auto* audit = cluster_->audit()) {
-      audit->OnAsyncCheckpointAborted(inst_->id(), cap.ckpt.seq);
+      audit->OnAsyncCheckpointAborted(inst_->id(), ckpt.seq);
     }
     return;
   }
-  MaterializeCaptureBuffer(inst_->buffer_state(), &cap);
   ++cluster_->metrics()->async_ckpt_captures;
-  // Stage 2 is one deferred simulation event, on either backend: the
+  // Serialization is one deferred simulation event, on either backend: the
   // modeled serialization cost (the one the synchronous path charges as a
   // pause) elapses off the processing path, then the frame is built and
   // shipped. The closure must stay copyable, hence the shared_ptr.
   const double kib =
-      static_cast<double>(cap.ckpt.processing.ByteSize() + 64) / 1024.0;
+      static_cast<double>(ckpt.processing.ByteSize() + 64) / 1024.0;
   const auto delay =
       static_cast<SimTime>(kib * cluster_->config().serialize_cost_us_per_kb);
-  auto ckpt = std::make_shared<core::StateCheckpoint>(std::move(cap.ckpt));
-  cluster_->simulation()->Schedule(delay, [cluster = cluster_, ckpt]() {
+  auto shared = std::make_shared<core::StateCheckpoint>(std::move(ckpt));
+  cluster_->simulation()->Schedule(delay, [cluster = cluster_, shared]() {
     ShipSerializedCheckpoint(
-        cluster, SerializeCheckpoint(*ckpt, kCompressCheckpoints));
+        cluster, SerializeCheckpoint(*shared, kCompressCheckpoints));
   });
-}
-
-core::StateCheckpoint CheckpointPlane::MakeCheckpoint() {
-  CheckpointCapture cap = CaptureFull();
-  MaterializeCaptureBuffer(inst_->buffer_state(), &cap);
-  return std::move(cap.ckpt);
 }
 
 bool CheckpointPlane::CanCheckpointIncrementally() const {
@@ -178,12 +160,6 @@ bool CheckpointPlane::CanCheckpointIncrementally() const {
   if (entry == nullptr) return false;
   if (entry->checkpoint.seq != ckpt_seq_) return false;
   return entry->holder == ChooseBackupHolder(cluster_, inst_);
-}
-
-core::StateCheckpoint CheckpointPlane::MakeDeltaCheckpoint() {
-  CheckpointCapture cap = CaptureDelta();
-  MaterializeCaptureBuffer(inst_->buffer_state(), &cap);
-  return std::move(cap.ckpt);
 }
 
 void CheckpointPlane::OnRestore(const core::StateCheckpoint& checkpoint) {

@@ -5,7 +5,6 @@
 
 #include "common/ids.h"
 #include "core/state.h"
-#include "runtime/ckpt_pipeline.h"
 
 namespace seep::runtime {
 
@@ -34,27 +33,20 @@ class CheckpointPlane {
   void Resume();
   bool suspended() const { return suspended_; }
 
-  /// Stage 1 of the checkpoint pipeline: snapshots the processing state and
-  /// marks buffer extents without copying buffered tuples — the cheap pause.
-  /// Advances the sequence/shipped-buffer lineage exactly as the synchronous
-  /// snapshot does.
-  CheckpointCapture Capture(bool delta);
+  /// checkpoint-state(o) → (θo, τo, βo): snapshots the processing state,
+  /// positions and replay buffers — a full checkpoint, or with `delta` only
+  /// the state entries changed since the previous checkpoint, the new
+  /// buffer tuples and the buffer fronts the holder mirrors. Advances the
+  /// sequence/shipped-buffer lineage. The checkpoint job captures at its
+  /// start and quiesced scale-in captures a full one to merge.
+  core::StateCheckpoint Capture(bool delta);
 
-  /// Schedules a finished capture's serialization and shipping (stage 2:
-  /// one deferred simulation event charged the modeled serialization cost),
-  /// or aborts it cleanly when the instance died, stopped or was suspended
-  /// while the capture job waited its service time; the next full
-  /// checkpoint's sequence-mismatch fallback heals the skipped delta.
-  void ShipAsync(CheckpointCapture cap);
-
-  /// checkpoint-state(o) → (θo, τo, βo): synchronous snapshot, used by the
-  /// checkpoint job and by quiesced scale-in. Capture + materialize.
-  core::StateCheckpoint MakeCheckpoint();
-
-  /// Incremental variant: only the state entries changed since the previous
-  /// checkpoint, new buffer tuples, and trim positions for the mirrored
-  /// buffer. Requires the operator's SupportsIncrementalState().
-  core::StateCheckpoint MakeDeltaCheckpoint();
+  /// Schedules an asynchronous checkpoint's serialization and shipping
+  /// (one deferred simulation event charged the modeled serialization
+  /// cost), or aborts it cleanly when the instance died, stopped or was
+  /// suspended while the capture job waited its service time; the next
+  /// full checkpoint's sequence-mismatch fallback heals the skipped delta.
+  void ShipAsync(core::StateCheckpoint ckpt);
 
   /// Whether the next periodic checkpoint may be shipped as a delta
   /// (incremental mode on, operator supports it, a full base is stored at
@@ -71,8 +63,8 @@ class CheckpointPlane {
 
  private:
   void ScheduleTimer();
-  CheckpointCapture CaptureFull();
-  CheckpointCapture CaptureDelta();
+  core::StateCheckpoint CaptureFull();
+  core::StateCheckpoint CaptureDelta();
 
   Cluster* cluster_;
   OperatorInstance* inst_;

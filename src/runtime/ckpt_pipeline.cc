@@ -10,27 +10,6 @@
 
 namespace seep::runtime {
 
-void MaterializeCaptureBuffer(const core::BufferState& live,
-                              CheckpointCapture* cap) {
-  if (cap->materialized) return;
-  cap->materialized = true;
-  if (!cap->ckpt.is_delta) {
-    // Full capture: the extents cover the whole live region, so a straight
-    // copy is both the cheapest and byte-identical to the old path.
-    cap->ckpt.buffer = live;
-    return;
-  }
-  for (const auto& [op_id, extent] : cap->extents) {
-    if (extent.tuples == 0) continue;
-    const core::TupleBuffer* buf = live.Get(op_id);
-    if (buf == nullptr) continue;
-    for (auto it = buf->UpperBound(extent.from_exclusive);
-         it != buf->end() && it->timestamp <= extent.back; ++it) {
-      cap->ckpt.buffer.Append(op_id, *it);
-    }
-  }
-}
-
 EncodedCkptFrame EncodeCheckpointFrame(const core::StateCheckpoint& ckpt,
                                        bool compress) {
   serde::Encoder enc;

@@ -17,56 +17,14 @@
 
 namespace seep::runtime {
 
-/// The asynchronous checkpoint pipeline's stages: a cheap synchronous
-/// *capture* pauses the operator for microseconds, a deferred
-/// *serialization* stage encodes/compresses/crc32c's the snapshot off the
-/// processing path, and *chunked shipping* interleaves the frame with data
-/// batches through the Transport seam, reassembled at the backup holder.
-/// This header is Transport- and net-free by design: pipeline code must
-/// never touch net/ directly (lint rule ckpt-worker-no-net).
-
-/// The slice of one downstream replay buffer a capture covers, recorded as
-/// positions instead of copied tuples: the live buffer is timestamp-sorted,
-/// so (from_exclusive, back] names the captured suffix exactly, and the
-/// tuples are materialized later.
-struct BufferExtent {
-  /// Materialize tuples with timestamp strictly above this (INT64_MIN on a
-  /// full capture: the whole live region).
-  int64_t from_exclusive = INT64_MIN;
-  /// ...and at most this. INT64_MIN means the extent is empty.
-  int64_t back = INT64_MIN;
-  /// Tuples in the extent (a delta skips empty extents).
-  size_t tuples = 0;
-};
-
-/// Stage-1 output: the checkpoint with everything *except* the buffer bytes
-/// (`ckpt.buffer` stays empty until materialized), plus per-downstream
-/// extents marking which buffered tuples belong to it. Capturing extents
-/// instead of tuples is what removes the `c.buffer = buffer` deep copy from
-/// the processing pause.
-struct CheckpointCapture {
-  core::StateCheckpoint ckpt;
-  std::map<OperatorId, BufferExtent> extents;
-  bool materialized = false;
-};
-
-/// Copies the captured buffer extents out of the live buffers into
-/// `cap->ckpt.buffer`, producing exactly the checkpoint the old synchronous
-/// capture built. Must run on the driver thread while `live` still covers
-/// the extents (later trims only shrink the front, which is safe: trimmed
-/// tuples are already covered downstream).
-void MaterializeCaptureBuffer(const core::BufferState& live,
-                              CheckpointCapture* cap);
-
-/// What a kCheckpoint scheduler job carries between PrepareJob (capture) and
-/// FinishJob (hand-off to the backup path). A synchronous checkpoint's
-/// capture is materialized at capture time, before any trim can move the
-/// live buffers; an asynchronous one is materialized when its
-/// serialization is scheduled (CheckpointPlane::ShipAsync).
-struct CheckpointWork {
-  bool async = false;
-  CheckpointCapture capture;
-};
+/// The checkpoint frame codec and the TCP backend's chunk streams. The
+/// asynchronous pipeline's deferred *serialization* stage encodes,
+/// compresses and crc32c's a captured checkpoint into one frame off the
+/// processing path; the sim hands the frame over whole, and TCP cuts it
+/// into chunks that interleave with data batches and are reassembled at
+/// the receiver. This header is Transport- and net-free by design:
+/// pipeline code must never touch net/ directly (lint rule
+/// ckpt-worker-no-net).
 
 /// A checkpoint serialized into its frame: [length | crc32c | payload]
 /// where the payload is the encoded checkpoint, block-compressed when that
@@ -122,7 +80,7 @@ SerializedCkptFrame SerializeCheckpoint(const core::StateCheckpoint& ckpt,
                                         bool compress);
 
 /// The per-chunk header travelling with each slice of a serialized frame
-/// (stage 3). Chunks of one (owner, seq) stream arrive in order on their
+/// over TCP. Chunks of one (owner, seq) stream arrive in order on their
 /// FIFO link; `index`/`count` let the holder detect loss or interleaving
 /// corruption, and `raw_bytes`/`compressed` parameterize decompression.
 struct CkptChunkHeader {

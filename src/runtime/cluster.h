@@ -67,11 +67,12 @@ struct ClusterConfig {
 
   /// Asynchronous checkpoint pipeline: the operator pauses only for a cheap
   /// capture; serialization/compression runs as a deferred stage and the
-  /// frame ships in chunks. Off by default — the synchronous path (and
-  /// every figure bench) is bit-for-bit unchanged.
+  /// frame ships as background traffic. Off by default — the synchronous
+  /// path (and every figure bench) is bit-for-bit unchanged.
   bool async_checkpoints = false;
-  /// Chunk size for shipping serialized checkpoint frames: multi-MB frames
-  /// interleave with data batches at this granularity.
+  /// Chunk size of the TCP backend's checkpoint chunk streams: multi-MB
+  /// frames interleave with data batches on the socket at this
+  /// granularity. The sim hands a frame over as one message.
   size_t checkpoint_chunk_bytes = 256u << 10;
 
   /// Durability tier of the backup directory: kMemory is the paper's single

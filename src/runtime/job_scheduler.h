@@ -8,7 +8,6 @@
 
 #include "core/state.h"
 #include "core/tuple.h"
-#include "runtime/ckpt_pipeline.h"
 #include "sim/simulation.h"
 
 namespace seep::runtime {
@@ -24,7 +23,7 @@ class JobScheduler {
     enum class Kind { kBatch, kCheckpoint, kTimer };
     Kind kind = Kind::kBatch;
     core::TupleBatch batch;                    // kBatch
-    std::unique_ptr<CheckpointWork> ckpt_work;  // kCheckpoint (stage 1)
+    std::unique_ptr<core::StateCheckpoint> ckpt;  // kCheckpoint
     std::vector<std::pair<int, core::Tuple>> timer_emissions;  // kTimer
     double cost_us = 0;
   };

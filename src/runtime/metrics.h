@@ -119,8 +119,9 @@ class MetricsRegistry {
   SampleDistribution ckpt_e2e_ms{1 << 16, /*seed=*/13};
   /// Async captures handed to the deferred serialization stage.
   uint64_t async_ckpt_captures = 0;
-  /// Checkpoint chunks delivered: async frames on the sim, every
-  /// checkpoint parcel over TCP.
+  /// Checkpoint chunks delivered over TCP, where every checkpoint parcel
+  /// crosses the socket as a chunk stream (the sim hands frames over
+  /// whole).
   uint64_t ckpt_chunks = 0;
   /// In-flight async checkpoints aborted (owner died/stopped/suspended).
   uint64_t async_ckpts_aborted = 0;

@@ -135,31 +135,23 @@ void OperatorInstance::PrepareJob(JobScheduler::Job* job) {
       break;
     case Kind::kCheckpoint: {
       const ClusterConfig& config = cluster_->config();
-      auto work = std::make_unique<CheckpointWork>();
-      work->async = config.async_checkpoints;
-      work->capture =
-          checkpoints_.Capture(checkpoints_.CanCheckpointIncrementally());
-      if (work->capture.ckpt.is_delta) {
+      job->ckpt = std::make_unique<core::StateCheckpoint>(
+          checkpoints_.Capture(checkpoints_.CanCheckpointIncrementally()));
+      if (job->ckpt->is_delta) {
         ++cluster_->metrics()->delta_checkpoints_taken;
       }
       const double kib =
-          static_cast<double>(work->capture.ckpt.processing.ByteSize() + 64) /
-          1024.0;
-      if (work->async) {
-        // Asynchronous pipeline: the operator pauses only for the capture;
-        // serialization CPU is charged on the background stage instead.
-        job->cost_us = kib * kCaptureCostUsPerKb;
-      } else {
-        // Synchronous path: the backup is materialized at capture time
-        // (before any trim moves the live buffers) and serialisation CPU is
-        // charged for the processing state only — buffer tuples are
-        // retained in wire format and need no re-encoding (their bytes
-        // still cost network transfer). This is what makes frequent
-        // checkpoints of large state expensive (paper Figs. 14/15).
-        MaterializeCaptureBuffer(buffer_, &work->capture);
-        job->cost_us = kib * config.serialize_cost_us_per_kb;
-      }
-      job->ckpt_work = std::move(work);
+          static_cast<double>(job->ckpt->processing.ByteSize() + 64) / 1024.0;
+      // The pause is charged for the processing state only: buffer tuples
+      // are retained in wire format and need no re-encoding (their bytes
+      // still cost network transfer). The asynchronous pipeline pauses the
+      // operator only for the capture and charges serialization on its
+      // background stage; the synchronous path serializes in the pause,
+      // which is what makes frequent checkpoints of large state expensive
+      // (paper Figs. 14/15).
+      job->cost_us = kib * (config.async_checkpoints
+                                ? kCaptureCostUsPerKb
+                                : config.serialize_cost_us_per_kb);
       break;
     }
     case Kind::kTimer: {
@@ -195,17 +187,15 @@ void OperatorInstance::FinishJob(JobScheduler::Job* job) {
         ProcessBatch(&job->batch);
       }
       break;
-    case Kind::kCheckpoint: {
-      CheckpointWork* work = job->ckpt_work.get();
+    case Kind::kCheckpoint:
       cluster_->metrics()->ckpt_pause_ms.Add(job->cost_us / 1000.0);
-      if (work->async) {
-        checkpoints_.ShipAsync(std::move(work->capture));
+      if (cluster_->config().async_checkpoints) {
+        checkpoints_.ShipAsync(std::move(*job->ckpt));
       } else {
         ShipToBackupHolder(cluster_, this,
-                           CheckpointParcel{std::move(work->capture.ckpt)});
+                           CheckpointParcel{std::move(*job->ckpt)});
       }
       break;
-    }
     case Kind::kTimer:
       router_.Flush(&job->timer_emissions, nullptr);
       break;

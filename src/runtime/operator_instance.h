@@ -104,23 +104,9 @@ class OperatorInstance : private JobScheduler::Host {
 
   // ------------------------------------------------------ state management
 
-  /// checkpoint-state(o) → (θo, τo, βo): synchronous snapshot, used by the
-  /// checkpoint job and by quiesced scale-in.
-  core::StateCheckpoint MakeCheckpoint() {
-    return checkpoints_.MakeCheckpoint();
-  }
-
-  /// Incremental variant: only the state entries changed since the previous
-  /// checkpoint, new buffer tuples, and trim positions for the mirrored
-  /// buffer. Requires the operator's SupportsIncrementalState().
-  core::StateCheckpoint MakeDeltaCheckpoint() {
-    return checkpoints_.MakeDeltaCheckpoint();
-  }
-
-  /// Whether the next periodic checkpoint may be shipped as a delta.
-  bool CanCheckpointIncrementally() const {
-    return checkpoints_.CanCheckpointIncrementally();
-  }
+  /// checkpoint-state(o) → (θo, τo, βo): a full snapshot, taken by
+  /// quiesced scale-in to merge two partitions.
+  core::StateCheckpoint MakeCheckpoint() { return checkpoints_.Capture(false); }
 
   /// restore-state(o, θ, τ, β): installs a checkpoint. With `inherit_origin`
   /// the instance adopts the checkpoint's origin and output clock so that

@@ -106,6 +106,21 @@ struct TcpTransport::Impl {
   }
 };
 
+CkptChunkHeader ChunkStreamHeader(const SerializedCkptFrame& frame,
+                                  InstanceId receiver, size_t chunk_bytes) {
+  const size_t total = frame.frame.size();
+  CkptChunkHeader header;
+  header.owner = frame.owner;
+  header.owner_op = frame.owner_op;
+  header.holder = receiver;
+  header.seq = frame.seq;
+  header.count = static_cast<uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
+  header.frame_bytes = total;
+  header.raw_bytes = frame.raw_bytes;
+  header.compressed = frame.compressed;
+  return header;
+}
+
 bool ReceiveChunkMessage(Cluster* cluster, TcpChunkStream* stream,
                          const std::vector<uint8_t>& body,
                          const ArrivalFn& on_arrival) {
@@ -129,8 +144,24 @@ bool ReceiveChunkMessage(Cluster* cluster, TcpChunkStream* stream,
     cluster->ckpt_reassembler()->Forget(want);
     return true;
   }
-  ReceiveCheckpointChunk(cluster, header.value(), body.data() + dec.position(),
-                         n, on_arrival);
+  ++cluster->metrics()->ckpt_chunks;
+  if (auto* audit = cluster->audit()) {
+    audit->OnCheckpointChunk(next.owner, next.holder, next.seq, next.index,
+                             next.count, n, next.frame_bytes);
+  }
+  auto frame = cluster->ckpt_reassembler()->OnChunk(
+      next, body.data() + dec.position(), n);
+  if (frame.has_value()) {
+    // The frame is whole; the stream header says which checkpoint it is.
+    SerializedCkptFrame whole;
+    whole.frame = std::move(*frame);
+    whole.raw_bytes = next.raw_bytes;
+    whole.compressed = next.compressed;
+    whole.owner = next.owner;
+    whole.owner_op = next.owner_op;
+    whole.seq = next.seq;
+    ReceiveCheckpointFrame(cluster, std::move(whole), on_arrival);
+  }
   return ++stream->next_index == want.count;
 }
 

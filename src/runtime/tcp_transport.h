@@ -18,13 +18,19 @@ struct TcpChunkStream {
   uint32_t next_index = 0;
 };
 
+/// The chunk stream header of a serialized parcel bound for `receiver`, cut
+/// into chunks of at most `chunk_bytes` (index 0; the sender fills in each
+/// chunk's index).
+CkptChunkHeader ChunkStreamHeader(const SerializedCkptFrame& frame,
+                                  InstanceId receiver, size_t chunk_bytes);
+
 /// The TCP pump's decode path for one kCheckpointChunk body — [chunk
 /// header | chunk bytes] — of the parcel sent as `stream`. A chunk that is
 /// not the one the stream expects next (header fields, index or length)
-/// drops the parcel; otherwise the chunk goes to ReceiveCheckpointChunk,
-/// which runs `on_arrival` once the whole frame decodes. Each dropped
-/// parcel counts one ckpt_decode_failures. Returns true once the parcel is
-/// finished: delivered, or dropped.
+/// drops the parcel; otherwise the chunk is audited and reassembled, and
+/// once the frame is whole ReceiveCheckpointFrame runs `on_arrival` if it
+/// decodes. Each dropped parcel counts one ckpt_decode_failures. Returns
+/// true once the parcel is finished: delivered, or dropped.
 [[nodiscard]] bool ReceiveChunkMessage(Cluster* cluster,
                                        TcpChunkStream* stream,
                                        const std::vector<uint8_t>& body,
@@ -37,7 +43,7 @@ struct TcpChunkStream {
 /// and connections. Posts write straight to the sockets. A sim "pump" event
 /// polls that set, which moves bytes and queues whatever arrived; the pump
 /// then dispatches the queue through exactly the same handlers SimTransport
-/// uses (OnBatch, ReceiveCheckpointChunk), never from inside a socket
+/// uses (OnBatch, ReceiveCheckpointFrame), never from inside a socket
 /// callback. The pump is scheduled on demand: a post onto an idle transport
 /// starts it, and it re-schedules itself only while frames are in flight,
 /// so an idle transport schedules nothing. Every checkpoint parcel crosses

@@ -1,6 +1,5 @@
 #include "runtime/transport.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -160,48 +159,19 @@ void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame) {
   ShipToBackupHolder(cluster, owner, CheckpointParcel{std::move(frame)});
 }
 
-CkptChunkHeader ChunkStreamHeader(const SerializedCkptFrame& frame,
-                                  InstanceId receiver, size_t chunk_bytes) {
-  const size_t total = frame.frame.size();
-  CkptChunkHeader header;
-  header.owner = frame.owner;
-  header.owner_op = frame.owner_op;
-  header.holder = receiver;
-  header.seq = frame.seq;
-  header.count = static_cast<uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
-  header.frame_bytes = total;
-  header.raw_bytes = frame.raw_bytes;
-  header.compressed = frame.compressed;
-  return header;
-}
-
-void ReceiveCheckpointChunk(Cluster* cluster, const CkptChunkHeader& header,
-                            const uint8_t* data, size_t n,
+void ReceiveCheckpointFrame(Cluster* cluster, SerializedCkptFrame frame,
                             const ArrivalFn& on_arrival) {
-  MetricsRegistry* metrics = cluster->metrics();
-  ++metrics->ckpt_chunks;
-  if (auto* audit = cluster->audit()) {
-    audit->OnCheckpointChunk(header.owner, header.holder, header.seq,
-                             header.index, header.count, n,
-                             header.frame_bytes);
-  }
-  auto frame = cluster->ckpt_reassembler()->OnChunk(header, data, n);
-  if (!frame.has_value()) return;
-
-  // The frame is whole: unframe (crc32c), decompress, decode. A failure at
-  // any step, or a checkpoint other than the one the header names, drops
-  // the parcel.
   auto ckpt =
-      DecodeCheckpointFrame(*frame, header.raw_bytes, header.compressed);
-  if (!ckpt.ok() || ckpt.value().instance != header.owner ||
-      ckpt.value().op != header.owner_op || ckpt.value().seq != header.seq) {
-    ++metrics->ckpt_decode_failures;
+      DecodeCheckpointFrame(frame.frame, frame.raw_bytes, frame.compressed);
+  if (!ckpt.ok() || ckpt.value().instance != frame.owner ||
+      ckpt.value().op != frame.owner_op || ckpt.value().seq != frame.seq) {
+    ++cluster->metrics()->ckpt_decode_failures;
     return;
   }
   ArrivedCheckpoint arrived;
   arrived.ckpt = std::move(ckpt).value();
-  arrived.frame = EncodedCkptFrame{std::move(*frame), header.raw_bytes,
-                                   header.compressed};
+  arrived.frame = EncodedCkptFrame{std::move(frame.frame), frame.raw_bytes,
+                                   frame.compressed};
   on_arrival(std::move(arrived));
 }
 
@@ -225,62 +195,19 @@ SendPressure SimTransport::SendBatch(OperatorInstance* from, InstanceId to,
   return SendPressure::kNone;
 }
 
-namespace {
-
-/// One in-flight chunked frame ship on the sim backend. Background
-/// messages share no FIFO with each other (they only queue behind
-/// foreground traffic), so firing every chunk at once would deliver the
-/// short tail chunk first; instead chunk i+1 leaves only when chunk i is
-/// delivered — the stream stays in order, the frame trickles out behind
-/// data batches, and an owner dying mid-stream cuts it exactly at a chunk
-/// boundary (the partial stream is superseded by the next checkpoint).
-struct SimChunkStream {
-  Cluster* cluster = nullptr;
-  CkptChunkHeader header;  // index filled in per chunk
-  SerializedCkptFrame frame;
-  ArrivalFn on_arrival;
-  VmId from = kInvalidVm;
-  VmId to = kInvalidVm;
-  size_t chunk_bytes = 0;
-  bool background = true;
-};
-
-void SendChunk(const std::shared_ptr<SimChunkStream>& stream, uint32_t index) {
-  CkptChunkHeader header = stream->header;
-  header.index = index;
-  const size_t total = stream->frame.frame.size();
-  const size_t begin = static_cast<size_t>(index) * stream->chunk_bytes;
-  const size_t len = std::min(stream->chunk_bytes, total - begin);
-  stream->cluster->network()->Send(
-      stream->from, stream->to, len,
-      [stream, header, begin, len]() {
-        ReceiveCheckpointChunk(stream->cluster, header,
-                               stream->frame.frame.data() + begin, len,
-                               stream->on_arrival);
-        if (header.index + 1 < header.count) {
-          SendChunk(stream, header.index + 1);
-        }
-      },
-      stream->background);
-}
-
-}  // namespace
-
 void SimTransport::ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
                                   ArrivalFn on_arrival) {
   if (auto* frame = std::get_if<SerializedCkptFrame>(&parcel.body)) {
-    auto stream = std::make_shared<SimChunkStream>();
-    stream->cluster = cluster_;
-    stream->chunk_bytes =
-        std::max<size_t>(1, cluster_->config().checkpoint_chunk_bytes);
-    stream->header =
-        ChunkStreamHeader(*frame, parcel.receiver, stream->chunk_bytes);
-    stream->frame = std::move(*frame);
-    stream->on_arrival = std::move(on_arrival);
-    stream->from = from;
-    stream->to = to;
-    stream->background = parcel.background;
-    SendChunk(stream, 0);
+    // Background sends never hold up the data path, so one message of the
+    // frame's size models the ship; it is decoded on arrival.
+    auto shared = std::make_shared<SerializedCkptFrame>(std::move(*frame));
+    const uint64_t bytes = shared->frame.size();
+    cluster_->network()->Send(
+        from, to, bytes,
+        [cluster = cluster_, shared, on_arrival = std::move(on_arrival)]() {
+          ReceiveCheckpointFrame(cluster, std::move(*shared), on_arrival);
+        },
+        parcel.background);
     return;
   }
   // A materialized checkpoint is handed over in memory at its modeled size.

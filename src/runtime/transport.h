@@ -35,8 +35,8 @@ struct CheckpointParcel {
   /// frame the asynchronous pipeline already serialized.
   std::variant<core::StateCheckpoint, SerializedCkptFrame> body;
   /// The instance the checkpoint is for at the destination: the backup
-  /// holder, or the partition being deployed. With the checkpoint's owner
-  /// and seq it names the parcel's chunk stream.
+  /// holder, or the partition being deployed. Over TCP, with the
+  /// checkpoint's owner and seq it names the parcel's chunk stream.
   InstanceId receiver = kInvalidInstance;
   /// Throttled background traffic that must not delay the data path
   /// (backups), or foreground traffic a reconfiguration waits on.
@@ -105,27 +105,21 @@ void ShipToBackupHolder(Cluster* cluster, OperatorInstance* owner,
 /// the frame to the backup holder.
 void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame);
 
-/// The chunk stream header of a serialized parcel bound for `receiver`, cut
-/// into chunks of at most `chunk_bytes` (index 0; the sender fills in each
-/// chunk's index).
-CkptChunkHeader ChunkStreamHeader(const SerializedCkptFrame& frame,
-                                  InstanceId receiver, size_t chunk_bytes);
-
-/// Arrival of one checkpoint chunk (driver thread), shared by both
-/// backends: audits the chunk stream and reassembles it; when the frame is
-/// whole, decodes it (DecodeCheckpointFrame) and, if it is the checkpoint
-/// the header names, runs `on_arrival`. A failed decode drops the parcel
-/// and counts a decode failure — the protocol treats it like a message
-/// lost to a link failure.
-void ReceiveCheckpointChunk(Cluster* cluster, const CkptChunkHeader& header,
-                            const uint8_t* data, size_t n,
+/// Arrival of a serialized checkpoint frame (driver thread), shared by both
+/// backends: checks the crc32c, decompresses and decodes the frame
+/// (DecodeCheckpointFrame) and, if it is the checkpoint `frame` names (owner,
+/// op and seq), runs `on_arrival` with it and the bytes it arrived in. A
+/// failure at any step drops the parcel and counts a decode failure — the
+/// protocol treats it like a message lost to a link failure.
+void ReceiveCheckpointFrame(Cluster* cluster, SerializedCkptFrame frame,
                             const ArrivalFn& on_arrival);
 
 /// Transport over the deterministic `sim::Network`: batches pay the data
-/// path's bandwidth/latency. Checkpoint parcels are handed over in memory
-/// at their modeled byte count — backups as throttled background traffic
-/// that must not delay the data path (the paper checkpoints
-/// asynchronously) — and serialized frames trickle out chunk by chunk.
+/// path's bandwidth/latency. A checkpoint parcel is one message in the
+/// parcel's traffic class — backups as throttled background traffic that
+/// must not delay the data path (the paper checkpoints asynchronously). A
+/// materialized checkpoint is handed over in memory at its modeled byte
+/// count; a serialized frame crosses at its size and is decoded on arrival.
 class SimTransport : public Transport {
  public:
   explicit SimTransport(Cluster* cluster) : cluster_(cluster) {}

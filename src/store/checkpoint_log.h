@@ -58,7 +58,7 @@ struct RecoveryInfo {
 ///
 /// Records are (meta frame, payload) pairs where the payload is the
 /// checkpoint's own [length | crc32c | payload] frame written verbatim — the
-/// bytes the chunk reassembler hands over are appended without re-encoding,
+/// bytes a checkpoint arrived in are appended without re-encoding,
 /// and ReadPayload returns exactly those bytes for the normal unframe +
 /// decompress + decode receive path. A tombstone record terminally deletes
 /// its owner (instance ids are never reused). The latest intact checkpoint

@@ -1,6 +1,6 @@
-// Tests for the asynchronous checkpoint pipeline (runtime/ckpt_pipeline):
-// capture/materialize equivalence against the old synchronous snapshot,
-// frame build round-trips through compression and framing, chunk-header
+// Tests for the checkpoint pipeline: CheckpointPlane's full and delta
+// captures of a live instance's replay buffers, frame build round-trips
+// through compression and framing (runtime/ckpt_pipeline), chunk-header
 // codec and holder-side reassembly units, and a short sim end-to-end run
 // proving the async pipeline produces the synchronous baseline's results
 // under a level-2 audit.
@@ -9,11 +9,16 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/query_graph.h"
 #include "core/state.h"
+#include "runtime/checkpoint_plane.h"
 #include "runtime/ckpt_pipeline.h"
+#include "runtime/cluster.h"
+#include "runtime/operator_instance.h"
 #include "serde/block_codec.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
@@ -58,90 +63,107 @@ void FillHeader(core::StateCheckpoint* c) {
   c->processing.Add(9, "value-b");
 }
 
-// Mirrors CheckpointPlane::CaptureFull's extent construction.
-CheckpointCapture FullCapture(const core::BufferState& live) {
-  CheckpointCapture cap;
-  FillHeader(&cap.ckpt);
-  for (const auto& [op_id, tuples] : live.buffers()) {
-    BufferExtent extent;
-    extent.from_exclusive = INT64_MIN;
-    extent.back = tuples.empty() ? INT64_MIN : tuples.back().timestamp;
-    extent.tuples = tuples.size();
-    cap.extents[op_id] = extent;
-  }
-  return cap;
-}
-
-// Mirrors CheckpointPlane::CaptureDelta: op 4 shipped through 20 (one
-// unshipped tuple), op 5 never shipped (whole buffer), op 6 empty.
-CheckpointCapture DeltaCapture(const core::BufferState& live) {
-  CheckpointCapture cap;
-  FillHeader(&cap.ckpt);
-  cap.ckpt.is_delta = true;
-  cap.ckpt.base_seq = 6;
-  cap.ckpt.deleted_keys.push_back(77);
-  std::map<OperatorId, int64_t> shipped{
-      {4, 20}, {5, INT64_MIN}, {6, INT64_MIN}};
-  for (const auto& [op_id, tuples] : live.buffers()) {
-    cap.ckpt.buffer_front[op_id] =
-        tuples.empty() ? 41 : tuples.front().timestamp;
-    BufferExtent extent;
-    extent.from_exclusive = shipped[op_id];
-    if (!tuples.empty() && tuples.back().timestamp > extent.from_exclusive) {
-      extent.back = tuples.back().timestamp;
-      extent.tuples = static_cast<size_t>(
-          tuples.end() - tuples.UpperBound(extent.from_exclusive));
-    }
-    cap.extents[op_id] = extent;
-  }
-  return cap;
-}
-
 std::vector<uint8_t> EncodeDirect(const core::StateCheckpoint& c) {
   serde::Encoder enc;
   c.Encode(&enc);
   return std::move(enc).TakeBuffer();
 }
 
-// ------------------------------------------------- capture / materialize
+std::vector<uint8_t> EncodeBuffer(const core::BufferState& b) {
+  serde::Encoder enc;
+  b.Encode(&enc);
+  return std::move(enc).TakeBuffer();
+}
 
-TEST(CaptureTest, MaterializedFullCaptureEqualsWholesaleCopy) {
-  const core::BufferState live = MakeLive();
-  CheckpointCapture cap = FullCapture(live);
-  MaterializeCaptureBuffer(live, &cap);
+// ------------------------------------------------------------------ capture
 
-  core::StateCheckpoint direct;
-  FillHeader(&direct);
-  direct.buffer = live;
-  EXPECT_EQ(EncodeDirect(cap.ckpt), EncodeDirect(direct));
+class PassThrough : public core::Operator {
+ public:
+  void Process(const core::Tuple& input, core::Collector* out) override {
+    out->Emit(core::Tuple(input));
+  }
+};
+
+/// One operator instance, not deployed, whose replay buffers a test sets
+/// through Restore, and a CheckpointPlane bound to it.
+struct LiveCapture {
+  LiveCapture() {
+    const OperatorId op = graph.AddOperator(
+        "pass", [] { return std::make_unique<PassThrough>(); },
+        /*stateful=*/false);
+    ClusterConfig config;
+    config.audit_level = verify::kAuditOff;
+    cluster = std::make_unique<Cluster>(&graph, config);
+    OperatorInstance::Params params;
+    params.id = 11;
+    params.op = op;
+    params.spec = graph.Get(op);
+    params.vm = 1;
+    params.origin = 2;
+    inst = std::make_unique<OperatorInstance>(cluster.get(), params);
+    // Output clock 40 and MakeLive's buffers.
+    core::StateCheckpoint base;
+    FillHeader(&base);
+    base.buffer = MakeLive();
+    inst->Restore(base, /*inherit_origin=*/true);
+    plane = std::make_unique<CheckpointPlane>(cluster.get(), inst.get());
+  }
+
+  core::QueryGraph graph;
+  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<OperatorInstance> inst;
+  std::unique_ptr<CheckpointPlane> plane;
+};
+
+TEST(CaptureTest, FullCaptureCopiesTheLiveBuffersWhole) {
+  LiveCapture live;
+  const core::StateCheckpoint full = live.plane->Capture(/*delta=*/false);
+  EXPECT_FALSE(full.is_delta);
+  EXPECT_EQ(EncodeBuffer(full.buffer),
+            EncodeBuffer(live.inst->buffer_state()));
   // Empty downstream entries survive a full capture (restore recreates
   // them).
-  EXPECT_EQ(cap.ckpt.buffer.buffers().size(), 3u);
+  EXPECT_EQ(full.buffer.buffers().size(), 3u);
+  ASSERT_NE(full.buffer.Get(6), nullptr);
+  EXPECT_TRUE(full.buffer.Get(6)->empty());
 }
 
-TEST(CaptureTest, MaterializedDeltaCaptureTakesUnshippedSuffix) {
-  const core::BufferState live = MakeLive();
-  CheckpointCapture cap = DeltaCapture(live);
-  MaterializeCaptureBuffer(live, &cap);
+TEST(CaptureTest, DeltaCaptureTakesOnlyWhatWasNotShipped) {
+  LiveCapture live;
+  // Ships op 4 through 30, op 5 through 15 and op 6 (empty) through the
+  // output clock.
+  live.plane->Capture(/*delta=*/false);
+  core::BufferState& buffers = live.inst->buffer_state();
+  buffers.Append(4, MakeTuple(50, "epsilon"));
+  buffers.Append(4, MakeTuple(60, "zeta"));
+  buffers.Append(7, MakeTuple(45, "eta"));  // a downstream never shipped
+  buffers.Trim(4, 20);  // op 4's front moves to 30
+  buffers.Trim(5, 15);  // op 5 empties
 
-  // Op 4: only the tuple past the shipped position; op 5: everything;
-  // op 6: no entry at all (deltas skip empty extents, like the old
-  // MakeDeltaCheckpoint which only Append()ed real tuples).
-  ASSERT_NE(cap.ckpt.buffer.Get(4), nullptr);
-  ASSERT_EQ(cap.ckpt.buffer.Get(4)->size(), 1u);
-  EXPECT_EQ(cap.ckpt.buffer.Get(4)->front().timestamp, 30);
-  ASSERT_NE(cap.ckpt.buffer.Get(5), nullptr);
-  EXPECT_EQ(cap.ckpt.buffer.Get(5)->size(), 1u);
-  EXPECT_EQ(cap.ckpt.buffer.Get(6), nullptr);
-}
+  const core::StateCheckpoint delta = live.plane->Capture(/*delta=*/true);
+  ASSERT_TRUE(delta.is_delta);
+  // Op 4: only the tuples past 30; op 7: its whole buffer; ops 5 and 6
+  // have nothing new and get no entry.
+  EXPECT_EQ(delta.buffer.buffers().size(), 2u);
+  ASSERT_NE(delta.buffer.Get(4), nullptr);
+  ASSERT_EQ(delta.buffer.Get(4)->size(), 2u);
+  EXPECT_EQ(delta.buffer.Get(4)->front().timestamp, 50);
+  EXPECT_EQ(delta.buffer.Get(4)->back().timestamp, 60);
+  ASSERT_NE(delta.buffer.Get(7), nullptr);
+  ASSERT_EQ(delta.buffer.Get(7)->size(), 1u);
+  EXPECT_EQ(delta.buffer.Get(7)->front().text, "eta");
+  EXPECT_EQ(delta.buffer.Get(5), nullptr);
+  EXPECT_EQ(delta.buffer.Get(6), nullptr);
+  // Every live buffer's front, or out_clock + 1 for an empty one, so the
+  // holder mirrors the trims.
+  const std::map<OperatorId, int64_t> fronts{
+      {4, 30}, {5, 41}, {6, 41}, {7, 45}};
+  EXPECT_EQ(delta.buffer_front, fronts);
 
-TEST(CaptureTest, MaterializeIsIdempotent) {
-  const core::BufferState live = MakeLive();
-  CheckpointCapture cap = DeltaCapture(live);
-  MaterializeCaptureBuffer(live, &cap);
-  const std::vector<uint8_t> once = EncodeDirect(cap.ckpt);
-  MaterializeCaptureBuffer(live, &cap);
-  EXPECT_EQ(once, EncodeDirect(cap.ckpt));
+  // Nothing appended since: the next delta carries no tuple at all.
+  const core::StateCheckpoint again = live.plane->Capture(/*delta=*/true);
+  EXPECT_TRUE(again.buffer.buffers().empty());
+  EXPECT_EQ(again.buffer_front, fronts);
 }
 
 // ---------------------------------------------------------- frame building
@@ -523,10 +545,8 @@ PipelineOutcome RunWordCount(bool async) {
   sps::SpsConfig config;
   config.cluster.checkpoint_interval = SecondsToSim(3);
   config.cluster.async_checkpoints = async;
-  // Tiny chunks so multi-chunk shipping and reassembly actually run.
-  config.cluster.checkpoint_chunk_bytes = 512;
   // Full audit with the abort-on-violation default: any violated invariant
-  // (chunk-reassembly included) kills the test.
+  // kills the test.
   config.cluster.audit_level = verify::kAuditExpensive;
   config.cluster.pool.target_size = 4;
   config.scaling.enabled = false;
@@ -555,12 +575,12 @@ TEST(AsyncPipelineEndToEnd, MatchesSynchronousResultsUnderFullAudit) {
   const PipelineOutcome async = RunWordCount(true);
 
   // The async pipeline really ran: captures went through the deferred
-  // serialization stage and frames arrived in (multiple) chunks; nothing
-  // was lost to corruption and nothing needed aborting in a failure-free
-  // run.
+  // serialization stage and their frames crossed the sim whole (chunk
+  // streams are TCP's); nothing was lost to corruption and nothing needed
+  // aborting in a failure-free run.
   EXPECT_EQ(sync.async_captures, 0u);
   EXPECT_GT(async.async_captures, 5u);
-  EXPECT_GT(async.async_chunks, async.async_captures);
+  EXPECT_EQ(async.async_chunks, 0u);
   EXPECT_EQ(async.aborted, 0u);
   EXPECT_EQ(async.decode_failures, 0u);
   EXPECT_GT(async.checkpoints_taken, 0u);

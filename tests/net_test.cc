@@ -136,6 +136,70 @@ TEST(WireTest, OnlyKnownMessageTypesDecode) {
   }
 }
 
+// A chunk envelope whose ship_id takes a 3-byte varint, then a 40-byte body:
+// type (1) + from_vm (4) + to_vm (4) + ship_id (3) = 12 envelope bytes.
+constexpr size_t kSweepEnvelopeBytes = 12;
+
+Message SweepMessage() {
+  Message m;
+  m.type = MessageType::kCheckpointChunk;
+  m.from_vm = 0x01020304;
+  m.to_vm = 0x0A0B0C0D;
+  m.ship_id = (uint64_t{1} << 14) + 77;
+  for (uint8_t i = 0; i < 40; ++i) m.body.push_back(uint8_t(i * 7 + 1));
+  return m;
+}
+
+TEST(WireSweepTest, PrefixesInsideTheEnvelopeAreCorruption) {
+  const Message m = SweepMessage();
+  auto framed = serde::UnframePayload(EncodeMessage(m));
+  ASSERT_TRUE(framed.ok());
+  const std::vector<uint8_t>& payload = framed.value();
+  ASSERT_EQ(payload.size(), kSweepEnvelopeBytes + m.body.size());
+  for (size_t len = 0; len < payload.size(); ++len) {
+    const std::vector<uint8_t> cut(payload.begin(), payload.begin() + len);
+    auto back = DecodeMessage(cut);
+    if (len < kSweepEnvelopeBytes) {
+      ASSERT_FALSE(back.ok()) << "prefix of " << len << " bytes accepted";
+      EXPECT_TRUE(back.status().IsCorruption());
+      continue;
+    }
+    // The body is whatever follows the envelope, so a longer prefix decodes
+    // to the same envelope with the body cut to match.
+    ASSERT_TRUE(back.ok()) << "prefix of " << len << " bytes rejected";
+    EXPECT_EQ(back.value().type, m.type);
+    EXPECT_EQ(back.value().from_vm, m.from_vm);
+    EXPECT_EQ(back.value().to_vm, m.to_vm);
+    EXPECT_EQ(back.value().ship_id, m.ship_id);
+    EXPECT_EQ(back.value().body,
+              std::vector<uint8_t>(m.body.begin(),
+                                   m.body.begin() +
+                                       (len - kSweepEnvelopeBytes)));
+  }
+}
+
+TEST(WireSweepTest, EverySingleBitFlipDecodesOrIsCorruption) {
+  auto framed = serde::UnframePayload(EncodeMessage(SweepMessage()));
+  ASSERT_TRUE(framed.ok());
+  const std::vector<uint8_t> payload = framed.value();
+  size_t rejected = 0;
+  for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
+    std::vector<uint8_t> damaged = payload;
+    damaged[bit / 8] ^= uint8_t(1u << (bit % 8));
+    auto back = DecodeMessage(damaged);
+    if (!back.ok()) {
+      EXPECT_TRUE(back.status().IsCorruption()) << "bit " << bit;
+      ++rejected;
+      continue;
+    }
+    // The envelope is at least 10 bytes (a 1-byte ship_id); the body is
+    // the rest.
+    EXPECT_LE(back.value().body.size() + 10, payload.size()) << "bit " << bit;
+  }
+  // Flips of the type byte name retired or unknown types.
+  EXPECT_GT(rejected, 0u);
+}
+
 TEST(FrameReaderTest, CorruptPayloadIsStickyError) {
   Message m;
   m.body = {1, 2, 3, 4};
