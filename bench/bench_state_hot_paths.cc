@@ -4,8 +4,9 @@
 // reference implementation — unsorted linear-scan filters, map-rebuild delta
 // application, vector-erase trims and a byte-at-a-time encoder without
 // reservation — plus the operators' own get-processing-state at the state
-// sizes the LRB benchmark reaches, the word counter's per-tuple Process, and
-// the word-count source's per-sentence generation and Zipf draw.
+// sizes the LRB benchmark reaches, the word counter's per-tuple Process, the
+// word-count source's per-sentence generation and Zipf draw, and the sim
+// kernel's schedule-plus-fire of one event.
 // Results go to stdout and BENCH_state_hot_paths.json.
 //
 // Usage: bench_state_hot_paths [output.json]
@@ -28,6 +29,7 @@
 #include "core/state.h"
 #include "core/state_ops.h"
 #include "serde/frame.h"
+#include "sim/simulation.h"
 #include "workloads/lrb/lrb.h"
 #include "workloads/wordcount/wordcount.h"
 
@@ -428,6 +430,7 @@ void BenchPartitionSerialize(std::vector<Row>* rows, size_t n, int reps) {
 
 struct CaptureRow {
   const char* op;
+  double touched_pct;  // share of entries changed before each capture
   size_t entries;
   double capture_us;
   double sorted_us;  // capture plus the first read of its entries
@@ -438,22 +441,31 @@ class DiscardCollector : public core::Collector {
   void EmitTo(int port, Tuple tuple) override {}
 };
 
+// `touch` runs untimed before each capture and changes `touched_pct` % of
+// the operator's entries.
+template <typename Touch>
 void ReportCapture(std::vector<CaptureRow>* rows, const char* op,
-                   const core::Operator& impl, int reps) {
+                   double touched_pct, const core::Operator& impl, int reps,
+                   Touch&& touch) {
+  const auto touched = [&] {
+    touch();
+    return 0;
+  };
   size_t entries = 0;
-  const double us = TimeUs(reps, [&] {
+  const double us = TimeConsumingUs(reps, touched, [&](int) {
     const ProcessingState state = impl.GetProcessingState();
     entries = state.size();
   });
   // ProcessingState sorts on first read, so a capture that adds entries out
   // of key order leaves a sort to whoever encodes the checkpoint.
-  const double sorted_us = TimeUs(reps, [&] {
+  const double sorted_us = TimeConsumingUs(reps, touched, [&](int) {
     const ProcessingState state = impl.GetProcessingState();
     entries = state.entries().size();
   });
-  std::printf("%-15s %9zu %14.1f %14.1f\n", op, entries, us, sorted_us);
+  std::printf("%-15s %9.1f %9zu %14.1f %14.1f\n", op, touched_pct, entries,
+              us, sorted_us);
   std::fflush(stdout);
-  rows->push_back(CaptureRow{op, entries, us, sorted_us});
+  rows->push_back(CaptureRow{op, touched_pct, entries, us, sorted_us});
 }
 
 void BenchOperatorCapture(std::vector<CaptureRow>* rows, int reps) {
@@ -482,7 +494,25 @@ void BenchOperatorCapture(std::vector<CaptureRow>* rows, int reps) {
       }
     }
   }
-  ReportCapture(rows, "TollCalculator", toll, reps);
+  // Between captures a share of the segments processes one report: none,
+  // lrb_scaleout's measured 4.3 %, or all of them. The toll calculator
+  // re-encodes only those and copies the cached entries of the rest.
+  constexpr size_t kTotal = kXways * kSegments;
+  for (const double pct : {0.0, 4.3, 100.0}) {
+    const auto touched = static_cast<size_t>(pct / 100 * kTotal + 0.5);
+    ReportCapture(rows, "TollCalculator", pct, toll, reps, [&, touched] {
+      for (size_t j = 0; j < touched; ++j) {
+        const auto s = static_cast<int64_t>(j * kTotal / touched);
+        Tuple t;
+        t.event_time = 5 * 60 * kMicrosPerSecond + 10;
+        t.ints = {lrb::kPositionReport, 1'000'000,
+                  lrb::PackLocation(s / kSegments, s % kSegments),
+                  lrb::PackSpeed(30, false, false)};
+        t.key = Mix64(static_cast<uint64_t>(t.ints[2]));
+        toll.Process(t, &discard);
+      }
+    });
+  }
 
   // A word counter of the same entry count: 6 400 words, three windows each.
   wc::WordCountConfig config;
@@ -497,7 +527,7 @@ void BenchOperatorCapture(std::vector<CaptureRow>* rows, int reps) {
       counter.Process(t, &discard);
     }
   }
-  ReportCapture(rows, "WordCounter", counter, reps);
+  ReportCapture(rows, "WordCounter", 0.0, counter, reps, [] {});
 }
 
 // ---------------------------------------------------------- operator process
@@ -586,10 +616,80 @@ void BenchSourceGenerate(std::vector<GenerateRow>* rows, int reps) {
   std::fflush(stdout);
 }
 
+// ---------------------------------------------------------------- sim kernel
+// One simulated event: its closure scheduled, then popped and run. 1 024
+// chains each schedule their next event from the body of the current one,
+// so about a thousand events are pending, as in a busy simulation. The
+// closure sizes bracket the kernel's inline task storage; the checksum
+// folds in every event's firing time in firing order, so it matches
+// between two kernels only if they fire the same events in the same order.
+
+struct KernelRow {
+  size_t closure_bytes;
+  size_t events;
+  double ns_per_event;
+  uint64_t checksum;
+};
+
+struct KernelState {
+  sim::Simulation sim;
+  uint64_t scheduled = 0;
+  uint64_t fired = 0;
+  uint64_t checksum = 0;
+  uint64_t limit = 0;
+};
+
+template <size_t kWords>
+struct ChainEvent {
+  KernelState* state;
+  uint64_t words[kWords - 1];  // words[0] names the chain
+
+  void operator()() const {
+    KernelState& s = *state;
+    ++s.fired;
+    s.checksum = s.checksum * 1'099'511'628'211ull ^
+                 (static_cast<uint64_t>(s.sim.Now()) + words[0]);
+    if (s.scheduled < s.limit) {
+      ++s.scheduled;
+      s.sim.Schedule(1 + static_cast<SimTime>(Mix64(s.scheduled) & 63),
+                     *this);
+    }
+  }
+};
+
+template <size_t kWords>
+void BenchKernelEvents(std::vector<KernelRow>* rows, int reps) {
+  constexpr size_t kEvents = 1'000'000;
+  constexpr uint64_t kChains = 1024;
+  static_assert(sizeof(ChainEvent<kWords>) == 8 * kWords);
+  uint64_t checksum = 0;
+  const double us = TimeConsumingUs(
+      reps, [] { return std::make_unique<KernelState>(); },
+      [&](std::unique_ptr<KernelState>& s) {
+        s->limit = kEvents;
+        for (uint64_t chain = 0; chain < kChains; ++chain) {
+          ChainEvent<kWords> event{s.get(), {chain}};
+          ++s->scheduled;
+          s->sim.Schedule(static_cast<SimTime>(chain & 63), event);
+        }
+        s->sim.RunAll();
+        SEEP_CHECK(s->fired == kEvents);
+        checksum = s->checksum;
+      });
+  rows->push_back(KernelRow{8 * kWords, kEvents,
+                            us * 1000.0 / static_cast<double>(kEvents),
+                            checksum});
+  const KernelRow& r = rows->back();
+  std::printf("%-15zu %9zu %14.1f %20llu\n", r.closure_bytes, r.events,
+              r.ns_per_event, static_cast<unsigned long long>(r.checksum));
+  std::fflush(stdout);
+}
+
 void WriteJson(FILE* f, const std::vector<Row>& rows,
                const std::vector<CaptureRow>& captures,
                const std::vector<ProcessRow>& processes,
-               const std::vector<GenerateRow>& generates) {
+               const std::vector<GenerateRow>& generates,
+               const std::vector<KernelRow>& kernel) {
   std::fprintf(f, "{\n  \"bench\": \"state_hot_paths\",\n  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -604,9 +704,10 @@ void WriteJson(FILE* f, const std::vector<Row>& rows,
   for (size_t i = 0; i < captures.size(); ++i) {
     const CaptureRow& c = captures[i];
     std::fprintf(f,
-                 "    {\"operator\": \"%s\", \"entries\": %zu, "
-                 "\"capture_us\": %.1f, \"sorted_us\": %.1f}%s\n",
-                 c.op, c.entries, c.capture_us, c.sorted_us,
+                 "    {\"operator\": \"%s\", \"touched_pct\": %.1f, "
+                 "\"entries\": %zu, \"capture_us\": %.1f, "
+                 "\"sorted_us\": %.1f}%s\n",
+                 c.op, c.touched_pct, c.entries, c.capture_us, c.sorted_us,
                  i + 1 < captures.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"operator_process\": [\n");
@@ -627,6 +728,16 @@ void WriteJson(FILE* f, const std::vector<Row>& rows,
                  g.what.c_str(), g.items, g.ns_per_item,
                  static_cast<unsigned long long>(g.checksum),
                  i + 1 < generates.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"sim_kernel\": [\n");
+  for (size_t i = 0; i < kernel.size(); ++i) {
+    const KernelRow& k = kernel[i];
+    std::fprintf(f,
+                 "    {\"closure_bytes\": %zu, \"events\": %zu, "
+                 "\"ns_per_event\": %.1f, \"checksum\": %llu}%s\n",
+                 k.closure_bytes, k.events, k.ns_per_event,
+                 static_cast<unsigned long long>(k.checksum),
+                 i + 1 < kernel.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
 }
@@ -654,8 +765,8 @@ int Main(int argc, char** argv) {
     BenchPartitionSerialize(&rows, n, reps);
   }
   std::printf("\n==== Operator get-processing-state ====\n");
-  std::printf("%-15s %9s %14s %14s\n", "operator", "entries", "capture(us)",
-              "+sort(us)");
+  std::printf("%-15s %9s %9s %14s %14s\n", "operator", "touched%",
+              "entries", "capture(us)", "+sort(us)");
   std::vector<CaptureRow> captures;
   BenchOperatorCapture(&captures, 20);
   std::printf("\n==== Operator process ====\n");
@@ -667,7 +778,14 @@ int Main(int argc, char** argv) {
               "checksum");
   std::vector<GenerateRow> generates;
   BenchSourceGenerate(&generates, 10);
-  WriteJson(f, rows, captures, processes, generates);
+  std::printf("\n==== Sim kernel: schedule + fire ====\n");
+  std::printf("%-15s %9s %14s %20s\n", "closure(B)", "events", "ns/event",
+              "checksum");
+  std::vector<KernelRow> kernel;
+  BenchKernelEvents<2>(&kernel, 5);
+  BenchKernelEvents<8>(&kernel, 5);
+  BenchKernelEvents<16>(&kernel, 5);
+  WriteJson(f, rows, captures, processes, generates, kernel);
   std::fclose(f);
   std::printf("wrote %s\n", out);
   return 0;

@@ -1,6 +1,5 @@
 #include "runtime/checkpoint_plane.h"
 
-#include <memory>
 #include <utility>
 
 #include "runtime/ckpt_pipeline.h"
@@ -130,16 +129,16 @@ void CheckpointPlane::ShipAsync(core::StateCheckpoint ckpt) {
   // Serialization is one deferred simulation event, on either backend: the
   // modeled serialization cost (the one the synchronous path charges as a
   // pause) elapses off the processing path, then the frame is built and
-  // shipped. The closure must stay copyable, hence the shared_ptr.
+  // shipped.
   const double kib =
       static_cast<double>(ckpt.processing.ByteSize() + 64) / 1024.0;
   const auto delay =
       static_cast<SimTime>(kib * cluster_->config().serialize_cost_us_per_kb);
-  auto shared = std::make_shared<core::StateCheckpoint>(std::move(ckpt));
-  cluster_->simulation()->Schedule(delay, [cluster = cluster_, shared]() {
-    ShipSerializedCheckpoint(
-        cluster, SerializeCheckpoint(*shared, kCompressCheckpoints));
-  });
+  cluster_->simulation()->Schedule(
+      delay, [cluster = cluster_, ckpt = std::move(ckpt)]() {
+        ShipSerializedCheckpoint(
+            cluster, SerializeCheckpoint(ckpt, kCompressCheckpoints));
+      });
 }
 
 bool CheckpointPlane::CanCheckpointIncrementally() const {

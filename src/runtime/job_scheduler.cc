@@ -40,27 +40,30 @@ void JobScheduler::TryStart() {
     return;
   }
 
-  auto job = std::make_shared<Job>(std::move(queue_.front()));
+  current_ = std::move(queue_.front());
   queue_.pop_front();
 
   // Determine the job's CPU cost (checkpoint jobs snapshot state here, so
   // their cost reflects the real encoded size).
-  host_->PrepareJob(job.get());
+  host_->PrepareJob(&current_);
 
   busy_ = true;
   const SimTime duration = std::max<SimTime>(
-      0, static_cast<SimTime>(job->cost_us / vm_capacity_));
+      0, static_cast<SimTime>(current_.cost_us / vm_capacity_));
   const bool replay_catch_up =
-      job->kind == Job::Kind::kBatch && job->batch.replay;
+      current_.kind == Job::Kind::kBatch && current_.batch.replay;
   if (!replay_catch_up) busy_accum_us_ += static_cast<double>(duration);
-  sim_->Schedule(duration, [this, job]() {
+  sim_->Schedule(duration, [this]() {
+    // Moved out first: FinishJob may start the next job on this scheduler,
+    // and a dead host's job is freed here.
+    Job job = std::move(current_);
     if (!host_->alive()) return;
     busy_ = false;
     if (!host_->stopped()) {
-      if (job->kind == Job::Kind::kBatch) {
-        queued_tuples_ -= std::min(queued_tuples_, job->batch.tuples.size());
+      if (job.kind == Job::Kind::kBatch) {
+        queued_tuples_ -= std::min(queued_tuples_, job.batch.tuples.size());
       }
-      host_->FinishJob(job.get());
+      host_->FinishJob(&job);
     }
     TryStart();
   });

@@ -88,6 +88,7 @@ class JobScheduler {
   bool busy_ = false;
   bool paused_ = false;
   bool throttled_ = false;
+  Job current_;  // the job in service while busy_
   std::deque<Job> queue_;
   size_t queued_tuples_ = 0;
   double busy_accum_us_ = 0;

@@ -1,6 +1,5 @@
 #include "runtime/transport.h"
 
-#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -186,11 +185,11 @@ SendPressure SimTransport::SendBatch(OperatorInstance* from, InstanceId to,
   const OperatorInstance* dest = members->GetInstance(to);
   if (dest == nullptr) return SendPressure::kNone;
   const uint64_t bytes = batch.SerializedSize();
-  auto shared = std::make_shared<core::TupleBatch>(std::move(batch));
   cluster_->network()->Send(
-      from->vm(), dest->vm(), bytes, [members, to, shared]() {
+      from->vm(), dest->vm(), bytes,
+      [members, to, batch = std::move(batch)]() mutable {
         OperatorInstance* target = members->GetInstance(to);
-        if (target != nullptr) target->OnBatch(std::move(*shared));
+        if (target != nullptr) target->OnBatch(std::move(batch));
       });
   return SendPressure::kNone;
 }
@@ -200,24 +199,23 @@ void SimTransport::ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
   if (auto* frame = std::get_if<SerializedCkptFrame>(&parcel.body)) {
     // Background sends never hold up the data path, so one message of the
     // frame's size models the ship; it is decoded on arrival.
-    auto shared = std::make_shared<SerializedCkptFrame>(std::move(*frame));
-    const uint64_t bytes = shared->frame.size();
+    const uint64_t bytes = frame->frame.size();
     cluster_->network()->Send(
         from, to, bytes,
-        [cluster = cluster_, shared, on_arrival = std::move(on_arrival)]() {
-          ReceiveCheckpointFrame(cluster, std::move(*shared), on_arrival);
+        [cluster = cluster_, shipped = std::move(*frame),
+         on_arrival = std::move(on_arrival)]() mutable {
+          ReceiveCheckpointFrame(cluster, std::move(shipped), on_arrival);
         },
         parcel.background);
     return;
   }
   // A materialized checkpoint is handed over in memory at its modeled size.
-  auto shared = std::make_shared<core::StateCheckpoint>(
-      std::move(std::get<core::StateCheckpoint>(parcel.body)));
-  const uint64_t bytes = shared->ByteSize();
+  auto& ckpt = std::get<core::StateCheckpoint>(parcel.body);
+  const uint64_t bytes = ckpt.ByteSize();
   cluster_->network()->Send(
       from, to, bytes,
-      [shared, on_arrival = std::move(on_arrival)]() {
-        on_arrival(ArrivedCheckpoint{std::move(*shared), std::nullopt});
+      [ckpt = std::move(ckpt), on_arrival = std::move(on_arrival)]() mutable {
+        on_arrival(ArrivedCheckpoint{std::move(ckpt), std::nullopt});
       },
       parcel.background);
 }

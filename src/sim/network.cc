@@ -10,13 +10,13 @@ void Network::Attach(VmId vm) { endpoints_.try_emplace(vm); }
 
 void Network::Detach(VmId vm) { endpoints_.erase(vm); }
 
-void Network::Send(VmId from, VmId to, uint64_t size_bytes,
-                   Delivery on_delivery, bool background) {
+SimTime Network::Reserve(VmId from, VmId to, uint64_t size_bytes,
+                         bool background) {
   auto src = endpoints_.find(from);
   auto dst = endpoints_.find(to);
   if (src == endpoints_.end() || dst == endpoints_.end()) {
     ++messages_dropped_;
-    return;
+    return -1;
   }
   const SimTime now = sim_->Now();
   const SimTime tx_time = static_cast<SimTime>(
@@ -39,16 +39,7 @@ void Network::Send(VmId from, VmId to, uint64_t size_bytes,
 
   ++messages_sent_;
   bytes_sent_ += size_bytes;
-
-  sim_->ScheduleAt(
-      delivered, [this, to, cb = std::move(on_delivery)]() mutable {
-        // The receiver may have failed while the message was in flight.
-        if (!IsAttached(to)) {
-          ++messages_dropped_;
-          return;
-        }
-        cb();
-      });
+  return delivered;
 }
 
 uint64_t Network::UplinkBytes(VmId vm) const {

@@ -2,8 +2,8 @@
 #define SEEP_SIM_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
+#include <utility>
 
 #include "common/ids.h"
 #include "common/time.h"
@@ -31,9 +31,6 @@ class Network {
   Network(Simulation* sim, NetworkConfig config)
       : sim_(sim), config_(config) {}
 
-  /// Delivery callback type. The closure owns the message payload.
-  using Delivery = std::function<void()>;
-
   /// Registers/unregisters a VM endpoint. Messages to unregistered endpoints
   /// are counted and dropped — this is how traffic to a failed VM dies.
   void Attach(VmId vm);
@@ -41,14 +38,29 @@ class Network {
   bool IsAttached(VmId vm) const { return endpoints_.contains(vm); }
 
   /// Sends `size_bytes` from `from` to `to`; runs `on_delivery` when the last
-  /// byte arrives, unless either endpoint has been detached by then.
+  /// byte arrives, unless either endpoint has been detached by then. The
+  /// closure owns the message payload and is moved, never copied.
   ///
   /// `background` marks throttled bulk traffic (checkpoint backups): it
   /// waits behind foreground transfers and pays its own transmission time,
   /// but does not delay subsequent foreground traffic — the standard
   /// low-priority treatment for replication streams.
-  void Send(VmId from, VmId to, uint64_t size_bytes, Delivery on_delivery,
-            bool background = false);
+  template <typename F>
+  void Send(VmId from, VmId to, uint64_t size_bytes, F on_delivery,
+            bool background = false) {
+    const SimTime delivered = Reserve(from, to, size_bytes, background);
+    if (delivered < 0) return;
+    sim_->ScheduleAt(delivered,
+                     [this, to, cb = std::move(on_delivery)]() mutable {
+                       // The receiver may have failed while the message was
+                       // in flight.
+                       if (!IsAttached(to)) {
+                         ++messages_dropped_;
+                         return;
+                       }
+                       cb();
+                     });
+  }
 
   uint64_t messages_sent() const { return messages_sent_; }
   uint64_t messages_dropped() const { return messages_dropped_; }
@@ -66,6 +78,11 @@ class Network {
     uint64_t uplink_bytes = 0;
     uint64_t downlink_bytes = 0;
   };
+
+  /// Books a transfer on both endpoints' links and returns when its last
+  /// byte arrives, or -1, counting the message as dropped, when either
+  /// endpoint is detached.
+  SimTime Reserve(VmId from, VmId to, uint64_t size_bytes, bool background);
 
   Simulation* sim_;
   NetworkConfig config_;

@@ -1,14 +1,33 @@
 #include "sim/simulation.h"
 
+#include <algorithm>
+
 namespace seep::sim {
 
+void Simulation::ScheduleAt(SimTime at, Task fn) {
+  SEEP_CHECK_GE(at, now_);
+  auto slot = static_cast<uint32_t>(tasks_.size());
+  if (free_slots_.empty()) {
+    tasks_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    tasks_[slot] = std::move(fn);
+  }
+  heap_.push_back(Event{at, ++next_id_, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
 bool Simulation::FireNext() {
-  if (queue_.empty()) return false;
-  const Event& top = queue_.top();
+  if (heap_.empty()) return false;
+  const Event top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
   SEEP_CHECK_GE(top.time, now_);
   now_ = top.time;
-  std::function<void()> fn = std::move(top.fn);
-  queue_.pop();
+  // Moved out first: the task may schedule events and so grow tasks_.
+  Task fn = std::move(tasks_[top.slot]);
+  free_slots_.push_back(top.slot);
   ++executed_;
   fn();
   return true;
@@ -16,7 +35,7 @@ bool Simulation::FireNext() {
 
 void Simulation::RunUntil(SimTime until) {
   SEEP_CHECK_GE(until, now_);
-  while (!queue_.empty() && queue_.top().time <= until) FireNext();
+  while (!heap_.empty() && heap_.front().time <= until) FireNext();
   now_ = until;
 }
 

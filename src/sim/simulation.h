@@ -2,12 +2,12 @@
 #define SEEP_SIM_SIMULATION_H_
 
 #include <cstdint>
-#include <functional>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/time.h"
+#include "sim/task.h"
 
 namespace seep::sim {
 
@@ -28,16 +28,13 @@ class Simulation {
   SimTime Now() const { return now_; }
 
   /// Schedules `fn` to run at Now() + delay (delay >= 0).
-  void Schedule(SimTime delay, std::function<void()> fn) {
+  void Schedule(SimTime delay, Task fn) {
     SEEP_CHECK_GE(delay, 0);
     ScheduleAt(now_ + delay, std::move(fn));
   }
 
   /// Schedules `fn` at an absolute time >= Now().
-  void ScheduleAt(SimTime at, std::function<void()> fn) {
-    SEEP_CHECK_GE(at, now_);
-    queue_.push(Event{at, ++next_id_, std::move(fn)});
-  }
+  void ScheduleAt(SimTime at, Task fn);
 
   /// Runs events until the queue is empty or `until` is reached (whichever is
   /// first); Now() advances to `until` even if the queue drains early.
@@ -46,17 +43,21 @@ class Simulation {
   /// Runs all pending events to quiescence.
   void RunAll();
 
-  size_t pending_events() const { return queue_.size(); }
+  size_t pending_events() const { return heap_.size(); }
   uint64_t executed_events() const { return executed_; }
 
  private:
+  // The heap orders small entries; each names the slot of `tasks_` that
+  // holds its closure. A fired event's slot goes on the free list.
   struct Event {
     SimTime time;
     EventId id;
-    mutable std::function<void()> fn;  // moved out when the event fires
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
+    uint32_t slot;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.id > b.id;
     }
   };
 
@@ -65,7 +66,9 @@ class Simulation {
   SimTime now_ = 0;
   EventId next_id_ = 0;
   uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
+  std::vector<Event> heap_;  // a min-heap under Later
+  std::vector<Task> tasks_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace seep::sim

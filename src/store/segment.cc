@@ -60,11 +60,9 @@ SegmentScan ScanSegment(int fd, uint64_t file_size, uint64_t max_payload) {
     MarkTorn(&scan, 0, "bad segment header");
     return scan;
   }
-  uint64_t id = 0;
   for (int i = 0; i < 8; ++i) {
-    id |= uint64_t(header[8 + i]) << (8 * i);
+    scan.id |= uint64_t(header[8 + i]) << (8 * i);
   }
-  scan.id = static_cast<uint32_t>(id);
   uint64_t pos = kSegmentHeaderBytes;
   scan.valid_bytes = pos;
 

@@ -32,7 +32,7 @@ struct ScannedRecord {
 /// everything past it is a torn tail. The scan never throws and never reads
 /// past `file_size`.
 struct SegmentScan {
-  uint32_t id = 0;
+  uint64_t id = 0;  // as the header records it, all 64 bits
   std::vector<ScannedRecord> records;
   uint64_t valid_bytes = 0;
   bool torn = false;

@@ -162,6 +162,7 @@ void TollCalculator::Process(const core::Tuple& input, core::Collector* out) {
   const int64_t minute = input.event_time / kMinute;
 
   SegmentState& seg = SegmentAt(loc);
+  seg.dirty = true;
   auto stats = MinuteLowerBound(seg.minutes, minute);
   if (stats == seg.minutes.end() || stats->minute != minute) {
     stats = seg.minutes.insert(stats, MinuteStats{.minute = minute});
@@ -240,18 +241,23 @@ core::ProcessingState TollCalculator::GetProcessingState() const {
   serde::Encoder enc;
   for (uint32_t slot : key_order_) {
     const SegmentState& seg = segments_[slot];
-    enc.Clear();
-    enc.AppendVarintSigned64(seg.loc);
-    enc.AppendU8(seg.accident ? 1 : 0);
-    enc.AppendVarint64(seg.minutes.size());
-    for (const MinuteStats& stats : seg.minutes) {
-      enc.AppendVarintSigned64(stats.minute);
-      enc.AppendVarintSigned64(stats.count);
-      enc.AppendVarintSigned64(stats.speed_sum);
+    if (seg.dirty) {
+      enc.Clear();
+      enc.AppendVarintSigned64(seg.loc);
+      enc.AppendU8(seg.accident ? 1 : 0);
+      enc.AppendVarint64(seg.minutes.size());
+      for (const MinuteStats& stats : seg.minutes) {
+        enc.AppendVarintSigned64(stats.minute);
+        enc.AppendVarintSigned64(stats.count);
+        enc.AppendVarintSigned64(stats.speed_sum);
+      }
+      enc.AppendVarint64(seg.stopped_vehicles.size());
+      for (int64_t vid : seg.stopped_vehicles) enc.AppendVarintSigned64(vid);
+      seg.encoded.assign(reinterpret_cast<const char*>(enc.buffer().data()),
+                         enc.size());
+      seg.dirty = false;
     }
-    enc.AppendVarint64(seg.stopped_vehicles.size());
-    for (int64_t vid : seg.stopped_vehicles) enc.AppendVarintSigned64(vid);
-    state.Add(seg.key, StateEntryValue(enc));
+    state.Add(seg.key, seg.encoded);
   }
   return state;
 }

@@ -157,6 +157,11 @@ class TollCalculator : public core::Operator {
     // Ascending by minute; garbage collection keeps about six live.
     std::vector<MinuteStats> minutes;
     std::vector<int64_t> stopped_vehicles;  // ascending vehicle ids
+    // The segment's state entry as the last capture encoded it, valid
+    // unless a tuple was processed since: a capture re-encodes only the
+    // dirty segments.
+    mutable bool dirty = true;
+    mutable std::string encoded;
   };
 
   /// The segment at `loc`, created empty on first sight.

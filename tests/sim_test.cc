@@ -1,11 +1,20 @@
 // Unit tests for the discrete-event core: event ordering, run-until
-// semantics, and the network model (latency, bandwidth FIFO
-// serialisation, drops at detached endpoints).
+// semantics, the move-only task and its slot table (inline and heap
+// closures, destruction, slot reuse, growth while a task runs), and the
+// network model (latency, bandwidth FIFO serialisation, drops at detached
+// endpoints).
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/network.h"
 #include "sim/simulation.h"
+#include "sim/task.h"
 
 namespace seep::sim {
 namespace {
@@ -61,6 +70,147 @@ TEST(SimulationTest, ZeroDelayFiresAtCurrentTime) {
     sim.Schedule(0, [&] { EXPECT_EQ(sim.Now(), 100); });
   });
   sim.RunAll();
+}
+
+// ---------------------------------------------------------- Task and slots
+
+// Counts the live copies of a closure's capture: every construction adds
+// one and every destruction takes one away, so a closure that is destroyed
+// twice, or never, leaves the count off zero.
+struct LiveCount {
+  int live = 0;
+  int fired = 0;
+};
+
+class Tracked {
+ public:
+  explicit Tracked(LiveCount* count) : count_(count) { ++count_->live; }
+  Tracked(Tracked&& other) noexcept : count_(other.count_) {
+    ++count_->live;
+  }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() { --count_->live; }
+  LiveCount* count() const { return count_; }
+
+ private:
+  LiveCount* count_;
+};
+
+TEST(TaskTest, MoveOnlyCaptureFires) {
+  Simulation sim;
+  int seen = 0;
+  auto value = std::make_unique<int>(7);
+  sim.Schedule(10, [value = std::move(value), &seen] { seen = *value; });
+  sim.RunAll();
+  EXPECT_EQ(seen, 7);
+}
+
+TEST(TaskTest, ClosureLargerThanInlineStorageFiresAndDiesOnce) {
+  LiveCount count;
+  std::array<char, 2 * Task::kInlineBytes> bulk{};
+  bulk.back() = 'z';
+  {
+    Simulation sim;
+    auto big = [tracked = Tracked(&count), bulk] {
+      ++tracked.count()->fired;
+      EXPECT_EQ(bulk.back(), 'z');
+    };
+    static_assert(sizeof(big) > Task::kInlineBytes);
+    auto small = [tracked = Tracked(&count)] { ++tracked.count()->fired; };
+    static_assert(sizeof(small) <= Task::kInlineBytes);
+    sim.Schedule(5, std::move(big));
+    sim.Schedule(5, std::move(small));
+    sim.RunAll();
+    EXPECT_EQ(count.fired, 2);
+    // The moved-from locals still hold their (moved-from) captures.
+    EXPECT_EQ(count.live, 2);
+  }
+  EXPECT_EQ(count.live, 0);
+  EXPECT_EQ(count.fired, 2);
+}
+
+TEST(TaskTest, PendingClosuresDieWithTheSimulation) {
+  LiveCount count;
+  {
+    Simulation sim;
+    std::array<char, 2 * Task::kInlineBytes> bulk{};
+    for (int i = 0; i < 100; ++i) {
+      if (i % 2 == 0) {
+        sim.Schedule(i, [tracked = Tracked(&count)] {
+          ++tracked.count()->fired;
+        });
+      } else {
+        sim.Schedule(i, [tracked = Tracked(&count), bulk] {
+          ++tracked.count()->fired;
+        });
+      }
+    }
+    EXPECT_EQ(count.live, 100);
+    sim.RunUntil(49);  // fires 0..49, half of each kind
+    EXPECT_EQ(count.fired, 50);
+    EXPECT_EQ(count.live, 50);
+    EXPECT_EQ(sim.pending_events(), 50u);
+  }
+  EXPECT_EQ(count.live, 0);
+  EXPECT_EQ(count.fired, 50);
+}
+
+TEST(SimulationTest, ReusedSlotsKeepTimeThenInsertionOrder) {
+  constexpr int kEvents = 400;
+  Simulation sim;
+  std::vector<std::pair<SimTime, int>> fired;
+  std::vector<std::pair<SimTime, int>> expected;
+  auto schedule = [&](int label) {
+    const SimTime at = 100 * (1 + label % 4);
+    sim.ScheduleAt(at, [&fired, &sim, label] {
+      fired.emplace_back(sim.Now(), label);
+    });
+  };
+  for (int label = 0; label < kEvents; ++label) schedule(label);
+  sim.RunUntil(200);  // half: the events at 100 and 200
+  EXPECT_EQ(fired.size(), kEvents / 2u);
+  // The freed slots are reused, at the two times still pending.
+  for (int label = kEvents; label < 2 * kEvents; ++label) {
+    if (label % 4 >= 2) schedule(label);
+  }
+  sim.RunAll();
+  for (const SimTime at : {100, 200, 300, 400}) {
+    for (int label = 0; label < 2 * kEvents; ++label) {
+      if (100 * (1 + label % 4) != at) continue;
+      if (label >= kEvents && label % 4 < 2) continue;
+      expected.emplace_back(at, label);
+    }
+  }
+  EXPECT_EQ(fired, expected);
+}
+
+TEST(SimulationTest, TaskSchedulingTenThousandEventsFromItsBody) {
+  constexpr int kEvents = 10000;
+  Simulation sim;
+  std::vector<int> order;
+  const std::string payload(100, 'p');
+  int mutated = 0;
+  sim.Schedule(1, [&, payload, calls = 0]() mutable {
+    // The task table grows under this running task; its captures must
+    // stay intact.
+    for (int i = 0; i < kEvents; ++i) {
+      sim.Schedule(1 + i % 3, [&order, i] { order.push_back(i); });
+      ++calls;
+    }
+    EXPECT_EQ(payload, std::string(100, 'p'));
+    mutated = calls;
+  });
+  sim.RunAll();
+  EXPECT_EQ(mutated, kEvents);
+  ASSERT_EQ(order.size(), static_cast<size_t>(kEvents));
+  std::vector<int> expected;
+  for (int delay = 1; delay <= 3; ++delay) {
+    for (int i = delay - 1; i < kEvents; i += 3) expected.push_back(i);
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.executed_events(), kEvents + 1u);
 }
 
 // ------------------------------------------------------------------ Network

@@ -3,10 +3,11 @@
 // inline compaction (and a compaction that fails under an append), fsync
 // policies, the record meta decoder's truncation and bit-flip sweeps, the
 // check that neither the log nor a kDisk cluster starts a thread — and the
-// torn-write sweep, which truncates and bit-flips the segment file at every
+// torn-write sweeps: one truncates and bit-flips the segment file at every
 // frame boundary and checks that the recovery scan never crashes, never
 // resurrects a superseded or tombstoned record, and reports exactly the
-// surviving prefix.
+// surviving prefix; the other scans every prefix and every single-bit flip
+// of the segment.
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -604,6 +605,120 @@ TEST(TornWriteSweepTest, BadSegmentHeaderDropsWholeSegment) {
   EXPECT_EQ(log->LiveRecords().size(), 0u);
   EXPECT_TRUE(log->VerifyIndex().ok());
   EXPECT_TRUE(Put(log.get(), 9, 1).ok());
+}
+
+// The scan of `scan` kept exactly the first `n` of the fixture's records.
+void ExpectRecordPrefix(const SegmentScan& scan, const SweepFixture& fx,
+                        size_t n, const std::string& what) {
+  ASSERT_EQ(scan.records.size(), n) << what;
+  for (size_t i = 0; i < n; ++i) {
+    const ScannedRecord& got = scan.records[i];
+    const ScannedRecord& want = fx.records[i];
+    EXPECT_EQ(got.record_offset, want.record_offset) << what;
+    EXPECT_EQ(got.payload_offset, want.payload_offset) << what;
+    EXPECT_EQ(got.meta.type, want.meta.type) << what;
+    EXPECT_EQ(got.meta.owner, want.meta.owner) << what;
+    EXPECT_EQ(got.meta.owner_op, want.meta.owner_op) << what;
+    EXPECT_EQ(got.meta.holder, want.meta.holder) << what;
+    EXPECT_EQ(got.meta.seq, want.meta.seq) << what;
+    EXPECT_EQ(got.meta.raw_bytes, want.meta.raw_bytes) << what;
+    EXPECT_EQ(got.meta.compressed, want.meta.compressed) << what;
+    EXPECT_EQ(got.meta.payload_bytes, want.meta.payload_bytes) << what;
+  }
+}
+
+// The every-byte sweeps call ScanSegment directly, with the file size as
+// the cut, so no case reopens the log.
+TEST(SegmentScanSweepTest, EveryStrictPrefixKeepsTheRecordsBeforeTheCut) {
+  const SweepFixture fx = BuildSweepFixture("scan_every_prefix");
+  ASSERT_EQ(std::filesystem::file_size(fx.pristine), fx.valid_bytes);
+  const int fd = ::open(fx.pristine.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  for (uint64_t cut = 0; cut < fx.valid_bytes && !HasFailure(); ++cut) {
+    const SegmentScan scan =
+        ScanSegment(fd, cut, serde::kDefaultMaxFramePayload);
+    const std::string what = "cut at " + std::to_string(cut);
+    size_t whole = 0;
+    while (whole < fx.records.size() && RecordEnd(fx, whole) <= cut) ++whole;
+    uint64_t valid = 0;
+    if (cut >= kSegmentHeaderBytes) {
+      valid = whole == 0 ? kSegmentHeaderBytes : RecordEnd(fx, whole - 1);
+      EXPECT_EQ(scan.id, 1u) << what;
+    }
+    ExpectRecordPrefix(scan, fx, whole, what);
+    EXPECT_EQ(scan.valid_bytes, valid) << what;
+    // A cut on a record boundary, the header's end included, leaves a clean
+    // image; anywhere else the tail is torn.
+    EXPECT_EQ(scan.torn, cut < kSegmentHeaderBytes || cut != valid) << what;
+  }
+  ::close(fd);
+}
+
+TEST(SegmentScanSweepTest, EverySingleBitFlipStopsAtItsRecord) {
+  constexpr uint64_t kMagicBytes = 8;
+  const SweepFixture fx = BuildSweepFixture("scan_every_flip");
+  const int fd = ::open(fx.segment.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  size_t record = 0;  // the record holding byte `at`
+  for (uint64_t at = 0; at < fx.valid_bytes && !HasFailure(); ++at) {
+    while (at >= kSegmentHeaderBytes && RecordEnd(fx, record) <= at) {
+      ++record;
+    }
+    uint8_t original = 0;
+    ASSERT_EQ(::pread(fd, &original, 1, static_cast<off_t>(at)), 1);
+    for (int bit = 0; bit < 8; ++bit) {
+      const auto flipped = static_cast<uint8_t>(original ^ (1u << bit));
+      ASSERT_EQ(::pwrite(fd, &flipped, 1, static_cast<off_t>(at)), 1);
+      const SegmentScan scan =
+          ScanSegment(fd, fx.valid_bytes, serde::kDefaultMaxFramePayload);
+      const std::string what =
+          "bit " + std::to_string(bit) + " of byte " + std::to_string(at);
+      if (at < kMagicBytes) {
+        // A bad magic: the whole segment is dropped.
+        EXPECT_TRUE(scan.torn) << what;
+        EXPECT_EQ(scan.valid_bytes, 0u) << what;
+        EXPECT_TRUE(scan.records.empty()) << what;
+      } else if (at < kSegmentHeaderBytes) {
+        // The id field: only the id changes.
+        EXPECT_EQ(scan.id, 1u ^ (uint64_t{1} << (8 * (at - kMagicBytes) + bit)))
+            << what;
+        EXPECT_FALSE(scan.torn) << what;
+        EXPECT_EQ(scan.valid_bytes, fx.valid_bytes) << what;
+        ExpectRecordPrefix(scan, fx, fx.records.size(), what);
+      } else {
+        // crc32c catches every single-bit flip: the scan stops at the
+        // record that holds it.
+        EXPECT_TRUE(scan.torn) << what;
+        EXPECT_EQ(scan.valid_bytes, fx.records[record].record_offset) << what;
+        ExpectRecordPrefix(scan, fx, record, what);
+      }
+    }
+    ASSERT_EQ(::pwrite(fd, &original, 1, static_cast<off_t>(at)), 1);
+  }
+  ::close(fd);
+
+  // The log drops a segment whose scanned id differs from its file name's,
+  // a flip in the id's upper half included.
+  for (const uint64_t at : {kMagicBytes, kSegmentHeaderBytes - 1}) {
+    RestorePristine(fx);
+    {
+      std::fstream f(fx.segment,
+                     std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(static_cast<std::streamoff>(at));
+      char byte = 0;
+      f.read(&byte, 1);
+      byte = static_cast<char>(byte ^ 0x02);
+      f.seekp(static_cast<std::streamoff>(at));
+      f.write(&byte, 1);
+    }
+    auto log = MustOpen(TestConfig(fx.dir));
+    const std::string what = "id flip in byte " + std::to_string(at);
+    EXPECT_TRUE(log->recovery_info().torn) << what;
+    EXPECT_NE(log->recovery_info().torn_detail.find("segment id mismatch"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(log->LiveRecords().size(), 0u) << what;
+  }
 }
 
 }  // namespace
