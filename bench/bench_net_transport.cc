@@ -1,9 +1,11 @@
 // Benchmarks for the networking subsystem: raw loopback shipping through
 // net::LocalCluster (throughput and round-trip latency across tuple-batch
-// sizes), then the Transport seam end to end — the windowed word-count
-// workload on the TCP backend versus the simulated one, same sim horizon,
-// wall-clock compared, with the process's context switches per TCP message.
-// One thread drives both ends of every socket, as the TCP transport does.
+// sizes), then one checkpoint parcel at a time through the TCP transport
+// (serialize to arrival, 64 KiB to 16 MiB of incompressible state), then
+// the Transport seam end to end — the windowed word-count workload on the
+// TCP backend versus the simulated one, same sim horizon, wall-clock
+// compared, with the process's context switches per TCP message. One
+// thread drives both ends of every socket, as the TCP transport does.
 // Results go to stdout and BENCH_net_transport.json.
 //
 // Usage: bench_net_transport [output.json]
@@ -22,8 +24,10 @@
 #include "core/tuple.h"
 #include "net/local_cluster.h"
 #include "net/wire.h"
+#include "runtime/cluster.h"
 #include "runtime/tcp_transport.h"
 #include "serde/encoder.h"
+#include "sim/simulation.h"
 #include "sps/sps.h"
 #include "workloads/wordcount/wordcount.h"
 
@@ -160,6 +164,75 @@ LoopbackRow BenchLoopback(size_t batch_tuples) {
   return row;
 }
 
+/// One checkpoint size shipped parcel by parcel between two bare TCP VMs:
+/// the median wall clock from ShipCheckpoint (which serializes the parcel)
+/// to its arrival callback (which runs after the decode), and the frame
+/// bytes per second that makes.
+struct ParcelRow {
+  size_t checkpoint_bytes;
+  size_t frame_bytes;
+  int ships;
+  double p50_us;
+  double mb_s;
+};
+
+/// A checkpoint of about `bytes` of random 4 KiB values, which compression
+/// cannot shrink, so its frame ships raw at about its encoded size.
+core::StateCheckpoint IncompressibleCheckpoint(size_t bytes) {
+  constexpr size_t kValueBytes = 4096;
+  core::StateCheckpoint ckpt;
+  ckpt.op = 3;
+  ckpt.instance = 11;
+  ckpt.seq = 1;
+  Rng rng(0xC4EC + bytes);
+  std::string value(kValueBytes, '\0');
+  for (size_t i = 0; i < bytes / kValueBytes; ++i) {
+    for (char& c : value) c = static_cast<char>(rng.Next());
+    ckpt.processing.Add(rng.Next(), value);
+  }
+  return ckpt;
+}
+
+ParcelRow BenchParcel(size_t bytes) {
+  constexpr int kWarmup = 1, kShips = 15;
+  const core::StateCheckpoint ckpt = IncompressibleCheckpoint(bytes);
+  core::QueryGraph graph;
+  runtime::ClusterConfig config;
+  config.transport = runtime::TransportKind::kTcp;
+  config.audit_level = 0;
+  runtime::Cluster cluster(&graph, config);
+  auto* tcp = dynamic_cast<runtime::TcpTransport*>(cluster.transport());
+  SEEP_CHECK(tcp != nullptr);
+  sim::Simulation* sim = cluster.simulation();
+  tcp->AttachVm(1);
+  tcp->AttachVm(2);
+
+  std::vector<double> us;
+  for (int i = 0; i < kWarmup + kShips; ++i) {
+    runtime::CheckpointParcel parcel{ckpt};  // the copy stays off the clock
+    bool arrived = false;
+    const auto start = Clock::now();
+    tcp->ShipCheckpoint(1, 2, std::move(parcel),
+                        [&](runtime::ArrivedCheckpoint) { arrived = true; });
+    while (!arrived) {
+      SEEP_CHECK(sim->pending_events() > 0);  // a lost parcel stops the pump
+      sim->RunUntil(sim->Now() + MillisToSim(1));
+    }
+    if (i >= kWarmup) us.push_back(ElapsedUs(start));
+  }
+  std::sort(us.begin(), us.end());
+
+  ParcelRow row;
+  row.checkpoint_bytes = bytes;
+  row.frame_bytes =
+      runtime::SerializeCheckpoint(ckpt, runtime::kCompressCheckpoints)
+          .frame.size();
+  row.ships = kShips;
+  row.p50_us = us[us.size() / 2];
+  row.mb_s = double(row.frame_bytes) / (1 << 20) / (row.p50_us / 1e6);
+  return row;
+}
+
 /// The fastest of three runs: its wall clock, the messages it delivered
 /// over TCP, and the whole process's context switches (voluntary plus
 /// involuntary) while it ran.
@@ -218,6 +291,7 @@ WorkloadRow BenchWorkload(runtime::TransportKind kind, const char* label) {
 // ------------------------------------------------------------------- report
 
 void WriteJson(FILE* f, const std::vector<LoopbackRow>& loopback,
+               const std::vector<ParcelRow>& parcel,
                const std::vector<WorkloadRow>& workload) {
   std::fprintf(f, "{\n  \"bench\": \"net_transport\",\n  \"loopback\": [\n");
   for (size_t i = 0; i < loopback.size(); ++i) {
@@ -229,6 +303,15 @@ void WriteJson(FILE* f, const std::vector<LoopbackRow>& loopback,
                  r.batch_tuples, r.msg_bytes, r.throughput_msgs_s,
                  r.throughput_mb_s, r.rtt_p50_us, r.rtt_p99_us,
                  i + 1 < loopback.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"parcel\": [\n");
+  for (size_t i = 0; i < parcel.size(); ++i) {
+    const ParcelRow& r = parcel[i];
+    std::fprintf(f,
+                 "    {\"checkpoint_bytes\": %zu, \"frame_bytes\": %zu, "
+                 "\"ships\": %d, \"p50_us\": %.1f, \"mb_s\": %.1f}%s\n",
+                 r.checkpoint_bytes, r.frame_bytes, r.ships, r.p50_us,
+                 r.mb_s, i + 1 < parcel.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"workload\": [\n");
   for (size_t i = 0; i < workload.size(); ++i) {
@@ -266,6 +349,19 @@ int Main(int argc, char** argv) {
     loopback.push_back(row);
   }
 
+  std::printf("\n==== One checkpoint parcel over TCP, serialize to arrival "
+              "====\n");
+  std::printf("%16s %12s %6s %12s %10s\n", "checkpoint_bytes", "frame_bytes",
+              "ships", "p50(us)", "MB/s");
+  std::vector<ParcelRow> parcel;
+  for (size_t bytes : {size_t{64} << 10, size_t{1} << 20, size_t{16} << 20}) {
+    const ParcelRow row = BenchParcel(bytes);
+    std::printf("%16zu %12zu %6d %12.1f %10.1f\n", row.checkpoint_bytes,
+                row.frame_bytes, row.ships, row.p50_us, row.mb_s);
+    std::fflush(stdout);
+    parcel.push_back(row);
+  }
+
   std::printf("\n==== Word count, 60 sim-seconds: sim vs TCP backend ====\n");
   std::vector<WorkloadRow> workload;
   workload.push_back(BenchWorkload(runtime::TransportKind::kSim, "sim"));
@@ -284,7 +380,7 @@ int Main(int argc, char** argv) {
   std::printf("tcp/sim wall clock: %.2fx (target 1.5x)\n",
               workload[1].wall_ms / workload[0].wall_ms);
 
-  WriteJson(f, loopback, workload);
+  WriteJson(f, loopback, parcel, workload);
   std::fclose(f);
   std::printf("wrote %s\n", out);
   return 0;

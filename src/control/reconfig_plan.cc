@@ -190,8 +190,8 @@ void ShipOnePartition(const std::shared_ptr<PlanContext>& ctx, uint32_t i,
     const runtime::OperatorInstance* inst = ctx->cluster->GetInstance(new_id);
     ctx->cluster->simulation()->Schedule(
         ctx->partition_delay,
-        [ctx, i, new_id, h_vm = h->vm(), i_vm = inst->vm(), restore_one]() {
-          runtime::CheckpointParcel parcel{(*ctx->parts)[i], new_id,
+        [ctx, i, h_vm = h->vm(), i_vm = inst->vm(), restore_one]() {
+          runtime::CheckpointParcel parcel{(*ctx->parts)[i],
                                            /*background=*/false};
           ctx->cluster->transport()->ShipCheckpoint(
               h_vm, i_vm, std::move(parcel),

@@ -29,7 +29,7 @@ Result<Message> DecodeMessage(const std::vector<uint8_t>& payload) {
   switch (msg.type) {
     case MessageType::kHello:
     case MessageType::kBatch:
-    case MessageType::kCheckpointChunk:
+    case MessageType::kCheckpoint:
       break;
     default:
       return Status::Corruption("unknown wire message type");

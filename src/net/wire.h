@@ -17,13 +17,12 @@ enum class MessageType : uint8_t {
   kHello = 1,  // first frame on every outbound link: identifies from_vm
   kBatch = 2,  // a tuple batch (data path)
   // 3, 4 and 5 are retired and decode as corruption.
-  kCheckpointChunk = 6,  // one chunk of a serialized checkpoint parcel
+  kCheckpoint = 6,  // one serialized checkpoint parcel, whole
 };
 
 /// One message between two VM workers: a typed envelope plus an opaque body.
-/// `ship_id` names the checkpoint parcel a kCheckpointChunk belongs to (the
-/// sender keeps the parcel's arrival callback; the id travels with the
-/// bytes).
+/// `ship_id` names the checkpoint parcel a kCheckpoint carries (the sender
+/// keeps the parcel's arrival callback; the id travels with the bytes).
 struct Message {
   MessageType type = MessageType::kBatch;
   VmId from_vm = kInvalidVm;

@@ -100,8 +100,7 @@ class BackupStore {
 
   /// Deletes the backup everywhere: memory now, and — with a durable tier —
   /// a terminal tombstone record in the log. Reach this through
-  /// Cluster::DeleteBackup so the chunk reassembler forgets the owner's
-  /// partial streams in the same step.
+  /// Cluster::DeleteBackup, the one choke point for deleting a backup.
   void Delete(InstanceId owner);
 
   /// Previous backup holder, or kInvalidInstance (Algorithm 1's backup(o)).

@@ -72,10 +72,7 @@ Cluster::~Cluster() {
   }
 }
 
-void Cluster::DeleteBackup(InstanceId owner) {
-  ckpt_reassembler_.ForgetOwner(owner);
-  backups_.Delete(owner);
-}
+void Cluster::DeleteBackup(InstanceId owner) { backups_.Delete(owner); }
 
 void Cluster::InstallRoutes(OperatorId down_op,
                             std::vector<core::RoutingState::Route> routes) {

@@ -11,7 +11,6 @@
 #include "core/query_graph.h"
 #include "core/state.h"
 #include "runtime/backup_store.h"
-#include "runtime/ckpt_pipeline.h"
 #include "runtime/fence_registry.h"
 #include "runtime/membership.h"
 #include "runtime/metrics.h"
@@ -70,10 +69,6 @@ struct ClusterConfig {
   /// frame ships as background traffic. Off by default — the synchronous
   /// path (and every figure bench) is bit-for-bit unchanged.
   bool async_checkpoints = false;
-  /// Chunk size of the TCP backend's checkpoint chunk streams: multi-MB
-  /// frames interleave with data batches on the socket at this
-  /// granularity. The sim hands a frame over as one message.
-  size_t checkpoint_chunk_bytes = 256u << 10;
 
   /// Durability tier of the backup directory: kMemory is the paper's single
   /// in-memory copy at the upstream holder (default, and byte-identical to
@@ -146,9 +141,6 @@ class Cluster {
   /// Replay-fence registration and delivery.
   FenceRegistry* fences() { return &fences_; }
 
-  /// Holder-side reassembly of chunked checkpoint frames.
-  CkptChunkReassembler* ckpt_reassembler() { return &ckpt_reassembler_; }
-
   /// The protocol invariant auditor, or null when auditing is off. Every
   /// component hook guards on this pointer, so audit-off deployments pay one
   /// branch per hook site.
@@ -162,10 +154,12 @@ class Cluster {
                      std::vector<core::RoutingState::Route> routes);
 
   /// The single choke point for deleting a backup: drops the in-memory
-  /// entry, tombstones the durable log (kDisk/kTiered), and makes the chunk
-  /// reassembler forget the owner's partial streams in the same step — so a
-  /// dropped partial stream and a tombstone can never disagree about
-  /// whether the owner still stores.
+  /// entry and tombstones the durable log (kDisk/kTiered) in the same step,
+  /// so the two tiers never disagree about whether the owner still stores.
+  /// What stops a parcel still in flight for the owner is the owner check
+  /// on arrival (DeliverCheckpointToHolder): a dead owner, or one whose
+  /// checkpoints are suspended, as a scale-out or scale-in plan leaves the
+  /// instance it retires, stores nothing.
   void DeleteBackup(InstanceId owner);
 
   /// The durable checkpoint log, or null in kMemory mode.
@@ -221,7 +215,6 @@ class Cluster {
   Membership membership_;
   FenceRegistry fences_;
   std::unique_ptr<Transport> transport_;
-  CkptChunkReassembler ckpt_reassembler_;
   std::unique_ptr<verify::InvariantAuditor> auditor_;
 };
 

@@ -110,8 +110,8 @@ void Membership::FinalizeRetire(InstanceId id) {
   auto& members = partitions_[inst->op()];
   members.erase(std::remove(members.begin(), members.end(), id),
                 members.end());
-  // The choke point also drops any partial chunk streams still reassembling
-  // for the retired instance and tombstones the durable log.
+  // The choke point drops the retired instance's backup and tombstones the
+  // durable log.
   cluster_->DeleteBackup(id);
   RecordVmsInUse();
 }

@@ -119,17 +119,13 @@ class MetricsRegistry {
   SampleDistribution ckpt_e2e_ms{1 << 16, /*seed=*/13};
   /// Async captures handed to the deferred serialization stage.
   uint64_t async_ckpt_captures = 0;
-  /// Checkpoint chunks delivered over TCP, where every checkpoint parcel
-  /// crosses the socket as a chunk stream (the sim hands frames over
-  /// whole).
-  uint64_t ckpt_chunks = 0;
   /// In-flight async checkpoints aborted (owner died/stopped/suspended).
   uint64_t async_ckpts_aborted = 0;
   /// Serialized checkpoint payload bytes before / after compression.
   uint64_t ckpt_raw_bytes = 0;
   uint64_t ckpt_wire_bytes = 0;
-  /// Checkpoint parcels dropped on arrival for failing chunk validation or
-  /// crc/decompress/decode.
+  /// Checkpoint parcels dropped on arrival for failing their parcel header
+  /// or crc/decompress/decode.
   uint64_t ckpt_decode_failures = 0;
   /// Wire messages the TCP pump dropped because their body failed to
   /// decode. The frame already passed the net layer's crc32c, so these

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/macros.h"
 #include "net/local_cluster.h"
 #include "net/wire.h"
 #include "runtime/cluster.h"
@@ -59,13 +60,11 @@ struct TcpTransport::Impl {
   std::map<std::pair<VmId, VmId>, uint64_t> in_flight;
   uint64_t total_in_flight = 0;
 
-  // Checkpoint parcels in flight, keyed by the ship_id every chunk carries:
-  // the endpoints, the chunk stream as sent and the sender's arrival
-  // callback.
+  // Checkpoint parcels in flight, keyed by the ship_id their message
+  // carries: the endpoints and the sender's arrival callback.
   struct ShipEntry {
     VmId from = kInvalidVm;
     VmId to = kInvalidVm;
-    TcpChunkStream stream;
     ArrivalFn on_arrival;
   };
   std::unordered_map<uint64_t, ShipEntry> ships;
@@ -106,63 +105,57 @@ struct TcpTransport::Impl {
   }
 };
 
-CkptChunkHeader ChunkStreamHeader(const SerializedCkptFrame& frame,
-                                  InstanceId receiver, size_t chunk_bytes) {
-  const size_t total = frame.frame.size();
-  CkptChunkHeader header;
-  header.owner = frame.owner;
-  header.owner_op = frame.owner_op;
-  header.holder = receiver;
-  header.seq = frame.seq;
-  header.count = static_cast<uint32_t>((total + chunk_bytes - 1) / chunk_bytes);
-  header.frame_bytes = total;
-  header.raw_bytes = frame.raw_bytes;
-  header.compressed = frame.compressed;
-  return header;
+std::vector<uint8_t> EncodeParcelBody(const SerializedCkptFrame& frame) {
+  serde::Encoder enc;
+  enc.Reserve(4 + 4 + 10 + 10 + 1 + frame.frame.size());
+  enc.AppendFixed32(frame.owner);
+  enc.AppendFixed32(frame.owner_op);
+  enc.AppendVarint64(frame.seq);
+  enc.AppendVarint64(frame.raw_bytes);
+  enc.AppendU8(frame.compressed ? 1 : 0);
+  enc.AppendRaw(frame.frame.data(), frame.frame.size());
+  return std::move(enc).TakeBuffer();
 }
 
-bool ReceiveChunkMessage(Cluster* cluster, TcpChunkStream* stream,
-                         const std::vector<uint8_t>& body,
-                         const ArrivalFn& on_arrival) {
-  const CkptChunkHeader& want = stream->header;
-  CkptChunkHeader next = want;
-  next.index = stream->next_index;
-  const size_t begin = static_cast<size_t>(next.index) * stream->chunk_bytes;
-  const size_t len =
-      std::min<size_t>(stream->chunk_bytes, want.frame_bytes - begin);
+namespace {
+
+/// The parcel header of a kCheckpoint body, leaving `dec` at the frame.
+[[nodiscard]] Result<SerializedCkptFrame> DecodeParcelHeader(
+    serde::Decoder* dec) {
+  SerializedCkptFrame frame;
+  SEEP_ASSIGN_OR_RETURN(frame.owner, dec->ReadFixed32());
+  SEEP_ASSIGN_OR_RETURN(frame.owner_op, dec->ReadFixed32());
+  SEEP_ASSIGN_OR_RETURN(frame.seq, dec->ReadVarint64());
+  SEEP_ASSIGN_OR_RETURN(frame.raw_bytes, dec->ReadVarint64());
+  uint8_t compressed;
+  SEEP_ASSIGN_OR_RETURN(compressed, dec->ReadU8());
+  if (compressed > 1) {
+    return Status::Corruption("checkpoint parcel compression flag invalid");
+  }
+  frame.compressed = compressed != 0;
+  return frame;
+}
+
+}  // namespace
+
+void ReceiveParcelMessage(Cluster* cluster, std::vector<uint8_t> body,
+                          const ArrivalFn& on_arrival) {
   serde::Decoder dec(body);
-  auto header = DecodeChunkHeader(&dec);
-  const size_t n = body.size() - dec.position();
-  if (!header.ok() || header.value() != next || n != len) {
+  auto header = DecodeParcelHeader(&dec);
+  if (!header.ok()) {
     // The body passed the net layer's crc32c, so this is encode/decode
     // divergence, not line noise: drop the parcel loudly.
     ++cluster->metrics()->ckpt_decode_failures;
     SEEP_LOG(kWarn, cluster->Now())
-        << "dropping checkpoint parcel of instance " << want.owner
-        << " seq " << want.seq << ": chunk " << next.index
-        << " is not the one its stream expects";
-    cluster->ckpt_reassembler()->Forget(want);
-    return true;
+        << "dropping checkpoint parcel: " << header.status().message();
+    return;
   }
-  ++cluster->metrics()->ckpt_chunks;
-  if (auto* audit = cluster->audit()) {
-    audit->OnCheckpointChunk(next.owner, next.holder, next.seq, next.index,
-                             next.count, n, next.frame_bytes);
-  }
-  auto frame = cluster->ckpt_reassembler()->OnChunk(
-      next, body.data() + dec.position(), n);
-  if (frame.has_value()) {
-    // The frame is whole; the stream header says which checkpoint it is.
-    SerializedCkptFrame whole;
-    whole.frame = std::move(*frame);
-    whole.raw_bytes = next.raw_bytes;
-    whole.compressed = next.compressed;
-    whole.owner = next.owner;
-    whole.owner_op = next.owner_op;
-    whole.seq = next.seq;
-    ReceiveCheckpointFrame(cluster, std::move(whole), on_arrival);
-  }
-  return ++stream->next_index == want.count;
+  // The frame keeps the body's buffer: shifting out the header spares a
+  // fresh allocation and copy of the whole frame.
+  SerializedCkptFrame frame = std::move(header).value();
+  body.erase(body.begin(), body.begin() + dec.position());
+  frame.frame = std::move(body);
+  ReceiveCheckpointFrame(cluster, std::move(frame), on_arrival);
 }
 
 TcpTransport::TcpTransport(Cluster* cluster)
@@ -223,12 +216,10 @@ void TcpTransport::DetachVm(VmId vm) {
   impl_->cluster.KillWorker(vm);
   impl_->WriteOff(vm);
   // Parcels to the dead VM never arrive (sim parity: sim::Network drops
-  // deliveries to detached endpoints), and parcels from it lost their
-  // unsent chunks with its worker. Either way the partial chunk stream at
-  // the receiver goes too.
+  // deliveries to detached endpoints), and parcels from it died with its
+  // worker's queues.
   for (auto it = impl_->ships.begin(); it != impl_->ships.end();) {
     if (it->second.from == vm || it->second.to == vm) {
-      cluster_->ckpt_reassembler()->Forget(it->second.stream.header);
       it = impl_->ships.erase(it);
     } else {
       ++it;
@@ -265,42 +256,18 @@ void TcpTransport::ShipCheckpoint(VmId from, VmId to,
   } else {
     frame = std::move(std::get<SerializedCkptFrame>(parcel.body));
   }
-  TcpChunkStream stream;
-  stream.chunk_bytes =
-      std::max<size_t>(1, cluster_->config().checkpoint_chunk_bytes);
-  stream.header = ChunkStreamHeader(frame, parcel.receiver, stream.chunk_bytes);
-  CkptChunkHeader header = stream.header;
-  const uint64_t id = ++impl_->next_ship_id;
-  impl_->ships.emplace(
-      id, Impl::ShipEntry{from, to, stream, std::move(on_arrival)});
-
-  // One kCheckpointChunk message per chunk, all carrying the parcel's
-  // ship_id. The per-link TCP stream is FIFO, so chunks arrive in index
-  // order at the receiver's pump, but data batches posted between them
-  // interleave freely.
-  const size_t total = frame.frame.size();
   net::Message msg;
-  msg.type = net::MessageType::kCheckpointChunk;
+  msg.type = net::MessageType::kCheckpoint;
   msg.from_vm = from;
   msg.to_vm = to;
-  msg.ship_id = id;
-  for (uint32_t i = 0; i < header.count; ++i) {
-    header.index = i;
-    const size_t begin = static_cast<size_t>(i) * stream.chunk_bytes;
-    const size_t len = std::min(stream.chunk_bytes, total - begin);
-    serde::Encoder enc;
-    EncodeChunkHeader(header, &enc);
-    enc.Reserve(len);
-    enc.AppendRaw(frame.frame.data() + begin, len);
-    msg.body = std::move(enc).TakeBuffer();
-    if (Lost(impl_->Post(from, to, msg))) {
-      // A lost chunk loses the parcel; chunks already posted find no entry
-      // at the pump and are dropped there.
-      impl_->ships.erase(id);
-      return;
-    }
-    SchedulePump();
-  }
+  msg.ship_id = ++impl_->next_ship_id;
+  msg.body = EncodeParcelBody(frame);
+  if (Lost(impl_->Post(from, to, msg))) return;
+  // Nothing is delivered before the pump polls, so the entry can follow
+  // the post.
+  impl_->ships.emplace(msg.ship_id,
+                       Impl::ShipEntry{from, to, std::move(on_arrival)});
+  SchedulePump();
 }
 
 void TcpTransport::SchedulePump() {
@@ -357,16 +324,13 @@ void TcpTransport::Pump() {
         if (target != nullptr) target->OnBatch(std::move(batch).value());
         break;
       }
-      case net::MessageType::kCheckpointChunk: {
-        // The entry leaves the table while its chunk is processed: the
+      case net::MessageType::kCheckpoint: {
+        // The entry leaves the table before its parcel is processed: the
         // arrival callback may ship again, inserting into the table.
         auto ship = impl.ships.extract(msg.ship_id);
         if (ship.empty()) break;  // parcel already dropped
-        Impl::ShipEntry& entry = ship.mapped();
-        if (!ReceiveChunkMessage(cluster_, &entry.stream, msg.body,
-                                 entry.on_arrival)) {
-          impl.ships.insert(std::move(ship));  // more chunks to come
-        }
+        ReceiveParcelMessage(cluster_, std::move(msg.body),
+                             ship.mapped().on_arrival);
         break;
       }
       case net::MessageType::kHello:

@@ -9,32 +9,19 @@
 
 namespace seep::runtime {
 
-/// A checkpoint parcel's chunk stream as its sender cut it: the stream
-/// header (index aside), the chunk size, and the chunk the receiver expects
-/// next.
-struct TcpChunkStream {
-  CkptChunkHeader header;
-  size_t chunk_bytes = 1;
-  uint32_t next_index = 0;
-};
+/// The body of the kCheckpoint message a parcel crosses TCP in: [owner
+/// fixed32 | owner_op fixed32 | seq varint | raw_bytes varint | compressed
+/// u8 | frame bytes]. The identity names the checkpoint the frame must
+/// decode to; `raw_bytes` and `compressed` parameterize its decompression.
+std::vector<uint8_t> EncodeParcelBody(const SerializedCkptFrame& frame);
 
-/// The chunk stream header of a serialized parcel bound for `receiver`, cut
-/// into chunks of at most `chunk_bytes` (index 0; the sender fills in each
-/// chunk's index).
-CkptChunkHeader ChunkStreamHeader(const SerializedCkptFrame& frame,
-                                  InstanceId receiver, size_t chunk_bytes);
-
-/// The TCP pump's decode path for one kCheckpointChunk body — [chunk
-/// header | chunk bytes] — of the parcel sent as `stream`. A chunk that is
-/// not the one the stream expects next (header fields, index or length)
-/// drops the parcel; otherwise the chunk is audited and reassembled, and
-/// once the frame is whole ReceiveCheckpointFrame runs `on_arrival` if it
-/// decodes. Each dropped parcel counts one ckpt_decode_failures. Returns
-/// true once the parcel is finished: delivered, or dropped.
-[[nodiscard]] bool ReceiveChunkMessage(Cluster* cluster,
-                                       TcpChunkStream* stream,
-                                       const std::vector<uint8_t>& body,
-                                       const ArrivalFn& on_arrival);
+/// The TCP pump's decode path for one kCheckpoint body. A truncated header
+/// or a compression flag above 1 drops the parcel; otherwise the frame goes
+/// to ReceiveCheckpointFrame, which runs `on_arrival` if it decodes to the
+/// checkpoint the header names. Each dropped parcel counts one
+/// ckpt_decode_failures. A parcel is finished after its one message.
+void ReceiveParcelMessage(Cluster* cluster, std::vector<uint8_t> body,
+                          const ArrivalFn& on_arrival);
 
 /// Transport over real loopback TCP: one net::Worker per VM ships
 /// length-prefixed crc32c frames between per-VM loopback listeners, and
@@ -47,8 +34,8 @@ CkptChunkHeader ChunkStreamHeader(const SerializedCkptFrame& frame,
 /// callback. The pump is scheduled on demand: a post onto an idle transport
 /// starts it, and it re-schedules itself only while frames are in flight,
 /// so an idle transport schedules nothing. Every checkpoint parcel crosses
-/// the socket as its serialized frame, cut into kCheckpointChunk messages;
-/// the receiver restores from the bytes that arrived. Per-link FIFO order
+/// the socket as its serialized frame in one kCheckpoint message; the
+/// receiver restores from the bytes that arrived. Per-link FIFO order
 /// is preserved because each VM pair shares one TCP connection; only
 /// arrival *times* differ from the sim backend, and the protocol's
 /// correctness is timing-independent.
@@ -62,7 +49,7 @@ class TcpTransport : public Transport {
   SendPressure SendBatch(OperatorInstance* from, InstanceId to,
                          core::TupleBatch batch) override;
   /// Serializes a materialized parcel with SerializeCheckpoint, then posts
-  /// the frame in chunks of ClusterConfig::checkpoint_chunk_bytes.
+  /// the frame as one kCheckpoint message.
   void ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
                       ArrivalFn on_arrival) override;
 

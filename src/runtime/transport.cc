@@ -94,9 +94,6 @@ void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
       return;
     }
   }
-  // A stored checkpoint supersedes every partial chunk stream of the owner
-  // it outranks.
-  cluster->ckpt_reassembler()->ForgetThrough(owner_id, stored_seq);
   if (auto* audit = cluster->audit()) {
     audit->OnCheckpointStored(owner_id, o->vm(), holder_id, h->vm(),
                               stored_seq);
@@ -127,7 +124,6 @@ void ShipToBackupHolder(Cluster* cluster, OperatorInstance* owner,
   if (holder_id == kInvalidInstance) return;  // no live upstream
   const OperatorInstance* holder = cluster->GetInstance(holder_id);
   SEEP_CHECK(holder != nullptr);
-  parcel.receiver = holder_id;
   parcel.background = true;
   cluster->transport()->ShipCheckpoint(
       owner->vm(), holder->vm(), std::move(parcel),

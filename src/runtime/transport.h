@@ -34,10 +34,6 @@ struct CheckpointParcel {
   /// A materialized checkpoint (synchronous backups, partitions), or a
   /// frame the asynchronous pipeline already serialized.
   std::variant<core::StateCheckpoint, SerializedCkptFrame> body;
-  /// The instance the checkpoint is for at the destination: the backup
-  /// holder, or the partition being deployed. Over TCP, with the
-  /// checkpoint's owner and seq it names the parcel's chunk stream.
-  InstanceId receiver = kInvalidInstance;
   /// Throttled background traffic that must not delay the data path
   /// (backups), or foreground traffic a reconfiguration waits on.
   bool background = true;

@@ -227,54 +227,6 @@ void InvariantAuditor::OnDurableIndexDivergence(const std::string& detail) {
 
 // --------------------------------------- asynchronous checkpoint pipeline
 
-void InvariantAuditor::OnCheckpointChunk(InstanceId owner, InstanceId holder,
-                                         uint64_t seq, uint32_t index,
-                                         uint32_t count, uint64_t chunk_bytes,
-                                         uint64_t frame_bytes) {
-  if (level_ < kAuditCheap) return;
-  const auto key = std::make_tuple(owner, seq, holder);
-  auto fail = [&](const std::string& what) {
-    std::ostringstream msg;
-    msg << "chunk " << index << "/" << count << " of checkpoint seq " << seq
-        << " (owner " << owner << ", holder " << holder << "): " << what;
-    chunk_streams_.erase(key);
-    Fail("chunk-reassembly", msg.str());
-  };
-  auto it = chunk_streams_.find(key);
-  if (it == chunk_streams_.end()) {
-    if (index != 0) {
-      fail("stream did not start at index 0");
-      return;
-    }
-    it = chunk_streams_.emplace(key, ChunkStream{}).first;
-    it->second.count = count;
-    it->second.frame_bytes = frame_bytes;
-  }
-  ChunkStream& stream = it->second;
-  if (index != stream.next_index) {
-    fail("out-of-order chunk index (expected " +
-         std::to_string(stream.next_index) + ")");
-    return;
-  }
-  if (count != stream.count || frame_bytes != stream.frame_bytes) {
-    fail("chunk disagrees with its stream's declared count/frame size");
-    return;
-  }
-  stream.received += chunk_bytes;
-  if (stream.received > stream.frame_bytes) {
-    fail("chunk bytes overflow the declared frame size");
-    return;
-  }
-  ++stream.next_index;
-  if (stream.next_index == stream.count) {
-    if (stream.received != stream.frame_bytes) {
-      fail("last chunk closed the stream short of the declared frame size");
-      return;
-    }
-    chunk_streams_.erase(it);
-  }
-}
-
 void InvariantAuditor::OnCheckpointsSuspended(InstanceId instance) {
   if (level_ < kAuditCheap) return;
   suspended_.insert(instance);

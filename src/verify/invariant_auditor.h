@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -107,16 +106,6 @@ class InvariantAuditor {
                           VmId holder_vm, uint64_t seq);
 
   // --------------------------------------- asynchronous checkpoint pipeline
-
-  /// One chunk of `owner`'s serialized checkpoint frame seq `seq` arrived at
-  /// `holder`. Asserts chunk-reassembly: per (owner, seq, holder) stream the
-  /// indices arrive in order 0..count-1, every chunk declares the same
-  /// count/frame_bytes, and the chunk bytes sum to exactly frame_bytes at
-  /// the last chunk — so a reassembled frame can never be a silent splice of
-  /// two different checkpoints.
-  void OnCheckpointChunk(InstanceId owner, InstanceId holder, uint64_t seq,
-                         uint32_t index, uint32_t count, uint64_t chunk_bytes,
-                         uint64_t frame_bytes);
 
   /// Checkpointing of `instance` was suspended/resumed by a coordinator.
   /// While suspended, OnCheckpointStored for that owner trips
@@ -269,15 +258,6 @@ class InvariantAuditor {
   std::map<InstanceId, uint64_t> last_stored_seq_;
 
   // Checkpoint-pipeline mirrors.
-  struct ChunkStream {
-    uint32_t next_index = 0;
-    uint32_t count = 0;
-    uint64_t frame_bytes = 0;
-    uint64_t received = 0;
-  };
-  // (owner, seq, holder) → progress of the chunk stream.
-  std::map<std::tuple<InstanceId, uint64_t, InstanceId>, ChunkStream>
-      chunk_streams_;
   std::set<InstanceId> suspended_;
   std::set<std::pair<InstanceId, uint64_t>> aborted_ckpts_;
 

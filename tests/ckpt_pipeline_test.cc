@@ -1,7 +1,7 @@
 // Tests for the checkpoint pipeline: CheckpointPlane's full and delta
 // captures of a live instance's replay buffers, frame build round-trips
-// through compression and framing (runtime/ckpt_pipeline), chunk-header
-// codec and holder-side reassembly units, and a short sim end-to-end run
+// through compression and framing (runtime/ckpt_pipeline), the frame
+// decoder's prefix and bit-flip sweeps, and a short sim end-to-end run
 // proving the async pipeline produces the synchronous baseline's results
 // under a level-2 audit.
 
@@ -20,7 +20,6 @@
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
 #include "serde/block_codec.h"
-#include "serde/decoder.h"
 #include "serde/encoder.h"
 #include "serde/frame.h"
 #include "sps/sps.h"
@@ -185,7 +184,6 @@ TEST(BuildFrameTest, CompressedFrameRoundTripsToTheSnapshot) {
   EXPECT_EQ(frame.owner, 11u);
   EXPECT_EQ(frame.owner_op, 3u);
   EXPECT_EQ(frame.seq, 7u);
-  EXPECT_EQ(frame.captured_at, 1234);
   EXPECT_TRUE(frame.compressed);
   EXPECT_EQ(frame.raw_bytes, raw.size());
   EXPECT_LT(frame.frame.size(), raw.size());  // compression actually won
@@ -240,7 +238,7 @@ TEST(FrameCodecTest, DeclaredRawSizeMustMatch) {
 }
 
 TEST(FrameCodecTest, DeclaredRawSizeAboveTheCeilingIsCorruption) {
-  // A crc-valid frame whose block declares 2^40 raw bytes, as a chunk
+  // A crc-valid frame whose block declares 2^40 raw bytes, as a parcel
   // header or log record may claim: rejected before anything is sized by
   // it, on both the compressed and the raw path.
   constexpr uint64_t kHuge = uint64_t{1} << 40;
@@ -306,220 +304,6 @@ TEST(FrameCodecSweepTest, EverySingleBitFlipDecodesOrIsCorruption) {
   }
 }
 
-// ---------------------------------------------------------- chunk header
-
-/// A chunk header with every field set.
-CkptChunkHeader FullChunkHeader() {
-  CkptChunkHeader h;
-  h.owner = 12;
-  h.owner_op = 3;
-  h.holder = 9;
-  h.seq = 4242;
-  h.index = 17;
-  h.count = 33;
-  h.frame_bytes = 5u << 20;
-  h.raw_bytes = 9u << 20;
-  h.compressed = true;
-  return h;
-}
-
-TEST(ChunkHeaderTest, RoundTripsEveryField) {
-  const CkptChunkHeader h = FullChunkHeader();
-
-  serde::Encoder enc;
-  EncodeChunkHeader(h, &enc);
-  serde::Decoder dec(enc.buffer());
-  auto out = DecodeChunkHeader(&dec);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out.value().owner, h.owner);
-  EXPECT_EQ(out.value().owner_op, h.owner_op);
-  EXPECT_EQ(out.value().holder, h.holder);
-  EXPECT_EQ(out.value().seq, h.seq);
-  EXPECT_EQ(out.value().index, h.index);
-  EXPECT_EQ(out.value().count, h.count);
-  EXPECT_EQ(out.value().frame_bytes, h.frame_bytes);
-  EXPECT_EQ(out.value().raw_bytes, h.raw_bytes);
-  EXPECT_EQ(out.value().compressed, h.compressed);
-  EXPECT_TRUE(dec.AtEnd());
-}
-
-TEST(ChunkHeaderTest, TruncatedHeaderFails) {
-  CkptChunkHeader h;
-  h.owner = 1;
-  serde::Encoder enc;
-  EncodeChunkHeader(h, &enc);
-  const std::vector<uint8_t>& whole = enc.buffer();
-  const std::vector<uint8_t> bytes(whole.begin(), whole.end() - 3);
-  serde::Decoder dec(bytes);
-  EXPECT_FALSE(DecodeChunkHeader(&dec).ok());
-}
-
-TEST(ChunkHeaderSweepTest, EveryStrictPrefixIsCorruption) {
-  serde::Encoder enc;
-  EncodeChunkHeader(FullChunkHeader(), &enc);
-  const std::vector<uint8_t>& bytes = enc.buffer();
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    serde::Decoder dec(bytes.data(), len);
-    auto back = DecodeChunkHeader(&dec);
-    ASSERT_FALSE(back.ok()) << "prefix of " << len << " bytes accepted";
-    EXPECT_TRUE(back.status().IsCorruption());
-  }
-}
-
-TEST(ChunkHeaderSweepTest, EverySingleBitFlipDecodesOrIsCorruption) {
-  serde::Encoder enc;
-  EncodeChunkHeader(FullChunkHeader(), &enc);
-  const std::vector<uint8_t> bytes = enc.buffer();
-  size_t rejected = 0;
-  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
-    std::vector<uint8_t> damaged = bytes;
-    damaged[bit / 8] ^= uint8_t(1u << (bit % 8));
-    serde::Decoder dec(damaged);
-    auto back = DecodeChunkHeader(&dec);
-    if (!back.ok()) {
-      EXPECT_TRUE(back.status().IsCorruption());
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 0u);
-}
-
-TEST(ChunkHeaderTest, CompressionFlagIsZeroOrOne) {
-  CkptChunkHeader h;
-  h.compressed = true;
-  serde::Encoder enc;
-  EncodeChunkHeader(h, &enc);
-  std::vector<uint8_t> bytes = enc.buffer();
-  bytes.back() = 3;  // the flag is the header's last byte
-  serde::Decoder dec(bytes);
-  EXPECT_FALSE(DecodeChunkHeader(&dec).ok());
-}
-
-// ------------------------------------------------------------ reassembly
-
-std::vector<uint8_t> PatternBytes(size_t n, uint8_t seed) {
-  std::vector<uint8_t> out(n);
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<uint8_t>(seed + i * 31);
-  }
-  return out;
-}
-
-CkptChunkHeader Chunk(InstanceId owner, uint64_t seq, uint32_t index,
-                      uint32_t count, uint64_t frame_bytes) {
-  CkptChunkHeader h;
-  h.owner = owner;
-  h.owner_op = 3;
-  h.holder = 9;
-  h.seq = seq;
-  h.index = index;
-  h.count = count;
-  h.frame_bytes = frame_bytes;
-  return h;
-}
-
-TEST(ReassemblerTest, SingleChunkCompletesImmediately) {
-  CkptChunkReassembler r;
-  const std::vector<uint8_t> frame = PatternBytes(100, 1);
-  auto out = r.OnChunk(Chunk(1, 5, 0, 1, 100), frame.data(), frame.size());
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, frame);
-  EXPECT_EQ(r.pending_streams(), 0u);
-}
-
-TEST(ReassemblerTest, InOrderChunksReassembleExactly) {
-  CkptChunkReassembler r;
-  const std::vector<uint8_t> frame = PatternBytes(1000, 2);
-  // Uneven slices, like the last short chunk of a real frame.
-  const size_t cuts[] = {0, 400, 800, 1000};
-  for (uint32_t i = 0; i < 3; ++i) {
-    auto out = r.OnChunk(Chunk(1, 6, i, 3, frame.size()),
-                         frame.data() + cuts[i], cuts[i + 1] - cuts[i]);
-    if (i < 2) {
-      EXPECT_FALSE(out.has_value());
-      EXPECT_EQ(r.pending_streams(), 1u);
-    } else {
-      ASSERT_TRUE(out.has_value());
-      EXPECT_EQ(*out, frame);
-    }
-  }
-  EXPECT_EQ(r.pending_streams(), 0u);
-}
-
-TEST(ReassemblerTest, HeadlessMidStreamChunkIsIgnored) {
-  CkptChunkReassembler r;
-  const std::vector<uint8_t> bytes = PatternBytes(50, 3);
-  // Index 1 with no stream open: the head was lost (e.g. holder restarted);
-  // nothing is buffered and nothing completes.
-  EXPECT_FALSE(
-      r.OnChunk(Chunk(1, 7, 1, 2, 100), bytes.data(), bytes.size()));
-  EXPECT_EQ(r.pending_streams(), 0u);
-}
-
-TEST(ReassemblerTest, IndexGapDropsTheStreamWholesale) {
-  CkptChunkReassembler r;
-  const std::vector<uint8_t> bytes = PatternBytes(40, 4);
-  EXPECT_FALSE(r.OnChunk(Chunk(1, 8, 0, 3, 120), bytes.data(), bytes.size()));
-  EXPECT_EQ(r.pending_streams(), 1u);
-  // Chunk 1 lost; chunk 2 arrives. The stream is corrupt — drop it all.
-  EXPECT_FALSE(r.OnChunk(Chunk(1, 8, 2, 3, 120), bytes.data(), bytes.size()));
-  EXPECT_EQ(r.pending_streams(), 0u);
-  // The superseding checkpoint's stream starts fresh and completes.
-  const std::vector<uint8_t> next = PatternBytes(40, 5);
-  EXPECT_FALSE(r.OnChunk(Chunk(1, 9, 0, 2, 80), next.data(), next.size()));
-  auto out = r.OnChunk(Chunk(1, 9, 1, 2, 80), next.data(), next.size());
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->size(), 80u);
-}
-
-TEST(ReassemblerTest, InconsistentDeclarationsDropTheStream) {
-  CkptChunkReassembler r;
-  const std::vector<uint8_t> bytes = PatternBytes(40, 6);
-  EXPECT_FALSE(r.OnChunk(Chunk(1, 10, 0, 2, 80), bytes.data(), bytes.size()));
-  // Same stream key, different declared frame size: corruption.
-  EXPECT_FALSE(r.OnChunk(Chunk(1, 10, 1, 2, 99), bytes.data(), bytes.size()));
-  EXPECT_EQ(r.pending_streams(), 0u);
-}
-
-TEST(ReassemblerTest, ByteOverflowDropsTheStream) {
-  CkptChunkReassembler r;
-  const std::vector<uint8_t> bytes = PatternBytes(60, 7);
-  EXPECT_FALSE(r.OnChunk(Chunk(1, 11, 0, 2, 80), bytes.data(), bytes.size()));
-  EXPECT_FALSE(r.OnChunk(Chunk(1, 11, 1, 2, 80), bytes.data(), bytes.size()));
-  EXPECT_EQ(r.pending_streams(), 0u);
-}
-
-TEST(ReassemblerTest, AbsurdDeclaredFrameSizeIsRejectedUpFront) {
-  CkptChunkReassembler r;
-  const std::vector<uint8_t> bytes = PatternBytes(10, 8);
-  EXPECT_FALSE(r.OnChunk(Chunk(1, 12, 0, 2, 1ull << 40), bytes.data(),
-                         bytes.size()));
-  EXPECT_EQ(r.pending_streams(), 0u);
-}
-
-TEST(ReassemblerTest, ForgetThroughDropsSupersededStreamsOnly) {
-  CkptChunkReassembler r;
-  const std::vector<uint8_t> bytes = PatternBytes(10, 9);
-  r.OnChunk(Chunk(1, 3, 0, 2, 20), bytes.data(), bytes.size());
-  r.OnChunk(Chunk(1, 5, 0, 2, 20), bytes.data(), bytes.size());
-  r.OnChunk(Chunk(2, 3, 0, 2, 20), bytes.data(), bytes.size());
-  EXPECT_EQ(r.pending_streams(), 3u);
-  r.ForgetThrough(/*owner=*/1, /*seq=*/4);
-  // Owner 1 seq 3 superseded; owner 1 seq 5 and owner 2 survive.
-  EXPECT_EQ(r.pending_streams(), 2u);
-  auto out = r.OnChunk(Chunk(1, 5, 1, 2, 20), bytes.data(), bytes.size());
-  EXPECT_TRUE(out.has_value());
-}
-
-TEST(ReassemblerTest, PendingStreamsAreBounded) {
-  CkptChunkReassembler r;
-  const std::vector<uint8_t> bytes = PatternBytes(10, 10);
-  for (InstanceId owner = 1; owner <= 100; ++owner) {
-    r.OnChunk(Chunk(owner, 1, 0, 2, 20), bytes.data(), bytes.size());
-  }
-  EXPECT_LE(r.pending_streams(), 64u);
-}
-
 // --------------------------------------------------------- sim end to end
 
 using Counts = std::map<std::pair<int64_t, std::string>, int64_t>;
@@ -527,7 +311,6 @@ using Counts = std::map<std::pair<int64_t, std::string>, int64_t>;
 struct PipelineOutcome {
   Counts counts;
   uint64_t async_captures = 0;
-  uint64_t async_chunks = 0;
   uint64_t aborted = 0;
   uint64_t decode_failures = 0;
   uint64_t checkpoints_taken = 0;
@@ -561,7 +344,6 @@ PipelineOutcome RunWordCount(bool async) {
   PipelineOutcome out;
   out.counts = results->counts;
   out.async_captures = sps.metrics().async_ckpt_captures;
-  out.async_chunks = sps.metrics().ckpt_chunks;
   out.aborted = sps.metrics().async_ckpts_aborted;
   out.decode_failures = sps.metrics().ckpt_decode_failures;
   out.checkpoints_taken = sps.metrics().checkpoints_taken;
@@ -575,12 +357,10 @@ TEST(AsyncPipelineEndToEnd, MatchesSynchronousResultsUnderFullAudit) {
   const PipelineOutcome async = RunWordCount(true);
 
   // The async pipeline really ran: captures went through the deferred
-  // serialization stage and their frames crossed the sim whole (chunk
-  // streams are TCP's); nothing was lost to corruption and nothing needed
-  // aborting in a failure-free run.
+  // serialization stage and their frames crossed the sim whole; nothing was
+  // lost to corruption and nothing needed aborting in a failure-free run.
   EXPECT_EQ(sync.async_captures, 0u);
   EXPECT_GT(async.async_captures, 5u);
-  EXPECT_EQ(async.async_chunks, 0u);
   EXPECT_EQ(async.aborted, 0u);
   EXPECT_EQ(async.decode_failures, 0u);
   EXPECT_GT(async.checkpoints_taken, 0u);

@@ -3,14 +3,19 @@
 // backup holder still recovers exactly-once from the on-disk record — the
 // scenario the paper's in-memory upstream backup (kMemory) cannot survive.
 // Runs at audit level 2, so any protocol or durable-log invariant violation
-// aborts the test.
+// aborts the test. A backup still in flight when its owner retires is
+// never stored over the tombstone, on either backend.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "runtime/operator_instance.h"
+#include "runtime/transport.h"
 #include "sps/sps.h"
+#include "verify/invariant_auditor.h"
 #include "workloads/wordcount/wordcount.h"
 
 namespace seep {
@@ -156,36 +161,63 @@ TEST(DurableRecoveryTest, TieredSurvivesSingleFailureByteExact) {
   EXPECT_TRUE(log->VerifyIndex().ok());
 }
 
-TEST(DurableRecoveryTest, DeleteBackupChokePointForgetsPartialStreams) {
-  // Regression for the delete choke point: Cluster::DeleteBackup must drop
-  // the owner's pending chunk streams along with the stored backup, so a
-  // stream completing after retirement cannot resurrect a tombstoned
-  // instance.
-  runtime::ClusterConfig config;
-  config.backup_durability = BackupDurability::kTiered;
-  config.audit_level = 0;
-  core::QueryGraph graph;
-  runtime::Cluster cluster(&graph, config);
+class RetiredOwnerTest
+    : public ::testing::TestWithParam<runtime::TransportKind> {};
 
-  runtime::CkptChunkHeader header;
-  header.owner = 3;
-  header.owner_op = 1;
-  header.holder = 2;
-  header.seq = 1;
-  header.index = 0;
-  header.count = 2;  // stream stays pending after one chunk
-  header.frame_bytes = 8;
-  const uint8_t chunk[4] = {1, 2, 3, 4};
-  cluster.ckpt_reassembler()->OnChunk(header, chunk, sizeof(chunk));
-  ASSERT_EQ(cluster.ckpt_reassembler()->pending_streams(), 1u);
+TEST_P(RetiredOwnerTest, BackupInFlightWhenItsOwnerRetiresIsNeverStored) {
+  // A backup parcel still in flight when a plan retires its owner must not
+  // resurrect the tombstoned instance. The plan suspends the owner's
+  // checkpoints before it retires it, and a parcel that arrives for a
+  // suspended owner stores nothing (DeliverCheckpointToHolder's owner
+  // check), on either backend.
+  WordCountConfig wc;
+  wc.rate_tuples_per_sec = 100;
+  wc.vocabulary = 200;
+  wc.seed = 17;
 
-  cluster.DeleteBackup(3);
-  EXPECT_EQ(cluster.ckpt_reassembler()->pending_streams(), 0u);
-  EXPECT_FALSE(cluster.backups()->Has(3));
-  // The durable log now carries a terminal tombstone for the instance.
+  sps::SpsConfig config;
+  config.cluster.transport = GetParam();
+  config.cluster.backup_durability = BackupDurability::kTiered;
+  config.cluster.audit_level = 2;
+  config.scaling.enabled = false;
+
+  WordCountQuery query = BuildWordCountQuery(wc);
+  const OperatorId counter = query.counter;
+  sps::Sps sps(std::move(query.graph), config);
+  runtime::Cluster& cluster = sps.cluster();
+  std::vector<std::string> violations;
+  cluster.audit()->SetHandler([&violations](const verify::Violation& v) {
+    violations.push_back(v.invariant + ": " + v.detail);
+  });
+  ASSERT_TRUE(sps.Deploy().ok());
+  sps.RunUntil(10);
+
+  const InstanceId id = cluster.LiveInstancesOf(counter).front();
+  runtime::OperatorInstance* owner = cluster.GetInstance(id);
+  ASSERT_TRUE(cluster.backups()->Has(id));
+  // A fresh capture leaves for the holder; in the same instant the owner is
+  // suspended and retired, as a scale-out plan does with its target.
+  runtime::ShipToBackupHolder(
+      &cluster, owner, runtime::CheckpointParcel{owner->MakeCheckpoint()});
+  owner->SuspendCheckpoints();
+  cluster.membership()->RetireInstance(id, /*release_vm=*/false);
+  sps.RunFor(1);
+
+  EXPECT_FALSE(cluster.backups()->Has(id));
   ASSERT_NE(cluster.durable_log(), nullptr);
-  EXPECT_TRUE(cluster.durable_log()->AppendTombstone(3).ok());
+  // The tombstone is still the log's last word on the instance.
+  EXPECT_FALSE(cluster.durable_log()->Find(id).has_value());
+  for (const auto& v : violations) ADD_FAILURE() << "audit: " << v;
+  EXPECT_EQ(cluster.audit()->violations(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SimAndTcp, RetiredOwnerTest,
+    ::testing::Values(runtime::TransportKind::kSim,
+                      runtime::TransportKind::kTcp),
+    [](const auto& info) {
+      return info.param == runtime::TransportKind::kSim ? "Sim" : "Tcp";
+    });
 
 }  // namespace
 }  // namespace seep

@@ -107,7 +107,7 @@ TEST(FrameReaderTest, ReassemblesAcrossEveryChunkBoundary) {
 
 TEST(FrameReaderTest, ByteByByteFeed) {
   Message m;
-  m.type = MessageType::kCheckpointChunk;
+  m.type = MessageType::kCheckpoint;
   m.from_vm = 3;
   m.to_vm = 4;
   m.body = {9, 8, 7, 6, 5};
@@ -136,13 +136,14 @@ TEST(WireTest, OnlyKnownMessageTypesDecode) {
   }
 }
 
-// A chunk envelope whose ship_id takes a 3-byte varint, then a 40-byte body:
-// type (1) + from_vm (4) + to_vm (4) + ship_id (3) = 12 envelope bytes.
+// A checkpoint envelope whose ship_id takes a 3-byte varint, then a 40-byte
+// body: type (1) + from_vm (4) + to_vm (4) + ship_id (3) = 12 envelope
+// bytes.
 constexpr size_t kSweepEnvelopeBytes = 12;
 
 Message SweepMessage() {
   Message m;
-  m.type = MessageType::kCheckpointChunk;
+  m.type = MessageType::kCheckpoint;
   m.from_vm = 0x01020304;
   m.to_vm = 0x0A0B0C0D;
   m.ship_id = (uint64_t{1} << 14) + 77;

@@ -6,11 +6,9 @@
 // observe the dead peer as a TCP disconnection, and the invariant auditor
 // at level 2 must stay silent. State crosses the sockets for real: every
 // instance a scale out or recovery restores got exactly the partition its
-// backup holder cut, no parcel, frame or partial chunk stream outlives a
-// run, and the pump's chunk decode path rejects every corruption of a chunk
-// body. The pump itself runs only while traffic is in flight: an idle
-// transport schedules nothing, and a sender detached mid-parcel leaves no
-// frame counted in flight.
+// backup holder cut, and no parcel or frame outlives a run. The
+// parcel-level cases (the pump, the parcel decode path, parcels from killed
+// VMs) are in tcp_parcel_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "core/state_ops.h"
 #include "net/local_cluster.h"
 #include "runtime/operator_instance.h"
@@ -100,35 +97,17 @@ class RestoredStateCheck {
 
 /// Runs the simulation on in 1 ms steps (at most 2 s) until neither a
 /// checkpoint parcel nor a frame is in flight, then asserts that the TCP
-/// transport's parcel table, its in-flight frame count and the chunk
-/// reassembler are all empty: nothing leaks, whatever died mid-stream.
+/// transport's parcel table and its in-flight frame count are both empty:
+/// nothing leaks, whatever died mid-parcel.
 void ExpectNoParcelsLeft(sps::Sps& sps) {
   auto* tcp = dynamic_cast<runtime::TcpTransport*>(sps.cluster().transport());
   ASSERT_NE(tcp, nullptr);
-  runtime::CkptChunkReassembler* reassembler =
-      sps.cluster().ckpt_reassembler();
   for (int i = 0; i < 2000; ++i) {
-    if (tcp->parcels_in_flight() == 0 && tcp->frames_in_flight() == 0 &&
-        reassembler->pending_streams() == 0)
-      break;
+    if (tcp->parcels_in_flight() == 0 && tcp->frames_in_flight() == 0) break;
     sps.RunFor(0.001);
   }
   EXPECT_EQ(tcp->parcels_in_flight(), 0u);
   EXPECT_EQ(tcp->frames_in_flight(), 0u);
-  EXPECT_EQ(reassembler->pending_streams(), 0u);
-}
-
-/// A checkpoint of `entries` distinct dictionary entries: at 20 000, about
-/// 0.5 MB, over a hundred 4 KiB chunks.
-core::StateCheckpoint BigCheckpoint(OperatorId op, int entries) {
-  core::StateCheckpoint big;
-  big.op = op;
-  big.instance = 77;
-  for (int i = 0; i < entries; ++i) {
-    big.processing.Add(static_cast<KeyHash>(i) * 2654435761u,
-                       "entry-" + std::to_string(i));
-  }
-  return big;
 }
 
 using workloads::wordcount::BuildWordCountQuery;
@@ -337,13 +316,12 @@ TEST(TcpTransportIntegration, DetachMidFlightKeepsPumpAccountingCoherent) {
 
 TEST(TcpTransportIntegration, AsyncPipelineMatchesSimBackend) {
   // Async checkpointing over TCP: captures serialize in the deferred
-  // pipeline stage and frames cross loopback sockets in small chunks.
+  // pipeline stage and each frame crosses loopback sockets as one message.
   // Stable windows must still match the synchronous sim reference exactly,
-  // with the level-2 auditor (chunk-reassembly included) silent.
+  // with the level-2 auditor silent.
   const WordCountConfig wc = BaseWorkload();
   sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
   config.cluster.async_checkpoints = true;
-  config.cluster.checkpoint_chunk_bytes = 4096;
   config.cluster.audit_level = verify::kAuditExpensive;
 
   RunOutcome sim =
@@ -360,15 +338,14 @@ TEST(TcpTransportIntegration, AsyncPipelineMatchesSimBackend) {
   EXPECT_EQ(tcp.audit_violations, 0u);
 }
 
-TEST(TcpTransportIntegration, AsyncFailureMidChunkStreamRecoversExactly) {
-  // Hard-kill the stateful counter's VM while async checkpoint frames are
-  // streaming in small chunks: sockets die mid-stream, partial chunk
-  // streams must be superseded rather than stored, and recovery from the
-  // last complete backup must stay exactly-once under the full audit.
+TEST(TcpTransportIntegration, AsyncFailureWithParcelsInFlightRecoversExactly) {
+  // Hard-kill the stateful counter's VM while async checkpoint parcels are
+  // in flight: sockets die mid-stream, parcels from the dead VM never
+  // arrive, and recovery from the last complete backup must stay
+  // exactly-once under the full audit.
   const WordCountConfig wc = BaseWorkload();
   sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
   config.cluster.async_checkpoints = true;
-  config.cluster.checkpoint_chunk_bytes = 4096;
   config.cluster.audit_level = verify::kAuditExpensive;
 
   RunOutcome baseline =
@@ -514,205 +491,6 @@ TEST(TcpTransportIntegration, ScaleOutPreservesResultsOverTcp) {
     ADD_FAILURE() << "audit violation " << v.invariant << ": " << v.detail;
   }
   EXPECT_EQ(scaled.audit_violations, 0u);
-}
-
-TEST(TcpTransportIntegration, ParcelFromAKilledVmNeverArrives) {
-  // A parcel crosses the socket as its real bytes and arrives intact; the
-  // same parcel from a VM killed while its chunks are in flight never
-  // arrives — DetachVm drops parcels from the dead VM, not only those to
-  // it — and leaves no parcel-table entry or partial chunk stream behind.
-  const WordCountConfig wc = BaseWorkload();
-  sps::SpsConfig config = BaseConfig(runtime::TransportKind::kTcp);
-  config.cluster.checkpoint_chunk_bytes = 4096;
-  WordCountQuery query = BuildWordCountQuery(wc);
-  const OperatorId counter = query.counter;
-  sps::Sps sps(std::move(query.graph), config);
-  ASSERT_TRUE(sps.Deploy().ok());
-  sps.RunUntil(10);
-
-  runtime::Cluster& cluster = sps.cluster();
-  const VmId sender =
-      cluster.GetInstance(cluster.LiveInstancesOf(counter).front())->vm();
-  VmId receiver = kInvalidVm;
-  for (const auto& [id, inst] : cluster.instances()) {
-    if (inst->alive() && inst->vm() != sender) receiver = inst->vm();
-  }
-  ASSERT_NE(receiver, kInvalidVm);
-
-  core::StateCheckpoint big = BigCheckpoint(counter, 20000);
-  int arrivals = 0;
-  std::vector<uint8_t> arrived;
-  const runtime::ArrivalFn on_arrival = [&](runtime::ArrivedCheckpoint a) {
-    ++arrivals;
-    arrived = Encoded(a.ckpt);
-  };
-
-  auto ship = [&](uint64_t seq) {
-    big.seq = seq;
-    cluster.transport()->ShipCheckpoint(
-        sender, receiver, runtime::CheckpointParcel{big, /*receiver=*/9},
-        on_arrival);
-  };
-  ship(1);
-  sps.RunFor(1);
-  ASSERT_EQ(arrivals, 1);
-  EXPECT_EQ(arrived, Encoded(big));
-
-  ship(2);
-  ASSERT_TRUE(cluster.membership()->KillVm(sender).ok());
-  sps.RunFor(1);
-  EXPECT_EQ(arrivals, 1);
-  ExpectNoParcelsLeft(sps);
-}
-
-/// A bare cluster on the TCP backend: no query and no traffic but what a
-/// test ships between VMs it attaches by hand.
-runtime::ClusterConfig BareTcpConfig() {
-  runtime::ClusterConfig config;
-  config.transport = runtime::TransportKind::kTcp;
-  config.checkpoint_chunk_bytes = 4096;
-  config.audit_level = verify::kAuditOff;
-  return config;
-}
-
-TEST(TcpTransportPump, IdleTransportSchedulesNothing) {
-  // The pump runs only while traffic is in flight: two attached VMs with
-  // nothing to say leave the event queue empty, one parcel starts the
-  // pump, the pump keeps running while any of its chunks is in flight, and
-  // once the parcel has arrived the queue is empty again.
-  core::QueryGraph graph;
-  runtime::Cluster cluster(&graph, BareTcpConfig());
-  auto* tcp = dynamic_cast<runtime::TcpTransport*>(cluster.transport());
-  ASSERT_NE(tcp, nullptr);
-  sim::Simulation* sim = cluster.simulation();
-  tcp->AttachVm(1);
-  tcp->AttachVm(2);
-  sim->RunUntil(SecondsToSim(1));
-  EXPECT_EQ(sim->pending_events(), 0u);
-
-  int arrivals = 0;
-  tcp->ShipCheckpoint(1, 2,
-                      runtime::CheckpointParcel{BigCheckpoint(3, 20000),
-                                                /*receiver=*/9},
-                      [&](runtime::ArrivedCheckpoint) { ++arrivals; });
-  EXPECT_EQ(sim->pending_events(), 1u);  // one pump, however many chunks
-  for (int i = 0; i < 2000 && sim->pending_events() > 0; ++i) {
-    sim->RunUntil(sim->Now() + MillisToSim(1));
-    if (tcp->frames_in_flight() > 0) {
-      ASSERT_EQ(sim->pending_events(), 1u);
-    }
-  }
-  EXPECT_EQ(arrivals, 1);
-  EXPECT_EQ(sim->pending_events(), 0u);
-  EXPECT_EQ(tcp->frames_in_flight(), 0u);
-  EXPECT_EQ(cluster.ckpt_reassembler()->pending_streams(), 0u);
-}
-
-TEST(TcpTransportPump, DetachedSenderLeavesNoFramesInFlight) {
-  // Regression: DetachVm wrote off only the frames addressed *to* the
-  // detached VM. Frames its worker had queued for live peers died with the
-  // worker uncounted, so the in-flight total never returned to zero: every
-  // later pump waited out its full bound, and the pump never stopped.
-  // Detaching the sender right after it posts a multi-chunk parcel leaves
-  // most chunks in its queues.
-  core::QueryGraph graph;
-  runtime::Cluster cluster(&graph, BareTcpConfig());
-  auto* tcp = dynamic_cast<runtime::TcpTransport*>(cluster.transport());
-  ASSERT_NE(tcp, nullptr);
-  sim::Simulation* sim = cluster.simulation();
-  const core::StateCheckpoint big = BigCheckpoint(3, 20000);
-  for (VmId round = 0; round < 10; ++round) {
-    const VmId sender = 2 * round + 1;
-    const VmId receiver = 2 * round + 2;
-    tcp->AttachVm(sender);
-    tcp->AttachVm(receiver);
-    int arrivals = 0;
-    tcp->ShipCheckpoint(sender, receiver,
-                        runtime::CheckpointParcel{big, /*receiver=*/9},
-                        [&](runtime::ArrivedCheckpoint) { ++arrivals; });
-    tcp->DetachVm(sender);
-    for (int i = 0; i < 2000 && sim->pending_events() > 0; ++i) {
-      sim->RunUntil(sim->Now() + MillisToSim(1));
-    }
-    EXPECT_EQ(arrivals, 0) << "round " << round;
-    EXPECT_EQ(tcp->frames_in_flight(), 0u) << "round " << round;
-    EXPECT_EQ(tcp->parcels_in_flight(), 0u) << "round " << round;
-    EXPECT_EQ(sim->pending_events(), 0u) << "round " << round;
-    tcp->DetachVm(receiver);
-  }
-}
-
-/// One single-chunk parcel of a real checkpoint, as TcpTransport cuts it.
-struct ChunkFixture {
-  core::StateCheckpoint ckpt;
-  runtime::TcpChunkStream stream;
-  std::vector<uint8_t> body;
-};
-
-ChunkFixture MakeChunkFixture(bool compress) {
-  ChunkFixture f;
-  f.ckpt.op = 3;
-  f.ckpt.instance = 11;
-  f.ckpt.seq = 7;
-  f.ckpt.positions.Set(1, 33);
-  for (int i = 0; i < 20; ++i) {
-    f.ckpt.processing.Add(100 + i, "count-" + std::to_string(i % 3));
-  }
-  const runtime::SerializedCkptFrame frame =
-      runtime::SerializeCheckpoint(f.ckpt, compress);
-  f.stream.chunk_bytes = frame.frame.size();
-  f.stream.header =
-      runtime::ChunkStreamHeader(frame, /*receiver=*/5, f.stream.chunk_bytes);
-  serde::Encoder enc;
-  runtime::EncodeChunkHeader(f.stream.header, &enc);
-  enc.AppendRaw(frame.frame.data(), frame.frame.size());
-  f.body = std::move(enc).TakeBuffer();
-  return f;
-}
-
-TEST(TcpChunkDecodeTest, EveryTruncationAndBitFlipIsOneDecodeFailure) {
-  core::QueryGraph graph;
-  runtime::ClusterConfig config;
-  config.audit_level = verify::kAuditOff;
-  runtime::Cluster cluster(&graph, config);
-  const uint64_t& failures = cluster.metrics()->ckpt_decode_failures;
-
-  for (bool compress : {false, true}) {
-    const ChunkFixture f = MakeChunkFixture(compress);
-    int arrivals = 0;
-    const runtime::ArrivalFn on_arrival =
-        [&](runtime::ArrivedCheckpoint arrived) {
-          ++arrivals;
-          EXPECT_EQ(Encoded(arrived.ckpt), Encoded(f.ckpt));
-        };
-    // Feeds one body through the pump's decode path as the parcel's first
-    // (and only) chunk; returns the decode failures it counted.
-    auto feed = [&](const std::vector<uint8_t>& body) {
-      runtime::TcpChunkStream stream = f.stream;
-      const uint64_t before = failures;
-      EXPECT_TRUE(
-          runtime::ReceiveChunkMessage(&cluster, &stream, body, on_arrival));
-      EXPECT_EQ(cluster.ckpt_reassembler()->pending_streams(), 0u);
-      return failures - before;
-    };
-
-    ASSERT_EQ(feed(f.body), 0u);
-    ASSERT_EQ(arrivals, 1);
-
-    const LogLevel log_level = GetLogLevel();
-    SetLogLevel(LogLevel::kError);  // every case below logs a drop
-    for (size_t len = 0; len < f.body.size(); ++len) {
-      const std::vector<uint8_t> cut(f.body.begin(), f.body.begin() + len);
-      EXPECT_EQ(feed(cut), 1u) << "truncated to " << len << " bytes";
-    }
-    for (size_t bit = 0; bit < f.body.size() * 8; ++bit) {
-      std::vector<uint8_t> flipped = f.body;
-      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      EXPECT_EQ(feed(flipped), 1u) << "bit " << bit << " flipped";
-    }
-    SetLogLevel(log_level);
-    EXPECT_EQ(arrivals, 1) << "a corrupted chunk was delivered";
-  }
 }
 
 }  // namespace

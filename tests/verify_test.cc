@@ -161,54 +161,6 @@ TEST(AuditorCheckpointTest, ResumeClearsAbortMarkersForRewoundLineage) {
   EXPECT_TRUE(c.names.empty());
 }
 
-TEST(AuditorChunkTest, InOrderStreamWithExactByteSumIsClean) {
-  Collector c;
-  c.audit.OnCheckpointChunk(kA, kB, /*seq=*/1, /*index=*/0, /*count=*/2,
-                            /*chunk_bytes=*/60, /*frame_bytes=*/100);
-  c.audit.OnCheckpointChunk(kA, kB, 1, 1, 2, 40, 100);
-  EXPECT_TRUE(c.names.empty());
-}
-
-TEST(AuditorChunkTest, HeadlessStreamTripsChunkReassembly) {
-  Collector c;
-  c.audit.OnCheckpointChunk(kA, kB, 1, /*index=*/1, 2, 40, 100);
-  ASSERT_EQ(c.names.size(), 1u);
-  EXPECT_EQ(c.names[0], "chunk-reassembly");
-}
-
-TEST(AuditorChunkTest, IndexGapTripsChunkReassembly) {
-  Collector c;
-  c.audit.OnCheckpointChunk(kA, kB, 1, 0, 3, 30, 100);
-  c.audit.OnCheckpointChunk(kA, kB, 1, 2, 3, 30, 100);
-  ASSERT_EQ(c.names.size(), 1u);
-  EXPECT_EQ(c.names[0], "chunk-reassembly");
-}
-
-TEST(AuditorChunkTest, InconsistentDeclarationsTripChunkReassembly) {
-  Collector c;
-  c.audit.OnCheckpointChunk(kA, kB, 1, 0, 2, 60, 100);
-  c.audit.OnCheckpointChunk(kA, kB, 1, 1, 2, 40, 120);  // frame size changed
-  ASSERT_EQ(c.names.size(), 1u);
-  EXPECT_EQ(c.names[0], "chunk-reassembly");
-}
-
-TEST(AuditorChunkTest, ByteSumMismatchTripsChunkReassembly) {
-  Collector c;
-  c.audit.OnCheckpointChunk(kA, kB, 1, 0, 2, 60, 100);
-  c.audit.OnCheckpointChunk(kA, kB, 1, 1, 2, 20, 100);  // 80 != 100 at close
-  ASSERT_EQ(c.names.size(), 1u);
-  EXPECT_EQ(c.names[0], "chunk-reassembly");
-}
-
-TEST(AuditorChunkTest, ConcurrentStreamsFromDistinctOwnersStayIndependent) {
-  Collector c;
-  c.audit.OnCheckpointChunk(kA, kB, 1, 0, 2, 50, 100);
-  c.audit.OnCheckpointChunk(/*owner=*/9, kB, 1, 0, 2, 50, 100);
-  c.audit.OnCheckpointChunk(kA, kB, 1, 1, 2, 50, 100);
-  c.audit.OnCheckpointChunk(9, kB, 1, 1, 2, 50, 100);
-  EXPECT_TRUE(c.names.empty());
-}
-
 core::RoutingState::Route Route(uint64_t lo, uint64_t hi, InstanceId id) {
   return {core::KeyRange{lo, hi}, id};
 }

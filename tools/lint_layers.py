@@ -26,8 +26,8 @@ reconfiguration plane and the durable checkpoint store:
   * ckpt-worker-no-net: the checkpoint pipeline's code
     (src/runtime/ckpt_*) must not include net/ headers. Serialized frames
     reach the wire only through the Transport seam; pipeline code writing
-    sockets directly would bypass both the per-link FIFO the chunk
-    protocol assumes and the audit hooks.
+    sockets directly would bypass both the per-link FIFO the replay
+    fences assume and the checks every parcel passes on arrival.
   * store-isolation: src/store/ is a storage-engine leaf; it may include
     only serde/ (framing, crc, compression) and common/. The log knows
     bytes and record metadata, never operators, checkpoint objects or

@@ -141,15 +141,15 @@ CHOKE_POINTS = (
             "runtime/membership.cc",
         },
         "why": "backup-map deletion goes through the Cluster::DeleteBackup "
-               "choke point (pending chunk streams + memory entry + "
-               "durable tombstone move together)",
+               "choke point (memory entry + durable tombstone move "
+               "together)",
     },
     {
         "method": "Delete",
         "receivers": {"backups", "backups_"},
         "allowed": {"runtime/cluster.cc"},
-        "why": "BackupStore::Delete outside Cluster::DeleteBackup leaves "
-               "pending chunk streams and the durable tombstone behind",
+        "why": "BackupStore::Delete outside Cluster::DeleteBackup bypasses "
+               "the one choke point every backup deletion goes through",
     },
 )
 
