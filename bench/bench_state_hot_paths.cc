@@ -28,7 +28,8 @@
 #include "core/operator.h"
 #include "core/state.h"
 #include "core/state_ops.h"
-#include "serde/frame.h"
+#include "serde/decoder.h"
+#include "serde/encoder.h"
 #include "sim/simulation.h"
 #include "workloads/lrb/lrb.h"
 #include "workloads/wordcount/wordcount.h"
@@ -369,15 +370,19 @@ void BenchTrim(std::vector<Row>* rows, size_t n, int reps) {
 void BenchSerialize(std::vector<Row>* rows, size_t n, int reps) {
   const StateCheckpoint source = MakeCheckpoint(n, 0x5E + n);
   {
-    // Untimed: both encoders produce the same wire bytes and the fast path
-    // round-trips (frame + CRC + decode) back to the same state.
+    // Untimed: both encoders produce the same bytes, and the fast path
+    // decodes back to the same state.
     NaiveEncoder naive_enc;
     NaiveEncodeCheckpoint(source, naive_enc);
-    const std::vector<uint8_t> framed = source.Serialize();
-    SEEP_CHECK(serde::FramePayload(naive_enc.buffer()) == framed);
-    const auto back = StateCheckpoint::Deserialize(framed);
+    serde::Encoder enc;
+    source.Encode(&enc);
+    SEEP_CHECK(naive_enc.buffer() == enc.buffer());
+    serde::Decoder dec(enc.buffer());
+    const auto back = StateCheckpoint::Decode(&dec);
     SEEP_CHECK(back.ok() && back->processing.size() == n);
-    SEEP_CHECK(back->Serialize() == framed);
+    serde::Encoder again;
+    back->Encode(&again);
+    SEEP_CHECK(again.buffer() == enc.buffer());
   }
   // Timed: the encode itself. Framing and decode are byte-identical work on
   // both sides and would only dilute the comparison.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "serde/frame.h"
 
 namespace seep::core {
 
@@ -444,20 +443,6 @@ Result<StateCheckpoint> StateCheckpoint::Decode(serde::Decoder* dec) {
     c.buffer_front[op_id] = front;
   }
   return c;
-}
-
-std::vector<uint8_t> StateCheckpoint::Serialize() const {
-  serde::Encoder enc;
-  Encode(&enc);
-  return serde::FramePayload(enc.buffer());
-}
-
-[[nodiscard]] Result<StateCheckpoint> StateCheckpoint::Deserialize(
-    const std::vector<uint8_t>& raw) {
-  auto payload = serde::UnframePayload(raw);
-  if (!payload.ok()) return payload.status();
-  serde::Decoder dec(payload.value());
-  return Decode(&dec);
 }
 
 }  // namespace seep::core

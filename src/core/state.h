@@ -319,12 +319,6 @@ struct StateCheckpoint {
 
   void Encode(serde::Encoder* enc) const;
   [[nodiscard]] static Result<StateCheckpoint> Decode(serde::Decoder* dec);
-
-  /// Round-trips through the wire format; the restore path uses this to
-  /// model (and verify) real serialisation.
-  std::vector<uint8_t> Serialize() const;
-  [[nodiscard]]
-  static Result<StateCheckpoint> Deserialize(const std::vector<uint8_t>& raw);
 };
 
 }  // namespace seep::core

@@ -20,8 +20,7 @@ Connection::Connection(EventLoop* loop, ScopedFd fd, bool connecting)
       state_(connecting ? State::kConnecting : State::kConnected),
       // While connecting we wait for writability (connect completion); once
       // connected we always want readability and add writability on demand.
-      want_write_(connecting),
-      ever_connected_(!connecting) {
+      want_write_(connecting) {
   loop_->AddFd(fd_.get(), EPOLLIN | (want_write_ ? EPOLLOUT : 0u),
                [this](uint32_t events) { OnEvents(events); });
 }
@@ -60,7 +59,6 @@ void Connection::HandleConnectComplete() {
     return;
   }
   state_ = State::kConnected;
-  ever_connected_ = true;
   FlushWrites();
   if (state_ != State::kClosed) UpdateInterest();
 }

@@ -29,8 +29,8 @@ enum class [[nodiscard]] SendStatus : uint8_t {
 /// connect completion, writes that go straight to the socket with the rest
 /// queued until it is writable again, incremental frame reassembly on the
 /// inbound side (FrameReader's default payload ceiling), and error/EOF
-/// detection. Reconnect policy lives in Worker; a Connection dies once and
-/// reports it.
+/// detection. A Connection dies once and reports it; the Worker opens a
+/// fresh one for the next post.
 class Connection {
  public:
   using FrameCallback =
@@ -61,9 +61,6 @@ class Connection {
   /// recovery protocol does). Fires on_close unless it already fired.
   void Close();
 
-  /// Whether the connect ever completed (distinguishes an established link
-  /// that died from one that never came up, for backoff policy).
-  bool ever_connected() const { return ever_connected_; }
   size_t queued_bytes() const { return queued_bytes_; }
   size_t frames_dropped() const { return frames_dropped_; }
 
@@ -90,7 +87,6 @@ class Connection {
   size_t queued_bytes_ = 0;
   size_t frames_dropped_ = 0;
   bool want_write_ = false;
-  bool ever_connected_ = false;
 };
 
 }  // namespace seep::net

@@ -3,7 +3,6 @@
 #include <sys/epoll.h>
 #include <time.h>
 
-#include <algorithm>
 #include <cerrno>
 
 #include "common/macros.h"
@@ -41,25 +40,7 @@ void EventLoop::RemoveFd(int fd) {
   fd_callbacks_.erase(fd);
 }
 
-void EventLoop::AddTimer(std::chrono::milliseconds delay, Task task) {
-  timers_.push(Timer{Clock::now() + delay, ++next_timer_id_, std::move(task)});
-}
-
-void EventLoop::FireDueTimers() {
-  const Clock::time_point now = Clock::now();
-  while (!timers_.empty() && timers_.top().deadline <= now) {
-    Task task = std::move(timers_.top().task);
-    timers_.pop();
-    task();
-  }
-}
-
 void EventLoop::Poll(std::chrono::microseconds timeout) {
-  if (!timers_.empty()) {
-    const auto until = std::chrono::duration_cast<std::chrono::microseconds>(
-        timers_.top().deadline - Clock::now());
-    timeout = std::min(timeout, std::max(until, decltype(until)::zero()));
-  }
   const auto ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(timeout).count();
   const timespec wait{static_cast<time_t>(ns / 1'000'000'000),
@@ -76,7 +57,6 @@ void EventLoop::Poll(std::chrono::microseconds timeout) {
     auto it = fd_callbacks_.find(events[i].data.fd);
     if (it != fd_callbacks_.end()) it->second(events[i].events);
   }
-  FireDueTimers();
 }
 
 }  // namespace seep::net

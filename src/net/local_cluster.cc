@@ -10,7 +10,7 @@ namespace seep::net {
 Status LocalCluster::StartWorker(VmId vm, Worker::MessageCallback on_message,
                                  Worker::PeerCallback on_peer_disconnect,
                                  Worker::DropCallback on_frames_dropped) {
-  auto worker = std::make_unique<Worker>(vm, &registry_, &loop_);
+  auto worker = std::make_unique<Worker>(vm, &loop_);
   worker->set_on_message(std::move(on_message));
   worker->set_on_peer_disconnect(std::move(on_peer_disconnect));
   worker->set_on_frames_dropped(std::move(on_frames_dropped));
@@ -20,27 +20,21 @@ Status LocalCluster::StartWorker(VmId vm, Worker::MessageCallback on_message,
 }
 
 void LocalCluster::KillWorker(VmId vm) {
-  auto it = workers_.find(vm);
-  if (it == workers_.end()) return;
-  const Worker::Stats& stats = it->second->stats();
-  frozen_.messages_delivered += stats.messages_delivered;
-  frozen_.frames_dropped += stats.frames_dropped;
-  workers_.erase(it);  // ~Worker closes its sockets
+  workers_.erase(vm);  // ~Worker closes its sockets
 }
 
 SendStatus LocalCluster::Post(VmId from, VmId to, const Message& msg) {
-  auto it = workers_.find(from);
-  if (it == workers_.end()) return SendStatus::kClosed;
-  return it->second->Post(to, msg);
+  auto sender = workers_.find(from);
+  auto receiver = workers_.find(to);
+  if (sender == workers_.end() || receiver == workers_.end()) {
+    return SendStatus::kClosed;
+  }
+  return sender->second->Post(to, receiver->second->port(), msg);
 }
 
-LocalCluster::Stats LocalCluster::TotalStats() const {
-  Stats total = frozen_;
-  for (const auto& [vm, worker] : workers_) {
-    total.messages_delivered += worker->stats().messages_delivered;
-    total.frames_dropped += worker->stats().frames_dropped;
-  }
-  return total;
+void LocalCluster::Poll(std::chrono::microseconds timeout) {
+  loop_.Poll(timeout);
+  for (auto& [vm, worker] : workers_) worker->FreeClosed();
 }
 
 }  // namespace seep::net

@@ -7,7 +7,6 @@
 
 #include "common/ids.h"
 #include "common/status.h"
-#include "net/endpoint.h"
 #include "net/event_loop.h"
 #include "net/worker.h"
 
@@ -15,14 +14,14 @@ namespace seep::net {
 
 /// A cluster of VM workers on 127.0.0.1 ephemeral ports: the harness the TCP
 /// transport (and the net tests/benches) run against. Owns one EventLoop —
-/// a single epoll set holding every VM's listener and connections — the
-/// endpoint registry, and one Worker per attached VM.
+/// a single epoll set holding every VM's listener and connections — and
+/// one Worker per attached VM.
 ///
 /// Single-threaded: the owner drives every socket. Post writes straight to
 /// the sockets; everything else (accepting, connecting, reading, flushing
-/// what the kernel did not take, reconnect timers) happens inside Poll, and
-/// so do all worker callbacks. A callback may Post but must not Poll, start
-/// or kill a worker.
+/// what the kernel did not take) happens inside Poll, and so do all worker
+/// callbacks. A callback may Post but must not Poll, start or kill a
+/// worker.
 class LocalCluster {
  public:
   LocalCluster() = default;
@@ -40,33 +39,23 @@ class LocalCluster {
   /// observe a dead TCP peer at their next poll. No-op for an unknown VM.
   void KillWorker(VmId vm);
 
-  /// Sends `msg` from `from`'s worker to `to` (see Worker::Post). Returns
-  /// kClosed if `from` has no live worker.
+  /// Sends `msg` from `from`'s worker to `to`'s (see Worker::Post). Returns
+  /// kClosed if either VM has no live worker.
   SendStatus Post(VmId from, VmId to, const Message& msg);
 
   /// Runs one turn of the shared loop, waiting up to `timeout` for socket
-  /// events (zero takes only what is ready).
-  void Poll(std::chrono::microseconds timeout) { loop_.Poll(timeout); }
+  /// events (zero takes only what is ready), then frees the connections
+  /// that closed.
+  void Poll(std::chrono::microseconds timeout);
 
   /// Whether `vm` currently has a live worker.
   bool IsAttached(VmId vm) const { return workers_.count(vm) > 0; }
 
-  /// Aggregate counters across live workers (killed workers' counts are
-  /// frozen into the totals at kill time).
-  struct Stats {
-    uint64_t messages_delivered = 0;
-    uint64_t frames_dropped = 0;
-  };
-  Stats TotalStats() const;
-
  private:
-  // Declared first, so it is destroyed last: it outlives the workers (whose
-  // destruction kills them) and the timers they leave on it.
+  // Declared first, so it is destroyed last: it outlives the workers, whose
+  // destruction deregisters their sockets from it.
   EventLoop loop_;
-  EndpointRegistry registry_;
   std::unordered_map<VmId, std::unique_ptr<Worker>> workers_;
-  // Counters of workers killed so far.
-  Stats frozen_;
 };
 
 }  // namespace seep::net

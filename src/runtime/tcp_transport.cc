@@ -70,6 +70,8 @@ struct TcpTransport::Impl {
   std::unordered_map<uint64_t, ShipEntry> ships;
   uint64_t next_ship_id = 0;
 
+  uint64_t delivered = 0;
+  uint64_t dropped = 0;
   uint64_t disconnects = 0;
 
   void DecInFlight(VmId from, VmId to, uint64_t n) {
@@ -168,12 +170,10 @@ uint64_t TcpTransport::disconnects_observed() const {
 }
 
 uint64_t TcpTransport::messages_delivered() const {
-  return impl_->cluster.TotalStats().messages_delivered;
+  return impl_->delivered;
 }
 
-uint64_t TcpTransport::frames_dropped() const {
-  return impl_->cluster.TotalStats().frames_dropped;
-}
+uint64_t TcpTransport::frames_dropped() const { return impl_->dropped; }
 
 size_t TcpTransport::parcels_in_flight() const {
   return impl_->ships.size();
@@ -194,6 +194,7 @@ void TcpTransport::AttachVm(VmId vm) {
       vm,
       /*on_message=*/
       [impl, vm](net::Message msg) {
+        ++impl->delivered;
         impl->DecInFlight(msg.from_vm, vm, 1);
         impl->inbox.push_back(std::move(msg));
       },
@@ -203,6 +204,7 @@ void TcpTransport::AttachVm(VmId vm) {
       },
       /*on_frames_dropped=*/
       [impl, vm](VmId peer, size_t n) {
+        impl->dropped += n;
         impl->DecInFlight(vm, peer, n);
       });
   SEEP_CHECK(started.ok());
@@ -290,9 +292,9 @@ void TcpTransport::Pump() {
   Impl& impl = *impl_;
   // Take whatever the sockets hold. If nothing has arrived while frames are
   // in flight, give them a short wall-clock window to land before sim time
-  // advances past this pump. The wait is bounded, so a stalled link
-  // (reconnect backoff, dead peer mid-detach) delays the simulation by at
-  // most kPumpWait per pump instead of wedging it.
+  // advances past this pump. The wait is bounded, so a stalled link (a
+  // dead peer mid-detach) delays the simulation by at most kPumpWait per
+  // pump instead of wedging it.
   impl.cluster.Poll(std::chrono::microseconds::zero());
   const auto deadline = std::chrono::steady_clock::now() + kPumpWait;
   while (impl.inbox.empty() && impl.total_in_flight > 0) {

@@ -64,7 +64,8 @@ class TcpTransport : public Transport {
   /// upstream actually saw the disconnection).
   uint64_t disconnects_observed() const;
   /// Messages delivered over TCP into the runtime, and frames dropped by
-  /// the net layer (overflow or link death).
+  /// the net layer (at the queue cap, or on a link that died or could not
+  /// be opened), as the workers' callbacks report them.
   uint64_t messages_delivered() const;
   uint64_t frames_dropped() const;
 

@@ -37,7 +37,11 @@ void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
   OperatorInstance* h = members->GetInstance(holder_id);
   if (h == nullptr || !h->alive() || h->stopped()) return;
   OperatorInstance* o = members->GetInstance(owner_id);
-  if (o == nullptr || !o->alive()) return;  // owner died meanwhile
+  // The owner died or was stopped meanwhile. Stopping is the first step of
+  // retiring an instance, and a compensation retires the instances it
+  // deployed without suspending their checkpoints: a backup stored for
+  // such an owner would land over its tombstone.
+  if (o == nullptr || !o->alive() || o->stopped()) return;
   // A checkpoint caught in flight when the scale-out coordinator suspended
   // the owner must not land: the coordinator already retrieved the older
   // backup as the restore point, and this checkpoint's trim

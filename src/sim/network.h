@@ -37,9 +37,11 @@ class Network {
   void Detach(VmId vm);
   bool IsAttached(VmId vm) const { return endpoints_.contains(vm); }
 
-  /// Sends `size_bytes` from `from` to `to`; runs `on_delivery` when the last
-  /// byte arrives, unless either endpoint has been detached by then. The
-  /// closure owns the message payload and is moved, never copied.
+  /// Sends `size_bytes` from `from` to `to` if both are attached; runs
+  /// `on_delivery` when the last byte arrives, unless `to` has been
+  /// detached by then (bytes a sender put on the wire before it died still
+  /// arrive). The closure owns the message payload and is moved, never
+  /// copied.
   ///
   /// `background` marks throttled bulk traffic (checkpoint backups): it
   /// waits behind foreground transfers and pays its own transmission time,

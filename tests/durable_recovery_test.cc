@@ -3,12 +3,14 @@
 // backup holder still recovers exactly-once from the on-disk record — the
 // scenario the paper's in-memory upstream backup (kMemory) cannot survive.
 // Runs at audit level 2, so any protocol or durable-log invariant violation
-// aborts the test. A backup still in flight when its owner retires is
-// never stored over the tombstone, on either backend.
+// aborts the test. A backup still in flight when its owner retires, with
+// its checkpoints suspended or merely stopped, is never stored over the
+// tombstone, on either backend.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -162,7 +164,52 @@ TEST(DurableRecoveryTest, TieredSurvivesSingleFailureByteExact) {
 }
 
 class RetiredOwnerTest
-    : public ::testing::TestWithParam<runtime::TransportKind> {};
+    : public ::testing::TestWithParam<runtime::TransportKind> {
+ protected:
+  /// Runs word count for 10 s (kTiered, level-2 audit), ships a fresh
+  /// capture of the counter to its backup holder, lets `retire` retire the
+  /// counter in the same instant, runs 1 s more, and checks that the parcel
+  /// stored nothing: the tombstone stays the log's last word, and the
+  /// auditor is silent.
+  void ExpectRetiredOwnerStoresNothing(
+      const std::function<void(runtime::Cluster&, InstanceId)>& retire) {
+    WordCountConfig wc;
+    wc.rate_tuples_per_sec = 100;
+    wc.vocabulary = 200;
+    wc.seed = 17;
+
+    sps::SpsConfig config;
+    config.cluster.transport = GetParam();
+    config.cluster.backup_durability = BackupDurability::kTiered;
+    config.cluster.audit_level = 2;
+    config.scaling.enabled = false;
+
+    WordCountQuery query = BuildWordCountQuery(wc);
+    const OperatorId counter = query.counter;
+    sps::Sps sps(std::move(query.graph), config);
+    runtime::Cluster& cluster = sps.cluster();
+    std::vector<std::string> violations;
+    cluster.audit()->SetHandler([&violations](const verify::Violation& v) {
+      violations.push_back(v.invariant + ": " + v.detail);
+    });
+    ASSERT_TRUE(sps.Deploy().ok());
+    sps.RunUntil(10);
+
+    const InstanceId id = cluster.LiveInstancesOf(counter).front();
+    runtime::OperatorInstance* owner = cluster.GetInstance(id);
+    ASSERT_TRUE(cluster.backups()->Has(id));
+    runtime::ShipToBackupHolder(
+        &cluster, owner, runtime::CheckpointParcel{owner->MakeCheckpoint()});
+    retire(cluster, id);
+    sps.RunFor(1);
+
+    EXPECT_FALSE(cluster.backups()->Has(id));
+    ASSERT_NE(cluster.durable_log(), nullptr);
+    EXPECT_FALSE(cluster.durable_log()->Find(id).has_value());
+    for (const auto& v : violations) ADD_FAILURE() << "audit: " << v;
+    EXPECT_EQ(cluster.audit()->violations(), 0u);
+  }
+};
 
 TEST_P(RetiredOwnerTest, BackupInFlightWhenItsOwnerRetiresIsNeverStored) {
   // A backup parcel still in flight when a plan retires its owner must not
@@ -170,45 +217,21 @@ TEST_P(RetiredOwnerTest, BackupInFlightWhenItsOwnerRetiresIsNeverStored) {
   // checkpoints before it retires it, and a parcel that arrives for a
   // suspended owner stores nothing (DeliverCheckpointToHolder's owner
   // check), on either backend.
-  WordCountConfig wc;
-  wc.rate_tuples_per_sec = 100;
-  wc.vocabulary = 200;
-  wc.seed = 17;
-
-  sps::SpsConfig config;
-  config.cluster.transport = GetParam();
-  config.cluster.backup_durability = BackupDurability::kTiered;
-  config.cluster.audit_level = 2;
-  config.scaling.enabled = false;
-
-  WordCountQuery query = BuildWordCountQuery(wc);
-  const OperatorId counter = query.counter;
-  sps::Sps sps(std::move(query.graph), config);
-  runtime::Cluster& cluster = sps.cluster();
-  std::vector<std::string> violations;
-  cluster.audit()->SetHandler([&violations](const verify::Violation& v) {
-    violations.push_back(v.invariant + ": " + v.detail);
+  ExpectRetiredOwnerStoresNothing([](runtime::Cluster& cluster, InstanceId id) {
+    cluster.GetInstance(id)->SuspendCheckpoints();
+    cluster.membership()->RetireInstance(id, /*release_vm=*/false);
   });
-  ASSERT_TRUE(sps.Deploy().ok());
-  sps.RunUntil(10);
+}
 
-  const InstanceId id = cluster.LiveInstancesOf(counter).front();
-  runtime::OperatorInstance* owner = cluster.GetInstance(id);
-  ASSERT_TRUE(cluster.backups()->Has(id));
-  // A fresh capture leaves for the holder; in the same instant the owner is
-  // suspended and retired, as a scale-out plan does with its target.
-  runtime::ShipToBackupHolder(
-      &cluster, owner, runtime::CheckpointParcel{owner->MakeCheckpoint()});
-  owner->SuspendCheckpoints();
-  cluster.membership()->RetireInstance(id, /*release_vm=*/false);
-  sps.RunFor(1);
-
-  EXPECT_FALSE(cluster.backups()->Has(id));
-  ASSERT_NE(cluster.durable_log(), nullptr);
-  // The tombstone is still the log's last word on the instance.
-  EXPECT_FALSE(cluster.durable_log()->Find(id).has_value());
-  for (const auto& v : violations) ADD_FAILURE() << "audit: " << v;
-  EXPECT_EQ(cluster.audit()->violations(), 0u);
+TEST_P(RetiredOwnerTest, BackupInFlightWhenAStoppedOwnerRetiresIsNeverStored) {
+  // A compensation retires the instances its aborted plan deployed without
+  // suspending their checkpoints first (RetireDeployed), and releases
+  // their VMs. A parcel from such an owner is still in flight on the sim,
+  // which drops a delivery only when its receiver is gone; it must store
+  // nothing either, because its owner is stopped.
+  ExpectRetiredOwnerStoresNothing([](runtime::Cluster& cluster, InstanceId id) {
+    cluster.membership()->RetireInstance(id, /*release_vm=*/true);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

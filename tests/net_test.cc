@@ -1,65 +1,52 @@
-// Unit tests for the networking subsystem (src/net/): event loop timers,
-// incremental frame parsing across arbitrary chunk boundaries, worker
-// message delivery (FIFO per link), dead-peer detection, outbound queue
-// limits with the kernel's socket buffers full, and what a killed worker
-// leaves on the loop it shares. Nothing here starts a thread: each test
-// drives the sockets itself through bounded poll loops.
+// Unit tests for the networking subsystem (src/net/): incremental frame
+// parsing across arbitrary chunk boundaries, worker message delivery (FIFO
+// per link), dead-peer detection, a fresh link after a peer's death, a
+// poisoned inbound stream, outbound queue limits with the kernel's socket
+// buffers full, and what a killed worker leaves on the loop it shares.
+// Nothing here starts a thread: each test drives the sockets itself through
+// bounded poll loops.
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <vector>
 
 #include "net/event_loop.h"
 #include "net/local_cluster.h"
+#include "net/socket.h"
 #include "net/wire.h"
+#include "net/worker.h"
 #include "serde/frame.h"
 
 namespace seep::net {
 namespace {
 
 using namespace std::chrono_literals;
+using Clock = std::chrono::steady_clock;
 
-// Polls `loop` (an EventLoop or a LocalCluster) in 1 ms turns until `pred`
-// holds or `limit` of wall clock elapses.
-template <typename Loop, typename Pred>
-bool PollUntil(Loop& loop, Pred pred,
+// Polls `cluster` in 1 ms turns until `pred` holds or `limit` of wall clock
+// elapses.
+template <typename Pred>
+bool PollUntil(LocalCluster& cluster, Pred pred,
                std::chrono::milliseconds limit = 2000ms) {
-  const auto deadline = EventLoop::Clock::now() + limit;
+  const auto deadline = Clock::now() + limit;
   while (!pred()) {
-    if (EventLoop::Clock::now() >= deadline) return false;
-    loop.Poll(1ms);
+    if (Clock::now() >= deadline) return false;
+    cluster.Poll(1ms);
   }
   return true;
 }
 
-// ---------------------------------------------------------------- EventLoop
-
-TEST(EventLoopTest, TimersFireInDeadlineOrder) {
-  EventLoop loop;
-  std::vector<int> order;
-  loop.AddTimer(30ms, [&] { order.push_back(2); });
-  loop.AddTimer(5ms, [&] { order.push_back(1); });
-  EXPECT_TRUE(PollUntil(loop, [&] { return order.size() == 2; }));
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventLoopTest, TimerFiresOnlyAfterItsDelay) {
-  EventLoop loop;
-  bool fired = false;
-  int64_t waited_ms = 0;
-  const auto start = EventLoop::Clock::now();
-  loop.AddTimer(50ms, [&] {
-    waited_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    EventLoop::Clock::now() - start)
-                    .count();
-    fired = true;
-  });
-  // One long poll: the timer cuts the wait short, but not before it is due.
-  loop.Poll(10s);
-  EXPECT_TRUE(PollUntil(loop, [&] { return fired; }));
-  EXPECT_GE(waited_ms, 50);
+// Polls `cluster` in 1 ms turns for `span` of wall clock.
+void PollFor(LocalCluster& cluster, std::chrono::milliseconds span) {
+  const auto until = Clock::now() + span;
+  while (Clock::now() < until) cluster.Poll(1ms);
 }
 
 // -------------------------------------------------------------- FrameReader
@@ -268,23 +255,28 @@ TEST(LocalClusterTest, BidirectionalTraffic) {
   EXPECT_TRUE(PollUntil(cluster, [&] { return at1 == 50 && at2 == 50; }));
 }
 
-TEST(LocalClusterTest, SenderMayStartBeforeReceiver) {
-  // Frames posted before the peer registers are held and flushed once the
-  // reconnect backoff finds the listener.
+TEST(LocalClusterTest, PostToAVmWithoutAWorkerIsClosed) {
+  // A post to a VM with no worker is refused at once: nothing is held for
+  // it and nothing is reported dropped, so a worker that starts there later
+  // receives none of it.
   LocalCluster cluster;
   std::vector<Message> inbox;
-  ASSERT_TRUE(cluster.StartWorker(1, nullptr).ok());
-  ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 2, 1)), SendStatus::kClosed);
-  ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 2, 2)), SendStatus::kClosed);
+  size_t dropped = 0;
+  ASSERT_TRUE(cluster
+                  .StartWorker(1, nullptr, nullptr,
+                               [&](VmId, size_t frames) { dropped += frames; })
+                  .ok());
+  EXPECT_EQ(cluster.Post(1, 2, MakeMsg(1, 2, 1)), SendStatus::kClosed);
+  EXPECT_EQ(cluster.Post(1, 2, MakeMsg(1, 2, 2)), SendStatus::kClosed);
   ASSERT_TRUE(cluster
                   .StartWorker(2,
                                [&](Message m) {
                                  inbox.push_back(std::move(m));
                                })
                   .ok());
-  ASSERT_TRUE(PollUntil(cluster, [&] { return inbox.size() == 2; }));
-  EXPECT_EQ(inbox[0].ship_id, 1u);
-  EXPECT_EQ(inbox[1].ship_id, 2u);
+  PollFor(cluster, 50ms);
+  EXPECT_TRUE(inbox.empty());
+  EXPECT_EQ(dropped, 0u);
 }
 
 TEST(LocalClusterTest, KilledWorkerLooksLikeDeadPeer) {
@@ -304,43 +296,44 @@ TEST(LocalClusterTest, KilledWorkerLooksLikeDeadPeer) {
   cluster.KillWorker(2);
   EXPECT_FALSE(cluster.IsAttached(2));
 
-  // The sender observes the dead peer: its outbound link dies. Keep
-  // posting so the link's death is exercised, not just idle-detected.
-  EXPECT_TRUE(PollUntil(cluster, [&] {
-    // The peer is dead; this probe is allowed (expected) to fail.
-    // seep-ok: unchecked-status -- probing a dead link
-    (void)cluster.Post(1, 2, MakeMsg(1, 2, 99));
-    return disconnects_at_1 >= 1;
-  }));
+  // A post to the dead VM is refused at once, and the sender observes the
+  // dead peer at its next poll: its outbound link dies.
+  EXPECT_EQ(cluster.Post(1, 2, MakeMsg(1, 2, 99)), SendStatus::kClosed);
+  EXPECT_TRUE(PollUntil(cluster, [&] { return disconnects_at_1 >= 1; }));
 
   // Posting from the dead worker reports closed.
   EXPECT_EQ(cluster.Post(2, 1, MakeMsg(2, 1, 7)), SendStatus::kClosed);
 }
 
-TEST(LocalClusterTest, OutboundOverflowDropsAndReports) {
-  // No worker 2 exists: frames pile up in the link's pending queue until
-  // the hard cap drops them, each one reported through the drop callback.
+TEST(LocalClusterTest, NextPostAfterALinkDiedOpensAFreshOne) {
+  // A dead link is not revived: its death is reported, and the next post
+  // to a VM that has a worker again opens a fresh link at once.
   LocalCluster cluster;
-  size_t dropped = 0;
+  std::vector<uint64_t> tags_at_2;
+  uint64_t disconnects_at_1 = 0;
   ASSERT_TRUE(cluster
-                  .StartWorker(1, nullptr, nullptr,
-                               [&](VmId peer, size_t frames) {
+                  .StartWorker(1, nullptr,
+                               [&](VmId peer) {
                                  EXPECT_EQ(peer, 2u);
-                                 dropped += frames;
+                                 ++disconnects_at_1;
                                })
                   .ok());
-  const Message big = MakeMsg(1, 2, 1, /*body_bytes=*/1 << 20);
-  bool saw_pressure = false;
-  size_t overflows = 0;
-  for (int i = 0; i < 80; ++i) {
-    const SendStatus st = cluster.Post(1, 2, big);
-    saw_pressure |= st == SendStatus::kPressured;
-    overflows += st == SendStatus::kOverflow;
-  }
-  EXPECT_TRUE(saw_pressure);
-  EXPECT_GT(overflows, 0u);
-  EXPECT_EQ(dropped, overflows);
-  EXPECT_EQ(cluster.TotalStats().frames_dropped, overflows);
+  auto start_2 = [&] {
+    return cluster.StartWorker(
+        2, [&](Message m) { tags_at_2.push_back(m.ship_id); });
+  };
+  ASSERT_TRUE(start_2().ok());
+  ASSERT_EQ(cluster.Post(1, 2, MakeMsg(1, 2, 1)), SendStatus::kOk);
+  ASSERT_TRUE(PollUntil(cluster, [&] { return tags_at_2.size() == 1; }));
+
+  cluster.KillWorker(2);
+  ASSERT_TRUE(PollUntil(cluster, [&] { return disconnects_at_1 == 1; }));
+  ASSERT_TRUE(start_2().ok());
+  ASSERT_EQ(cluster.Post(1, 2, MakeMsg(1, 2, 2)), SendStatus::kOk);
+  ASSERT_TRUE(
+      PollUntil(cluster, [&] { return tags_at_2.size() == 2; }, 100ms));
+  EXPECT_EQ(tags_at_2[1], 2u);
+  EXPECT_EQ(disconnects_at_1, 1u);
 }
 
 TEST(LocalClusterTest, FullKernelBuffersQueueThenOverflowInOrder) {
@@ -403,31 +396,33 @@ TEST(LocalClusterTest, FullKernelBuffersQueueThenOverflowInOrder) {
   for (size_t i = 0; i < tags.size(); ++i) {
     EXPECT_EQ(tags[i], i) << "reordered at " << i;
   }
-  EXPECT_EQ(cluster.TotalStats().frames_dropped, 4u);
+  EXPECT_EQ(dropped, 4u);  // draining the link dropped nothing more
 }
 
 TEST(LocalClusterTest, HelloAttributesInboundDisconnect) {
   LocalCluster cluster;
+  size_t delivered = 0;
   VmId disconnect_peer = kInvalidVm;
   ASSERT_TRUE(cluster
                   .StartWorker(
-                      2, nullptr,
+                      2, [&](Message) { ++delivered; },
                       [&](VmId peer) { disconnect_peer = peer; })
                   .ok());
   ASSERT_TRUE(cluster.StartWorker(7, nullptr).ok());
   // Establish 7 -> 2 (hello carries from_vm=7), then kill the sender.
   ASSERT_NE(cluster.Post(7, 2, MakeMsg(7, 2, 1)), SendStatus::kClosed);
-  EXPECT_TRUE(PollUntil(
-      cluster, [&] { return cluster.TotalStats().messages_delivered >= 1; }));
+  EXPECT_TRUE(PollUntil(cluster, [&] { return delivered >= 1; }));
   cluster.KillWorker(7);
   EXPECT_TRUE(PollUntil(cluster, [&] { return disconnect_peer == 7u; }));
 }
 
 TEST(LocalClusterTest, KilledWorkerLeavesNothingToRunOnTheSharedLoop) {
-  // A worker's retry timers and deferred connection frees stay on the
-  // cluster's loop after the worker dies; none of them may touch it.
+  // A link that dies on a direct write, outside any poll, waits in its
+  // worker's closed list for the next poll to free it. A worker killed
+  // before that poll takes the connection with it: nothing of the worker
+  // is left on the shared loop to run.
   LocalCluster cluster;
-  size_t delivered_at_2 = 0, delivered_at_9 = 0;
+  size_t delivered_at_2 = 0;
   uint64_t callbacks_at_1 = 0;
   ASSERT_TRUE(cluster
                   .StartWorker(
@@ -438,27 +433,107 @@ TEST(LocalClusterTest, KilledWorkerLeavesNothingToRunOnTheSharedLoop) {
   ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 2, 0)), SendStatus::kClosed);
   ASSERT_TRUE(PollUntil(cluster, [&] { return delivered_at_2 == 1; }));
 
-  // Worker 1 finds 2 dead on a direct write, outside any poll: the link's
-  // close leaves a deferred free and a retry timer on the loop.
+  // VM 2 dies and starts again before anything polls, so worker 1 still
+  // holds the dead link and finds it dead on a direct write.
   cluster.KillWorker(2);
+  ASSERT_TRUE(cluster.StartWorker(2, nullptr).ok());
   for (int i = 0; i < 100 && callbacks_at_1 == 0; ++i) {
     // seep-ok: unchecked-status -- probing a dead link
     (void)cluster.Post(1, 2, MakeMsg(1, 2, 1));
   }
   ASSERT_GT(callbacks_at_1, 0u);
-  // A post to a VM that never registered leaves another retry timer, and a
-  // frame held for it.
-  ASSERT_EQ(cluster.Post(1, 9, MakeMsg(1, 9, 2)), SendStatus::kOk);
   const uint64_t seen = callbacks_at_1;
   cluster.KillWorker(1);
 
-  // Had the dead worker's retry run, it would now find VM 9 and deliver
-  // the held frame.
-  ASSERT_TRUE(cluster.StartWorker(9, [&](Message) { ++delivered_at_9; }).ok());
-  const auto until = EventLoop::Clock::now() + 100ms;  // past both backoffs
-  while (EventLoop::Clock::now() < until) cluster.Poll(1ms);
-  EXPECT_EQ(delivered_at_9, 0u);
+  PollFor(cluster, 50ms);
   EXPECT_EQ(callbacks_at_1, seen);
+}
+
+// ------------------------------------------------------------------- Worker
+
+// A blocking loopback connection to `port`, bypassing Worker: the test
+// writes raw bytes on it.
+ScopedFd RawConnect(uint16_t port) {
+  ScopedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    fd.Reset();
+  }
+  return fd;
+}
+
+bool WriteAll(int fd, const std::vector<uint8_t>& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    off += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// The frames a peer's worker would write on a fresh link: its hello, then
+// `msg`.
+std::vector<uint8_t> HelloThen(const Message& msg) {
+  Message hello;
+  hello.type = MessageType::kHello;
+  hello.from_vm = msg.from_vm;
+  hello.to_vm = msg.to_vm;
+  std::vector<uint8_t> bytes = EncodeMessage(hello);
+  const std::vector<uint8_t> frame = EncodeMessage(msg);
+  bytes.insert(bytes.end(), frame.begin(), frame.end());
+  return bytes;
+}
+
+TEST(WorkerTest, PoisonedInboundStreamClosesOnlyThatLink) {
+  // A frame that fails its crc32c poisons the stream it arrived on: the
+  // worker closes that connection inside the connection's own event
+  // handling, reports the peer its hello named, and frees it only once the
+  // poll has returned (FreeClosed). Another link into the same worker
+  // keeps delivering.
+  EventLoop loop;
+  Worker worker(1, &loop);
+  std::vector<Message> inbox;
+  std::vector<VmId> disconnects;
+  worker.set_on_message([&](Message m) { inbox.push_back(std::move(m)); });
+  worker.set_on_peer_disconnect(
+      [&](VmId peer) { disconnects.push_back(peer); });
+  ASSERT_TRUE(worker.Start().ok());
+  auto poll_until = [&](auto pred) {
+    const auto deadline = Clock::now() + 2000ms;
+    while (!pred()) {
+      if (Clock::now() >= deadline) return false;
+      loop.Poll(1ms);
+      worker.FreeClosed();
+    }
+    return true;
+  };
+
+  ScopedFd poisoned = RawConnect(worker.port());
+  ASSERT_TRUE(poisoned.valid());
+  std::vector<uint8_t> bytes = HelloThen(MakeMsg(7, 1, 1));
+  bytes.back() ^= 0x01;  // the message's payload no longer matches its crc
+  ASSERT_TRUE(WriteAll(poisoned.get(), bytes));
+  ASSERT_TRUE(poll_until([&] { return !disconnects.empty(); }));
+  EXPECT_EQ(disconnects, std::vector<VmId>{7});
+  EXPECT_TRUE(inbox.empty());
+  // The worker's end is closed: the raw socket reads end of stream.
+  uint8_t byte;
+  EXPECT_EQ(::recv(poisoned.get(), &byte, 1, MSG_DONTWAIT), 0);
+
+  ScopedFd healthy = RawConnect(worker.port());
+  ASSERT_TRUE(healthy.valid());
+  ASSERT_TRUE(WriteAll(healthy.get(), HelloThen(MakeMsg(8, 1, 2))));
+  ASSERT_TRUE(poll_until([&] { return inbox.size() == 1; }));
+  EXPECT_EQ(inbox[0].from_vm, 8u);
+  EXPECT_EQ(inbox[0].ship_id, 2u);
+  EXPECT_EQ(disconnects.size(), 1u);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // serialized frame. The pump runs only while traffic is in flight (an idle
 // transport schedules nothing), a sender detached mid-parcel leaves no frame
 // counted in flight, a parcel from a killed VM never arrives, a parcel far
-// past any socket buffer arrives byte-exact as one message, and the pump's
+// past any socket buffer arrives byte-exact as one message, a parcel still
+// queued when its receiver dies counts as one dropped frame, and the pump's
 // parcel decode path rejects every truncation and bit flip of a parcel
 // body with exactly one decode failure.
 
@@ -184,6 +185,48 @@ TEST(TcpParcelTest, SixteenMegabyteParcelArrivesWholeAsOneMessage) {
   EXPECT_EQ(tcp->parcels_in_flight(), 0u);
   EXPECT_EQ(tcp->frames_in_flight(), 0u);
   EXPECT_EQ(cluster.metrics()->ckpt_decode_failures, 0u);
+}
+
+TEST(TcpParcelTest, ParcelQueuedWhenItsReceiverDiesIsOneDroppedFrame) {
+  // frames_dropped() counts what the workers' drop callback reports. A
+  // small parcel opens the link between two bare VMs; then a 16 MiB
+  // incompressible parcel, far past what loopback socket buffers take,
+  // leaves most of its one frame queued at the sender when the receiver
+  // is detached in the same sim instant. The link's death drops that frame.
+  core::QueryGraph graph;
+  runtime::Cluster cluster(&graph, BareTcpConfig());
+  auto* tcp = dynamic_cast<runtime::TcpTransport*>(cluster.transport());
+  ASSERT_NE(tcp, nullptr);
+  sim::Simulation* sim = cluster.simulation();
+  tcp->AttachVm(1);
+  tcp->AttachVm(2);
+  auto run_while_pumping = [&] {
+    for (int i = 0; i < 2000 && sim->pending_events() > 0; ++i) {
+      sim->RunUntil(sim->Now() + MillisToSim(1));
+    }
+  };
+
+  int arrivals = 0;
+  const runtime::ArrivalFn on_arrival = [&](runtime::ArrivedCheckpoint) {
+    ++arrivals;
+  };
+  tcp->ShipCheckpoint(1, 2, runtime::CheckpointParcel{BigCheckpoint(3, 100)},
+                      on_arrival);
+  run_while_pumping();
+  ASSERT_EQ(arrivals, 1);
+  ASSERT_EQ(tcp->frames_dropped(), 0u);
+
+  tcp->ShipCheckpoint(
+      1, 2,
+      runtime::CheckpointParcel{
+          IncompressibleCheckpoint(/*entries=*/1024, /*value_bytes=*/16 << 10)},
+      on_arrival);
+  tcp->DetachVm(2);
+  run_while_pumping();
+  EXPECT_EQ(tcp->frames_dropped(), 1u);
+  EXPECT_EQ(tcp->frames_in_flight(), 0u);
+  EXPECT_EQ(tcp->parcels_in_flight(), 0u);
+  EXPECT_EQ(arrivals, 1);
 }
 
 TEST(TcpParcelTest, ParcelFromAKilledVmNeverArrives) {
