@@ -61,7 +61,7 @@ class KeyCounter : public core::Operator {
   void SetProcessingState(const core::ProcessingState& state) override {
     counts_.clear();
     for (const auto& [key, value] : state.entries()) {
-      counts_[key] = std::stoull(value);
+      counts_[key] = std::stoull(std::string(value));
     }
   }
 

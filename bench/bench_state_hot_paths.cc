@@ -4,9 +4,10 @@
 // reference implementation — unsorted linear-scan filters, map-rebuild delta
 // application, vector-erase trims and a byte-at-a-time encoder without
 // reservation — plus the operators' own get-processing-state at the state
-// sizes the LRB benchmark reaches, the word counter's per-tuple Process, the
-// word-count source's per-sentence generation and Zipf draw, and the sim
-// kernel's schedule-plus-fire of one event.
+// sizes the LRB benchmark reaches, the replay buffer's own operations, the
+// word counter's per-tuple Process, the word-count source's per-sentence
+// generation and Zipf draw, and the sim kernel's schedule-plus-fire of one
+// event.
 // Results go to stdout and BENCH_state_hot_paths.json.
 //
 // Usage: bench_state_hot_paths [output.json]
@@ -19,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "core/operator.h"
 #include "core/state.h"
 #include "core/state_ops.h"
+#include "serde/crc32c.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
 #include "sim/simulation.h"
@@ -104,7 +107,7 @@ class NaiveEncoder {
     AppendVarint64((static_cast<uint64_t>(v) << 1) ^
                    static_cast<uint64_t>(v >> 63));
   }
-  void AppendString(const std::string& s) {
+  void AppendString(std::string_view s) {
     AppendVarint64(s.size());
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
@@ -428,6 +431,75 @@ void BenchPartitionSerialize(std::vector<Row>* rows, size_t n, int reps) {
   Report(rows, "part_serialize", n, naive, fast);
 }
 
+// --------------------------------------------------------------- buffer state
+// β's own operations on one downstream's replay buffer of 20 000 word tuples
+// (Zipf(1 000, 0.9) words, as the word-count splitter emits them): appending
+// them, a full copy (what a full capture, a restore and Algorithm 2's first
+// partition pay), the encode into a checkpoint, the decode at its holder,
+// and a trim acknowledgement that drops the oldest 10 %. The encoding's
+// crc32c shows that two builds compared here encode the same bytes.
+
+struct BufferRow {
+  const char* op;
+  size_t tuples;
+  double us;
+  uint32_t crc;  // of the encoded buffer
+};
+
+void BenchBufferState(std::vector<BufferRow>* rows, int reps) {
+  namespace wc = workloads::wordcount;
+  constexpr size_t kTuples = 20'000;
+  constexpr OperatorId kDown = 1;
+  Rng rng(0x5EED);
+  const ZipfDistribution rank(1000, 0.9);
+  std::vector<Tuple> words(kTuples);
+  for (size_t i = 0; i < kTuples; ++i) {
+    Tuple& t = words[i];
+    t.timestamp = static_cast<int64_t>(i) + 1;
+    t.text = wc::SentenceSource::WordAt(rank.Sample(&rng));
+    t.key = HashBytes(t.text);
+    t.origin = 9;
+    t.event_time = static_cast<SimTime>(i) * 500;
+  }
+  core::BufferState full;
+  for (const Tuple& t : words) full.Append(kDown, t);
+  serde::Encoder encoded;
+  full.Encode(&encoded);
+  const uint32_t crc =
+      serde::Crc32c(encoded.buffer().data(), encoded.buffer().size());
+
+  const auto report = [&](const char* op, double us) {
+    rows->push_back(BufferRow{op, kTuples, us, crc});
+    std::printf("%-15s %9zu %14.1f %12u\n", op, kTuples, us, crc);
+    std::fflush(stdout);
+  };
+  report("append", TimeConsumingUs(
+                       reps, [] { return core::BufferState(); },
+                       [&](core::BufferState& buffer) {
+                         for (const Tuple& t : words) buffer.Append(kDown, t);
+                       }));
+  report("full_copy", TimeUs(reps, [&] {
+           const core::BufferState copy = full;
+           SEEP_CHECK(copy.TotalTuples() == kTuples);
+         }));
+  report("encode", TimeUs(reps, [&] {
+           serde::Encoder enc;
+           full.Encode(&enc);
+           SEEP_CHECK(enc.size() == encoded.size());
+         }));
+  report("decode", TimeUs(reps, [&] {
+           serde::Decoder dec(encoded.buffer());
+           const auto back = core::BufferState::Decode(&dec);
+           SEEP_CHECK(back.ok() && back->TotalTuples() == kTuples);
+         }));
+  report("trim_10pct", TimeConsumingUs(
+                           reps, [&] { return full; },
+                           [&](core::BufferState& buffer) {
+                             SEEP_CHECK(buffer.Trim(kDown, kTuples / 10) ==
+                                        kTuples / 10);
+                           }));
+}
+
 // ---------------------------------------------------------- operator capture
 // get-processing-state itself (paper §3.1): every full checkpoint calls it,
 // every c = 5 s for every stateful instance, so at LRB scale it is the
@@ -691,6 +763,7 @@ void BenchKernelEvents(std::vector<KernelRow>* rows, int reps) {
 }
 
 void WriteJson(FILE* f, const std::vector<Row>& rows,
+               const std::vector<BufferRow>& buffers,
                const std::vector<CaptureRow>& captures,
                const std::vector<ProcessRow>& processes,
                const std::vector<GenerateRow>& generates,
@@ -704,6 +777,15 @@ void WriteJson(FILE* f, const std::vector<Row>& rows,
                  "\"speedup\": %.2f}%s\n",
                  r.primitive, r.size, r.naive_us, r.fast_us,
                  r.naive_us / r.fast_us, i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"buffer_state\": [\n");
+  for (size_t i = 0; i < buffers.size(); ++i) {
+    const BufferRow& b = buffers[i];
+    std::fprintf(f,
+                 "    {\"op\": \"%s\", \"tuples\": %zu, \"us\": %.1f, "
+                 "\"crc32c\": %u}%s\n",
+                 b.op, b.tuples, b.us, b.crc,
+                 i + 1 < buffers.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"operator_capture\": [\n");
   for (size_t i = 0; i < captures.size(); ++i) {
@@ -769,6 +851,10 @@ int Main(int argc, char** argv) {
     BenchSerialize(&rows, n, reps);
     BenchPartitionSerialize(&rows, n, reps);
   }
+  std::printf("\n==== Buffer state: one op over the whole buffer ====\n");
+  std::printf("%-15s %9s %14s %12s\n", "op", "tuples", "us", "crc32c");
+  std::vector<BufferRow> buffers;
+  BenchBufferState(&buffers, 20);
   std::printf("\n==== Operator get-processing-state ====\n");
   std::printf("%-15s %9s %9s %14s %14s\n", "operator", "touched%",
               "entries", "capture(us)", "+sort(us)");
@@ -790,7 +876,7 @@ int Main(int argc, char** argv) {
   BenchKernelEvents<2>(&kernel, 5);
   BenchKernelEvents<8>(&kernel, 5);
   BenchKernelEvents<16>(&kernel, 5);
-  WriteJson(f, rows, captures, processes, generates, kernel);
+  WriteJson(f, rows, buffers, captures, processes, generates, kernel);
   std::fclose(f);
   std::printf("wrote %s\n", out);
   return 0;

@@ -51,9 +51,10 @@ class Operator {
   ///
   /// Every full checkpoint calls this, once per checkpoint interval c per
   /// stateful instance, and at LRB scale it dominates the simulator's wall
-  /// clock. It must not allocate per entry beyond the entry's own value:
-  /// encode every entry through one scratch serde::Encoder, Reserve the
-  /// result up front, and do not look up again the entry being iterated.
+  /// clock. It must not allocate per entry: encode every entry through one
+  /// scratch serde::Encoder and Add its view() (the state copies the bytes
+  /// into its arena), Reserve the result up front, and do not look up again
+  /// the entry being iterated.
   virtual ProcessingState GetProcessingState() const { return {}; }
 
   /// set-processing-state: replaces internal state from a checkpointed θ.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-
 namespace seep::core {
 
 // ---------------------------------------------------------------- Processing
@@ -11,64 +10,52 @@ namespace seep::core {
 void ProcessingState::EnsureSorted() const {
   if (sorted_) return;
   // Stable so entries with colliding key hashes keep a deterministic
-  // (insertion) order — Encode output must be canonical.
-  std::stable_sort(
-      entries_.begin(), entries_.end(),
-      [](const Entry& a, const Entry& b) { return a.first < b.first; });
+  // (insertion) order — Encode output must be canonical. Only the slots
+  // move; the values stay where Add put them.
+  std::stable_sort(slots_.begin(), slots_.end(),
+                   [](const Slot& a, const Slot& b) { return a.key < b.key; });
   sorted_ = true;
 }
-
-namespace {
-
-// Binary-search helpers over the sorted entry vector.
-std::vector<ProcessingState::Entry>::const_iterator LowerBoundKey(
-    const std::vector<ProcessingState::Entry>& entries, KeyHash key) {
-  return std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const ProcessingState::Entry& e, KeyHash k) { return e.first < k; });
-}
-
-std::vector<ProcessingState::Entry>::const_iterator UpperBoundKey(
-    const std::vector<ProcessingState::Entry>& entries, KeyHash key) {
-  return std::upper_bound(
-      entries.begin(), entries.end(), key,
-      [](KeyHash k, const ProcessingState::Entry& e) { return k < e.first; });
-}
-
-}  // namespace
 
 ProcessingState ProcessingState::FilterByRange(const KeyRange& range) const {
   SEEP_DCHECK_LE(range.lo, range.hi);
   EnsureSorted();
-  const auto first = LowerBoundKey(entries_, range.lo);
-  const auto last = UpperBoundKey(entries_, range.hi);
+  const auto first = std::lower_bound(
+      slots_.begin(), slots_.end(), range.lo,
+      [](const Slot& s, KeyHash k) { return s.key < k; });
+  const auto last = std::upper_bound(
+      first, slots_.end(), range.hi,
+      [](KeyHash k, const Slot& s) { return k < s.key; });
+  size_t value_bytes = 0;
+  for (auto it = first; it != last; ++it) value_bytes += it->length;
   ProcessingState out;
-  out.Reserve(static_cast<size_t>(last - first));
-  for (auto it = first; it != last; ++it) out.Add(it->first, it->second);
+  out.Reserve(static_cast<size_t>(last - first), value_bytes);
+  for (auto it = first; it != last; ++it) out.Add(it->key, Value(*it));
   return out;
 }
 
 void ProcessingState::MergeFrom(const ProcessingState& other) {
-  if (other.entries_.empty()) return;
+  SEEP_DCHECK(&other != this);
+  if (other.slots_.empty()) return;
   EnsureSorted();
   other.EnsureSorted();
-  // Scale-in merges adjacent key ranges, so one side usually follows the
-  // other entirely: a straight append keeps the result sorted.
-  if (entries_.empty() ||
-      entries_.back().first <= other.entries_.front().first) {
-    entries_.insert(entries_.end(), other.entries_.begin(),
-                    other.entries_.end());
-    bytes_ += other.bytes_;
-    return;
+  const size_t rebase = arena_.size();
+  arena_.append(other.arena_);
+  const size_t mid = slots_.size();
+  slots_.reserve(mid + other.slots_.size());
+  for (Slot s : other.slots_) {
+    s.offset += rebase;
+    slots_.push_back(s);
   }
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  std::merge(std::make_move_iterator(entries_.begin()),
-             std::make_move_iterator(entries_.end()), other.entries_.begin(),
-             other.entries_.end(), std::back_inserter(merged),
-             [](const Entry& a, const Entry& b) { return a.first < b.first; });
-  entries_ = std::move(merged);
-  bytes_ += other.bytes_;
+  // Scale-in merges adjacent key ranges, so one side usually follows the
+  // other entirely and the appended slots are already in order. Otherwise
+  // a stable merge keeps this state's entries ahead of equal keys.
+  if (mid > 0 && slots_[mid].key < slots_[mid - 1].key) {
+    std::inplace_merge(
+        slots_.begin(), slots_.begin() + static_cast<ptrdiff_t>(mid),
+        slots_.end(),
+        [](const Slot& a, const Slot& b) { return a.key < b.key; });
+  }
 }
 
 void ProcessingState::ApplyDelta(const ProcessingState& updated,
@@ -81,62 +68,47 @@ void ProcessingState::ApplyDelta(const ProcessingState& updated,
     return std::binary_search(dead.begin(), dead.end(), key);
   };
 
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size() + updated.entries_.size());
-  size_t bytes = 0;
-  const auto push = [&](Entry e) {
-    bytes += sizeof(KeyHash) + e.second.size();
-    merged.push_back(std::move(e));
-  };
-
+  ProcessingState merged;
+  merged.Reserve(slots_.size() + updated.slots_.size(),
+                 arena_.size() + updated.arena_.size());
   size_t i = 0, j = 0;
-  const auto& upd = updated.entries_;
-  while (i < entries_.size() || j < upd.size()) {
+  const auto& upd = updated.slots_;
+  while (i < slots_.size() || j < upd.size()) {
     // For one key, the delta's (last) entry supersedes the base's; a
     // deletion supersedes both.
-    if (j == upd.size() ||
-        (i < entries_.size() && entries_[i].first < upd[j].first)) {
-      if (!is_dead(entries_[i].first)) push(std::move(entries_[i]));
+    if (j == upd.size() || (i < slots_.size() && slots_[i].key < upd[j].key)) {
+      if (!is_dead(slots_[i].key)) merged.Add(slots_[i].key, Value(slots_[i]));
       ++i;
       continue;
     }
-    const KeyHash key = upd[j].first;
-    while (j + 1 < upd.size() && upd[j + 1].first == key) ++j;  // last wins
-    if (!is_dead(key)) push(upd[j]);
+    const KeyHash key = upd[j].key;
+    while (j + 1 < upd.size() && upd[j + 1].key == key) ++j;  // last wins
+    if (!is_dead(key)) merged.Add(key, updated.Value(upd[j]));
     ++j;
-    while (i < entries_.size() && entries_[i].first == key) ++i;  // replaced
+    while (i < slots_.size() && slots_[i].key == key) ++i;  // replaced
   }
-
-  entries_ = std::move(merged);
-  bytes_ = bytes;
-  sorted_ = true;
+  *this = std::move(merged);
 }
 
 size_t ProcessingState::EncodedSize() const {
-  size_t total = serde::Encoder::VarintSize(entries_.size()) + bytes_;
-  for (const Entry& e : entries_) {
-    total += serde::Encoder::VarintSize(e.second.size());
-  }
+  size_t total = serde::Encoder::VarintSize(slots_.size()) + ByteSize();
+  for (const Slot& s : slots_) total += serde::Encoder::VarintSize(s.length);
   return total;
 }
 
 void ProcessingState::Encode(serde::Encoder* enc) const {
   EnsureSorted();
-  enc->AppendVarint64(entries_.size());
-  // The payload size is knowable exactly (bytes_ already counts 8 bytes per
-  // key plus the value bytes; only the length varints are extra), so the
-  // whole state is emitted into one Extend() region with raw pointer
-  // writes — no per-append bounds checks on the serialisation hot path.
-  size_t total = bytes_;
-  for (const Entry& e : entries_) {
-    total += serde::Encoder::VarintSize(e.second.size());
-  }
+  enc->AppendVarint64(slots_.size());
+  // The payload size is knowable exactly (ByteSize() counts 8 bytes per key
+  // plus the value bytes; only the length varints are extra), so the whole
+  // state is emitted into one Extend() region with raw pointer writes — no
+  // per-append bounds checks on the serialisation hot path.
+  size_t total = ByteSize();
+  for (const Slot& s : slots_) total += serde::Encoder::VarintSize(s.length);
   uint8_t* p = enc->Extend(total);
-  for (const Entry& e : entries_) {
-    p = serde::Encoder::WriteFixed64(p, e.first);
-    p = serde::Encoder::WriteVarint64(p, e.second.size());
-    std::memcpy(p, e.second.data(), e.second.size());
-    p += e.second.size();
+  for (const Slot& s : slots_) {
+    p = serde::Encoder::WriteFixed64(p, s.key);
+    p = serde::Encoder::WriteString(p, Value(s));
   }
 }
 
@@ -148,11 +120,11 @@ Result<ProcessingState> ProcessingState::Decode(serde::Decoder* dec) {
   if (n <= dec->remaining()) out.Reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     KeyHash k = 0;
-    std::string v;
-    if (!dec->GetFixed64(&k) || !dec->GetString(&v)) {
+    std::string_view v;
+    if (!dec->GetFixed64(&k) || !dec->GetStringView(&v)) {
       return Status::Corruption("truncated or corrupt state entry");
     }
-    out.Add(k, std::move(v));
+    out.Add(k, v);
   }
   return out;
 }
@@ -219,20 +191,65 @@ Result<InputPositions> InputPositions::Decode(serde::Decoder* dec) {
 
 // --------------------------------------------------------------- TupleBuffer
 
-TupleBuffer::const_iterator TupleBuffer::UpperBound(int64_t timestamp) const {
-  return std::partition_point(begin(), end(), [timestamp](const Tuple& t) {
-    return t.timestamp <= timestamp;
-  });
+void TupleBuffer::Append(const Tuple& t) {
+  // UpperBound/Trim binary-search on timestamp order; an out-of-order
+  // append would silently corrupt trims.
+  SEEP_DCHECK(slots_.empty() || slots_.back().timestamp <= t.timestamp);
+  // Sized by the bound, cut to the cursor: the tuple is written once and
+  // never sized.
+  const size_t at = bytes_.size();
+  bytes_.resize(at + t.MaxSerializedSize());
+  const uint8_t* const end = t.Write(bytes_.data() + at);
+  bytes_.resize(static_cast<size_t>(end - bytes_.data()));
+  slots_.push_back(Slot{t.timestamp, t.event_time, at});
+}
+
+void TupleBuffer::AppendFrom(const TupleBuffer& other, size_t first) {
+  if (first >= other.size()) return;
+  const auto from = other.slots_.begin() +
+                    static_cast<ptrdiff_t>(other.front_ + first);
+  SEEP_DCHECK(slots_.empty() || slots_.back().timestamp <= from->timestamp);
+  // One byte range, and the slots over it shifted by the distance it moved.
+  const size_t base = from->offset;
+  const size_t at = bytes_.size();
+  bytes_.insert(bytes_.end(),
+                other.bytes_.begin() + static_cast<ptrdiff_t>(base),
+                other.bytes_.end());
+  const size_t old = slots_.size();
+  slots_.insert(slots_.end(), from, other.slots_.end());
+  for (size_t k = old; k < slots_.size(); ++k) {
+    slots_[k].offset = slots_[k].offset - base + at;
+  }
+}
+
+Tuple TupleBuffer::At(size_t i) const {
+  const size_t k = front_ + i;
+  SEEP_CHECK_LT(k, slots_.size());
+  const size_t begin = slots_[k].offset;
+  const size_t end =
+      k + 1 < slots_.size() ? slots_[k + 1].offset : bytes_.size();
+  serde::Decoder dec(bytes_.data() + begin, end - begin);
+  Tuple t;
+  // Append wrote these bytes, or DecodeAppend checked them.
+  const bool ok = t.DecodeFrom(&dec);
+  SEEP_CHECK(ok && dec.AtEnd());
+  return t;
+}
+
+size_t TupleBuffer::UpperBound(int64_t timestamp) const {
+  const auto live = slots_.begin() + static_cast<ptrdiff_t>(front_);
+  return static_cast<size_t>(
+      std::partition_point(live, slots_.end(),
+                           [timestamp](const Slot& s) {
+                             return s.timestamp <= timestamp;
+                           }) -
+      live);
 }
 
 size_t TupleBuffer::TrimThroughTimestamp(int64_t up_to) {
   // Appends come from a monotone logical clock, so the buffer is sorted by
   // timestamp and the trim point is a binary search.
-  const auto keep_from = UpperBound(up_to);
-  const size_t dropped = static_cast<size_t>(keep_from - begin());
-  for (auto it = begin(); it != keep_from; ++it) {
-    bytes_ -= it->SerializedSize();
-  }
+  const size_t dropped = UpperBound(up_to);
   front_ += dropped;
   MaybeCompact();
   return dropped;
@@ -243,8 +260,7 @@ size_t TupleBuffer::TrimBeforeEventTime(SimTime cutoff) {
   // carry the close time, which can precede a later tuple's source time), so
   // a binary search would be unsound; walk the dropped prefix instead.
   size_t dropped = 0;
-  while (front_ != tuples_.size() && tuples_[front_].event_time < cutoff) {
-    bytes_ -= tuples_[front_].SerializedSize();
+  while (front_ != slots_.size() && slots_[front_].event_time < cutoff) {
     ++front_;
     ++dropped;
   }
@@ -253,16 +269,51 @@ size_t TupleBuffer::TrimBeforeEventTime(SimTime cutoff) {
 }
 
 void TupleBuffer::MaybeCompact() {
-  // Reclaim the dead prefix once it dominates the live region: each tuple is
-  // then moved at most O(1) amortised times over its lifetime.
-  if (front_ >= 32 && front_ * 2 >= tuples_.size()) {
-    tuples_.erase(tuples_.begin(),
-                  tuples_.begin() + static_cast<ptrdiff_t>(front_));
-    front_ = 0;
+  // Reclaim the dead prefix once it dominates the live region: each tuple's
+  // bytes and slot are then moved at most O(1) amortised times over its
+  // lifetime. The surviving slots are rebased onto the moved bytes.
+  if (front_ < 32 || front_ * 2 < slots_.size()) return;
+  const size_t dead = LiveOffset();
+  bytes_.erase(bytes_.begin(), bytes_.begin() + static_cast<ptrdiff_t>(dead));
+  slots_.erase(slots_.begin(), slots_.begin() + static_cast<ptrdiff_t>(front_));
+  for (Slot& s : slots_) s.offset -= dead;
+  front_ = 0;
+}
+
+void TupleBuffer::Encode(serde::Encoder* enc) const {
+  enc->AppendVarint64(size());
+  enc->AppendRaw(bytes_.data() + LiveOffset(), ByteSize());
+}
+
+[[nodiscard]] Status TupleBuffer::DecodeAppend(serde::Decoder* dec) {
+  uint64_t n_tuples;
+  SEEP_ASSIGN_OR_RETURN(n_tuples, dec->ReadVarint64());
+  if (n_tuples <= dec->remaining()) slots_.reserve(slots_.size() + n_tuples);
+  const size_t mark = dec->position();
+  const size_t at = bytes_.size();
+  Tuple scratch;
+  for (uint64_t j = 0; j < n_tuples; ++j) {
+    const size_t offset = at + (dec->position() - mark);
+    if (!scratch.DecodeFrom(dec)) {
+      return Status::Corruption("truncated or corrupt buffered tuple");
+    }
+    // Trims binary-search the buffer, so it must be in timestamp order.
+    if (!slots_.empty() && scratch.timestamp < slots_.back().timestamp) {
+      return Status::Corruption("buffered tuples out of timestamp order");
+    }
+    slots_.push_back(Slot{scratch.timestamp, scratch.event_time, offset});
   }
+  const std::span<const uint8_t> raw = dec->BytesSince(mark);
+  bytes_.insert(bytes_.end(), raw.begin(), raw.end());
+  return Status::OK();
 }
 
 // -------------------------------------------------------------------- Buffer
+
+void BufferState::AppendFrom(OperatorId downstream, const TupleBuffer& from,
+                             size_t first) {
+  if (first < from.size()) buffers_[downstream].AppendFrom(from, first);
+}
 
 size_t BufferState::Trim(OperatorId downstream, int64_t up_to) {
   auto it = buffers_.find(downstream);
@@ -306,13 +357,7 @@ void BufferState::Encode(serde::Encoder* enc) const {
   enc->AppendVarint64(buffers_.size());
   for (const auto& [op, buf] : buffers_) {
     enc->AppendFixed32(op);
-    enc->AppendVarint64(buf.size());
-    // ByteSize() is the exact encoded size of the live tuples (kept by
-    // Append and the trims), so each buffer is one region and one cursor.
-    uint8_t* p = enc->Extend(buf.ByteSize());
-    uint8_t* const end = p + buf.ByteSize();
-    for (const Tuple& t : buf) p = t.Write(p);
-    SEEP_CHECK(p == end);
+    buf.Encode(enc);
   }
 }
 
@@ -320,25 +365,11 @@ void BufferState::Encode(serde::Encoder* enc) const {
   BufferState out;
   uint64_t n_ops;
   SEEP_ASSIGN_OR_RETURN(n_ops, dec->ReadVarint64());
-  Tuple scratch;
   for (uint64_t i = 0; i < n_ops; ++i) {
     uint32_t op;
     SEEP_ASSIGN_OR_RETURN(op, dec->ReadFixed32());
-    uint64_t n_tuples;
-    SEEP_ASSIGN_OR_RETURN(n_tuples, dec->ReadVarint64());
-    auto& buf = out.buffers_[op];
-    if (n_tuples <= dec->remaining()) buf.Reserve(n_tuples);
-    for (uint64_t j = 0; j < n_tuples; ++j) {
-      if (!scratch.DecodeFrom(dec)) {
-        return Status::Corruption("truncated or corrupt buffered tuple");
-      }
-      // Trims binary-search the buffer, so it must be in timestamp order
-      // (equal timestamps are legal, as in Append).
-      if (!buf.empty() && scratch.timestamp < buf.back().timestamp) {
-        return Status::Corruption("buffered tuples out of timestamp order");
-      }
-      buf.Append(std::move(scratch));
-    }
+    // A repeated downstream continues its buffer, order-checked across.
+    SEEP_RETURN_IF_ERROR(out.buffers_[op].DecodeAppend(dec));
   }
   return out;
 }

@@ -3,7 +3,10 @@
 
 #include <cstdint>
 #include <map>
+#include <ranges>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,57 +24,78 @@ namespace seep::core {
 /// without understanding operator internals. Operators keep efficient
 /// internal structures and translate on demand (get-processing-state).
 ///
+/// The values live back to back in one byte arena, each entry a (key,
+/// offset, length) slot over it: an operator capture appends bytes and
+/// allocates nothing per entry, a copy is two buffer copies, and dropping a
+/// state (a holder replacing its stored checkpoint) frees two buffers.
+///
 /// Entries are kept sorted by key hash. Operators may Add in any order; the
-/// sort happens lazily on first read (one O(n log n) per capture instead of
-/// per-operation bookkeeping), after which every range operation is a
-/// binary-searched slice: FilterByRange is O(log n + output), MergeFrom and
-/// delta application are linear merges, and quantile splits read positions
-/// directly.
+/// sort happens lazily on first read and moves slots only (one O(n log n)
+/// per capture instead of per-operation bookkeeping), after which every
+/// range operation is a binary-searched slice: FilterByRange is O(log n +
+/// output), MergeFrom and delta application are linear merges, and
+/// quantile splits read positions directly.
 class ProcessingState {
  public:
-  using Entry = std::pair<KeyHash, std::string>;
+  /// One entry as entries() yields it: the key and a view of the value.
+  using Entry = std::pair<KeyHash, std::string_view>;
 
   ProcessingState() = default;
 
-  void Add(KeyHash key, std::string value) {
-    bytes_ += sizeof(KeyHash) + value.size();
-    if (!entries_.empty() && key < entries_.back().first) sorted_ = false;
-    entries_.emplace_back(key, std::move(value));
+  /// Appends a copy of `value`'s bytes to the arena.
+  void Add(KeyHash key, std::string_view value) {
+    if (!slots_.empty() && key < slots_.back().key) sorted_ = false;
+    slots_.push_back(Slot{key, arena_.size(), value.size()});
+    arena_.append(value);
   }
 
-  /// Entries sorted ascending by key (ties keep insertion order).
-  const std::vector<Entry>& entries() const {
+  /// Entries sorted ascending by key (ties keep insertion order), each an
+  /// Entry whose value views the arena. The views die with the state's next
+  /// mutation: an Add may move the arena.
+  auto entries() const {
     EnsureSorted();
-    return entries_;
+    return std::views::transform(
+        std::span<const Slot>(slots_),
+        [arena = arena_.data()](const Slot& s) {
+          return Entry{s.key, std::string_view(arena + s.offset, s.length)};
+        });
   }
 
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  size_t size() const { return slots_.size(); }
+  bool empty() const { return slots_.empty(); }
 
-  void Reserve(size_t n) { entries_.reserve(n); }
+  /// Room for `entries` entries whose values total `value_bytes`.
+  void Reserve(size_t entries, size_t value_bytes = 0) {
+    slots_.reserve(entries);
+    arena_.reserve(value_bytes);
+  }
 
-  /// Approximate in-memory footprint; checkpoint CPU cost scales with this.
-  size_t ByteSize() const { return bytes_; }
+  /// Approximate in-memory footprint: 8 bytes per key plus the value bytes.
+  /// Checkpoint CPU cost scales with this.
+  size_t ByteSize() const {
+    return sizeof(KeyHash) * slots_.size() + arena_.size();
+  }
 
-  /// Exact size of the Encode() output, without encoding: bytes_ already
-  /// counts 8 bytes per key plus the value bytes, so only the varint lengths
-  /// are summed — arithmetic only, no memory traffic.
+  /// Exact size of the Encode() output, without encoding: ByteSize() plus
+  /// the varint lengths, arithmetic over the slots only.
   size_t EncodedSize() const;
 
   /// Returns the subset of entries whose key falls in `range` — the core of
   /// Algorithm 2 line 5: θi ← {(k,v) ∈ θ : ki ≤ k < ki+1}. Binary-searches
-  /// the sorted entries, so the cost is O(log n) plus the copied slice.
+  /// the sorted entries, so the cost is O(log n) plus the copied slice,
+  /// which fills a fresh arena sized for it.
   ProcessingState FilterByRange(const KeyRange& range) const;
 
   /// Merges all entries of `other` (used by scale-in merge; key sets must be
-  /// disjoint, which holds for partitions of disjoint ranges). Adjacent
-  /// ranges append in O(other); the general case is a linear merge.
+  /// disjoint, which holds for partitions of disjoint ranges): `other`'s
+  /// arena is appended whole. Adjacent ranges append their slots in
+  /// O(other); the general case is a linear merge of the slots.
   void MergeFrom(const ProcessingState& other);
 
   /// Incremental-checkpoint application: replaces/inserts `updated` entries
   /// by key and drops `deleted` keys, as a single two-pointer merge over the
-  /// sorted base and delta — O(base + delta), no intermediate map, no full
-  /// rebuild. A key in both `updated` and `deleted` is deleted.
+  /// sorted base and delta into a fresh arena — O(base + delta), no
+  /// intermediate map. A key in both `updated` and `deleted` is deleted.
   void ApplyDelta(const ProcessingState& updated,
                   const std::vector<KeyHash>& deleted);
 
@@ -79,12 +103,22 @@ class ProcessingState {
   [[nodiscard]] static Result<ProcessingState> Decode(serde::Decoder* dec);
 
  private:
+  struct Slot {
+    KeyHash key = 0;
+    size_t offset = 0;  // into arena_
+    size_t length = 0;
+  };
+
+  std::string_view Value(const Slot& s) const {
+    return std::string_view(arena_.data() + s.offset, s.length);
+  }
   void EnsureSorted() const;
 
-  // Lazily sorted: Add only appends; readers sort once on demand.
-  mutable std::vector<Entry> entries_;
+  // Lazily sorted: Add only appends; readers sort the slots once on demand.
+  mutable std::vector<Slot> slots_;
   mutable bool sorted_ = true;
-  size_t bytes_ = 0;
+  // Every slot's value and nothing else, so ByteSize() reads its size.
+  std::string arena_;
 };
 
 /// The τ vector (paper §2.2/§3.1): for each input stream origin, the most
@@ -124,56 +158,62 @@ class InputPositions {
   std::map<OriginId, int64_t> positions_;
 };
 
-/// One downstream operator's replay buffer: tuples in append (= logical
-/// timestamp) order, with an amortised-O(1) front trim. Trimming only
-/// advances a front offset; the dead prefix is compacted away once it
-/// outgrows the live region, so each tuple is moved O(1) times over its
-/// lifetime instead of once per trim. Copying (checkpoint capture) copies
-/// only the live region.
+/// One downstream operator's replay buffer: its tuples in append (=
+/// logical timestamp) order, held as their Tuple::Write bytes back to back
+/// with one (timestamp, event time, offset) slot per tuple. A tuple is
+/// written once, when appended. Copies, delta suffixes and the encoder move
+/// byte ranges; only a reader or a replay decodes a tuple.
+///
+/// Trimming only advances the front slot; the dead byte and slot prefixes
+/// are compacted away together once they outgrow the live region, so each
+/// tuple is moved O(1) times over its lifetime instead of once per trim.
+/// Copying (checkpoint capture, restore) copies only the live region.
 class TupleBuffer {
  public:
-  using const_iterator = std::vector<Tuple>::const_iterator;
+  /// Where a tuple's bytes start, with the two fields the trims search.
+  struct Slot {
+    int64_t timestamp = 0;
+    SimTime event_time = 0;
+    size_t offset = 0;  // into bytes_
+  };
 
   TupleBuffer() = default;
-  TupleBuffer(const TupleBuffer& other)
-      : tuples_(other.begin(), other.end()), bytes_(other.bytes_) {}
+  TupleBuffer(const TupleBuffer& other) { AppendFrom(other, 0); }
   TupleBuffer& operator=(const TupleBuffer& other) {
     if (this != &other) {
-      tuples_.assign(other.begin(), other.end());
+      bytes_.clear();
+      slots_.clear();
       front_ = 0;
-      bytes_ = other.bytes_;
+      AppendFrom(other, 0);
     }
     return *this;
   }
   TupleBuffer(TupleBuffer&&) = default;
   TupleBuffer& operator=(TupleBuffer&&) = default;
 
-  /// Appends a copy of `t`, constructed in place.
-  void Append(const Tuple& t) {
-    Admit(t);
-    tuples_.push_back(t);
-  }
-  void Append(Tuple&& t) {
-    Admit(t);
-    tuples_.push_back(std::move(t));
-  }
+  /// Writes `t`'s wire bytes at the back.
+  void Append(const Tuple& t);
 
-  void Reserve(size_t n) { tuples_.reserve(front_ + n); }
+  /// Appends `other`'s live tuples from index `first` on (0 is its front)
+  /// as one byte range.
+  void AppendFrom(const TupleBuffer& other, size_t first);
 
-  size_t size() const { return tuples_.size() - front_; }
-  bool empty() const { return front_ == tuples_.size(); }
-  const Tuple& front() const { return tuples_[front_]; }
-  const Tuple& back() const { return tuples_.back(); }
-  const_iterator begin() const { return tuples_.begin() + front_; }
-  const_iterator end() const { return tuples_.end(); }
+  size_t size() const { return slots_.size() - front_; }
+  bool empty() const { return front_ == slots_.size(); }
+  const Slot& front() const { return slots_[front_]; }
+  const Slot& back() const { return slots_.back(); }
 
-  /// Wire size of the live tuples (maintained incrementally, O(1)).
-  size_t ByteSize() const { return bytes_; }
+  /// Decodes the live tuple at index `i` (0 is the front).
+  Tuple At(size_t i) const;
 
-  /// First tuple with timestamp > `timestamp`. Timestamps are assigned by
-  /// the emitting instance's monotone logical clock, so the buffer is sorted
-  /// by timestamp and this is a binary search.
-  const_iterator UpperBound(int64_t timestamp) const;
+  /// Wire size of the live tuples, O(1).
+  size_t ByteSize() const { return bytes_.size() - LiveOffset(); }
+
+  /// Index of the first live tuple with timestamp > `timestamp`, size() if
+  /// none. Timestamps are assigned by the emitting instance's monotone
+  /// logical clock, so the buffer is sorted by timestamp and this is a
+  /// binary search over the slots.
+  size_t UpperBound(int64_t timestamp) const;
 
   /// Drops all tuples with timestamp <= up_to; returns how many.
   /// O(log n) search + amortised-O(1) per dropped tuple.
@@ -186,18 +226,22 @@ class TupleBuffer {
   /// the survivors.
   size_t TrimBeforeEventTime(SimTime cutoff);
 
+  /// The tuple count, then the live bytes in one copy.
+  void Encode(serde::Encoder* enc) const;
+  /// Reads what Encode wrote and appends it: every tuple is decoded once to
+  /// check it and its timestamp order (equal timestamps are legal, as in
+  /// Append), and the bytes are kept as they arrived.
+  [[nodiscard]] Status DecodeAppend(serde::Decoder* dec);
+
  private:
-  void Admit(const Tuple& t) {
-    // UpperBound/Trim binary-search on timestamp order; an out-of-order
-    // append would silently corrupt trims.
-    SEEP_DCHECK(tuples_.empty() || tuples_.back().timestamp <= t.timestamp);
-    bytes_ += t.SerializedSize();
+  size_t LiveOffset() const {
+    return empty() ? bytes_.size() : slots_[front_].offset;
   }
   void MaybeCompact();
 
-  std::vector<Tuple> tuples_;
-  size_t front_ = 0;   // index of the first live tuple
-  size_t bytes_ = 0;   // wire size of the live region
+  std::vector<uint8_t> bytes_;  // Tuple::Write bytes, live from LiveOffset()
+  std::vector<Slot> slots_;
+  size_t front_ = 0;  // index of the first live slot
 };
 
 /// Buffer state βo (paper §3.1): output tuples kept per downstream logical
@@ -208,9 +252,12 @@ class BufferState {
   void Append(OperatorId downstream, const Tuple& t) {
     buffers_[downstream].Append(t);
   }
-  void Append(OperatorId downstream, Tuple&& t) {
-    buffers_[downstream].Append(std::move(t));
-  }
+
+  /// Appends `from`'s live tuples from index `first` on to `downstream`'s
+  /// buffer. The entry is created only when there is a tuple to append: an
+  /// entry's existence is part of the encoding.
+  void AppendFrom(OperatorId downstream, const TupleBuffer& from,
+                  size_t first);
 
   /// Drops all tuples for `downstream` with timestamp <= up_to (the paper's
   /// trim(o, τ)). Returns the number of tuples dropped.
@@ -230,8 +277,7 @@ class BufferState {
   size_t TotalTuples() const;
   size_t ByteSize() const;
 
-  /// Exact size of the Encode() output, without encoding. Tuple byte sizes
-  /// are maintained incrementally per buffer, so this is O(#buffers).
+  /// Exact size of the Encode() output, without encoding: O(#buffers).
   size_t EncodedSize() const;
 
   void Encode(serde::Encoder* enc) const;

@@ -131,7 +131,7 @@ Status ApplyDelta(StateCheckpoint* base, const StateCheckpoint& delta) {
     base->buffer.Trim(op_id, front - 1);
   }
   for (const auto& [op_id, tuples] : delta.buffer.buffers()) {
-    for (const Tuple& t : tuples) base->buffer.Append(op_id, t);
+    base->buffer.AppendFrom(op_id, tuples, 0);
   }
   return Status::OK();
 }
@@ -163,7 +163,7 @@ Status ApplyDelta(StateCheckpoint* base, const StateCheckpoint& delta) {
     // positions, so the union of coverage is the element-wise max.
     merged.positions.UpperBoundWith(c.positions);
     for (const auto& [op, tuples] : c.buffer.buffers()) {
-      for (const Tuple& t : tuples) merged.buffer.Append(op, t);
+      merged.buffer.AppendFrom(op, tuples, 0);
     }
   }
   return merged;

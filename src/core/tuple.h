@@ -61,6 +61,14 @@ struct Tuple {
   /// Exact size of the Encode() output, without encoding. Drives the network
   /// cost model and serialisation CPU cost.
   size_t SerializedSize() const;
+
+  /// An upper bound on SerializedSize() without its varint arithmetic, for
+  /// a writer that sizes a region by it and learns the exact size from the
+  /// cursor Write() returns: every varint at its 10-byte maximum
+  /// (timestamp, key, origin, event_time, ints, text length, flag).
+  size_t MaxSerializedSize() const {
+    return 10 + 8 + 8 + 10 + 4 * 10 + 10 + 1 + text.size();
+  }
 };
 
 /// A batch of tuples travelling on one edge of the execution graph. Batching

@@ -104,9 +104,7 @@ core::StateCheckpoint CheckpointPlane::CaptureDelta() {
     }();
     c.buffer_front[op_id] =
         tuples.empty() ? inst_->out_clock() + 1 : tuples.front().timestamp;
-    for (auto it = tuples.UpperBound(shipped); it != tuples.end(); ++it) {
-      c.buffer.Append(op_id, *it);
-    }
+    c.buffer.AppendFrom(op_id, tuples, tuples.UpperBound(shipped));
     shipped_buffer_back_[op_id] =
         tuples.empty() ? inst_->out_clock() : tuples.back().timestamp;
   }

@@ -333,15 +333,15 @@ void OperatorInstance::ReplayBuffer(OperatorId down, int64_t from_ts,
   size_t replayed = 0;
   if (tuples != nullptr) {
     // Timestamp-sorted buffer: start straight at the first tuple past the
-    // restore point instead of scanning the already-covered prefix.
-    for (auto it = tuples->UpperBound(from_ts); it != tuples->end(); ++it) {
-      const core::Tuple& t = *it;
+    // restore point, so only the tuples that may replay are decoded.
+    for (size_t i = tuples->UpperBound(from_ts); i < tuples->size(); ++i) {
+      core::Tuple t = tuples->At(i);
       const InstanceId dest = cluster_->routing()->RouteKey(down, t.key);
       if (std::find(targets.begin(), targets.end(), dest) == targets.end()) {
         continue;
       }
       trims_.NoteSent(down, dest, t.timestamp);
-      outgoing[dest].tuples.push_back(t);
+      outgoing[dest].tuples.push_back(std::move(t));
       ++replayed;
     }
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,15 +81,22 @@ class Decoder {
     return true;
   }
 
-  /// Length-prefixed string, assigned into `out` (reusing its capacity).
-  /// The length is checked against the bytes left before anything is
-  /// allocated from it.
-  [[nodiscard]] bool GetString(std::string* out) {
+  /// Length-prefixed string, as a view of the input. The length is checked
+  /// against the bytes left before the view is made.
+  [[nodiscard]] bool GetStringView(std::string_view* out) {
     uint64_t len = 0;
     if (!GetVarint64(&len) || len > size_ - pos_) return false;
-    out->assign(reinterpret_cast<const char*>(data_ + pos_),
-                static_cast<size_t>(len));
+    *out = std::string_view(reinterpret_cast<const char*>(data_ + pos_),
+                            static_cast<size_t>(len));
     pos_ += static_cast<size_t>(len);
+    return true;
+  }
+
+  /// Length-prefixed string, assigned into `out` (reusing its capacity).
+  [[nodiscard]] bool GetString(std::string* out) {
+    std::string_view view;
+    if (!GetStringView(&view)) return false;
+    out->assign(view);
     return true;
   }
 
@@ -128,6 +136,13 @@ class Decoder {
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
   size_t position() const { return pos_; }
+
+  /// The bytes read since `mark`, an earlier position(), as a view of the
+  /// input: a decoder that has checked a run of values keeps their bytes
+  /// as they arrived instead of re-encoding them.
+  std::span<const uint8_t> BytesSince(size_t mark) const {
+    return {data_ + mark, pos_ - mark};
+  }
 
  private:
   template <typename T>

@@ -128,6 +128,11 @@ class Encoder {
   static size_t SignedVarintSize(int64_t v) { return VarintSize(ZigZag(v)); }
 
   const std::vector<uint8_t>& buffer() const { return buf_; }
+  /// The bytes appended so far, as chars: a scratch encoder's output handed
+  /// on without a copy. The view dies with the next append or Clear().
+  std::string_view view() const {
+    return {reinterpret_cast<const char*>(buf_.data()), buf_.size()};
+  }
   std::vector<uint8_t> TakeBuffer() && { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
   void Clear() { buf_.clear(); }

@@ -7,7 +7,6 @@
 #include "common/hash.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
-#include "workloads/state_entry.h"
 
 namespace seep::workloads::lrb {
 
@@ -236,28 +235,33 @@ core::ProcessingState TollCalculator::GetProcessingState() const {
     std::sort(fresh, key_order_.end(), by_key);
     std::inplace_merge(key_order_.begin(), fresh, key_order_.end(), by_key);
   }
+  // Re-encode the segments changed since the previous capture, each once,
+  // straight into its cache.
+  for (const SegmentState& seg : segments_) {
+    if (!seg.dirty) continue;
+    serde::Encoder& enc = seg.encoded;
+    cached_bytes_ -= enc.size();
+    enc.Clear();
+    enc.AppendVarintSigned64(seg.loc);
+    enc.AppendU8(seg.accident ? 1 : 0);
+    enc.AppendVarint64(seg.minutes.size());
+    for (const MinuteStats& stats : seg.minutes) {
+      enc.AppendVarintSigned64(stats.minute);
+      enc.AppendVarintSigned64(stats.count);
+      enc.AppendVarintSigned64(stats.speed_sum);
+    }
+    enc.AppendVarint64(seg.stopped_vehicles.size());
+    for (int64_t vid : seg.stopped_vehicles) enc.AppendVarintSigned64(vid);
+    cached_bytes_ += enc.size();
+    seg.dirty = false;
+  }
+  // Then every cached entry is copied once, into an arena of exactly their
+  // size.
   core::ProcessingState state;
-  state.Reserve(segments_.size());
-  serde::Encoder enc;
+  state.Reserve(segments_.size(), cached_bytes_);
   for (uint32_t slot : key_order_) {
     const SegmentState& seg = segments_[slot];
-    if (seg.dirty) {
-      enc.Clear();
-      enc.AppendVarintSigned64(seg.loc);
-      enc.AppendU8(seg.accident ? 1 : 0);
-      enc.AppendVarint64(seg.minutes.size());
-      for (const MinuteStats& stats : seg.minutes) {
-        enc.AppendVarintSigned64(stats.minute);
-        enc.AppendVarintSigned64(stats.count);
-        enc.AppendVarintSigned64(stats.speed_sum);
-      }
-      enc.AppendVarint64(seg.stopped_vehicles.size());
-      for (int64_t vid : seg.stopped_vehicles) enc.AppendVarintSigned64(vid);
-      seg.encoded.assign(reinterpret_cast<const char*>(enc.buffer().data()),
-                         enc.size());
-      seg.dirty = false;
-    }
-    state.Add(seg.key, seg.encoded);
+    state.Add(seg.key, seg.encoded.view());
   }
   return state;
 }
@@ -265,6 +269,7 @@ core::ProcessingState TollCalculator::GetProcessingState() const {
 void TollCalculator::SetProcessingState(const core::ProcessingState& state) {
   segments_.clear();
   slot_of_.clear();
+  cached_bytes_ = 0;
   segments_.reserve(state.size());
   slot_of_.reserve(state.size());
   for (const auto& [key, value] : state.entries()) {
@@ -273,6 +278,9 @@ void TollCalculator::SetProcessingState(const core::ProcessingState& state) {
     SEEP_CHECK(loc.ok());
     SegmentState& seg = SegmentAt(loc.value());
     SEEP_DCHECK(seg.key == key && seg.minutes.empty());
+    // The segment starts dirty; its cache is sized once, for the entry it
+    // came from, instead of growing byte by byte at its first encode.
+    seg.encoded.Reserve(value.size());
     auto accident = dec.ReadU8();
     SEEP_CHECK(accident.ok());
     seg.accident = accident.value() != 0;
@@ -316,12 +324,12 @@ void TollAssessment::Process(const core::Tuple& input, core::Collector* out) {
   }
 }
 
-std::string TollAssessment::EncodeBalance(int64_t vid, int64_t balance,
-                                          serde::Encoder* enc) {
+std::string_view TollAssessment::EncodeBalance(int64_t vid, int64_t balance,
+                                               serde::Encoder* enc) {
   enc->Clear();
   enc->AppendVarintSigned64(vid);
   enc->AppendVarintSigned64(balance);
-  return StateEntryValue(*enc);
+  return enc->view();
 }
 
 core::ProcessingState TollAssessment::GetProcessingState() const {
@@ -391,7 +399,7 @@ core::ProcessingState BalanceAccount::GetProcessingState() const {
     enc.AppendVarintSigned64(vid);
     enc.AppendVarintSigned64(entry.first);
     enc.AppendVarintSigned64(entry.second);
-    state.Add(Mix64(static_cast<uint64_t>(vid)), StateEntryValue(enc));
+    state.Add(Mix64(static_cast<uint64_t>(vid)), enc.view());
   }
   return state;
 }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -159,9 +160,9 @@ class TollCalculator : public core::Operator {
     std::vector<int64_t> stopped_vehicles;  // ascending vehicle ids
     // The segment's state entry as the last capture encoded it, valid
     // unless a tuple was processed since: a capture re-encodes only the
-    // dirty segments.
+    // dirty segments, each straight into this cache.
     mutable bool dirty = true;
-    mutable std::string encoded;
+    mutable serde::Encoder encoded;
   };
 
   /// The segment at `loc`, created empty on first sight.
@@ -177,6 +178,9 @@ class TollCalculator : public core::Operator {
   // ProcessingState order and nothing sorts them. Segments are only ever
   // appended, so the capture merges in the slots past key_order_.size().
   mutable std::vector<uint32_t> key_order_;
+  // The bytes of every segment's cached entry, kept as they are re-encoded:
+  // a capture's arena is reserved to exactly this.
+  mutable size_t cached_bytes_ = 0;
 };
 
 /// Stateful per-vehicle account: accumulates toll charges (complete-history
@@ -196,9 +200,10 @@ class TollAssessment : public core::Operator {
   double CostMicrosPerTuple() const override { return cost_us_; }
 
  private:
-  /// One vehicle's state entry, encoded in the caller's scratch encoder.
-  static std::string EncodeBalance(int64_t vid, int64_t balance,
-                                   serde::Encoder* enc);
+  /// One vehicle's state entry, encoded in the caller's scratch encoder;
+  /// the view dies with its next Clear().
+  static std::string_view EncodeBalance(int64_t vid, int64_t balance,
+                                        serde::Encoder* enc);
 
   double cost_us_;
   std::map<int64_t, int64_t> balances_;  // vehicle -> accumulated tolls

@@ -5,7 +5,6 @@
 #include "common/hash.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
-#include "workloads/state_entry.h"
 
 namespace seep::workloads::topk {
 
@@ -103,9 +102,9 @@ void TopKReducer::OnTimer(SimTime now, core::Collector* out) {
   });
 }
 
-std::string TopKReducer::EncodeLanguageEntry(int64_t lang,
-                                             const Windows& windows,
-                                             serde::Encoder* enc) {
+std::string_view TopKReducer::EncodeLanguageEntry(int64_t lang,
+                                                  const Windows& windows,
+                                                  serde::Encoder* enc) {
   enc->Clear();
   enc->AppendVarintSigned64(lang);
   enc->AppendVarint64(windows.size());
@@ -113,7 +112,7 @@ std::string TopKReducer::EncodeLanguageEntry(int64_t lang,
     enc->AppendVarintSigned64(win);
     enc->AppendVarintSigned64(cell.count);
   }
-  return StateEntryValue(*enc);
+  return enc->view();
 }
 
 core::ProcessingState TopKReducer::GetProcessingState() const {

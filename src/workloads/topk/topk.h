@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -97,9 +98,10 @@ class TopKReducer : public core::Operator {
   using Windows = std::map<int64_t, Cell>;  // window id -> cell
 
   /// One externalised state entry (all windows of one language), encoded in
-  /// the caller's scratch encoder.
-  static std::string EncodeLanguageEntry(int64_t lang, const Windows& windows,
-                                         serde::Encoder* enc);
+  /// the caller's scratch encoder; the view dies with its next Clear().
+  static std::string_view EncodeLanguageEntry(int64_t lang,
+                                              const Windows& windows,
+                                              serde::Encoder* enc);
   /// The language's windows, created empty on first sight; the language is
   /// dirty for the next delta.
   Windows& DirtyWindows(int64_t lang);

@@ -8,7 +8,6 @@
 #include "common/hash.h"
 #include "serde/decoder.h"
 #include "serde/encoder.h"
-#include "workloads/state_entry.h"
 
 namespace seep::workloads::wordcount {
 
@@ -175,7 +174,7 @@ core::ProcessingState WordCounter::EncodeInKeyOrder(
       enc.AppendVarintSigned64(win);
       enc.AppendVarintSigned64(cell.count);
     }
-    state.Add(key, StateEntryValue(enc));
+    state.Add(key, enc.view());
   }
   return state;
 }

@@ -150,7 +150,7 @@ TEST(CaptureTest, DeltaCaptureTakesOnlyWhatWasNotShipped) {
   EXPECT_EQ(delta.buffer.Get(4)->back().timestamp, 60);
   ASSERT_NE(delta.buffer.Get(7), nullptr);
   ASSERT_EQ(delta.buffer.Get(7)->size(), 1u);
-  EXPECT_EQ(delta.buffer.Get(7)->front().text, "eta");
+  EXPECT_EQ(delta.buffer.Get(7)->At(0).text, "eta");
   EXPECT_EQ(delta.buffer.Get(5), nullptr);
   EXPECT_EQ(delta.buffer.Get(6), nullptr);
   // Every live buffer's front, or out_clock + 1 for an empty one, so the

@@ -421,9 +421,9 @@ TEST(EmissionRouterTest, ScaledOutDownstreamGetsEveryTupleOnceInOrder) {
   const core::TupleBuffer* buffered = src->buffer_state().Get(op);
   ASSERT_NE(buffered, nullptr);
   ASSERT_EQ(buffered->size(), static_cast<size_t>(emitted));
-  int64_t expect = 1;
-  for (const core::Tuple& t : *buffered) {
-    EXPECT_EQ(t.timestamp, expect++);
+  for (size_t i = 0; i < buffered->size(); ++i) {
+    const core::Tuple t = buffered->At(i);
+    EXPECT_EQ(t.timestamp, static_cast<int64_t>(i) + 1);
     EXPECT_EQ(t.origin, src->origin());
   }
 }

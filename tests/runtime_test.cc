@@ -38,7 +38,7 @@ class CountingOperator : public core::Operator {
   void SetProcessingState(const core::ProcessingState& state) override {
     counts_.clear();
     for (const auto& [key, value] : state.entries()) {
-      counts_[key] = std::stoull(value);
+      counts_[key] = std::stoull(std::string(value));
     }
   }
 

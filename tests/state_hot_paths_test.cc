@@ -1,9 +1,10 @@
 // Randomized equivalence tests for the state-management hot paths: the
-// sorted ProcessingState, the merge-based ApplyDelta and the amortized
-// TupleBuffer trim must produce byte-identical Encode() output to a
-// naive reference implementation (std::map state, vector-erase buffer)
-// across random operation sequences, including delta chains with deletions
-// and out-of-order base_seq rejection.
+// sorted, arena-backed ProcessingState, the merge-based ApplyDelta and the
+// byte-held TupleBuffer with its amortized trim must produce byte-identical
+// Encode() output to a naive reference implementation (std::map state,
+// vector-erase buffer of Tuples) across random operation sequences,
+// including delta chains with deletions, out-of-order base_seq rejection,
+// full copies, suffix appends, decoding and replay.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "common/rng.h"
 #include "core/state.h"
 #include "core/state_ops.h"
+#include "serde/decoder.h"
 #include "serde/encoder.h"
 
 namespace seep::core {
@@ -104,9 +106,10 @@ Tuple MakeTuple(int64_t ts, KeyHash key, SimTime event_time = 0) {
   return t;
 }
 
+// Values from empty to 40 bytes, past the 15-byte short-string buffer.
 std::string RandomValue(Rng& rng) {
-  return std::string(1 + rng.NextBounded(24),
-                     static_cast<char>('a' + rng.NextBounded(26)));
+  const size_t len = rng.NextBounded(8) == 0 ? 0 : 1 + rng.NextBounded(40);
+  return std::string(len, static_cast<char>('a' + rng.NextBounded(26)));
 }
 
 // A small key universe so delta updates/deletes collide with base keys often.
@@ -263,14 +266,22 @@ TEST(StateHotPathsTest, MergeFromMatchesMapUnion) {
   for (int round = 0; round < 200; ++round) {
     ProcessingState a, b;
     std::map<KeyHash, std::string> ref;
+    // Odd rounds split the key space in two halves, as scale-in merges
+    // adjacent ranges (b's slots append after a's); even rounds interleave.
+    const bool adjacent = round % 2 == 1;
     for (int i = 0; i < 40; ++i) {
       const KeyHash key = rng.Next();
       const std::string value = RandomValue(rng);
       if (ref.contains(key)) continue;
       ref[key] = value;
-      (rng.NextBounded(2) == 0 ? a : b).Add(key, value);
+      const bool to_a =
+          adjacent ? key < (KeyHash{1} << 63) : rng.NextBounded(2) == 0;
+      (to_a ? a : b).Add(key, value);
     }
     a.MergeFrom(b);
+    // The views read the merged arena: each value as the model holds it.
+    ASSERT_EQ(a.size(), ref.size());
+    for (const auto& [key, value] : a.entries()) EXPECT_EQ(ref.at(key), value);
     ProcessingState canonical;
     size_t bytes = 0;
     for (const auto& [key, value] : ref) {
@@ -282,31 +293,90 @@ TEST(StateHotPathsTest, MergeFromMatchesMapUnion) {
     a.Encode(&enc_a);
     canonical.Encode(&enc_b);
     EXPECT_EQ(enc_a.buffer(), enc_b.buffer());
+    EXPECT_EQ(enc_a.size(), a.EncodedSize());
+    // Decoded into a fresh arena, the state encodes the same bytes.
+    serde::Decoder dec(enc_a.buffer());
+    auto back = ProcessingState::Decode(&dec);
+    ASSERT_TRUE(back.ok());
+    EXPECT_TRUE(dec.AtEnd());
+    serde::Encoder again;
+    back.value().Encode(&again);
+    EXPECT_EQ(again.buffer(), enc_a.buffer());
   }
 }
 
 // ----------------------------------------------------------------- buffers
+
+// Texts of 0, 15 and 16 bytes (either side of the short-string buffer) and
+// of 200 bytes (a two-byte length varint).
+std::string RandomText(Rng& rng) {
+  static constexpr size_t kLengths[] = {0, 15, 16, 200};
+  return std::string(kLengths[rng.NextBounded(4)],
+                     static_cast<char>('a' + rng.NextBounded(26)));
+}
+
+std::vector<uint8_t> EncodedTuple(const Tuple& t) {
+  serde::Encoder enc;
+  t.Encode(&enc);
+  return std::move(enc).TakeBuffer();
+}
+
+std::vector<uint8_t> EncodedBuffer(const BufferState& buffer) {
+  serde::Encoder enc;
+  buffer.Encode(&enc);
+  return std::move(enc).TakeBuffer();
+}
+
+// β as the model's tuples encode, appended one by one.
+std::vector<uint8_t> EncodedBuffer(const ReferenceModel& ref) {
+  return EncodedBuffer(ref.ToCheckpoint(StateCheckpoint()).buffer);
+}
+
+// Every tuple of `buffer` from index `from` on decodes to the model's
+// tuples past `shipped`, as a replay from UpperBound decodes them.
+void ExpectSuffixDecodesLikeModel(const TupleBuffer& buffer, size_t from,
+                                  const std::vector<Tuple>& model,
+                                  int64_t shipped) {
+  std::vector<Tuple> suffix;
+  for (const Tuple& t : model) {
+    if (t.timestamp > shipped) suffix.push_back(t);
+  }
+  ASSERT_EQ(buffer.size() - from, suffix.size());
+  for (size_t k = 0; k < suffix.size(); ++k) {
+    EXPECT_EQ(EncodedTuple(buffer.At(from + k)), EncodedTuple(suffix[k]));
+  }
+}
 
 TEST(StateHotPathsTest, RandomTrimSequencesMatchVectorErase) {
   Rng rng(31);
   for (int round = 0; round < 1000; ++round) {
     BufferState fast;
     ReferenceModel ref;
+    // Full copies taken along the way, each beside the model as it stood
+    // then: the original's later appends, trims and compactions must not
+    // reach them.
+    std::vector<std::pair<BufferState, ReferenceModel>> copies;
     int64_t next_ts = 1;
-    const int ops = 1 + rng.NextBounded(60);
+    // Every fourth round runs long enough for trims to compact the dead
+    // prefix away under live tuples.
+    const int ops = 1 + rng.NextBounded(round % 4 == 0 ? 400 : 60);
     for (int i = 0; i < ops; ++i) {
       const OperatorId down = 40 + rng.NextBounded(3);
-      switch (rng.NextBounded(3)) {
+      switch (rng.NextBounded(8)) {
         case 0:
-        case 1: {  // append (twice as likely as trim)
-          const Tuple t =
+        case 1:
+        case 2:
+        case 3: {  // append (twice as likely as trim)
+          Tuple t =
               MakeTuple(next_ts, rng.Next(), next_ts * kMicrosPerSecond);
+          t.text = RandomText(rng);
           ++next_ts;
           fast.Append(down, t);
           ref.buffers[down].push_back(t);
           break;
         }
-        case 2: {
+        case 4:
+        case 5: {
           if (rng.NextBounded(2) == 0) {
             const int64_t up_to = rng.NextBounded(next_ts + 4);
             size_t ref_dropped = 0;
@@ -325,17 +395,59 @@ TEST(StateHotPathsTest, RandomTrimSequencesMatchVectorErase) {
           }
           break;
         }
+        case 6: {  // a full copy, sometimes assigned over an older one
+          if (!copies.empty() && rng.NextBounded(2) == 0) {
+            copies.back().first = fast;
+            copies.back().second = ref;
+          } else {
+            copies.emplace_back(fast, ref);
+          }
+          break;
+        }
+        case 7: {  // a delta's suffix and a replay, both from UpperBound
+          const TupleBuffer* live = fast.Get(down);
+          const auto model = ref.buffers.find(down);
+          ASSERT_EQ(live == nullptr, model == ref.buffers.end());
+          if (live == nullptr) break;
+          const int64_t shipped = rng.NextBounded(next_ts + 1);
+          const size_t from = live->UpperBound(shipped);
+          ExpectSuffixDecodesLikeModel(*live, from, model->second, shipped);
+          BufferState delta;
+          delta.AppendFrom(down, *live, from);
+          ReferenceModel delta_ref;
+          for (const Tuple& t : model->second) {
+            if (t.timestamp > shipped) delta_ref.buffers[down].push_back(t);
+          }
+          EXPECT_EQ(EncodedBuffer(delta), EncodedBuffer(delta_ref));
+          break;
+        }
       }
     }
     // Contents, sizes and serialized bytes all match the erase-based model.
-    StateCheckpoint like;
-    StateCheckpoint ref_ckpt = ref.ToCheckpoint(like);
-    serde::Encoder enc_fast, enc_ref;
-    fast.Encode(&enc_fast);
-    ref_ckpt.buffer.Encode(&enc_ref);
-    EXPECT_EQ(enc_fast.buffer(), enc_ref.buffer());
-    EXPECT_EQ(fast.ByteSize(), ref_ckpt.buffer.ByteSize());
-    EXPECT_EQ(fast.TotalTuples(), ref_ckpt.buffer.TotalTuples());
+    const std::vector<uint8_t> bytes = EncodedBuffer(fast);
+    EXPECT_EQ(bytes, EncodedBuffer(ref));
+    const BufferState ref_buffer = ref.ToCheckpoint(StateCheckpoint()).buffer;
+    EXPECT_EQ(fast.ByteSize(), ref_buffer.ByteSize());
+    EXPECT_EQ(fast.TotalTuples(), ref_buffer.TotalTuples());
+    for (const auto& [copy, copy_ref] : copies) {
+      EXPECT_EQ(EncodedBuffer(copy), EncodedBuffer(copy_ref))
+          << "a copy changed with its original in round " << round;
+    }
+    // Decoded, β encodes the same bytes and replays the model's tuples.
+    serde::Decoder dec(bytes);
+    auto back = BufferState::Decode(&dec);
+    ASSERT_TRUE(back.ok()) << back.status().message();
+    EXPECT_TRUE(dec.AtEnd());
+    EXPECT_EQ(EncodedBuffer(back.value()), bytes);
+    for (const auto& [op, tuples] : ref.buffers) {
+      const int64_t shipped = rng.NextBounded(next_ts + 1);
+      for (const BufferState* b : {&fast, &back.value()}) {
+        const TupleBuffer* buf = b->Get(op);
+        ASSERT_NE(buf, nullptr);
+        ExpectSuffixDecodesLikeModel(*buf, buf->UpperBound(shipped), tuples,
+                                     shipped);
+      }
+    }
   }
 }
 
@@ -367,7 +479,10 @@ TEST(StateHotPathsTest, AmortizedTrimCompactsDeadPrefix) {
     ASSERT_EQ(buffer.Get(9)->front().timestamp, ts + 1);
   }
   size_t bytes = 0;
-  for (const Tuple& t : *buffer.Get(9)) bytes += t.SerializedSize();
+  const TupleBuffer& tuples = *buffer.Get(9);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    bytes += tuples.At(i).SerializedSize();
+  }
   EXPECT_EQ(buffer.ByteSize(), bytes);
 }
 
