@@ -53,8 +53,8 @@ std::unique_ptr<CheckpointLog> MustOpen(CheckpointLogConfig config) {
   return std::move(log).value();
 }
 
-/// A deterministic framed checkpoint payload, as the reassembler hands it
-/// to the log: [length | crc32c | bytes].
+/// A deterministic framed checkpoint payload, as a checkpoint frame reaches
+/// the log: [length | crc32c | bytes].
 std::vector<uint8_t> FramedPayload(uint64_t salt, size_t inner_size) {
   std::vector<uint8_t> inner(inner_size);
   for (size_t i = 0; i < inner_size; ++i) {
@@ -63,13 +63,12 @@ std::vector<uint8_t> FramedPayload(uint64_t salt, size_t inner_size) {
   return serde::FramePayload(inner);
 }
 
-RecordMeta MetaFor(InstanceId owner, uint64_t seq, size_t inner_size) {
+RecordMeta MetaFor(InstanceId owner, uint64_t seq) {
   RecordMeta meta;
   meta.owner = owner;
   meta.owner_op = 7;
   meta.holder = owner + 100;
   meta.seq = seq;
-  meta.raw_bytes = inner_size;
   return meta;
 }
 
@@ -93,8 +92,7 @@ AppendRow BenchAppendThroughput(size_t inner_size, size_t appends) {
   const auto payload = FramedPayload(1, inner_size);
   const auto start = Clock::now();
   for (size_t i = 0; i < appends; ++i) {
-    const auto meta =
-        MetaFor(static_cast<InstanceId>(1 + i % 64), 1 + i / 64, inner_size);
+    const auto meta = MetaFor(static_cast<InstanceId>(1 + i % 64), 1 + i / 64);
     SEEP_CHECK(log->Append(meta, payload.data(), payload.size()).ok());
   }
   SEEP_CHECK(log->Flush().ok());
@@ -128,8 +126,7 @@ FsyncRow BenchFsyncPolicy(FsyncPolicy policy, const char* name,
   std::vector<double> micros;
   micros.reserve(appends);
   for (size_t i = 0; i < appends; ++i) {
-    const auto meta =
-        MetaFor(static_cast<InstanceId>(1 + i % 64), 1 + i / 64, inner_size);
+    const auto meta = MetaFor(static_cast<InstanceId>(1 + i % 64), 1 + i / 64);
     const auto start = Clock::now();
     SEEP_CHECK(log->Append(meta, payload.data(), payload.size()).ok());
     micros.push_back(SecondsSince(start) * 1e6);
@@ -162,7 +159,7 @@ CompactRow BenchCompaction(uint64_t rounds) {
   constexpr InstanceId kOwners = 8;
   for (uint64_t seq = 1; seq <= rounds; ++seq) {
     for (InstanceId owner = 1; owner <= kOwners; ++owner) {
-      const auto meta = MetaFor(owner, seq, inner_size);
+      const auto meta = MetaFor(owner, seq);
       SEEP_CHECK(log->Append(meta, payload.data(), payload.size()).ok());
     }
   }
@@ -199,8 +196,8 @@ ScanRow BenchRecoveryScan(uint64_t records) {
   {
     auto log = MustOpen(config);
     for (uint64_t i = 0; i < records; ++i) {
-      const auto meta = MetaFor(static_cast<InstanceId>(1 + i % 512),
-                                1 + i / 512, inner_size);
+      const auto meta =
+          MetaFor(static_cast<InstanceId>(1 + i % 512), 1 + i / 512);
       SEEP_CHECK(log->Append(meta, payload.data(), payload.size()).ok());
     }
     SEEP_CHECK(log->Flush().ok());

@@ -24,6 +24,7 @@
 #include "core/tuple.h"
 #include "net/local_cluster.h"
 #include "net/wire.h"
+#include "runtime/ckpt_pipeline.h"
 #include "runtime/cluster.h"
 #include "runtime/tcp_transport.h"
 #include "serde/encoder.h"
@@ -63,7 +64,6 @@ net::Message MakeBatchMessage(size_t batch_tuples, uint64_t seed) {
   net::Message msg;
   msg.type = net::MessageType::kBatch;
   msg.from_vm = 1;
-  msg.to_vm = 2;
   msg.body = enc.buffer();
   return msg;
 }
@@ -111,7 +111,6 @@ LoopbackRow BenchLoopback(size_t batch_tuples) {
                                   return;
                                 }
                                 m.from_vm = 2;
-                                m.to_vm = 1;
                                 // seep-ok: unchecked-status -- bench echo
                                 (void)cluster.Post(2, 1, m);
                               })
@@ -225,8 +224,8 @@ ParcelRow BenchParcel(size_t bytes) {
   ParcelRow row;
   row.checkpoint_bytes = bytes;
   row.frame_bytes =
-      runtime::SerializeCheckpoint(ckpt, runtime::kCompressCheckpoints)
-          .frame.size();
+      runtime::EncodeCheckpointFrame(ckpt, runtime::kCompressCheckpoints)
+          .size();
   row.ships = kShips;
   row.p50_us = us[us.size() / 2];
   row.mb_s = double(row.frame_bytes) / (1 << 20) / (row.p50_us / 1e6);

@@ -12,6 +12,8 @@
 //
 // Usage: bench_state_hot_paths [output.json]
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -830,6 +832,12 @@ void WriteJson(FILE* f, const std::vector<Row>& rows,
 }
 
 int Main(int argc, char** argv) {
+  // Every section runs in this one process, so a row would also measure the
+  // heap the earlier sections left behind: glibc raises its mmap threshold
+  // each time a large block is freed. Pinning the threshold at glibc's
+  // default (which also turns that adjustment off) keeps each row's
+  // allocations where a fresh process would put them.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   const char* out = argc > 1 ? argv[1] : "BENCH_state_hot_paths.json";
   // Open the output before the (minutes-long) measurements so a bad path
   // fails immediately instead of after the run.

@@ -11,10 +11,9 @@ namespace seep::net {
 
 std::vector<uint8_t> EncodeMessage(const Message& msg) {
   serde::Encoder enc;
-  enc.Reserve(1 + 4 + 4 + 9 + msg.body.size());
+  enc.Reserve(1 + 4 + 9 + msg.body.size());
   enc.AppendU8(static_cast<uint8_t>(msg.type));
   enc.AppendFixed32(msg.from_vm);
-  enc.AppendFixed32(msg.to_vm);
   enc.AppendVarint64(msg.ship_id);
   enc.AppendRaw(msg.body.data(), msg.body.size());
   return serde::FramePayload(std::move(enc).TakeBuffer());
@@ -35,7 +34,6 @@ Result<Message> DecodeMessage(const std::vector<uint8_t>& payload) {
       return Status::Corruption("unknown wire message type");
   }
   SEEP_ASSIGN_OR_RETURN(msg.from_vm, dec.ReadFixed32());
-  SEEP_ASSIGN_OR_RETURN(msg.to_vm, dec.ReadFixed32());
   SEEP_ASSIGN_OR_RETURN(msg.ship_id, dec.ReadVarint64());
   msg.body.assign(payload.begin() + dec.position(), payload.end());
   return msg;

@@ -26,7 +26,6 @@ enum class MessageType : uint8_t {
 struct Message {
   MessageType type = MessageType::kBatch;
   VmId from_vm = kInvalidVm;
-  VmId to_vm = kInvalidVm;
   uint64_t ship_id = 0;
   std::vector<uint8_t> body;
 };

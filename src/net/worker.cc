@@ -51,7 +51,6 @@ SendStatus Worker::Post(VmId to, uint16_t to_port, const Message& msg) {
     Message hello;
     hello.type = MessageType::kHello;
     hello.from_vm = vm_;
-    hello.to_vm = to;
     conn->Send(EncodeMessage(hello));
     link = links_.emplace(to, std::move(conn)).first;
   }

@@ -1,8 +1,10 @@
 #include "runtime/backup_store.h"
 
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
+#include "runtime/ckpt_pipeline.h"
 #include "verify/invariant_auditor.h"
 
 namespace seep::runtime {
@@ -20,24 +22,21 @@ void BackupStore::AttachDurable(store::CheckpointLog* log,
 
 [[nodiscard]] Status BackupStore::AppendDurable(
     InstanceId owner, InstanceId holder,
-    const core::StateCheckpoint& checkpoint, const EncodedCkptFrame* frame) {
+    const core::StateCheckpoint& checkpoint, std::span<const uint8_t> frame) {
   if (mode_ == BackupDurability::kMemory || log_ == nullptr) {
     return Status::OK();
   }
-  EncodedCkptFrame fresh;
-  if (frame == nullptr) {
+  std::vector<uint8_t> fresh;
+  if (frame.empty()) {
     fresh = EncodeCheckpointFrame(checkpoint, kCompressCheckpoints);
-    frame = &fresh;
+    frame = fresh;
   }
   store::RecordMeta meta;
   meta.owner = owner;
   meta.owner_op = checkpoint.op;
   meta.holder = holder;
   meta.seq = checkpoint.seq;
-  meta.raw_bytes = frame->raw_bytes;
-  meta.compressed = frame->compressed;
-  const Status st =
-      log_->Append(meta, frame->frame.data(), frame->frame.size());
+  const Status st = log_->Append(meta, frame.data(), frame.size());
   if (!st.ok()) {
     SEEP_LOG(kWarn, 0) << "durable append for instance " << owner
                        << " seq " << checkpoint.seq
@@ -59,7 +58,7 @@ void BackupStore::AttachDurable(store::CheckpointLog* log,
 
 [[nodiscard]] Status BackupStore::Store(InstanceId owner, InstanceId holder,
                                         core::StateCheckpoint checkpoint,
-                                        const EncodedCkptFrame* frame) {
+                                        std::span<const uint8_t> frame) {
   // The durable append happens before the in-memory replace: by the time
   // the caller fires trim acks off this store, the record is in the log.
   const Status durable = AppendDurable(owner, holder, checkpoint, frame);
@@ -86,8 +85,7 @@ Result<BackupStore::Entry> BackupStore::Retrieve(InstanceId owner) const {
   }
   SEEP_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame,
                         log_->ReadPayload(owner));
-  auto ckpt = DecodeCheckpointFrame(frame, meta->raw_bytes,
-                                    meta->compressed);
+  auto ckpt = DecodeCheckpointFrame(frame);
   if (!ckpt.ok()) {
     // The record passed its crc32c at append and at every recovery scan; a
     // decode failure here is index/log divergence, not line noise.
@@ -121,8 +119,7 @@ BackupStore::Entry* BackupStore::Mutable(InstanceId owner) {
   }
   auto it = entries_.find(owner);
   if (it == entries_.end()) return Status::OK();
-  return AppendDurable(owner, it->second.holder, it->second.checkpoint,
-                       nullptr);
+  return AppendDurable(owner, it->second.holder, it->second.checkpoint, {});
 }
 
 void BackupStore::Delete(InstanceId owner) {

@@ -4,12 +4,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "common/ids.h"
 #include "common/result.h"
 #include "core/state.h"
-#include "runtime/ckpt_pipeline.h"
 #include "store/checkpoint_log.h"
 
 namespace seep::verify {
@@ -67,11 +66,11 @@ class BackupStore {
   /// exists for exactly this path). Under kMemory/kTiered the in-memory
   /// copy always succeeds, so a durable-append failure only degrades
   /// durability (logged + counted by the caller), never the ack.
-  /// `frame`, when given, is the checkpoint's frame as it arrived: the
+  /// `frame`, when not empty, is the checkpoint's frame as it arrived: the
   /// durable append writes those bytes instead of re-encoding.
   [[nodiscard]] Status Store(InstanceId owner, InstanceId holder,
                              core::StateCheckpoint checkpoint,
-                             const EncodedCkptFrame* frame = nullptr);
+                             std::span<const uint8_t> frame = {});
 
   /// retrieve-backup(backup(o), o). Returns a copy; restore/partition paths
   /// need one anyway. Hot paths that only inspect or mutate the stored
@@ -123,7 +122,7 @@ class BackupStore {
  private:
   [[nodiscard]] Status AppendDurable(InstanceId owner, InstanceId holder,
                                      const core::StateCheckpoint& checkpoint,
-                                     const EncodedCkptFrame* frame);
+                                     std::span<const uint8_t> frame);
   [[nodiscard]] Result<Entry> RetrieveDurable(InstanceId owner) const;
 
   std::map<InstanceId, Entry> entries_;

@@ -1,6 +1,7 @@
 #include "runtime/checkpoint_plane.h"
 
 #include <utility>
+#include <vector>
 
 #include "runtime/ckpt_pipeline.h"
 #include "runtime/cluster.h"
@@ -13,6 +14,22 @@ namespace {
 // With incremental checkpoints, every kFullCheckpointEvery-th checkpoint is
 // a full resync, which bounds staleness after any failed delta apply.
 constexpr uint64_t kFullCheckpointEvery = 12;
+
+// Whether an async checkpoint of `owner` may still be shipped: its owner is
+// alive, running and has checkpoints unsuspended.
+bool Shippable(const OperatorInstance* owner) {
+  return owner != nullptr && owner->alive() && !owner->stopped() &&
+         !owner->checkpoints_suspended();
+}
+
+// An async checkpoint caught by Suspend() or a failure before it shipped:
+// discarded, counted and reported to the auditor.
+void AbortAsync(Cluster* cluster, const core::StateCheckpoint& ckpt) {
+  ++cluster->metrics()->async_ckpts_aborted;
+  if (auto* audit = cluster->audit()) {
+    audit->OnAsyncCheckpointAborted(ckpt.instance, ckpt.seq);
+  }
+}
 }  // namespace
 
 void CheckpointPlane::StartSchedule() { ScheduleTimer(); }
@@ -112,15 +129,12 @@ core::StateCheckpoint CheckpointPlane::CaptureDelta() {
 }
 
 void CheckpointPlane::ShipAsync(core::StateCheckpoint ckpt) {
-  if (!inst_->alive() || inst_->stopped() || suspended_) {
+  if (!Shippable(inst_)) {
     // Clean abort: the checkpoint is discarded before serialization. Its
     // sequence number was consumed, so the holder's stored seq now trails
     // ckpt_seq_ and CanCheckpointIncrementally forces the next checkpoint
     // to be a full resync — no torn lineage.
-    ++cluster_->metrics()->async_ckpts_aborted;
-    if (auto* audit = cluster_->audit()) {
-      audit->OnAsyncCheckpointAborted(inst_->id(), ckpt.seq);
-    }
+    AbortAsync(cluster_, ckpt);
     return;
   }
   ++cluster_->metrics()->async_ckpt_captures;
@@ -134,8 +148,21 @@ void CheckpointPlane::ShipAsync(core::StateCheckpoint ckpt) {
       static_cast<SimTime>(kib * cluster_->config().serialize_cost_us_per_kb);
   cluster_->simulation()->Schedule(
       delay, [cluster = cluster_, ckpt = std::move(ckpt)]() {
-        ShipSerializedCheckpoint(
-            cluster, SerializeCheckpoint(ckpt, kCompressCheckpoints));
+        // The owner may have died, stopped or been suspended meanwhile.
+        // Suspension case: the coordinator already chose an older backup as
+        // its restore point; this checkpoint's trim acks would drop tuples
+        // that point still needs.
+        OperatorInstance* owner = cluster->GetInstance(ckpt.instance);
+        if (!Shippable(owner)) {
+          AbortAsync(cluster, ckpt);
+          return;
+        }
+        std::vector<uint8_t> frame =
+            EncodeCheckpointFrame(ckpt, kCompressCheckpoints);
+        MetricsRegistry* metrics = cluster->metrics();
+        metrics->ckpt_raw_bytes += ckpt.EncodedSize();
+        metrics->ckpt_wire_bytes += frame.size();
+        ShipToBackupHolder(cluster, owner, CheckpointParcel{std::move(frame)});
       });
 }
 

@@ -124,8 +124,8 @@ class MetricsRegistry {
   /// Serialized checkpoint payload bytes before / after compression.
   uint64_t ckpt_raw_bytes = 0;
   uint64_t ckpt_wire_bytes = 0;
-  /// Checkpoint parcels dropped on arrival for failing their parcel header
-  /// or crc/decompress/decode.
+  /// Checkpoint frames dropped on arrival for failing their crc, their
+  /// head (codec or raw size), decompression or decode.
   uint64_t ckpt_decode_failures = 0;
   /// Wire messages the TCP pump dropped because their body failed to
   /// decode. The frame already passed the net layer's crc32c, so these

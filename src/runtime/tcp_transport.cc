@@ -13,6 +13,7 @@
 #include "common/macros.h"
 #include "net/local_cluster.h"
 #include "net/wire.h"
+#include "runtime/ckpt_pipeline.h"
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
 #include "serde/decoder.h"
@@ -107,59 +108,6 @@ struct TcpTransport::Impl {
   }
 };
 
-std::vector<uint8_t> EncodeParcelBody(const SerializedCkptFrame& frame) {
-  serde::Encoder enc;
-  enc.Reserve(4 + 4 + 10 + 10 + 1 + frame.frame.size());
-  enc.AppendFixed32(frame.owner);
-  enc.AppendFixed32(frame.owner_op);
-  enc.AppendVarint64(frame.seq);
-  enc.AppendVarint64(frame.raw_bytes);
-  enc.AppendU8(frame.compressed ? 1 : 0);
-  enc.AppendRaw(frame.frame.data(), frame.frame.size());
-  return std::move(enc).TakeBuffer();
-}
-
-namespace {
-
-/// The parcel header of a kCheckpoint body, leaving `dec` at the frame.
-[[nodiscard]] Result<SerializedCkptFrame> DecodeParcelHeader(
-    serde::Decoder* dec) {
-  SerializedCkptFrame frame;
-  SEEP_ASSIGN_OR_RETURN(frame.owner, dec->ReadFixed32());
-  SEEP_ASSIGN_OR_RETURN(frame.owner_op, dec->ReadFixed32());
-  SEEP_ASSIGN_OR_RETURN(frame.seq, dec->ReadVarint64());
-  SEEP_ASSIGN_OR_RETURN(frame.raw_bytes, dec->ReadVarint64());
-  uint8_t compressed;
-  SEEP_ASSIGN_OR_RETURN(compressed, dec->ReadU8());
-  if (compressed > 1) {
-    return Status::Corruption("checkpoint parcel compression flag invalid");
-  }
-  frame.compressed = compressed != 0;
-  return frame;
-}
-
-}  // namespace
-
-void ReceiveParcelMessage(Cluster* cluster, std::vector<uint8_t> body,
-                          const ArrivalFn& on_arrival) {
-  serde::Decoder dec(body);
-  auto header = DecodeParcelHeader(&dec);
-  if (!header.ok()) {
-    // The body passed the net layer's crc32c, so this is encode/decode
-    // divergence, not line noise: drop the parcel loudly.
-    ++cluster->metrics()->ckpt_decode_failures;
-    SEEP_LOG(kWarn, cluster->Now())
-        << "dropping checkpoint parcel: " << header.status().message();
-    return;
-  }
-  // The frame keeps the body's buffer: shifting out the header spares a
-  // fresh allocation and copy of the whole frame.
-  SerializedCkptFrame frame = std::move(header).value();
-  body.erase(body.begin(), body.begin() + dec.position());
-  frame.frame = std::move(body);
-  ReceiveCheckpointFrame(cluster, std::move(frame), on_arrival);
-}
-
 TcpTransport::TcpTransport(Cluster* cluster)
     : cluster_(cluster), impl_(std::make_unique<Impl>()) {}
 
@@ -238,7 +186,6 @@ SendPressure TcpTransport::SendBatch(OperatorInstance* from, InstanceId to,
   net::Message msg;
   msg.type = net::MessageType::kBatch;
   msg.from_vm = from->vm();
-  msg.to_vm = dest->vm();
   serde::Encoder enc;
   enc.AppendVarint64(to);  // destination instance, then the batch itself
   batch.Encode(&enc);
@@ -252,18 +199,15 @@ SendPressure TcpTransport::SendBatch(OperatorInstance* from, InstanceId to,
 void TcpTransport::ShipCheckpoint(VmId from, VmId to,
                                   CheckpointParcel parcel,
                                   ArrivalFn on_arrival) {
-  SerializedCkptFrame frame;
-  if (auto* ckpt = std::get_if<core::StateCheckpoint>(&parcel.body)) {
-    frame = SerializeCheckpoint(*ckpt, kCompressCheckpoints);
-  } else {
-    frame = std::move(std::get<SerializedCkptFrame>(parcel.body));
-  }
   net::Message msg;
   msg.type = net::MessageType::kCheckpoint;
   msg.from_vm = from;
-  msg.to_vm = to;
   msg.ship_id = ++impl_->next_ship_id;
-  msg.body = EncodeParcelBody(frame);
+  if (auto* ckpt = std::get_if<core::StateCheckpoint>(&parcel.body)) {
+    msg.body = EncodeCheckpointFrame(*ckpt, kCompressCheckpoints);
+  } else {
+    msg.body = std::move(std::get<std::vector<uint8_t>>(parcel.body));
+  }
   if (Lost(impl_->Post(from, to, msg))) return;
   // Nothing is delivered before the pump polls, so the entry can follow
   // the post.
@@ -331,8 +275,8 @@ void TcpTransport::Pump() {
         // arrival callback may ship again, inserting into the table.
         auto ship = impl.ships.extract(msg.ship_id);
         if (ship.empty()) break;  // parcel already dropped
-        ReceiveParcelMessage(cluster_, std::move(msg.body),
-                             ship.mapped().on_arrival);
+        ReceiveCheckpointFrame(cluster_, std::move(msg.body),
+                               ship.mapped().on_arrival);
         break;
       }
       case net::MessageType::kHello:

@@ -3,25 +3,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "runtime/transport.h"
 
 namespace seep::runtime {
-
-/// The body of the kCheckpoint message a parcel crosses TCP in: [owner
-/// fixed32 | owner_op fixed32 | seq varint | raw_bytes varint | compressed
-/// u8 | frame bytes]. The identity names the checkpoint the frame must
-/// decode to; `raw_bytes` and `compressed` parameterize its decompression.
-std::vector<uint8_t> EncodeParcelBody(const SerializedCkptFrame& frame);
-
-/// The TCP pump's decode path for one kCheckpoint body. A truncated header
-/// or a compression flag above 1 drops the parcel; otherwise the frame goes
-/// to ReceiveCheckpointFrame, which runs `on_arrival` if it decodes to the
-/// checkpoint the header names. Each dropped parcel counts one
-/// ckpt_decode_failures. A parcel is finished after its one message.
-void ReceiveParcelMessage(Cluster* cluster, std::vector<uint8_t> body,
-                          const ArrivalFn& on_arrival);
 
 /// Transport over real loopback TCP: one net::Worker per VM ships
 /// length-prefixed crc32c frames between per-VM loopback listeners, and
@@ -48,8 +33,8 @@ class TcpTransport : public Transport {
   void DetachVm(VmId vm) override;
   SendPressure SendBatch(OperatorInstance* from, InstanceId to,
                          core::TupleBatch batch) override;
-  /// Serializes a materialized parcel with SerializeCheckpoint, then posts
-  /// the frame as one kCheckpoint message.
+  /// Serializes a materialized parcel with EncodeCheckpointFrame, then
+  /// posts the frame as the body of one kCheckpoint message.
   void ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
                       ArrivalFn on_arrival) override;
 

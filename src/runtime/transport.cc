@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "core/state_ops.h"
+#include "runtime/ckpt_pipeline.h"
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
 
@@ -86,8 +87,7 @@ void DeliverCheckpointToHolder(Cluster* cluster, InstanceId owner_id,
     }
     stored_seq = ckpt.seq;
     const Status stored = cluster->backups()->Store(
-        owner_id, holder_id, std::move(ckpt),
-        arrived.frame.has_value() ? &*arrived.frame : nullptr);
+        owner_id, holder_id, std::move(ckpt), arrived.frame);
     if (!stored.ok()) {
       // Nothing holds this checkpoint (kDisk append failed). Firing the
       // trim acks below would let upstream buffers drop tuples the
@@ -138,40 +138,14 @@ void ShipToBackupHolder(Cluster* cluster, OperatorInstance* owner,
       });
 }
 
-void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame) {
-  MetricsRegistry* metrics = cluster->metrics();
-  OperatorInstance* owner = cluster->GetInstance(frame.owner);
-  if (owner == nullptr || !owner->alive() || owner->stopped() ||
-      owner->checkpoints_suspended()) {
-    // The owner died, stopped or was suspended while the frame was being
-    // serialized: abort the in-flight checkpoint cleanly. Suspension case:
-    // the coordinator already chose an older backup as its restore point;
-    // this frame's trim acks would drop tuples that point still needs.
-    ++metrics->async_ckpts_aborted;
-    if (auto* audit = cluster->audit()) {
-      audit->OnAsyncCheckpointAborted(frame.owner, frame.seq);
-    }
-    return;
-  }
-  metrics->ckpt_raw_bytes += frame.raw_bytes;
-  metrics->ckpt_wire_bytes += frame.frame.size();
-  ShipToBackupHolder(cluster, owner, CheckpointParcel{std::move(frame)});
-}
-
-void ReceiveCheckpointFrame(Cluster* cluster, SerializedCkptFrame frame,
+void ReceiveCheckpointFrame(Cluster* cluster, std::vector<uint8_t> frame,
                             const ArrivalFn& on_arrival) {
-  auto ckpt =
-      DecodeCheckpointFrame(frame.frame, frame.raw_bytes, frame.compressed);
-  if (!ckpt.ok() || ckpt.value().instance != frame.owner ||
-      ckpt.value().op != frame.owner_op || ckpt.value().seq != frame.seq) {
+  auto ckpt = DecodeCheckpointFrame(frame);
+  if (!ckpt.ok()) {
     ++cluster->metrics()->ckpt_decode_failures;
     return;
   }
-  ArrivedCheckpoint arrived;
-  arrived.ckpt = std::move(ckpt).value();
-  arrived.frame = EncodedCkptFrame{std::move(frame.frame), frame.raw_bytes,
-                                   frame.compressed};
-  on_arrival(std::move(arrived));
+  on_arrival(ArrivedCheckpoint{std::move(ckpt).value(), std::move(frame)});
 }
 
 void SimTransport::AttachVm(VmId vm) { cluster_->network()->Attach(vm); }
@@ -196,10 +170,10 @@ SendPressure SimTransport::SendBatch(OperatorInstance* from, InstanceId to,
 
 void SimTransport::ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
                                   ArrivalFn on_arrival) {
-  if (auto* frame = std::get_if<SerializedCkptFrame>(&parcel.body)) {
+  if (auto* frame = std::get_if<std::vector<uint8_t>>(&parcel.body)) {
     // Background sends never hold up the data path, so one message of the
     // frame's size models the ship; it is decoded on arrival.
-    const uint64_t bytes = frame->frame.size();
+    const uint64_t bytes = frame->size();
     cluster_->network()->Send(
         from, to, bytes,
         [cluster = cluster_, shipped = std::move(*frame),
@@ -215,7 +189,7 @@ void SimTransport::ShipCheckpoint(VmId from, VmId to, CheckpointParcel parcel,
   cluster_->network()->Send(
       from, to, bytes,
       [ckpt = std::move(ckpt), on_arrival = std::move(on_arrival)]() mutable {
-        on_arrival(ArrivedCheckpoint{std::move(ckpt), std::nullopt});
+        on_arrival(ArrivedCheckpoint{std::move(ckpt), {}});
       },
       parcel.background);
 }

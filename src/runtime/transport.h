@@ -1,14 +1,14 @@
 #ifndef SEEP_RUNTIME_TRANSPORT_H_
 #define SEEP_RUNTIME_TRANSPORT_H_
 
+#include <cstdint>
 #include <functional>
-#include <optional>
 #include <variant>
+#include <vector>
 
 #include "common/ids.h"
 #include "core/state.h"
 #include "core/tuple.h"
-#include "runtime/ckpt_pipeline.h"
 
 namespace seep::runtime {
 
@@ -31,9 +31,10 @@ enum class [[nodiscard]] SendPressure : uint8_t {
 /// recovery move from the holder to new VMs (Algorithm 3) all travel as
 /// parcels.
 struct CheckpointParcel {
-  /// A materialized checkpoint (synchronous backups, partitions), or a
-  /// frame the asynchronous pipeline already serialized.
-  std::variant<core::StateCheckpoint, SerializedCkptFrame> body;
+  /// A materialized checkpoint (synchronous backups, partitions), or the
+  /// frame (EncodeCheckpointFrame) the asynchronous pipeline already
+  /// serialized.
+  std::variant<core::StateCheckpoint, std::vector<uint8_t>> body;
   /// Throttled background traffic that must not delay the data path
   /// (backups), or foreground traffic a reconfiguration waits on.
   bool background = true;
@@ -41,10 +42,11 @@ struct CheckpointParcel {
 
 /// A parcel's checkpoint as it reached its destination. `frame` holds the
 /// bytes it crossed in when it crossed serialized (every TCP parcel, async
-/// frames on the sim): a durable-tier append reuses them verbatim.
+/// frames on the sim), which a durable-tier append reuses verbatim, and is
+/// empty when the checkpoint was handed over in memory.
 struct ArrivedCheckpoint {
   core::StateCheckpoint ckpt;
-  std::optional<EncodedCkptFrame> frame;
+  std::vector<uint8_t> frame;
 };
 
 /// Runs on the driver thread when a parcel arrives whole and intact.
@@ -94,20 +96,13 @@ InstanceId ChooseBackupHolder(const Cluster* cluster,
 void ShipToBackupHolder(Cluster* cluster, OperatorInstance* owner,
                         CheckpointParcel parcel);
 
-/// The end of an async checkpoint's serialization event (driver thread):
-/// re-checks that the owner is still alive, running and unsuspended — an
-/// async checkpoint caught by Suspend()/failure between capture and
-/// serialization aborts here — then records compression metrics and ships
-/// the frame to the backup holder.
-void ShipSerializedCheckpoint(Cluster* cluster, SerializedCkptFrame frame);
-
 /// Arrival of a serialized checkpoint frame (driver thread), shared by both
 /// backends: checks the crc32c, decompresses and decodes the frame
-/// (DecodeCheckpointFrame) and, if it is the checkpoint `frame` names (owner,
-/// op and seq), runs `on_arrival` with it and the bytes it arrived in. A
-/// failure at any step drops the parcel and counts a decode failure — the
-/// protocol treats it like a message lost to a link failure.
-void ReceiveCheckpointFrame(Cluster* cluster, SerializedCkptFrame frame,
+/// (DecodeCheckpointFrame) and runs `on_arrival` with the checkpoint and
+/// the bytes it arrived in. A frame that fails any step is dropped and
+/// counts a decode failure — the protocol treats it like a message lost to
+/// a link failure.
+void ReceiveCheckpointFrame(Cluster* cluster, std::vector<uint8_t> frame,
                             const ArrivalFn& on_arrival);
 
 /// Transport over the deterministic `sim::Network`: batches pay the data

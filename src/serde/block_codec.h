@@ -22,7 +22,8 @@ namespace seep::serde {
 /// (1..65535) unless the sequence is the final literals-only tail.
 ///
 /// The stream is worth shipping only when it is smaller than the input; the
-/// caller keeps the raw bytes otherwise (a flag travels beside the payload).
+/// caller keeps the raw bytes otherwise (a checkpoint frame's head names
+/// the codec its body is in).
 ///
 /// The output is a pure function of the input: the matcher (hash, table,
 /// greedy choice) is part of the format's contract because checkpoint frame

@@ -623,9 +623,7 @@ void CheckpointLog::MaybeCompact() {
     const RecordMeta& disk = it->second.meta;
     if (disk.seq != e.meta.seq ||
         disk.payload_bytes != e.meta.payload_bytes ||
-        disk.holder != e.meta.holder ||
-        disk.raw_bytes != e.meta.raw_bytes ||
-        disk.compressed != e.meta.compressed) {
+        disk.holder != e.meta.holder) {
       std::ostringstream msg;
       msg << "instance " << owner << " index meta disagrees with log "
           << "(index seq " << e.meta.seq << ", log seq " << disk.seq << ")";

@@ -15,8 +15,6 @@ std::vector<uint8_t> EncodeRecordHeader(const RecordMeta& meta) {
   enc.AppendVarint64(meta.owner_op);
   enc.AppendVarint64(meta.holder);
   enc.AppendVarint64(meta.seq);
-  enc.AppendVarint64(meta.raw_bytes);
-  enc.AppendU8(meta.compressed ? 1 : 0);
   enc.AppendVarint64(meta.payload_bytes);
   return serde::FramePayload(std::move(enc).TakeBuffer());
 }
@@ -42,12 +40,6 @@ Result<RecordMeta> DecodeRecordMeta(const uint8_t* data, size_t size) {
   meta.owner_op = static_cast<OperatorId>(op);
   meta.holder = static_cast<InstanceId>(holder);
   SEEP_ASSIGN_OR_RETURN(meta.seq, dec.ReadVarint64());
-  SEEP_ASSIGN_OR_RETURN(meta.raw_bytes, dec.ReadVarint64());
-  SEEP_ASSIGN_OR_RETURN(const uint8_t compressed, dec.ReadU8());
-  if (compressed > 1) {
-    return Status::Corruption("log record compression flag invalid");
-  }
-  meta.compressed = compressed != 0;
   SEEP_ASSIGN_OR_RETURN(meta.payload_bytes, dec.ReadVarint64());
   if (meta.type == RecordType::kTombstone && meta.payload_bytes != 0) {
     return Status::Corruption("tombstone record with payload");

@@ -23,15 +23,14 @@ enum class RecordType : uint8_t {
 /// frame prepended to the checkpoint payload. `payload_bytes` is the exact
 /// length of the payload that follows the meta frame on disk (0 for
 /// tombstones), which is what lets the recovery scan skip a record without
-/// decoding its checkpoint.
+/// decoding its checkpoint. How the payload is compressed is the payload's
+/// own business: a checkpoint frame says what it holds.
 struct RecordMeta {
   RecordType type = RecordType::kCheckpoint;
   InstanceId owner = kInvalidInstance;
   OperatorId owner_op = 0;
   InstanceId holder = kInvalidInstance;
   uint64_t seq = 0;
-  uint64_t raw_bytes = 0;  // encoded checkpoint size before compression
-  bool compressed = false;
   uint64_t payload_bytes = 0;
 };
 
@@ -45,8 +44,8 @@ inline constexpr uint64_t kMaxMetaBytes = 256;
 std::vector<uint8_t> EncodeRecordHeader(const RecordMeta& meta);
 
 /// Decodes a RecordMeta from an already-unframed meta payload. Returns
-/// Corruption on truncation, trailing bytes, an unknown record type or a
-/// compression flag other than 0 or 1.
+/// Corruption on truncation, trailing bytes, an unknown record type, an id
+/// out of range or a tombstone with a payload.
 [[nodiscard]]
 Result<RecordMeta> DecodeRecordMeta(const uint8_t* data, size_t size);
 

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/query_graph.h"
@@ -20,6 +22,7 @@
 #include "runtime/cluster.h"
 #include "runtime/operator_instance.h"
 #include "serde/block_codec.h"
+#include "serde/decoder.h"
 #include "serde/encoder.h"
 #include "serde/frame.h"
 #include "sps/sps.h"
@@ -176,85 +179,131 @@ core::StateCheckpoint CompressibleSnapshot() {
   return c;
 }
 
+// The bytes a frame's payload starts with: the codec byte, then the raw
+// size as a varint.
+std::vector<uint8_t> Head(uint8_t codec, uint64_t raw_bytes) {
+  serde::Encoder head;
+  head.AppendU8(codec);
+  head.AppendVarint64(raw_bytes);
+  return std::move(head).TakeBuffer();
+}
+
+// What follows the head in `frame`'s payload.
+std::vector<uint8_t> BodyOf(const std::vector<uint8_t>& frame) {
+  auto payload = serde::CheckFrame(frame.data(), frame.size());
+  EXPECT_TRUE(payload.ok());
+  serde::Decoder dec(payload.value().data(), payload.value().size());
+  EXPECT_TRUE(dec.ReadU8().ok());
+  EXPECT_TRUE(dec.ReadVarint64().ok());
+  return {payload.value().begin() + dec.position(), payload.value().end()};
+}
+
+// A frame whose head is (codec, raw_bytes) in front of `body`, sealed as
+// the encoder seals one: the crc holds, so only the head can be wrong.
+std::vector<uint8_t> Sealed(uint8_t codec, uint64_t raw_bytes,
+                            const std::vector<uint8_t>& body) {
+  std::vector<uint8_t> frame(serde::kFrameHeaderBytes);
+  const std::vector<uint8_t> head = Head(codec, raw_bytes);
+  frame.insert(frame.end(), head.begin(), head.end());
+  frame.insert(frame.end(), body.begin(), body.end());
+  serde::SealFrame(frame.data(), frame.size() - serde::kFrameHeaderBytes);
+  return frame;
+}
+
 TEST(BuildFrameTest, CompressedFrameRoundTripsToTheSnapshot) {
   const std::vector<uint8_t> raw = EncodeDirect(CompressibleSnapshot());
-  const SerializedCkptFrame frame =
-      SerializeCheckpoint(CompressibleSnapshot(), /*compress=*/true);
-  // The frame carries the identity of the checkpoint it encodes.
-  EXPECT_EQ(frame.owner, 11u);
-  EXPECT_EQ(frame.owner_op, 3u);
-  EXPECT_EQ(frame.seq, 7u);
-  EXPECT_TRUE(frame.compressed);
-  EXPECT_EQ(frame.raw_bytes, raw.size());
-  EXPECT_LT(frame.frame.size(), raw.size());  // compression actually won
+  const std::vector<uint8_t> frame =
+      EncodeCheckpointFrame(CompressibleSnapshot(), /*compress=*/true);
+  EXPECT_LT(frame.size(), raw.size());  // compression actually won
 
-  auto payload = serde::UnframePayload(frame.frame);
+  // The head says block-compressed (codec 1) and the raw size; the body
+  // after it decompresses to the raw encoding.
+  auto payload = serde::UnframePayload(frame);
   ASSERT_TRUE(payload.ok());
-  auto restored = serde::BlockDecompress(payload.value(), frame.raw_bytes);
+  const std::vector<uint8_t> head = Head(1, raw.size());
+  ASSERT_GT(payload.value().size(), head.size());
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), payload.value().begin()));
+  auto restored = serde::BlockDecompress(payload.value().data() + head.size(),
+                                         payload.value().size() - head.size(),
+                                         raw.size());
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value(), raw);
 }
 
 TEST(BuildFrameTest, UncompressedFrameCarriesTheRawEncoding) {
   const std::vector<uint8_t> raw = EncodeDirect(CompressibleSnapshot());
-  const SerializedCkptFrame frame =
-      SerializeCheckpoint(CompressibleSnapshot(), /*compress=*/false);
-  EXPECT_FALSE(frame.compressed);
-  auto payload = serde::UnframePayload(frame.frame);
+  const std::vector<uint8_t> frame =
+      EncodeCheckpointFrame(CompressibleSnapshot(), /*compress=*/false);
+  // The head says raw (codec 0) and the raw size, then the raw encoding.
+  std::vector<uint8_t> want = Head(0, raw.size());
+  want.insert(want.end(), raw.begin(), raw.end());
+  auto payload = serde::UnframePayload(frame);
   ASSERT_TRUE(payload.ok());
-  EXPECT_EQ(payload.value(), raw);
+  EXPECT_EQ(payload.value(), want);
 }
 
 TEST(BuildFrameTest, CorruptedFrameIsRejectedByTheCrc) {
-  SerializedCkptFrame frame =
-      SerializeCheckpoint(CompressibleSnapshot(), /*compress=*/true);
-  frame.frame[frame.frame.size() / 2] ^= 0x40;
-  EXPECT_FALSE(serde::UnframePayload(frame.frame).ok());
+  std::vector<uint8_t> frame =
+      EncodeCheckpointFrame(CompressibleSnapshot(), /*compress=*/true);
+  frame[frame.size() / 2] ^= 0x40;
+  EXPECT_FALSE(serde::UnframePayload(frame).ok());
 }
 
 TEST(FrameCodecTest, DecodeInvertsEncodeWithAndWithoutCompression) {
   const core::StateCheckpoint snapshot = CompressibleSnapshot();
   for (bool compress : {false, true}) {
-    const EncodedCkptFrame frame = EncodeCheckpointFrame(snapshot, compress);
-    EXPECT_EQ(frame.compressed, compress);
-    auto back =
-        DecodeCheckpointFrame(frame.frame, frame.raw_bytes, frame.compressed);
+    const std::vector<uint8_t> frame = EncodeCheckpointFrame(snapshot,
+                                                             compress);
+    EXPECT_EQ(frame[serde::kFrameHeaderBytes], compress ? 1 : 0);
+    auto back = DecodeCheckpointFrame(frame);
     ASSERT_TRUE(back.ok()) << back.status().message();
     EXPECT_EQ(EncodeDirect(back.value()), EncodeDirect(snapshot));
   }
 }
 
 TEST(FrameCodecTest, DeclaredRawSizeMustMatch) {
+  // A head that lies about the raw size by one byte either way, or names a
+  // codec that does not exist, is Corruption although the crc holds.
   const core::StateCheckpoint snapshot = CompressibleSnapshot();
+  const uint64_t raw_bytes = EncodeDirect(snapshot).size();
   for (bool compress : {false, true}) {
-    const EncodedCkptFrame frame = EncodeCheckpointFrame(snapshot, compress);
-    EXPECT_FALSE(DecodeCheckpointFrame(frame.frame, frame.raw_bytes + 1,
-                                       frame.compressed)
-                     .ok());
-    EXPECT_FALSE(DecodeCheckpointFrame(frame.frame, frame.raw_bytes - 1,
-                                       frame.compressed)
-                     .ok());
+    const uint8_t codec = compress ? 1 : 0;
+    const std::vector<uint8_t> body =
+        BodyOf(EncodeCheckpointFrame(snapshot, compress));
+    ASSERT_TRUE(DecodeCheckpointFrame(Sealed(codec, raw_bytes, body)).ok());
+    const std::pair<uint8_t, uint64_t> lies[] = {
+        {codec, raw_bytes + 1}, {codec, raw_bytes - 1}, {2, raw_bytes}};
+    for (const auto& [lie_codec, lie_bytes] : lies) {
+      auto back = DecodeCheckpointFrame(Sealed(lie_codec, lie_bytes, body));
+      ASSERT_FALSE(back.ok()) << "codec " << int{lie_codec} << ", "
+                              << lie_bytes << " raw bytes accepted";
+      EXPECT_TRUE(back.status().IsCorruption()) << back.status().message();
+    }
   }
 }
 
 TEST(FrameCodecTest, DeclaredRawSizeAboveTheCeilingIsCorruption) {
-  // A crc-valid frame whose block declares 2^40 raw bytes, as a parcel
-  // header or log record may claim: rejected before anything is sized by
-  // it, on both the compressed and the raw path.
+  // A crc-valid frame whose head declares more raw bytes than the ceiling
+  // is rejected before anything is sized by it, on both the compressed and
+  // the raw path: over a real body, and over a block that itself declares
+  // 2^40 raw bytes.
   constexpr uint64_t kHuge = uint64_t{1} << 40;
   serde::Encoder block;
   block.AppendVarint64(kHuge);
   block.AppendU8(0x10);  // one literal
   block.AppendU8(0x42);
-  const std::vector<uint8_t> frame = serde::FramePayload(block.buffer());
-  for (bool compressed : {true, false}) {
-    auto back = DecodeCheckpointFrame(frame, kHuge, compressed);
-    ASSERT_FALSE(back.ok());
-    EXPECT_TRUE(back.status().IsCorruption()) << back.status().message();
+  for (bool compress : {false, true}) {
+    const uint8_t codec = compress ? 1 : 0;
+    const std::vector<uint8_t> body =
+        BodyOf(EncodeCheckpointFrame(CompressibleSnapshot(), compress));
+    for (const std::vector<uint8_t>& frame :
+         {Sealed(codec, kMaxCheckpointRawBytes + 1, body),
+          Sealed(codec, kHuge, block.buffer())}) {
+      auto back = DecodeCheckpointFrame(frame);
+      ASSERT_FALSE(back.ok());
+      EXPECT_TRUE(back.status().IsCorruption()) << back.status().message();
+    }
   }
-  auto back = DecodeCheckpointFrame(frame, kMaxCheckpointRawBytes + 1, true);
-  ASSERT_FALSE(back.ok());
-  EXPECT_TRUE(back.status().IsCorruption());
 }
 
 // A snapshot with processing entries, buffered tuples and delta fields, so
@@ -271,13 +320,12 @@ core::StateCheckpoint SweepSnapshot() {
 
 TEST(FrameCodecSweepTest, EveryStrictPrefixIsCorruption) {
   for (bool compress : {true, false}) {
-    const EncodedCkptFrame frame = EncodeCheckpointFrame(SweepSnapshot(),
-                                                         compress);
-    ASSERT_EQ(frame.compressed, compress);
-    for (size_t len = 0; len < frame.frame.size(); ++len) {
-      const std::vector<uint8_t> cut(frame.frame.begin(),
-                                     frame.frame.begin() + len);
-      auto back = DecodeCheckpointFrame(cut, frame.raw_bytes, compress);
+    const std::vector<uint8_t> frame = EncodeCheckpointFrame(SweepSnapshot(),
+                                                             compress);
+    ASSERT_EQ(frame[serde::kFrameHeaderBytes], compress ? 1 : 0);
+    for (size_t len = 0; len < frame.size(); ++len) {
+      const std::vector<uint8_t> cut(frame.begin(), frame.begin() + len);
+      auto back = DecodeCheckpointFrame(cut);
       ASSERT_FALSE(back.ok()) << "prefix of " << len << " bytes accepted";
       EXPECT_TRUE(back.status().IsCorruption());
     }
@@ -286,15 +334,15 @@ TEST(FrameCodecSweepTest, EveryStrictPrefixIsCorruption) {
 
 TEST(FrameCodecSweepTest, EverySingleBitFlipDecodesOrIsCorruption) {
   for (bool compress : {true, false}) {
-    const EncodedCkptFrame frame = EncodeCheckpointFrame(SweepSnapshot(),
-                                                         compress);
-    ASSERT_EQ(frame.compressed, compress);
-    for (size_t bit = 0; bit < frame.frame.size() * 8; ++bit) {
-      std::vector<uint8_t> damaged = frame.frame;
+    const std::vector<uint8_t> frame = EncodeCheckpointFrame(SweepSnapshot(),
+                                                             compress);
+    ASSERT_EQ(frame[serde::kFrameHeaderBytes], compress ? 1 : 0);
+    for (size_t bit = 0; bit < frame.size() * 8; ++bit) {
+      std::vector<uint8_t> damaged = frame;
       damaged[bit / 8] ^= uint8_t(1u << (bit % 8));
-      // The crc32c catches every single-bit flip of the payload, and the
-      // length check every flip of the header's length.
-      auto back = DecodeCheckpointFrame(damaged, frame.raw_bytes, compress);
+      // The crc32c catches every single-bit flip of the payload, the head
+      // included, and the length check every flip of the header's length.
+      auto back = DecodeCheckpointFrame(damaged);
       if (back.ok()) {
         EXPECT_EQ(EncodeDirect(back.value()), EncodeDirect(SweepSnapshot()));
       } else {

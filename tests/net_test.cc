@@ -57,12 +57,10 @@ TEST(FrameReaderTest, ReassemblesAcrossEveryChunkBoundary) {
   Message a;
   a.type = MessageType::kBatch;
   a.from_vm = 1;
-  a.to_vm = 2;
   a.body = {10, 20, 30};
   Message b;
   b.type = MessageType::kBatch;
   b.from_vm = 2;
-  b.to_vm = 1;
   b.ship_id = 77;
   b.body = std::vector<uint8_t>(300, 0x42);  // multi-byte length varints
 
@@ -96,7 +94,6 @@ TEST(FrameReaderTest, ByteByByteFeed) {
   Message m;
   m.type = MessageType::kCheckpoint;
   m.from_vm = 3;
-  m.to_vm = 4;
   m.body = {9, 8, 7, 6, 5};
   const std::vector<uint8_t> stream = FrameOf(m);
   FrameReader reader;
@@ -111,7 +108,6 @@ TEST(FrameReaderTest, ByteByByteFeed) {
 TEST(WireTest, OnlyKnownMessageTypesDecode) {
   Message m;
   m.from_vm = 1;
-  m.to_vm = 2;
   m.body = {1, 2, 3};
   // The envelope's first byte is the type; 3, 4 and 5 are retired.
   for (int type = 0; type < 256; ++type) {
@@ -124,15 +120,13 @@ TEST(WireTest, OnlyKnownMessageTypesDecode) {
 }
 
 // A checkpoint envelope whose ship_id takes a 3-byte varint, then a 40-byte
-// body: type (1) + from_vm (4) + to_vm (4) + ship_id (3) = 12 envelope
-// bytes.
-constexpr size_t kSweepEnvelopeBytes = 12;
+// body: type (1) + from_vm (4) + ship_id (3) = 8 envelope bytes.
+constexpr size_t kSweepEnvelopeBytes = 8;
 
 Message SweepMessage() {
   Message m;
   m.type = MessageType::kCheckpoint;
   m.from_vm = 0x01020304;
-  m.to_vm = 0x0A0B0C0D;
   m.ship_id = (uint64_t{1} << 14) + 77;
   for (uint8_t i = 0; i < 40; ++i) m.body.push_back(uint8_t(i * 7 + 1));
   return m;
@@ -157,7 +151,6 @@ TEST(WireSweepTest, PrefixesInsideTheEnvelopeAreCorruption) {
     ASSERT_TRUE(back.ok()) << "prefix of " << len << " bytes rejected";
     EXPECT_EQ(back.value().type, m.type);
     EXPECT_EQ(back.value().from_vm, m.from_vm);
-    EXPECT_EQ(back.value().to_vm, m.to_vm);
     EXPECT_EQ(back.value().ship_id, m.ship_id);
     EXPECT_EQ(back.value().body,
               std::vector<uint8_t>(m.body.begin(),
@@ -180,9 +173,9 @@ TEST(WireSweepTest, EverySingleBitFlipDecodesOrIsCorruption) {
       ++rejected;
       continue;
     }
-    // The envelope is at least 10 bytes (a 1-byte ship_id); the body is
+    // The envelope is at least 6 bytes (a 1-byte ship_id); the body is
     // the rest.
-    EXPECT_LE(back.value().body.size() + 10, payload.size()) << "bit " << bit;
+    EXPECT_LE(back.value().body.size() + 6, payload.size()) << "bit " << bit;
   }
   // Flips of the type byte name retired or unknown types.
   EXPECT_GT(rejected, 0u);
@@ -211,11 +204,10 @@ TEST(FrameReaderTest, OversizedDeclaredLengthRejectedEarly) {
 
 // ------------------------------------------------------------ LocalCluster
 
-Message MakeMsg(VmId from, VmId to, uint64_t tag, size_t body_bytes = 64) {
+Message MakeMsg(VmId from, uint64_t tag, size_t body_bytes = 64) {
   Message msg;
   msg.type = MessageType::kBatch;
   msg.from_vm = from;
-  msg.to_vm = to;
   msg.ship_id = tag;
   msg.body = std::vector<uint8_t>(body_bytes, static_cast<uint8_t>(tag));
   return msg;
@@ -234,7 +226,7 @@ TEST(LocalClusterTest, DeliversMessagesInFifoOrderPerLink) {
 
   constexpr uint64_t kCount = 200;
   for (uint64_t i = 0; i < kCount; ++i) {
-    ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 2, i)), SendStatus::kClosed);
+    ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, i)), SendStatus::kClosed);
   }
   ASSERT_TRUE(PollUntil(cluster, [&] { return inbox.size() >= kCount; }));
   for (uint64_t i = 0; i < kCount; ++i) {
@@ -249,8 +241,8 @@ TEST(LocalClusterTest, BidirectionalTraffic) {
   ASSERT_TRUE(cluster.StartWorker(1, [&](Message) { ++at1; }).ok());
   ASSERT_TRUE(cluster.StartWorker(2, [&](Message) { ++at2; }).ok());
   for (uint64_t i = 0; i < 50; ++i) {
-    ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 2, i)), SendStatus::kClosed);
-    ASSERT_NE(cluster.Post(2, 1, MakeMsg(2, 1, i)), SendStatus::kClosed);
+    ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, i)), SendStatus::kClosed);
+    ASSERT_NE(cluster.Post(2, 1, MakeMsg(2, i)), SendStatus::kClosed);
   }
   EXPECT_TRUE(PollUntil(cluster, [&] { return at1 == 50 && at2 == 50; }));
 }
@@ -266,8 +258,8 @@ TEST(LocalClusterTest, PostToAVmWithoutAWorkerIsClosed) {
                   .StartWorker(1, nullptr, nullptr,
                                [&](VmId, size_t frames) { dropped += frames; })
                   .ok());
-  EXPECT_EQ(cluster.Post(1, 2, MakeMsg(1, 2, 1)), SendStatus::kClosed);
-  EXPECT_EQ(cluster.Post(1, 2, MakeMsg(1, 2, 2)), SendStatus::kClosed);
+  EXPECT_EQ(cluster.Post(1, 2, MakeMsg(1, 1)), SendStatus::kClosed);
+  EXPECT_EQ(cluster.Post(1, 2, MakeMsg(1, 2)), SendStatus::kClosed);
   ASSERT_TRUE(cluster
                   .StartWorker(2,
                                [&](Message m) {
@@ -291,18 +283,18 @@ TEST(LocalClusterTest, KilledWorkerLooksLikeDeadPeer) {
   ASSERT_TRUE(cluster.StartWorker(2, [&](Message) { ++delivered; }).ok());
 
   // Establish the 1->2 link, then kill 2 mid-stream.
-  ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 2, 0)), SendStatus::kClosed);
+  ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 0)), SendStatus::kClosed);
   ASSERT_TRUE(PollUntil(cluster, [&] { return delivered == 1; }));
   cluster.KillWorker(2);
   EXPECT_FALSE(cluster.IsAttached(2));
 
   // A post to the dead VM is refused at once, and the sender observes the
   // dead peer at its next poll: its outbound link dies.
-  EXPECT_EQ(cluster.Post(1, 2, MakeMsg(1, 2, 99)), SendStatus::kClosed);
+  EXPECT_EQ(cluster.Post(1, 2, MakeMsg(1, 99)), SendStatus::kClosed);
   EXPECT_TRUE(PollUntil(cluster, [&] { return disconnects_at_1 >= 1; }));
 
   // Posting from the dead worker reports closed.
-  EXPECT_EQ(cluster.Post(2, 1, MakeMsg(2, 1, 7)), SendStatus::kClosed);
+  EXPECT_EQ(cluster.Post(2, 1, MakeMsg(2, 7)), SendStatus::kClosed);
 }
 
 TEST(LocalClusterTest, NextPostAfterALinkDiedOpensAFreshOne) {
@@ -323,13 +315,13 @@ TEST(LocalClusterTest, NextPostAfterALinkDiedOpensAFreshOne) {
         2, [&](Message m) { tags_at_2.push_back(m.ship_id); });
   };
   ASSERT_TRUE(start_2().ok());
-  ASSERT_EQ(cluster.Post(1, 2, MakeMsg(1, 2, 1)), SendStatus::kOk);
+  ASSERT_EQ(cluster.Post(1, 2, MakeMsg(1, 1)), SendStatus::kOk);
   ASSERT_TRUE(PollUntil(cluster, [&] { return tags_at_2.size() == 1; }));
 
   cluster.KillWorker(2);
   ASSERT_TRUE(PollUntil(cluster, [&] { return disconnects_at_1 == 1; }));
   ASSERT_TRUE(start_2().ok());
-  ASSERT_EQ(cluster.Post(1, 2, MakeMsg(1, 2, 2)), SendStatus::kOk);
+  ASSERT_EQ(cluster.Post(1, 2, MakeMsg(1, 2)), SendStatus::kOk);
   ASSERT_TRUE(
       PollUntil(cluster, [&] { return tags_at_2.size() == 2; }, 100ms));
   EXPECT_EQ(tags_at_2[1], 2u);
@@ -356,10 +348,10 @@ TEST(LocalClusterTest, FullKernelBuffersQueueThenOverflowInOrder) {
                   .StartWorker(2,
                                [&](Message m) { tags.push_back(m.ship_id); })
                   .ok());
-  ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 2, 0)), SendStatus::kClosed);
+  ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 0)), SendStatus::kClosed);
   ASSERT_TRUE(PollUntil(cluster, [&] { return tags.size() == 1; }));
 
-  Message big = MakeMsg(1, 2, 0, /*body_bytes=*/1 << 20);
+  Message big = MakeMsg(1, 0, /*body_bytes=*/1 << 20);
   const size_t frame_bytes = EncodeMessage(big).size();
   std::vector<SendStatus> statuses;
   size_t accepted_bytes = 0, overflows = 0;
@@ -410,7 +402,7 @@ TEST(LocalClusterTest, HelloAttributesInboundDisconnect) {
                   .ok());
   ASSERT_TRUE(cluster.StartWorker(7, nullptr).ok());
   // Establish 7 -> 2 (hello carries from_vm=7), then kill the sender.
-  ASSERT_NE(cluster.Post(7, 2, MakeMsg(7, 2, 1)), SendStatus::kClosed);
+  ASSERT_NE(cluster.Post(7, 2, MakeMsg(7, 1)), SendStatus::kClosed);
   EXPECT_TRUE(PollUntil(cluster, [&] { return delivered >= 1; }));
   cluster.KillWorker(7);
   EXPECT_TRUE(PollUntil(cluster, [&] { return disconnect_peer == 7u; }));
@@ -430,7 +422,7 @@ TEST(LocalClusterTest, KilledWorkerLeavesNothingToRunOnTheSharedLoop) {
                       [&](VmId, size_t) { ++callbacks_at_1; })
                   .ok());
   ASSERT_TRUE(cluster.StartWorker(2, [&](Message) { ++delivered_at_2; }).ok());
-  ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 2, 0)), SendStatus::kClosed);
+  ASSERT_NE(cluster.Post(1, 2, MakeMsg(1, 0)), SendStatus::kClosed);
   ASSERT_TRUE(PollUntil(cluster, [&] { return delivered_at_2 == 1; }));
 
   // VM 2 dies and starts again before anything polls, so worker 1 still
@@ -439,7 +431,7 @@ TEST(LocalClusterTest, KilledWorkerLeavesNothingToRunOnTheSharedLoop) {
   ASSERT_TRUE(cluster.StartWorker(2, nullptr).ok());
   for (int i = 0; i < 100 && callbacks_at_1 == 0; ++i) {
     // seep-ok: unchecked-status -- probing a dead link
-    (void)cluster.Post(1, 2, MakeMsg(1, 2, 1));
+    (void)cluster.Post(1, 2, MakeMsg(1, 1));
   }
   ASSERT_GT(callbacks_at_1, 0u);
   const uint64_t seen = callbacks_at_1;
@@ -484,7 +476,6 @@ std::vector<uint8_t> HelloThen(const Message& msg) {
   Message hello;
   hello.type = MessageType::kHello;
   hello.from_vm = msg.from_vm;
-  hello.to_vm = msg.to_vm;
   std::vector<uint8_t> bytes = EncodeMessage(hello);
   const std::vector<uint8_t> frame = EncodeMessage(msg);
   bytes.insert(bytes.end(), frame.begin(), frame.end());
@@ -517,7 +508,7 @@ TEST(WorkerTest, PoisonedInboundStreamClosesOnlyThatLink) {
 
   ScopedFd poisoned = RawConnect(worker.port());
   ASSERT_TRUE(poisoned.valid());
-  std::vector<uint8_t> bytes = HelloThen(MakeMsg(7, 1, 1));
+  std::vector<uint8_t> bytes = HelloThen(MakeMsg(7, 1));
   bytes.back() ^= 0x01;  // the message's payload no longer matches its crc
   ASSERT_TRUE(WriteAll(poisoned.get(), bytes));
   ASSERT_TRUE(poll_until([&] { return !disconnects.empty(); }));
@@ -529,7 +520,7 @@ TEST(WorkerTest, PoisonedInboundStreamClosesOnlyThatLink) {
 
   ScopedFd healthy = RawConnect(worker.port());
   ASSERT_TRUE(healthy.valid());
-  ASSERT_TRUE(WriteAll(healthy.get(), HelloThen(MakeMsg(8, 1, 2))));
+  ASSERT_TRUE(WriteAll(healthy.get(), HelloThen(MakeMsg(8, 2))));
   ASSERT_TRUE(poll_until([&] { return inbox.size() == 1; }));
   EXPECT_EQ(inbox[0].from_vm, 8u);
   EXPECT_EQ(inbox[0].ship_id, 2u);

@@ -75,8 +75,6 @@ Status Put(CheckpointLog* log, InstanceId owner, uint64_t seq,
   meta.owner_op = 7;
   meta.holder = 100 + owner;
   meta.seq = seq;
-  meta.raw_bytes = size;
-  meta.compressed = false;
   const std::vector<uint8_t> framed = FramedPayload(owner, seq, size);
   return log->Append(meta, framed.data(), framed.size());
 }
@@ -364,8 +362,6 @@ std::vector<uint8_t> SweepMetaBytes() {
   meta.owner_op = 7;
   meta.holder = 99;
   meta.seq = 1u << 20;
-  meta.raw_bytes = 5u << 20;
-  meta.compressed = true;
   meta.payload_bytes = 300;
   const std::vector<uint8_t> framed = EncodeRecordHeader(meta);
   return std::vector<uint8_t>(framed.begin() + serde::kFrameHeaderBytes,
@@ -395,28 +391,6 @@ TEST(RecordMetaSweepTest, EverySingleBitFlipDecodesOrIsCorruption) {
     }
   }
   EXPECT_GT(rejected, 0u);
-}
-
-TEST(RecordMetaSweepTest, CompressionFlagIsZeroOrOne) {
-  for (uint8_t flag : {0, 1, 2, 255}) {
-    serde::Encoder enc;
-    enc.AppendU8(static_cast<uint8_t>(RecordType::kCheckpoint));
-    enc.AppendVarint64(3);    // owner
-    enc.AppendVarint64(1);    // owner_op
-    enc.AppendVarint64(2);    // holder
-    enc.AppendVarint64(8);    // seq
-    enc.AppendVarint64(100);  // raw_bytes
-    enc.AppendU8(flag);       // compressed
-    enc.AppendVarint64(64);   // payload_bytes
-    auto back = DecodeRecordMeta(enc.buffer().data(), enc.buffer().size());
-    if (flag <= 1) {
-      ASSERT_TRUE(back.ok()) << int(flag);
-      EXPECT_EQ(back->compressed, flag == 1);
-    } else {
-      ASSERT_FALSE(back.ok()) << "flag " << int(flag) << " accepted";
-      EXPECT_TRUE(back.status().IsCorruption());
-    }
-  }
 }
 
 // ------------------------------------------------------------------------
@@ -458,7 +432,8 @@ void ExpectStateMatches(CheckpointLog* log, const Expected& expected,
     auto payload = log->ReadPayload(m.owner);
     ASSERT_TRUE(payload.ok()) << what;
     EXPECT_EQ(payload.value(),
-              FramedPayload(m.owner, m.seq, m.raw_bytes))
+              FramedPayload(m.owner, m.seq,
+                            m.payload_bytes - serde::kFrameHeaderBytes))
         << what;
   }
   for (InstanceId owner : expected.dead) {
@@ -621,8 +596,6 @@ void ExpectRecordPrefix(const SegmentScan& scan, const SweepFixture& fx,
     EXPECT_EQ(got.meta.owner_op, want.meta.owner_op) << what;
     EXPECT_EQ(got.meta.holder, want.meta.holder) << what;
     EXPECT_EQ(got.meta.seq, want.meta.seq) << what;
-    EXPECT_EQ(got.meta.raw_bytes, want.meta.raw_bytes) << what;
-    EXPECT_EQ(got.meta.compressed, want.meta.compressed) << what;
     EXPECT_EQ(got.meta.payload_bytes, want.meta.payload_bytes) << what;
   }
 }

@@ -16,9 +16,11 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "runtime/ckpt_pipeline.h"
 #include "runtime/operator_instance.h"
 #include "runtime/tcp_transport.h"
 #include "serde/encoder.h"
+#include "serde/frame.h"
 #include "sim/simulation.h"
 #include "sps/sps.h"
 #include "verify/invariant_auditor.h"
@@ -294,7 +296,8 @@ TEST(TcpParcelTest, ParcelFromAKilledVmNeverArrives) {
   ExpectNoParcelsLeft(sps);
 }
 
-/// One parcel body of a real checkpoint, as TcpTransport posts it.
+/// One parcel body of a real checkpoint, as TcpTransport posts it: the
+/// checkpoint's frame.
 struct ParcelFixture {
   core::StateCheckpoint ckpt;
   std::vector<uint8_t> body;
@@ -309,10 +312,8 @@ ParcelFixture MakeParcelFixture(bool compress) {
   for (int i = 0; i < 20; ++i) {
     f.ckpt.processing.Add(100 + i, "count-" + std::to_string(i % 3));
   }
-  const runtime::SerializedCkptFrame frame =
-      runtime::SerializeCheckpoint(f.ckpt, compress);
-  EXPECT_EQ(frame.compressed, compress);
-  f.body = runtime::EncodeParcelBody(frame);
+  f.body = runtime::EncodeCheckpointFrame(f.ckpt, compress);
+  EXPECT_EQ(f.body[serde::kFrameHeaderBytes], compress ? 1 : 0);  // codec
   return f;
 }
 
@@ -335,15 +336,13 @@ TEST(TcpParcelDecodeTest, EveryTruncationAndBitFlipIsOneDecodeFailure) {
     // failures it counted.
     auto feed = [&](const std::vector<uint8_t>& body) {
       const uint64_t before = failures;
-      runtime::ReceiveParcelMessage(&cluster, body, on_arrival);
+      runtime::ReceiveCheckpointFrame(&cluster, body, on_arrival);
       return failures - before;
     };
 
     ASSERT_EQ(feed(f.body), 0u);
     ASSERT_EQ(arrivals, 1);
 
-    const LogLevel log_level = GetLogLevel();
-    SetLogLevel(LogLevel::kError);  // header failures log a drop
     for (size_t len = 0; len < f.body.size(); ++len) {
       const std::vector<uint8_t> cut(f.body.begin(), f.body.begin() + len);
       EXPECT_EQ(feed(cut), 1u) << "truncated to " << len << " bytes";
@@ -353,7 +352,6 @@ TEST(TcpParcelDecodeTest, EveryTruncationAndBitFlipIsOneDecodeFailure) {
       flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
       EXPECT_EQ(feed(flipped), 1u) << "bit " << bit << " flipped";
     }
-    SetLogLevel(log_level);
     EXPECT_EQ(arrivals, 1) << "a corrupted parcel was delivered";
   }
 }

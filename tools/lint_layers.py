@@ -3,9 +3,10 @@
 
 The repo is layered (see DESIGN.md): each directory under src/ may only
 include headers from itself and from the layers listed in LAYER_DEPS. On
-top of the layer map, seven seam rules protect the component interfaces
+top of the layer map, eight seam rules protect the component interfaces
 introduced by the runtime decomposition, the networking subsystem, the
-reconfiguration plane and the durable checkpoint store:
+checkpoint pipeline, the reconfiguration plane and the durable checkpoint
+store:
 
   * control-no-raw-network: src/control/ must not include sim/network.h.
     Coordinators act on the cluster through the Transport interface; a
@@ -28,6 +29,12 @@ reconfiguration plane and the durable checkpoint store:
     reach the wire only through the Transport seam; pipeline code writing
     sockets directly would bypass both the per-link FIFO the replay
     fences assume and the checks every parcel passes on arrival.
+  * ckpt-codec-in-pipeline: outside src/serde/ itself, only
+    src/runtime/ckpt_pipeline.cc may include serde/block_codec.h. A
+    checkpoint frame says in its own head how its body is compressed, and
+    the frame codec is the one module that reads or writes that; a second
+    module compressing or decompressing checkpoint bytes would bring back
+    a format decision carried beside the frame.
   * store-isolation: src/store/ is a storage-engine leaf; it may include
     only serde/ (framing, crc, compression) and common/. The log knows
     bytes and record metadata, never operators, checkpoint objects or
@@ -103,6 +110,10 @@ STORE_INCLUDE_ALLOWLIST = {
 # base layer. Anything else is protocol knowledge leaking below the seam.
 STORE_ALLOWED_TARGETS = {"store", "serde", "common"}
 
+# The one file outside src/serde/ that may include the block codec: the
+# checkpoint frame codec, whose frame head names the codec.
+BLOCK_CODEC_INCLUDE_ALLOWLIST = {Path("runtime/ckpt_pipeline.cc")}
+
 
 def quoted_includes(path):
     """Yields (line_number, include_path) for every quoted include."""
@@ -166,6 +177,14 @@ def lint_tree(src_root):
                     "checkpoint pipeline worker code must not touch net/ "
                     "directly; frames reach the wire through the "
                     "runtime::Transport seam"))
+            if layer != "serde" and inc == "serde/block_codec.h" \
+                    and rel not in BLOCK_CODEC_INCLUDE_ALLOWLIST:
+                violations.append((
+                    "ckpt-codec-in-pipeline", where,
+                    "only the checkpoint frame codec "
+                    "(runtime/ckpt_pipeline.cc) may include "
+                    "serde/block_codec.h; a frame's head says how it is "
+                    "compressed, and nothing else reads or writes that"))
             if layer != "net" and inc.startswith("net/") \
                     and rel not in NET_INCLUDE_ALLOWLIST:
                 violations.append((
@@ -194,7 +213,8 @@ def self_test(repo_root):
     expected = {"no-upward-dependency", "control-no-raw-network",
                 "component-no-cluster-header", "net-isolation",
                 "net-only-in-transport", "ckpt-worker-no-net",
-                "store-isolation", "store-only-in-backup-path"}
+                "ckpt-codec-in-pipeline", "store-isolation",
+                "store-only-in-backup-path"}
     return lint_common.self_test_verdict(
         "lint_layers", expected, lint_tree(fixtures))
 
